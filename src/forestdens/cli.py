@@ -323,7 +323,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None, help="worker threads")
+        p.add_argument("--workers", type=int, default=None, help="worker processes for mc replications (fit ignores it)")
         p.add_argument("--out", default=".", help="output directory")
     return parser
 

@@ -72,7 +72,8 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
     rng : int or numpy Generator, optional
         Overrides ``cfg.seed`` as the source of randomness.
     workers : int
-        Threads used to grow trees; the result does not depend on it.
+        Accepted for compatibility and has no effect: all trees grow
+        together in the calling thread, one level at a time.
     weights_override : array_like, optional
         Test hook: skip the forest and use these weights directly (e.g.
         uniform weights reproduce the unconditional series estimate through
@@ -111,8 +112,7 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
         subsamples = list(plan.tree_subsamples)
 
     phi = basis_matrix(spec, data.y)
-    branches = forest._grow_forest(x, data, cfg, spec, subsamples, tree_rngs,
-                                   phi, workers)
+    branches = forest._grow_forest(x, data, cfg, spec, subsamples, tree_rngs, phi)
     w = WeightVector(forest._weights_from_branches(branches, data.n))
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")

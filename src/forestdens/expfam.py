@@ -33,6 +33,12 @@ __all__ = [
     "moments",
     "covariance",
     "solve_theta",
+    "solve_theta_batch",
+    "NewtonBatch",
+    "SOLVED",
+    "BOUNDARY",
+    "NO_CONVERGENCE",
+    "row_moment_states",
     "pseudo_outcomes_theta",
     "t_functional",
 ]
@@ -166,6 +172,152 @@ def _as_moment_array(mu_target) -> np.ndarray:
     return np.atleast_1d(np.asarray(mu_target, dtype=float))
 
 
+#: Row status codes returned by :func:`solve_theta_batch`.
+SOLVED, BOUNDARY, NO_CONVERGENCE = 0, 1, 2
+
+#: Elements allowed in one batched temporary: larger Newton batches, and
+#: the levels of forest growth, are processed in consecutive slices of rows.
+BATCH_ELEMENTS = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
+class NewtonBatch:
+    """Per-row outcome of :func:`solve_theta_batch`.
+
+    ``status`` holds :data:`SOLVED`, :data:`BOUNDARY` or
+    :data:`NO_CONVERGENCE` for each row.  ``theta``, ``residual`` and
+    ``iterations`` are the root, its residual sup-norm and the Newton
+    iterations for solved rows, and the last accepted iterate for rows that
+    did not converge.
+    """
+
+    theta: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+
+
+def _row_states(theta: np.ndarray, spec: BasisSpec):
+    """Density at the quadrature nodes and basis moments for each row of ``theta``.
+
+    Every product is a stacked matmul whose core is one row, so a row's
+    result does not depend on the other rows in the batch.
+    """
+    phi, w = spec.phi_nodes, spec.weights
+    g = (phi @ theta[:, :, None])[:, :, 0]
+    e = np.exp(g - g.max(axis=1, keepdims=True))
+    dens = e / (e[:, None, :] @ w[:, None])[:, 0]
+    mu = (phi.T @ (w * dens)[:, :, None])[:, :, 0]
+    return dens, mu
+
+
+def _outer_products(spec: BasisSpec) -> np.ndarray:
+    """Outer products phi(t) phi(t)^T at the quadrature nodes, flattened: (Q, J*J)."""
+    phi = spec.phi_nodes
+    return (phi[:, :, None] * phi[:, None, :]).reshape(phi.shape[0], -1)
+
+
+def _row_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec,
+                     outer: np.ndarray) -> np.ndarray:
+    """Basis covariance for each row, from :func:`_row_states` output."""
+    j = mu.shape[1]
+    second = ((spec.weights * dens)[:, None, :] @ outer).reshape(-1, j, j)
+    v = second - mu[:, :, None] * mu[:, None, :]
+    return 0.5 * (v + v.transpose(0, 2, 1))
+
+
+def row_moment_states(theta, spec: BasisSpec):
+    """Basis moments and covariances at each row of ``theta``, shape ``(m, J)``.
+
+    Returns ``(mu, cov)`` with shapes ``(m, J)`` and ``(m, J, J)``; each
+    row is computed exactly as when it is passed alone.
+    """
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    dens, mu = _row_states(theta, spec)
+    return mu, _row_covariances(dens, mu, spec, _outer_products(spec))
+
+
+def solve_theta_batch(mu_targets, spec: BasisSpec, tol: float = 1e-10,
+                      max_iter: int = 100) -> NewtonBatch:
+    """Solve the moment-matching system for every row of ``mu_targets``.
+
+    Each row runs the Newton iteration described in :func:`solve_theta`,
+    with its own step-halving line search, tolerance check and box bound;
+    rows leave the batch as soon as they converge or fail.  A row's result
+    is bit-identical to solving it alone.  Failures do not raise: they are
+    reported per row in :attr:`NewtonBatch.status`.
+    """
+    targets = np.atleast_2d(np.asarray(mu_targets, dtype=float))
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("moment target must be finite")
+    m, j = targets.shape
+    if spec.order != j:
+        raise ValueError(f"target has {j} components but basis order is {spec.order}")
+    out = NewtonBatch(np.zeros((m, j)), np.zeros(m), np.zeros(m, dtype=np.intp),
+                      np.full(m, SOLVED, dtype=np.int8))
+    sup = np.sqrt(2.0 * np.arange(1, j + 1) + 1.0)
+    out.status[(np.abs(targets) >= sup).any(axis=1)] = BOUNDARY
+    # an exact zero target has the exact root zero: no iteration
+    rows = np.flatnonzero((out.status == SOLVED) & targets.any(axis=1))
+    outer = _outer_products(spec)
+    chunk = max(1, BATCH_ELEMENTS // (8 * spec.nodes.size + j * j))
+    for lo in range(0, rows.size, chunk):
+        _newton_rows(targets, rows[lo:lo + chunk], spec, outer, tol, max_iter, out)
+    return out
+
+
+def _newton_rows(targets, rows, spec, outer, tol, max_iter, out: NewtonBatch) -> None:
+    """Run the Newton iteration on ``targets[rows]``, writing into ``out``."""
+    target = targets[rows]
+    theta = np.zeros_like(target)
+    dens, mu = _row_states(theta, spec)
+    resid = target - mu
+    rnorm = np.abs(resid).max(axis=1)
+
+    def finish(sel, status, iterations):
+        out.theta[rows[sel]] = theta[sel]
+        out.residual[rows[sel]] = rnorm[sel]
+        out.iterations[rows[sel]] = iterations
+        out.status[rows[sel]] = status
+        return ~sel
+
+    for it in range(1, max_iter + 1):
+        keep = finish(rnorm <= tol, SOLVED, it - 1)
+        rows, target, theta, dens, mu, resid, rnorm = (
+            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm))
+        if rows.size == 0:
+            return
+        cov = _row_covariances(dens, mu, spec, outer)
+        step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
+        lam = np.ones(rows.size)
+        pending = np.arange(rows.size)
+        new = [theta.copy(), dens.copy(), mu.copy(), resid.copy(), rnorm.copy()]
+        for _ in range(31):
+            cand = theta[pending] + lam[pending, None] * step[pending]
+            cand_dens, cand_mu = _row_states(cand, spec)
+            cand_resid = target[pending] - cand_mu
+            cand_rnorm = np.abs(cand_resid).max(axis=1)
+            better = cand_rnorm < rnorm[pending]
+            done = pending[better]
+            for a, b in zip(new, (cand, cand_dens, cand_mu, cand_resid, cand_rnorm)):
+                a[done] = b[better]
+            pending = pending[~better]
+            if pending.size == 0:
+                break
+            lam[pending] *= 0.5
+        stalled = np.zeros(rows.size, dtype=bool)
+        stalled[pending] = True
+        keep = finish(stalled, NO_CONVERGENCE, it)
+        theta, dens, mu, resid, rnorm = new
+        escaped = keep & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)
+        keep = finish(escaped, BOUNDARY, it) & keep
+        rows, target, theta, dens, mu, resid, rnorm = (
+            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm))
+    converged = rnorm <= tol
+    finish(converged, SOLVED, max_iter)
+    finish(~converged, NO_CONVERGENCE, max_iter)
+
+
 def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
                 max_iter: int = 100) -> ThetaSolution:
     """Solve the moment-matching system by Newton's method.
@@ -174,7 +326,8 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
     ``theta <- theta + V(theta)^{-1} (mu_target - mu(theta))`` with a
     step-halving line search: the step is halved (up to 30 times) until the
     residual sup-norm strictly decreases, so the residual is non-increasing
-    across accepted iterations.
+    across accepted iterations.  This is the one-row case of
+    :func:`solve_theta_batch`.
 
     Parameters
     ----------
@@ -202,76 +355,34 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
         iterations, or the line search cannot reduce it.
     """
     mu_target = _as_moment_array(mu_target)
-    if not np.all(np.isfinite(mu_target)):
-        raise ValueError("moment target must be finite")
-    j = mu_target.size
-    if spec.order != j:
-        raise ValueError(f"target has {j} components but basis order is {spec.order}")
-    sup = np.sqrt(2.0 * np.arange(1, j + 1) + 1.0)
-    if np.any(np.abs(mu_target) >= sup):
-        raise BoundaryMoment(
-            "moment target at or outside the attainable range of the basis",
-            target=mu_target,
-        )
-
-    theta = np.zeros(j)
-    if not mu_target.any():
-        # exact zero target: the root is exactly zero, skip the iteration
-        return _solved(theta, 0.0, 0, spec)
-
-    phi = spec.phi_nodes
-    w = spec.weights
-
-    def node_density(th):
-        g = phi @ th
-        e = np.exp(g - g.max())
-        return e / (w @ e)
-
-    dens = node_density(theta)
-    resid = mu_target - phi.T @ (w * dens)
-    rnorm = float(np.max(np.abs(resid)))
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
-            return _solved(theta, rnorm, it - 1, spec, dens)
-        wd = w * dens
-        mu = phi.T @ wd
-        second = (phi * wd[:, None]).T @ phi
-        v = second - np.outer(mu, mu)
-        step = cho_solve(cho_factor(0.5 * (v + v.T)), resid)
-        lam = 1.0
-        for _ in range(31):
-            cand = theta + lam * step
-            cand_dens = node_density(cand)
-            cand_resid = mu_target - phi.T @ (w * cand_dens)
-            cand_rnorm = float(np.max(np.abs(cand_resid)))
-            if cand_rnorm < rnorm:
-                break
-            lam *= 0.5
-        else:
-            raise NonConvergence(
-                f"line search stalled at residual {rnorm:.3e}",
-                solution=ThetaSolution(theta, rnorm, it, False),
-            )
-        theta, dens, resid, rnorm = cand, cand_dens, cand_resid, cand_rnorm
-        if np.max(np.abs(theta)) > THETA_BOX_BOUND:
+    res = solve_theta_batch(mu_target[None, :], spec, tol, max_iter)
+    theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
+    status = res.status[0]
+    if status == SOLVED:
+        return _solved(theta, rnorm, iters, spec)
+    if status == BOUNDARY:
+        sup = np.sqrt(2.0 * np.arange(1, mu_target.size + 1) + 1.0)
+        if np.any(np.abs(mu_target) >= sup):
             raise BoundaryMoment(
-                "coefficient iterate escaped the box bound; moment target is "
-                "at or outside the moment-space boundary",
+                "moment target at or outside the attainable range of the basis",
                 target=mu_target,
             )
-    if rnorm <= tol:
-        return _solved(theta, rnorm, max_iter, spec, dens)
-    raise NonConvergence(
-        f"residual {rnorm:.3e} above tol {tol:.1e} after {max_iter} iterations",
-        solution=ThetaSolution(theta, rnorm, max_iter, False),
-    )
+        raise BoundaryMoment(
+            "coefficient iterate escaped the box bound; moment target is "
+            "at or outside the moment-space boundary",
+            target=mu_target,
+        )
+    if iters < max_iter:
+        message = f"line search stalled at residual {rnorm:.3e}"
+    else:
+        message = f"residual {rnorm:.3e} above tol {tol:.1e} after {max_iter} iterations"
+    raise NonConvergence(message, solution=ThetaSolution(theta, rnorm, iters, False))
 
 
-def _solved(theta, rnorm, iters, spec, dens=None) -> ThetaSolution:
+def _solved(theta, rnorm, iters, spec) -> ThetaSolution:
     """Build a converged solution with its evaluation state pre-cached."""
     sol = ThetaSolution(theta, rnorm, iters, True)
-    if dens is None:
-        dens, _ = _node_weights(theta, spec)
+    dens, _ = _node_weights(theta, spec)
     wd = spec.weights * dens
     mu = spec.phi_nodes.T @ wd
     second = (spec.phi_nodes * wd[:, None]).T @ spec.phi_nodes

@@ -8,10 +8,24 @@ holdout half (honesty).  Per-observation similarity weights average the
 normalized leaf co-membership indicator over trees, with the convention
 0/0 = 0 for trees whose leaf captures no holdout point.
 
+All branches of a forest grow together, one level at a time.  A level
+holds the current node of every tree that is still growing.  Each of those
+trees first draws its node's eligible dimensions from its own stream (after
+the half split, the only other draw of that stream), so a tree's result does
+not depend on the other trees.  Then the level is processed as arrays:
+the nodes' target moments, one batched Newton solve
+(:func:`~forestdens.expfam.solve_theta_batch`), the pseudo-outcomes, and the
+threshold scores from padded, per-node sorted cumulative sums.  Each node's
+computation is independent of the batch it is in, so growing one tree alone
+(:func:`grow_branch`) gives the same branch as growing it in a forest.
+Batched temporaries are capped by :data:`forestdens.expfam.BATCH_ELEMENTS`.
+
 Two splitting schemes are supported:
 
 * ``"theta"``: pseudo-outcomes are the influence residuals of the
-  exponential-family coefficients solved at the current node,
+  exponential-family coefficients solved at the current node; a node whose
+  solve fails (``BoundaryMoment`` or ``NonConvergence``) uses the centered
+  basis values instead,
 * ``"mu"``: pseudo-outcomes are centered basis values, a cheap alternative
   that skips the per-node solve.
 """
@@ -22,11 +36,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import expfam
 from .basis import BasisSpec, basis_matrix, default_basis
-from .errors import AllWeightsZero, BoundaryMoment, NoCleanTrees, NonConvergence
+from .errors import AllWeightsZero, NoCleanTrees
 
 __all__ = [
     "Box",
@@ -319,80 +332,260 @@ def delta_tilde(rho_by_child) -> float:
     return float(s1 @ s1 / rho1.shape[0] + s2 @ s2 / rho2.shape[0])
 
 
-def _pseudo_outcomes(pivot, phi_members: np.ndarray, spec: BasisSpec) -> np.ndarray:
-    """Pseudo-outcomes for all members, given a scheme pivot."""
-    if isinstance(pivot, expfam.ThetaSolution):
-        mu = pivot.moments_at(spec)
-        return cho_solve(pivot.cho(spec), (phi_members - mu).T).T
-    if isinstance(pivot, expfam.MomentVector):
-        return phi_members - pivot.mu
-    raise TypeError("pivot must be a ThetaSolution or a MomentVector")
+def _member_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of ``values[k, :counts[k]]`` over its members, for every row ``k``.
 
-
-def _node_pivot(phi_members: np.ndarray, cfg: ForestConfig, spec: BasisSpec):
-    """Scheme pivot at a node: a solved coefficient vector, or the plain mean.
-
-    Under the "theta" scheme the node's sample moment vector is passed to
-    the Newton solver; small nodes often put it at or beyond the moment
-    space, in which case the centered-basis pseudo-outcomes are used for
-    this split instead.
+    Rows of equal count are reduced together, so every sum is bit-identical
+    to ``values[k, :counts[k]].sum(axis=0)`` on the unpadded row.
     """
-    mean = phi_members.mean(axis=0)
+    out = np.empty((values.shape[0], values.shape[2]))
+    for c in np.unique(counts):
+        rows = counts == c
+        out[rows] = values[rows, :c].sum(axis=1)
+    return out
+
+
+def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
+                 means, theta, solved, cfg: ForestConfig, spec: BasisSpec):
+    """Score the threshold grid of every node and pick each node's best split.
+
+    ``members`` holds each node's deciding-half positions into ``x_ext`` /
+    ``phi_ext`` in their original order, padded with the sentinel last row
+    (coordinates +inf, basis values 0).  Pseudo-outcomes are
+    ``V(theta)^{-1} (phi - mu(theta))`` on ``solved`` nodes and centered
+    basis values ``phi - mean`` elsewhere.  There is one scoring row per
+    (node, eligible dimension) pair, ``row_node`` ascending and
+    ``row_dim`` ascending within a node, so the first maximum of a node is
+    its lexicographically smallest (dimension, threshold) among the best
+    scores.  Returns ``(dim, threshold)`` arrays, ``dim = -1`` where no
+    candidate is feasible.
+    """
+    phi = phi_ext[members]
+    rho = phi - means[:, None, :]
+    if solved.any():
+        mu, cov = expfam.row_moment_states(theta[solved], spec)
+        dev = phi[solved] - mu[:, None, :]
+        # one matrix-vector product per member keeps each row batch-independent
+        inv_t = np.linalg.inv(cov).transpose(0, 2, 1)[:, None, :, :]
+        rho[solved] = (dev[:, :, None, :] @ inv_t)[:, :, 0, :]
+    totals = _member_sums(rho, counts)
+
+    coords = x_ext[members[row_node], row_dim[:, None]]
+    order = np.argsort(coords, axis=1, kind="stable")
+    coords = np.take_along_axis(coords, order, axis=1)
+    c = counts[row_node]
+    lo, hi = coords[:, 0], coords[np.arange(c.size), c - 1]
+    spread = hi > lo
+    thresholds = np.linspace(np.where(spread, lo, 0.0), np.where(spread, hi, 1.0),
+                             cfg.n_grid + 2, axis=1)[:, 1:-1]
+    n_left = (coords[:, None, :] <= thresholds[:, :, None]).sum(axis=2)
+    n_right = c[:, None] - n_left
+    bound = np.maximum(cfg.min_fraction * c, cfg.min_child)[:, None]
+    feasible = spread[:, None] & (n_left >= bound) & (n_right >= bound)
+    csum = np.cumsum(rho[row_node[:, None], order], axis=1)
+    row, grid = np.nonzero(feasible)
+    nl, nr = n_left[row, grid], n_right[row, grid]
+    left = csum[row, nl - 1]
+    right = totals[row_node[row]] - left
+    score = np.full(n_left.shape, -np.inf)
+    score[row, grid] = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
+
+    row_best = score.argmax(axis=1)
+    row_score = score[np.arange(row_best.size), row_best]
+    node_score = np.maximum.reduceat(row_score, np.searchsorted(row_node, np.arange(counts.size)))
+    hits = np.flatnonzero(row_score == node_score[row_node])
+    chosen = hits[np.unique(row_node[hits], return_index=True)[1]]
+    dim = np.where(node_score > -np.inf, row_dim[chosen], -1)
+    return dim, thresholds[chosen, row_best[chosen]]
+
+
+def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
+    """Consecutive node ranges whose split-search temporaries fit the batch cap.
+
+    ``counts`` is non-increasing, so a range's widest node is its first.
+    """
+    a = 0
+    while a < counts.size:
+        per_node = int(counts[a]) * (4 * j + d * (3 + 2 * j + n_grid // 8)) + 4 * d * n_grid * j
+        b = min(counts.size, a + max(1, expfam.BATCH_ELEMENTS // per_node))
+        yield a, b
+        a = b
+
+
+def _eligible_rows(drawn, d: int):
+    """Scoring rows ``(row_node, row_dim)`` from each node's drawn dimension set.
+
+    Rows are sorted by node, then dimension, without repeats.
+    """
+    row_node = np.repeat(np.arange(len(drawn)), [a.size for a in drawn])
+    row_dim = np.concatenate(drawn)
+    if (np.bincount(row_node, minlength=len(drawn)) == 0).any() or (
+            row_dim.min() < 0 or row_dim.max() >= d):
+        raise ValueError("split_dim_law returned an invalid dimension set")
+    order = np.lexsort((row_dim, row_node))
+    row_node, row_dim = row_node[order], row_dim[order]
+    new = np.ones(row_node.size, dtype=bool)
+    new[1:] = (row_node[1:] != row_node[:-1]) | (row_dim[1:] != row_dim[:-1])
+    return row_node[new], row_dim[new]
+
+
+def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
+                 cfg: ForestConfig, spec: BasisSpec):
+    """Best split of every active node of one level (nodes by decreasing count).
+
+    The node targets are the deciding members' basis means; under the
+    "theta" scheme they go through one batched Newton solve, and nodes whose
+    solve fails (``BoundaryMoment`` or ``NonConvergence``) are scored with
+    centered basis values instead.
+    """
+    j = spec.order
+    slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))
+    means = np.empty((counts.size, j))
+    for a, b in slices:
+        sums = _member_sums(phi_ext[members[a:b, :counts[a]]], counts[a:b])
+        means[a:b] = sums / counts[a:b, None]
+    theta = np.zeros_like(means)
+    solved = np.zeros(counts.size, dtype=bool)
     if cfg.scheme == "theta":
-        try:
-            return expfam.solve_theta(mean, spec)
-        except (NonConvergence, BoundaryMoment):
-            pass
-    return expfam.MomentVector(mean)
+        batch = expfam.solve_theta_batch(means, spec)
+        theta, solved = batch.theta, batch.status == expfam.SOLVED
+    dim = np.empty(counts.size, dtype=np.intp)
+    thr = np.empty(counts.size)
+    row_bounds = np.searchsorted(row_node, [a for a, _ in slices] + [counts.size])
+    for (a, b), r0, r1 in zip(slices, row_bounds[:-1], row_bounds[1:]):
+        dim[a:b], thr[a:b] = _node_splits(
+            x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
+            row_node[r0:r1] - a, row_dim[r0:r1], means[a:b], theta[a:b],
+            solved[a:b], cfg, spec)
+    return dim, thr
 
 
-def best_split(parent: Box, x_members: np.ndarray, y_members: np.ndarray,
-               pivot, cfg: ForestConfig, allowed_dims,
-               spec: BasisSpec = None, rho: np.ndarray = None):
+def _with_sentinel(x: np.ndarray, phi: np.ndarray):
+    """Append the padding row: coordinates +inf (outside every box), basis 0."""
+    return (np.vstack([x, np.full((1, x.shape[1]), np.inf)]),
+            np.vstack([phi, np.zeros((1, phi.shape[1]))]))
+
+
+def _padded(rows, fill: int) -> np.ndarray:
+    """Stack index arrays of unequal length as rows, padded with ``fill``."""
+    out = np.full((len(rows), max((r.size for r in rows), default=0)), fill, dtype=np.intp)
+    for k, r in enumerate(rows):
+        out[k, :r.size] = r
+    return out
+
+
+def _compact(members: np.ndarray, keep: np.ndarray, fill: int):
+    """Move each row's kept members to the front, in order, and re-pad."""
+    counts = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    members = np.take_along_axis(members, order, axis=1)
+    members[np.arange(members.shape[1]) >= counts[:, None]] = fill
+    return members, counts
+
+
+def _inside(x_ext, members, lower, upper, lower_open) -> np.ndarray:
+    """Which padded members lie in their row's box, as :meth:`Box.contains`."""
+    out = np.ones(members.shape, dtype=bool)
+    for k in range(x_ext.shape[1]):
+        pts = x_ext[members, k]
+        lo = lower[:, k, None]
+        out &= np.where(lower_open[:, k, None], pts > lo, pts >= lo) & (pts <= upper[:, k, None])
+    return out
+
+
+def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
+                   cfg: ForestConfig, spec: BasisSpec) -> list[BranchResult]:
+    """Grow the branch containing ``x`` in every tree, one level at a time.
+
+    ``holdouts`` / ``decidings`` hold each tree's half positions into
+    ``x_pts`` / ``phi``.  Each level draws every active node's eligible
+    dimensions from its tree's stream, then splits all nodes together
+    (:func:`_split_level`); a tree stops when fewer than ``2 * min_child``
+    deciding members remain in its node or no split is feasible.
+    """
+    n, d = x_pts.shape
+    n_trees = len(decidings)
+    x_ext, phi_ext = _with_sentinel(x_pts, phi)
+    root = cfg.initial_parent
+    lower = np.tile(root.lower, (n_trees, 1))
+    upper = np.tile(root.upper, (n_trees, 1))
+    lower_open = np.tile(root.lower_open, (n_trees, 1))
+    records: list[list[SplitRecord]] = [[] for _ in range(n_trees)]
+
+    members = _padded(decidings, n)
+    members, counts = _compact(members, _inside(x_ext, members, lower, upper, lower_open), n)
+    trees = np.arange(n_trees)
+    while True:
+        live = np.flatnonzero(counts >= 2 * cfg.min_child)
+        live = live[np.argsort(-counts[live], kind="stable")]
+        trees, members, counts = trees[live], members[live], counts[live]
+        if trees.size == 0:
+            break
+        members = members[:, :counts[0]]
+        drawn = [np.asarray(cfg.split_dim_law(rngs[t], d), dtype=np.intp)
+                 for t in trees.tolist()]
+        row_node, row_dim = _eligible_rows(drawn, d)
+        dim, thr = _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
+                                cfg, spec)
+
+        split = dim >= 0
+        trees, members, counts, dim, thr = (a[split] for a in (trees, members, counts, dim, thr))
+        coords = x_ext[members, dim[:, None]]
+        go_left = x[dim] <= thr
+        keep = np.where(go_left[:, None], coords <= thr[:, None], coords > thr[:, None])
+        keep &= np.arange(members.shape[1]) < counts[:, None]
+        n_keep = keep.sum(axis=1)
+        for t, dd, tt, m, k, gl in zip(trees.tolist(), dim.tolist(), thr.tolist(),
+                                       counts.tolist(), n_keep.tolist(), go_left.tolist()):
+            records[t].append(SplitRecord(dd, tt, m, k if gl else m - k, m - k if gl else k))
+        upper[trees[go_left], dim[go_left]] = thr[go_left]
+        lower[trees[~go_left], dim[~go_left]] = thr[~go_left]
+        lower_open[trees[~go_left], dim[~go_left]] = True
+        members, counts = _compact(members, keep, n)
+
+    held = _padded(holdouts, n)
+    in_leaf = _inside(x_ext, held, lower, upper, lower_open)
+    return [BranchResult(Box(lower[t], upper[t], lower_open[t]), held[t][in_leaf[t]],
+                         decidings[t], tuple(records[t]))
+            for t in range(n_trees)]
+
+
+def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
+               cfg: ForestConfig, allowed_dims, spec: BasisSpec = None):
     """Search the threshold grid for the feasible split with the highest score.
 
     For each allowed dimension, ``cfg.n_grid`` equally spaced interior
     thresholds between the members' min and max coordinate are scored; a
     candidate is feasible only when both children keep at least
     ``max(min_fraction * m, min_child)`` members.  Ties break toward the
-    lexicographically smallest (dimension, threshold).
+    lexicographically smallest (dimension, threshold).  Pseudo-outcomes are
+    derived from ``pivot``: a :class:`~forestdens.expfam.ThetaSolution`
+    gives the influence residuals, a
+    :class:`~forestdens.expfam.MomentVector` the centered basis values.
 
     Returns ``(dim, threshold)`` or ``None`` when no candidate is feasible.
-    ``rho`` may supply precomputed pseudo-outcomes; otherwise they are
-    derived from ``pivot``.
+    This is the one-node case of the split search used by branch growth.
     """
     x_members = np.atleast_2d(np.asarray(x_members, dtype=float))
     m = x_members.shape[0]
-    if rho is None:
-        if spec is None:
-            spec = default_basis(cfg.basis_order)
-        rho = _pseudo_outcomes(pivot, basis_matrix(spec, np.asarray(y_members, dtype=float)), spec)
-    bound = max(cfg.min_fraction * m, cfg.min_child)
-    total = rho.sum(axis=0)
-
-    best = None
-    best_score = -np.inf
-    for d in np.sort(np.asarray(allowed_dims, dtype=np.intp)):
-        coords = x_members[:, d]
-        lo, hi = coords.min(), coords.max()
-        if not hi > lo:
-            continue
-        thresholds = np.linspace(lo, hi, cfg.n_grid + 2)[1:-1]
-        order = np.argsort(coords, kind="stable")
-        csum = np.cumsum(rho[order], axis=0)
-        n_left = np.searchsorted(coords[order], thresholds, side="right")
-        feasible = (n_left >= bound) & ((m - n_left) >= bound)
-        if not feasible.any():
-            continue
-        left = csum[n_left[feasible] - 1]
-        right = total - left
-        nl = n_left[feasible]
-        scores = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / (m - nl)
-        for thr, sc in zip(thresholds[feasible], scores):
-            if sc > best_score:
-                best_score = sc
-                best = (int(d), float(thr))
-    return best
+    if spec is None:
+        spec = default_basis(cfg.basis_order)
+    zero = np.zeros((1, spec.order))
+    if isinstance(pivot, expfam.ThetaSolution):
+        means, theta, solved = zero, pivot.theta[None, :], True
+    elif isinstance(pivot, expfam.MomentVector):
+        means, theta, solved = pivot.mu[None, :], zero, False
+    else:
+        raise TypeError("pivot must be a ThetaSolution or a MomentVector")
+    x_ext, phi_ext = _with_sentinel(
+        x_members, basis_matrix(spec, np.asarray(y_members, dtype=float)))
+    dims = np.unique(np.asarray(allowed_dims, dtype=np.intp))
+    if dims.size == 0:
+        return None
+    dim, thr = _node_splits(x_ext, phi_ext, np.arange(m)[None, :], np.array([m]),
+                            np.zeros(dims.size, dtype=np.intp), dims, means, theta,
+                            np.array([solved]), cfg, spec)
+    return None if dim[0] < 0 else (int(dim[0]), float(thr[0]))
 
 
 def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
@@ -403,65 +596,25 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
 
     ``holdout_pos`` / ``deciding_pos`` are positions into the subsample
     arrays.  Splits consult only deciding-half members inside the current
-    node; the loop stops when fewer than ``2 * min_child`` of them remain
+    node; growth stops when fewer than ``2 * min_child`` of them remain
     or no feasible split exists.  Exposed so the half-split device can be
-    enumerated exactly.
+    enumerated exactly; this is the one-tree case of forest growth.
     """
     x = np.asarray(x, dtype=float)
-    box = cfg.initial_parent
-    if not box.contains(x):
+    if not cfg.initial_parent.contains(x):
         raise ValueError("query point lies outside the initial parent node")
     if spec is None:
         spec = default_basis(cfg.basis_order)
-    y_sub = np.asarray(y_sub, dtype=float)
     x_sub = np.atleast_2d(np.asarray(x_sub, dtype=float))
-    holdout_pos = np.asarray(holdout_pos, dtype=np.intp)
-    deciding_pos = np.asarray(deciding_pos, dtype=np.intp)
     if phi_sub is None:
-        phi_sub = basis_matrix(spec, y_sub)
-
-    lower = box.lower.copy()
-    upper = box.upper.copy()
-    lower_open = box.lower_open.copy()
-
-    members = deciding_pos[box.contains(x_sub[deciding_pos])]
-    records: list[SplitRecord] = []
-    while members.size >= 2 * cfg.min_child:
-        pivot = _node_pivot(phi_sub[members], cfg, spec)
-        dims = np.asarray(cfg.split_dim_law(rng, box.dim), dtype=np.intp)
-        if dims.size == 0 or dims.min() < 0 or dims.max() >= box.dim:
-            raise ValueError("split_dim_law returned an invalid dimension set")
-        rho = _pseudo_outcomes(pivot, phi_sub[members], spec)
-        found = best_split(None, x_sub[members], y_sub[members], pivot, cfg,
-                           dims, spec=spec, rho=rho)
-        if found is None:
-            break
-        d, thr = found
-        coords = x_sub[members, d]
-        n_parent = members.size
-        go_left = x[d] <= thr
-        if go_left:
-            keep = coords <= thr
-            upper[d] = thr
-        else:
-            keep = coords > thr
-            lower[d] = thr
-            lower_open[d] = True
-        n_keep = int(keep.sum())
-        records.append(SplitRecord(d, thr, n_parent,
-                                   n_keep if go_left else n_parent - n_keep,
-                                   n_parent - n_keep if go_left else n_keep))
-        members = members[keep]
-
-    leaf = Box(lower, upper, lower_open)
-    holdout = holdout_pos[leaf.contains(x_sub[holdout_pos])]
-    if index is not None:
-        index = np.asarray(index, dtype=np.intp)
-        holdout = index[holdout]
-        deciding = index[deciding_pos]
-    else:
-        deciding = deciding_pos
-    return BranchResult(leaf, holdout, deciding, tuple(records))
+        phi_sub = basis_matrix(spec, np.asarray(y_sub, dtype=float))
+    branch, = _grow_branches(x, x_sub, phi_sub, [np.asarray(holdout_pos, dtype=np.intp)],
+                             [np.asarray(deciding_pos, dtype=np.intp)], [rng], cfg, spec)
+    if index is None:
+        return branch
+    index = np.asarray(index, dtype=np.intp)
+    return BranchResult(branch.leaf_box, index[branch.holdout_members],
+                        index[branch.split_members], branch.splits)
 
 
 def grow_branch(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
@@ -490,26 +643,15 @@ def _effective_seed(cfg: ForestConfig, rng) -> int:
 
 
 def _grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec,
-                 subsamples, tree_rngs, phi: np.ndarray,
-                 workers: int = 1) -> list[BranchResult]:
-    """Grow every tree; results are merged in tree order regardless of workers."""
-    x = np.asarray(x, dtype=float)
-    results: list[BranchResult] = [None] * len(subsamples)
-
-    def run(t: int) -> None:
-        idx = subsamples[t]
-        results[t] = grow_branch(x, data.y[idx], data.x[idx], cfg, tree_rngs[t],
-                                 index=idx, spec=spec, phi_sub=phi[idx])
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(subsamples))))
-    else:
-        for t in range(len(subsamples)):
-            run(t)
-    return results
+                 subsamples, tree_rngs, phi: np.ndarray) -> list[BranchResult]:
+    """Grow every tree's branch; each tree's stream first draws its half split."""
+    holdouts, decidings = [], []
+    for idx, rng in zip(subsamples, tree_rngs):
+        holdout_pos, deciding_pos = split_half(np.arange(idx.size), rng)
+        holdouts.append(idx[holdout_pos])
+        decidings.append(idx[deciding_pos])
+    return _grow_branches(np.asarray(x, dtype=float), data.x, phi, holdouts, decidings,
+                          tree_rngs, cfg, spec)
 
 
 def _weights_from_branches(branches, n: int) -> np.ndarray:
@@ -538,7 +680,8 @@ def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
     Each tree spreads mass ``1 / n_trees`` uniformly over its holdout
     members in the leaf containing ``x`` (zero if the leaf is empty), so
     the weights sum to one exactly when every leaf is nonempty.
-    Deterministic given ``cfg.seed`` and independent of ``workers``.
+    Deterministic given ``cfg.seed``.  ``workers`` is accepted for
+    compatibility and has no effect: growth runs in the calling thread.
     """
     x = np.asarray(x, dtype=float)
     if not cfg.initial_parent.contains(x):
@@ -548,7 +691,7 @@ def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
     subsamples = draw_subsamples(data.n, cfg, master)
     spec = default_basis(cfg.basis_order)
     phi = basis_matrix(spec, data.y)
-    branches = _grow_forest(x, data, cfg, spec, subsamples, tree_rngs, phi, workers)
+    branches = _grow_forest(x, data, cfg, spec, subsamples, tree_rngs, phi)
     return WeightVector(_weights_from_branches(branches, data.n))
 
 
@@ -592,22 +735,33 @@ def se_subsample_plan(n: int, cfg: ForestConfig, n_sigma: int, d_sigma: int,
 
 
 def _clean_tree_mask(plan: SESubsamplePlan, n: int) -> np.ndarray:
-    """Mask of shape (n_sigma, n_trees): tree disjoint from delete group."""
-    from scipy import sparse
+    """Mask of shape (n_sigma, n_trees): tree disjoint from delete group.
 
-    n_trees = len(plan.tree_subsamples)
-    s = plan.tree_subsamples[0].size
-    rows = np.repeat(np.arange(n_trees), s)
-    cols = np.concatenate(plan.tree_subsamples)
-    member = sparse.csr_matrix((np.ones(cols.size, dtype=np.int32), (rows, cols)),
-                               shape=(n_trees, n))
-    d = plan.d_sigma
-    grows = np.concatenate(plan.delete_groups)
-    gcols = np.repeat(np.arange(plan.n_sigma), d)
-    gmat = sparse.csr_matrix((np.ones(grows.size, dtype=np.int32), (grows, gcols)),
-                             shape=(n, plan.n_sigma))
-    counts = (member @ gmat).toarray()
-    return counts.T == 0
+    Trees are checked in slices against an (n, n_sigma) group-membership
+    table, so the temporaries stay within the batch cap.
+    """
+    in_group = np.zeros((n, plan.n_sigma), dtype=bool)
+    in_group[np.concatenate(plan.delete_groups),
+             np.repeat(np.arange(plan.n_sigma), plan.d_sigma)] = True
+    trees = plan.tree_subsamples
+    step = max(1, expfam.BATCH_ELEMENTS // (trees[0].size * plan.n_sigma))
+    clean = np.empty((plan.n_sigma, len(trees)), dtype=bool)
+    for a in range(0, len(trees), step):
+        clean[:, a:a + step] = ~in_group[np.stack(trees[a:a + step])].any(axis=1).T
+    return clean
+
+
+def _plan_clean_mask(plan, n: int) -> np.ndarray:
+    """The clean-tree mask of ``plan``, built on first use and kept on the plan.
+
+    Works for any plan-like object with an instance dictionary; the mask
+    does not depend on ``n``, which only sizes the sparse product.
+    """
+    mask = vars(plan).get("_clean_mask")
+    if mask is None:
+        mask = _readonly(_clean_tree_mask(plan, n))
+        vars(plan)["_clean_mask"] = mask
+    return mask
 
 
 def sigma_fe(plan: SESubsamplePlan, per_tree_h: np.ndarray, t_row: np.ndarray,
@@ -623,7 +777,7 @@ def sigma_fe(plan: SESubsamplePlan, per_tree_h: np.ndarray, t_row: np.ndarray,
     """
     per_tree_h = np.atleast_2d(np.asarray(per_tree_h, dtype=float))
     t_row = np.asarray(t_row, dtype=float)
-    clean = _clean_tree_mask(plan, n)
+    clean = _plan_clean_mask(plan, n)
     counts = clean.sum(axis=1)
     if np.any(counts == 0):
         bad = int(np.flatnonzero(counts == 0)[0])

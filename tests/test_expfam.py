@@ -3,13 +3,16 @@ closed forms, finite differences, and a scalar bisection oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forestdens.basis import default_basis
+from forestdens import expfam
+from forestdens.basis import basis_matrix, default_basis
 from forestdens.errors import BoundaryMoment, NonConvergence
-from forestdens.expfam import (MomentVector, ThetaSolution, covariance,
-                               density, log_partition, moments,
-                               pseudo_outcomes_theta, solve_theta,
-                               t_functional)
+from forestdens.expfam import (BOUNDARY, NO_CONVERGENCE, SOLVED, MomentVector,
+                               ThetaSolution, covariance, density,
+                               log_partition, moments, pseudo_outcomes_theta,
+                               solve_theta, solve_theta_batch, t_functional)
 
 
 def closed_form_logz_first_component(c: float) -> float:
@@ -177,6 +180,65 @@ class TestSolveTheta:
             solve_theta(moments(np.array([2.0, -1.0, 0.5]), spec), spec, max_iter=2)
         sol = excinfo.value.solution
         assert sol is not None and not sol.converged
+
+
+def mixed_targets(rng, j, m):
+    """Attainable targets, few-point sample means (often at or beyond the
+    moment-space boundary) and targets on the basis range."""
+    sup = np.sqrt(2.0 * np.arange(1, j + 1) + 1.0)
+    rows = []
+    for kind in rng.integers(3, size=m):
+        if kind == 0:
+            rows.append(moments(random_theta(rng, j, 4.0), default_basis(j)).mu)
+        elif kind == 1:
+            rows.append(basis_matrix(default_basis(j), rng.random(rng.integers(1, 4))).mean(axis=0))
+        else:
+            rows.append(sup * rng.uniform(0.9, 1.0, j) * rng.choice([-1.0, 1.0], j))
+    return np.array(rows)
+
+
+class TestSolveThetaBatch:
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=10),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_each_row_alone(self, j, m, pyrandom):
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        spec = default_basis(j)
+        targets = mixed_targets(rng, j, m)
+        batch = solve_theta_batch(targets, spec)
+        raises = {BOUNDARY: BoundaryMoment, NO_CONVERGENCE: NonConvergence}
+        for i, target in enumerate(targets):
+            alone = solve_theta_batch(target[None, :], spec)
+            np.testing.assert_array_equal(batch.theta[i], alone.theta[0])
+            assert batch.residual[i] == alone.residual[0]
+            assert batch.iterations[i] == alone.iterations[0]
+            assert batch.status[i] == alone.status[0]
+            if batch.status[i] == SOLVED:
+                sol = solve_theta(target, spec)
+                np.testing.assert_array_equal(sol.theta, batch.theta[i])
+                assert sol.iterations == batch.iterations[i]
+            else:
+                with pytest.raises(raises[batch.status[i]]):
+                    solve_theta(target, spec)
+
+    def test_slices_do_not_change_rows(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        spec = default_basis(4)
+        targets = mixed_targets(rng, 4, 40)
+        whole = solve_theta_batch(targets, spec)
+        assert {SOLVED, BOUNDARY} <= set(whole.status.tolist())
+        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per slice
+        sliced = solve_theta_batch(targets, spec)
+        for field in ("theta", "residual", "iterations", "status"):
+            np.testing.assert_array_equal(getattr(sliced, field), getattr(whole, field))
+
+    def test_nonconvergence_keeps_last_iterate(self):
+        spec = default_basis(3)
+        target = moments(np.array([2.0, -1.0, 0.5]), spec).mu
+        res = solve_theta_batch(np.stack([target, np.zeros(3)]), spec, max_iter=2)
+        assert res.status.tolist() == [NO_CONVERGENCE, SOLVED]
+        assert res.iterations.tolist() == [2, 0]
+        assert res.residual[0] > 1e-10 and np.any(res.theta[0] != 0.0)
 
 
 class TestPseudoOutcomes:

@@ -5,12 +5,15 @@ weight combination rule is checked by replaying the documented per-tree
 stream derivation and applying the leaf-mass formula by hand.
 """
 
+from hashlib import sha256
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestdens import expfam
+from forestdens import cli, expfam
 from forestdens.basis import basis_matrix, default_basis
 from forestdens.errors import AllWeightsZero, NoCleanTrees
 from forestdens.forest import (Box, Dataset, ForestConfig, WeightVector,
@@ -157,7 +160,7 @@ class TestBestSplit:
         cfg = make_config(basis_order=1, min_child=4)
         spec = default_basis(1)
         pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
-        got = best_split(cfg.initial_parent, x, y, pivot, cfg, [0, 1], spec=spec)
+        got = best_split(x, y, pivot, cfg, [0, 1], spec=spec)
         assert got is not None
         dim, thr = got
         assert dim == 0
@@ -177,7 +180,7 @@ class TestBestSplit:
             dims = rng.choice(3, size=rng.integers(1, 4), replace=False)
             pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
             rho = basis_matrix(spec, y) - pivot.mu
-            got = best_split(None, x, y, pivot, cfg, dims, spec=spec)
+            got = best_split(x, y, pivot, cfg, dims, spec=spec)
             expected, exp_score = brute_force_split(x, rho, cfg, dims)
             assert got == expected
             if got is not None:
@@ -190,7 +193,7 @@ class TestBestSplit:
         x = np.full((12, 2), 0.4)
         y = np.linspace(0.1, 0.9, 12)
         pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
-        assert best_split(None, x, y, pivot, cfg, [0, 1], spec=spec) is None
+        assert best_split(x, y, pivot, cfg, [0, 1], spec=spec) is None
 
     def test_feasibility_bounds_on_random_instances(self):
         rng = np.random.default_rng(6)
@@ -201,7 +204,7 @@ class TestBestSplit:
             x = rng.random((m, 2))
             y = rng.random(m)
             pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
-            got = best_split(None, x, y, pivot, cfg, [0, 1], spec=spec)
+            got = best_split(x, y, pivot, cfg, [0, 1], spec=spec)
             if got is None:
                 continue
             dim, thr = got
@@ -221,8 +224,8 @@ class TestBestSplit:
             m = int(rng.integers(8, 24))
             x = rng.random((m, 2))
             y = rng.random(m)
-            a = best_split(None, x, y, zero_theta, cfg, [0, 1], spec=spec)
-            b = best_split(None, x, y, zero_mu, cfg, [0, 1], spec=spec)
+            a = best_split(x, y, zero_theta, cfg, [0, 1], spec=spec)
+            b = best_split(x, y, zero_mu, cfg, [0, 1], spec=spec)
             assert a == b
 
 
@@ -376,6 +379,82 @@ class TestWeights:
         assert w.total == 0.0
 
 
+def weights_digest(x_query, data, cfg):
+    return sha256(weights(x_query, data, cfg).weights.tobytes()).hexdigest()
+
+
+class TestGrowthRegression:
+    """Seeded weight digests recorded with per-node growth, before every
+    level of a forest was grown as one batch; growth must reproduce them."""
+
+    def test_theta_scheme_with_boundary_fallbacks(self, monkeypatch):
+        statuses = []
+        solve = expfam.solve_theta_batch
+
+        def recording(targets, spec, *args, **kwargs):
+            res = solve(targets, spec, *args, **kwargs)
+            statuses.extend(res.status.tolist())
+            return res
+
+        monkeypatch.setattr(expfam, "solve_theta_batch", recording)
+        rng = np.random.default_rng(2024)
+        x = rng.random((300, 4))
+        data = Dataset(rng.beta(0.6 + 2 * x[:, 0], 0.8 + x[:, 1]), x)
+        cfg = ForestConfig(subsample_size=60, n_trees=16, basis_order=6,
+                           initial_parent=unit_box(4), min_child=3, scheme="theta", seed=11)
+        assert weights_digest(np.full(4, 0.5), data, cfg) == (
+            "45c80270c4ff42f54730ade0f59ca6e563a03f56c16af4db16523fe1be33282f")
+        assert statuses.count(expfam.BOUNDARY) == 9 and len(statuses) == 74
+
+    def test_mu_scheme(self):
+        rng = np.random.default_rng(2025)
+        x = rng.random((200, 3))
+        data = Dataset(rng.beta(2.0, 1.0 + 2 * x[:, 2]), x)
+        cfg = ForestConfig(subsample_size=50, n_trees=24, basis_order=5,
+                           initial_parent=unit_box(3), min_child=4, scheme="mu", seed=12)
+        assert weights_digest(np.array([0.3, 0.6, 0.5]), data, cfg) == (
+            "9d9c82e91dc8dfefd81750e1ad086fd6ae4b6be4b0d5f5aaa5eaaa29188e1e15")
+
+    def test_cli_golden_fit_config(self):
+        # the forest of acceptance criterion 9's fit configuration
+        data = cli._read_input_csv(str(Path(__file__).parent / "data" / "sample200.csv"))
+        cfg = cli._build_forest_config(
+            dict(cli._FOREST_DEFAULTS, subsample_size=40, n_trees=40, basis_order=4,
+                 min_child=4), 41, data)
+        assert weights_digest(np.full(4, 0.5), data, cfg) == (
+            "f663c136d86c9b78d57b4a328989013d3e9c60ed170f5e263a4c2a61b06934b3")
+
+    def test_forest_equals_trees_grown_alone(self):
+        # a node's solve and split do not depend on the batch it is in
+        rng = np.random.default_rng(27)
+        x = rng.random((400, 3))
+        data = Dataset(rng.beta(0.5 + 2 * x[:, 0], 1.0 + x[:, 2]), x)
+        cfg = ForestConfig(subsample_size=120, n_trees=72, basis_order=5,
+                           initial_parent=unit_box(3), min_child=3, scheme="theta", seed=5)
+        x_query = np.array([0.4, 0.55, 0.6])
+        w = weights(x_query, data, cfg).weights
+
+        master, tree_rngs = forest_mod._tree_streams(cfg.seed, cfg.n_trees)
+        expected = np.zeros(data.n)
+        depth = []
+        for t, idx in enumerate(draw_subsamples(data.n, cfg, master)):
+            res = grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_rngs[t], index=idx)
+            depth.append(len(res.splits))
+            if res.holdout_members.size:
+                expected[res.holdout_members] += 1.0 / (cfg.n_trees * res.holdout_members.size)
+        np.testing.assert_array_equal(w, expected)
+        assert max(depth) >= 5
+
+    def test_level_slices_do_not_change_weights(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        data = random_dataset(rng, 150, 3)
+        cfg = ForestConfig(subsample_size=60, n_trees=20, basis_order=4,
+                           initial_parent=unit_box(3), min_child=3, scheme="theta", seed=3)
+        whole = weights(np.full(3, 0.5), data, cfg).weights
+        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one node per slice
+        np.testing.assert_array_equal(weights(np.full(3, 0.5), data, cfg).weights, whole)
+
+
 class TestMuHat:
     def test_uniform_weights_give_sample_mean(self):
         rng = np.random.default_rng(18)
@@ -469,6 +548,19 @@ class TestSigmaFe:
         t_row = np.array([0.7, -0.4])
         base = sigma_fe(plan, h, t_row, 30, 2, 3)
         assert sigma_fe(plan, h, 3.0 * t_row, 30, 2, 3) == pytest.approx(3.0 * base, rel=1e-12)
+
+    def test_mask_built_once_per_plan(self, monkeypatch):
+        h = np.random.default_rng(26).standard_normal((12, 2))
+        t_row = np.array([0.7, -0.4])
+        reference = sigma_fe(self._plan(3, 30, 2, 12, 5, seed=6), h, t_row, 30, 2, 3)
+        plan = self._plan(3, 30, 2, 12, 5, seed=6)
+        built = []
+        build = forest_mod._clean_tree_mask
+        monkeypatch.setattr(forest_mod, "_clean_tree_mask",
+                            lambda *args: built.append(1) or build(*args))
+        for _ in range(3):
+            assert sigma_fe(plan, h, t_row, 30, 2, 3) == reference
+        assert len(built) == 1
 
     def test_no_clean_trees_raises(self):
         # forge a plan-like object whose single group touches every tree
