@@ -19,7 +19,19 @@ from .forest import (Box, BranchResult, Dataset, ForestConfig, SESubsamplePlan,
                      se_subsample_plan, sigma_fe, split_half, weights)
 from .estimator import (FittedConditionalDensity, confidence_interval, fit,
                         pdf, std_error)
-from .simbench import (MCReport, gen_covariates, gen_outcome, kernel_baseline,
-                       run_mc, true_cdf, true_density)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The Monte Carlo harness needs scipy.  It and its names are imported on
+# first access (PEP 562), so importing the estimator loads numpy only.
+_HARNESS = ("MCReport", "gen_covariates", "gen_outcome", "kernel_baseline",
+            "run_mc", "true_cdf", "true_density")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["simbench", *_HARNESS])
+
+
+def __getattr__(name):
+    if name == "simbench" or name in _HARNESS:
+        from importlib import import_module
+        simbench = import_module(f"{__name__}.simbench")
+        return simbench if name == "simbench" else getattr(simbench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimator, simbench
+from . import __version__, estimator
 from .errors import EstimationError
 from .forest import Box, Dataset, ForestConfig
 
@@ -52,7 +52,7 @@ _MC_DEFAULTS = {
     "design": None,
     "n": 1000,
     "reps": 100,
-    "design_points": list(simbench.DEFAULT_DESIGN_POINTS),
+    "design_points": None,  # simbench.DEFAULT_DESIGN_POINTS, filled in by cmd_mc
     "ci_level": 0.95,
     "mise_grid_points": 141,
     "se": "auto",
@@ -271,7 +271,9 @@ def _se_repr(se_params):
 
 def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int:
     """Run the Monte Carlo benchmark and write the report CSV and JSON summary."""
-    cfg = _load_config(config_path, _MC_DEFAULTS)
+    from . import simbench  # the harness loads scipy; only this command needs it
+    cfg = _load_config(config_path, dict(
+        _MC_DEFAULTS, design_points=list(simbench.DEFAULT_DESIGN_POINTS)))
     if seed is not None:
         cfg["seed"] = seed
     if workers is not None:

@@ -9,9 +9,10 @@ re-growing any trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import expfam, forest
 from .basis import BasisSpec, basis_matrix, default_basis
@@ -28,7 +29,8 @@ class FittedConditionalDensity:
 
     ``per_tree_h`` holds each tree's holdout basis mean so that standard
     errors reuse the trees grown for the point estimate.  Instances are
-    immutable; evaluation methods are safe for concurrent reads.
+    immutable; evaluation methods are safe for concurrent reads.  The first
+    :func:`std_error` builds the jackknife deviation matrix, later ones reuse it.
     """
 
     query_x: np.ndarray
@@ -39,6 +41,11 @@ class FittedConditionalDensity:
     config: ForestConfig
     basis: BasisSpec
     weights: WeightVector
+
+    @cached_property
+    def _jackknife_deviations(self) -> np.ndarray:
+        return forest.jackknife_deviations(self.plan, self.per_tree_h,
+                                           self.weights.weights.size)
 
 
 def resolve_se_params(se_params, cfg: ForestConfig, n: int):
@@ -140,16 +147,16 @@ def std_error(fitted: FittedConditionalDensity, y: float,
         t_row = expfam.t_functional(y, fitted.theta_hat, fitted.basis)
     plan = fitted.plan
     n = fitted.weights.weights.size
-    return forest.sigma_fe(plan, fitted.per_tree_h, t_row, n,
-                           plan.d_sigma, plan.n_sigma)
+    return forest.se_from_deviations(fitted._jackknife_deviations, t_row, n,
+                                     plan.d_sigma, plan.n_sigma)
 
 
 def confidence_interval(fitted: FittedConditionalDensity, y: float,
                         level: float = 0.95) -> tuple[float, float]:
-    """Symmetric normal-quantile interval for the density at ``y``."""
+    """Symmetric interval for the density at ``y``; the quantile is ``NormalDist().inv_cdf``."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     center = pdf(fitted, y)
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * std_error(fitted, y)
     return center - half, center + half

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis import BasisSpec, basis_matrix, basis_vector
 from .errors import BoundaryMoment, NonConvergence
@@ -77,9 +76,9 @@ class ThetaSolution:
     """Solved coefficient vector with residual diagnostics.
 
     ``converged`` is True only when the final moment residual sup-norm is
-    within the solver tolerance.  Instances are immutable; the covariance
-    factorization computed for a given basis is cached on first use and can
-    be shared across threads.
+    within the solver tolerance.  Instances are immutable; the basis moments
+    and the lower Cholesky factor of the covariance (``np.linalg.cholesky``)
+    for a given basis are cached on first use.
     """
 
     theta: np.ndarray
@@ -102,13 +101,13 @@ class ThetaSolution:
         hit = self._state_cache.get(id(spec))
         if hit is None:
             mu = moments(self.theta, spec).mu
-            factor = cho_factor(covariance(self.theta, spec))
+            factor = (np.linalg.cholesky(covariance(self.theta, spec)), True)
             hit = (spec, mu, factor)
             self._state_cache[id(spec)] = hit
         return hit
 
     def cho(self, spec: BasisSpec):
-        """Cholesky factorization of the basis covariance at ``theta``."""
+        """Cholesky factorization of the basis covariance at ``theta``, as ``(c, lower=True)``."""
         return self._state(spec)[2]
 
     def moments_at(self, spec: BasisSpec) -> np.ndarray:
@@ -382,28 +381,29 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
 def _solved(theta, rnorm, iters, spec) -> ThetaSolution:
     """Build a converged solution with its evaluation state pre-cached."""
     sol = ThetaSolution(theta, rnorm, iters, True)
-    dens, _ = _node_weights(theta, spec)
-    wd = spec.weights * dens
-    mu = spec.phi_nodes.T @ wd
-    second = (spec.phi_nodes * wd[:, None]).T @ spec.phi_nodes
-    v = second - np.outer(mu, mu)
-    sol._state_cache[id(spec)] = (spec, mu, cho_factor(0.5 * (v + v.T)))
+    sol.cho(spec)
     return sol
+
+
+def _cov_solve(theta: ThetaSolution, spec: BasisSpec, rhs: np.ndarray) -> np.ndarray:
+    """``V(theta)^{-1} rhs`` by forward and back solves on the cached Cholesky factor."""
+    lower, _ = theta.cho(spec)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def pseudo_outcomes_theta(theta: ThetaSolution, y, spec: BasisSpec) -> np.ndarray:
     """Influence-style residuals -V(theta)^{-1} (mu(theta) - phi(y)).
 
     Accepts a scalar ``y`` (returns shape ``(J,)``) or an array of
-    outcomes (returns shape ``(m, J)``).  Uses one linear solve against the
-    cached covariance factorization.
+    outcomes (returns shape ``(m, J)``).  Uses one forward and one back
+    solve against the cached lower Cholesky factor of the covariance.
     """
     if not theta.converged:
         raise ValueError("pseudo-outcomes require a converged solution")
     arr = np.asarray(y, dtype=float)
     phi = basis_matrix(spec, arr)
     mu = theta.moments_at(spec)
-    rho = cho_solve(theta.cho(spec), (phi - mu).T).T
+    rho = _cov_solve(theta, spec, (phi - mu).T).T
     return rho[0] if arr.ndim == 0 else rho
 
 
@@ -411,7 +411,7 @@ def t_functional(y: float, theta: ThetaSolution, spec: BasisSpec) -> np.ndarray:
     """Delta-method row vector mapping moment perturbations to density changes.
 
     Returns ``dens(y; theta) * (phi(y) - mu(theta))^T V(theta)^{-1}`` as a
-     1-D array of length J.
+    1-D array of length J, solving against the cached Cholesky factor.
     """
     if not theta.converged:
         raise ValueError("t_functional requires a converged solution")
@@ -419,5 +419,5 @@ def t_functional(y: float, theta: ThetaSolution, spec: BasisSpec) -> np.ndarray:
         raise ValueError("y must lie in [0, 1]")
     phi = basis_vector(spec, y)
     mu = theta.moments_at(spec)
-    row = cho_solve(theta.cho(spec), phi - mu)
+    row = _cov_solve(theta, spec, phi - mu)
     return density(y, theta.theta, spec) * row

@@ -59,6 +59,8 @@ __all__ = [
     "weights",
     "mu_hat",
     "se_subsample_plan",
+    "jackknife_deviations",
+    "se_from_deviations",
     "sigma_fe",
 ]
 
@@ -277,11 +279,18 @@ class SESubsamplePlan:
         trees = tuple(_readonly(np.asarray(t, dtype=np.intp)) for t in self.tree_subsamples)
         if 2 * len(groups) >= len(trees) - 1:
             raise ValueError("need 2 * n_sigma < n_trees - 1")
-        for l, g in enumerate(groups):
-            gset = set(g.tolist())
-            for t in (2 * l, 2 * l + 1):
-                if gset.intersection(trees[t].tolist()):
-                    raise ValueError(f"tree {t} overlaps delete group {l}")
+        if groups:
+            # a membership table per group, read at its trees 2l and 2l + 1
+            paired = trees[:2 * len(groups)]
+            flat = np.concatenate(groups + paired)
+            lo = int(flat.min(initial=0))
+            member = np.zeros((len(groups), int(flat.max(initial=0)) - lo + 1), dtype=bool)
+            member[np.repeat(np.arange(len(groups)), [g.size for g in groups]),
+                   np.concatenate(groups) - lo] = True
+            owner = np.repeat(np.arange(len(paired)), [t.size for t in paired])
+            hits = owner[member[owner // 2, np.concatenate(paired) - lo]]
+            if hits.size:
+                raise ValueError(f"tree {hits[0]} overlaps delete group {hits[0] // 2}")
         object.__setattr__(self, "delete_groups", groups)
         object.__setattr__(self, "tree_subsamples", trees)
 
@@ -751,17 +760,27 @@ def _clean_tree_mask(plan: SESubsamplePlan, n: int) -> np.ndarray:
     return clean
 
 
-def _plan_clean_mask(plan, n: int) -> np.ndarray:
-    """The clean-tree mask of ``plan``, built on first use and kept on the plan.
+def jackknife_deviations(plan: SESubsamplePlan, per_tree_h: np.ndarray, n: int) -> np.ndarray:
+    """Centered leave-group-out moment estimates, shape ``(n_sigma, J)``.
 
-    Works for any plan-like object with an instance dictionary; the mask
-    does not depend on ``n``, which only sizes the sparse product.
+    Row ``l`` is the mean of ``per_tree_h`` over the trees disjoint from
+    delete-group ``l``, minus the mean over groups; every ``t_row`` shares it.
     """
-    mask = vars(plan).get("_clean_mask")
-    if mask is None:
-        mask = _readonly(_clean_tree_mask(plan, n))
-        vars(plan)["_clean_mask"] = mask
-    return mask
+    per_tree_h = np.atleast_2d(np.asarray(per_tree_h, dtype=float))
+    clean = _clean_tree_mask(plan, n)
+    counts = clean.sum(axis=1)
+    if np.any(counts == 0):
+        bad = int(np.flatnonzero(counts == 0)[0])
+        raise NoCleanTrees(f"delete group {bad} has no disjoint tree subsample")
+    mu_minus = (clean @ per_tree_h) / counts[:, None]
+    return mu_minus - mu_minus.mean(axis=0)
+
+
+def se_from_deviations(deviations: np.ndarray, t_row: np.ndarray, n: int,
+                       d_sigma: int, n_sigma: int) -> float:
+    """The :func:`sigma_fe` standard error from :func:`jackknife_deviations` output."""
+    dev = np.asarray(t_row, dtype=float) @ deviations.T
+    return float(np.sqrt((n - d_sigma) / (d_sigma * n_sigma) * (dev @ dev)))
 
 
 def sigma_fe(plan: SESubsamplePlan, per_tree_h: np.ndarray, t_row: np.ndarray,
@@ -775,13 +794,5 @@ def sigma_fe(plan: SESubsamplePlan, per_tree_h: np.ndarray, t_row: np.ndarray,
         sqrt( (n - d_sigma) / (d_sigma * n_sigma)
               * sum_l [ t_row . (mu_minus_l - mean_l mu_minus_l) ]^2 ).
     """
-    per_tree_h = np.atleast_2d(np.asarray(per_tree_h, dtype=float))
-    t_row = np.asarray(t_row, dtype=float)
-    clean = _plan_clean_mask(plan, n)
-    counts = clean.sum(axis=1)
-    if np.any(counts == 0):
-        bad = int(np.flatnonzero(counts == 0)[0])
-        raise NoCleanTrees(f"delete group {bad} has no disjoint tree subsample")
-    mu_minus = (clean @ per_tree_h) / counts[:, None]
-    dev = t_row @ (mu_minus - mu_minus.mean(axis=0)).T
-    return float(np.sqrt((n - d_sigma) / (d_sigma * n_sigma) * (dev @ dev)))
+    return se_from_deviations(jackknife_deviations(plan, per_tree_h, n), t_row,
+                              n, d_sigma, n_sigma)

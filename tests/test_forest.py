@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from forestdens import cli, expfam
 from forestdens.basis import basis_matrix, default_basis
 from forestdens.errors import AllWeightsZero, NoCleanTrees
-from forestdens.forest import (Box, Dataset, ForestConfig, WeightVector,
-                               best_split, delta_tilde, draw_subsamples,
+from forestdens.forest import (Box, Dataset, ForestConfig, SESubsamplePlan,
+                               WeightVector, best_split, delta_tilde, draw_subsamples,
                                grow_branch, grow_from_halves, mu_hat,
                                per_tree_means, se_subsample_plan, sigma_fe,
                                split_half, weights)
@@ -504,6 +504,23 @@ class TestSESubsamplePlan:
                 for t in (2 * l, 2 * l + 1):
                     assert not set(g) & set(plan.tree_subsamples[t])
 
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_overlap_check_names_first_offender(self, n_sigma, seed):
+        # reference: the per-pair set intersection, in tree order
+        rng = np.random.default_rng(seed)
+        groups = [rng.choice(12, size=rng.integers(0, 4), replace=False) for _ in range(n_sigma)]
+        trees = [rng.choice(12, size=rng.integers(0, 5), replace=False)
+                 for _ in range(2 * n_sigma + 2)]
+        expected = next((f"tree {t} overlaps delete group {t // 2}"
+                         for t in range(2 * n_sigma) if set(groups[t // 2]) & set(trees[t])),
+                        None)
+        if expected is None:
+            SESubsamplePlan(tuple(groups), tuple(trees))
+        else:
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                SESubsamplePlan(tuple(groups), tuple(trees))
+
     def test_precondition_errors(self):
         cfg = ForestConfig(subsample_size=6, n_trees=9, basis_order=2,
                            initial_parent=unit_box(1), min_child=2, seed=0)
@@ -549,18 +566,26 @@ class TestSigmaFe:
         base = sigma_fe(plan, h, t_row, 30, 2, 3)
         assert sigma_fe(plan, h, 3.0 * t_row, 30, 2, 3) == pytest.approx(3.0 * base, rel=1e-12)
 
-    def test_mask_built_once_per_plan(self, monkeypatch):
-        h = np.random.default_rng(26).standard_normal((12, 2))
-        t_row = np.array([0.7, -0.4])
-        reference = sigma_fe(self._plan(3, 30, 2, 12, 5, seed=6), h, t_row, 30, 2, 3)
-        plan = self._plan(3, 30, 2, 12, 5, seed=6)
+    def test_mask_built_once_per_fit(self, monkeypatch):
+        from forestdens import estimator
+        rng = np.random.default_rng(26)
+        n = 60
+        data = Dataset(rng.random(n), rng.random((n, 2)))
+        cfg = ForestConfig(subsample_size=20, n_trees=12, basis_order=3,
+                           initial_parent=unit_box(2), min_child=3, scheme="mu", seed=6)
+        ys = (0.2, 0.5, 0.8)
+        fits = [estimator.fit(data, [0.5, 0.5], cfg, se_params=(3, 4)) for _ in range(2)]
+        reference = [sigma_fe(fits[0].plan, fits[0].per_tree_h,
+                              expfam.t_functional(y, fits[0].theta_hat, fits[0].basis),
+                              n, 4, 3) for y in ys]
         built = []
         build = forest_mod._clean_tree_mask
         monkeypatch.setattr(forest_mod, "_clean_tree_mask",
                             lambda *args: built.append(1) or build(*args))
-        for _ in range(3):
-            assert sigma_fe(plan, h, t_row, 30, 2, 3) == reference
-        assert len(built) == 1
+        for fitted in fits:
+            for _ in range(2):
+                assert [estimator.std_error(fitted, y) for y in ys] == reference
+        assert len(built) == 2
 
     def test_no_clean_trees_raises(self):
         # forge a plan-like object whose single group touches every tree
