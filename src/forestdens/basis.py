@@ -28,6 +28,7 @@ __all__ = [
     "legendre_eval",
     "basis_vector",
     "basis_matrix",
+    "basis_range",
     "make_quadrature",
     "integrate",
 ]
@@ -74,6 +75,11 @@ def legendre_eval(ell: int, y):
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
+def basis_range(order: int) -> np.ndarray:
+    """Sup-norms sqrt(2j + 1) of phi_1..phi_order: the basis scale and each moment's range."""
+    return np.sqrt(2.0 * np.arange(1, order + 1) + 1.0)
+
+
 def basis_matrix(spec: "BasisSpec", y) -> np.ndarray:
     """Stack the non-constant basis values phi_1..phi_J at each point.
 
@@ -82,10 +88,8 @@ def basis_matrix(spec: "BasisSpec", y) -> np.ndarray:
     """
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     _check_unit_interval(arr)
-    j_max = spec.order
-    table = _legendre_table(2.0 * arr - 1.0, j_max)
-    scale = np.sqrt(2.0 * np.arange(1, j_max + 1) + 1.0)
-    return table[:, 1:] * scale
+    table = _legendre_table(2.0 * arr - 1.0, spec.order)
+    return table[:, 1:] * basis_range(spec.order)
 
 
 def basis_vector(spec: "BasisSpec", y: float) -> np.ndarray:

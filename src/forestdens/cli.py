@@ -3,7 +3,8 @@
 Both commands read a single JSON configuration document (unknown keys are
 rejected), write fixed-schema CSV outputs plus a JSON provenance block with
 every resolved setting, and exit with 0 on success, 1 on input errors, and
-2 on estimation failures.
+2 on estimation failures: the commands raise ``UsageError`` or
+``EstimationError``, and :func:`main` maps them to exit codes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +80,8 @@ def _merge_config(defaults: dict, user: dict, context: str = "") -> dict:
     return out
 
 
-def _load_config(path: str, defaults: dict) -> dict:
+def _load_config(path: str, defaults: dict, seed=None, workers=None) -> dict:
+    """Read a JSON config over ``defaults``; the ``--seed``/``--workers`` flags win."""
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -88,7 +91,12 @@ def _load_config(path: str, defaults: dict) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    return _merge_config(defaults, user)
+    cfg = _merge_config(defaults, user)
+    if seed is not None:
+        cfg["seed"] = seed
+    if workers is not None:
+        cfg["workers"] = workers
+    return cfg
 
 
 def _read_input_csv(path: str) -> Dataset:
@@ -166,22 +174,39 @@ def _resolved_forest_dict(cfg: ForestConfig) -> dict:
     }
 
 
-def _provenance(command: str, resolved: dict) -> dict:
-    return {
+def _write_provenance(out_dir: str, name: str, command: str, cfg: dict,
+                      fcfg: ForestConfig, se_params, **extra) -> Path:
+    """Create the output directory and write the provenance block as ``name`` in it.
+
+    The block holds the command, ``cfg`` with the resolved forest and SE
+    settings, the library versions and the ``extra`` entries.  Returns the directory.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    se = None if se_params is None else {"n_sigma": se_params[0], "d_sigma": se_params[1]}
+    payload = {
         "command": command,
-        "config": resolved,
+        "config": dict(cfg, forest=_resolved_forest_dict(fcfg), se=se),
         "versions": {
             "forestdens": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
+        **extra,
     }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open(out / name, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return out
+
+
+@contextmanager
+def _estimator_input(command: str):
+    """Treat a ``ValueError`` raised by the estimator as an input error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"invalid {command} configuration: {exc}") from exc
 
 
 def _se_arg(se):
@@ -210,11 +235,7 @@ def _y_grid(spec) -> np.ndarray:
 
 def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int:
     """Fit on a user CSV and write density, SE, and CI columns over a y grid."""
-    cfg = _load_config(config_path, _FIT_DEFAULTS)
-    if seed is not None:
-        cfg["seed"] = seed
-    if workers is not None:
-        cfg["workers"] = workers
+    cfg = _load_config(config_path, _FIT_DEFAULTS, seed, workers)
     if cfg["input"] is None:
         raise UsageError("config key 'input' is required for fit")
     if cfg["query_x"] is None:
@@ -229,7 +250,7 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
     se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, data.n)
     level = float(cfg["ci_level"])
 
-    try:
+    with _estimator_input("fit"):
         fitted = estimator.fit(data, query_x, fcfg, se_params=se_params,
                                workers=int(cfg["workers"]))
         rows = []
@@ -242,49 +263,28 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
                              repr(lo_ci), repr(hi_ci)])
             else:
                 rows.append([repr(float(y)), repr(dens), "", "", ""])
-    except EstimationError as exc:
-        print(f"estimation failed during fit: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_ESTIMATION
-    except ValueError as exc:
-        raise UsageError(f"invalid fit configuration: {exc}") from exc
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write_provenance(out_dir, "fit_provenance.json", "fit",
+                            dict(cfg, y_grid=grid.tolist()), fcfg, se_params)
     with open(out / "fit.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "pdf", "se", "ci_lo", "ci_hi"])
         writer.writerows(rows)
-    resolved = dict(cfg, forest=_resolved_forest_dict(fcfg),
-                    y_grid=grid.tolist(), se=_se_repr(se_params))
-    _write_json(out / "fit_provenance.json", _provenance("fit", resolved))
     return EXIT_OK
-
-
-def _se_repr(se_params):
-    if se_params is None:
-        return None
-    if se_params == "auto":
-        return "auto"
-    return {"n_sigma": se_params[0], "d_sigma": se_params[1]}
 
 
 def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int:
     """Run the Monte Carlo benchmark and write the report CSV and JSON summary."""
     from . import simbench  # the harness loads scipy; only this command needs it
     cfg = _load_config(config_path, dict(
-        _MC_DEFAULTS, design_points=list(simbench.DEFAULT_DESIGN_POINTS)))
-    if seed is not None:
-        cfg["seed"] = seed
-    if workers is not None:
-        cfg["workers"] = workers
+        _MC_DEFAULTS, design_points=list(simbench.DEFAULT_DESIGN_POINTS)), seed, workers)
     design = cfg["design"]
     if design not in simbench.DESIGNS:
         raise UsageError(f"config key 'design' must be one of {simbench.DESIGNS}")
     fcfg = _build_forest_config(cfg["forest"], int(cfg["seed"]))
     se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, int(cfg["n"]))
 
-    try:
+    with _estimator_input("mc"):
         report = simbench.run_mc(
             design, int(cfg["n"]), int(cfg["reps"]), fcfg, se_params,
             design_points=np.asarray(cfg["design_points"], dtype=float),
@@ -292,20 +292,10 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
             mise_grid_points=int(cfg["mise_grid_points"]),
             ci_level=float(cfg["ci_level"]),
         )
-    except EstimationError as exc:
-        print(f"estimation failed during mc: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_ESTIMATION
-    except ValueError as exc:
-        raise UsageError(f"invalid mc configuration: {exc}") from exc
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write_provenance(out_dir, "mc_report.json", "mc", cfg, fcfg, se_params,
+                            report=simbench.report_to_dict(report))
     simbench.write_report_csv(report, out / "mc_report.csv")
-    resolved = dict(cfg, forest=_resolved_forest_dict(fcfg), se=_se_repr(se_params))
-    payload = _provenance("mc", resolved)
-    payload["report"] = simbench.report_to_dict(report)
-    _write_json(out / "mc_report.json", payload)
     print(f"mc completed: {report.completed}/{report.reps} replications in "
           f"{report.runtime_seconds:.1f}s", file=sys.stderr)
     return EXIT_OK
@@ -339,6 +329,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except EstimationError as exc:
+        print(f"estimation failed during {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_ESTIMATION
 
 
 if __name__ == "__main__":

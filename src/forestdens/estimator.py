@@ -15,7 +15,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import expfam, forest
-from .basis import BasisSpec, basis_matrix, default_basis
+# basis_matrix stays a module attribute here: the traced benchmark wraps it
+from .basis import BasisSpec, basis_matrix, default_basis  # noqa: F401
 from .errors import AllWeightsZero, MissingPlan
 from .forest import Dataset, ForestConfig, SESubsamplePlan, WeightVector
 
@@ -102,25 +103,8 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
                                         np.zeros((0, cfg.basis_order)),
                                         None, cfg, spec, w)
 
-    if not cfg.initial_parent.contains(x):
-        raise ValueError("query point lies outside the initial parent node")
-    if cfg.subsample_size >= data.n:
-        raise ValueError("subsample_size must be smaller than the sample size")
-
-    seed = forest._effective_seed(cfg, rng)
-    master, tree_rngs = forest._tree_streams(seed, cfg.n_trees)
-    resolved = resolve_se_params(se_params, cfg, data.n)
-    if resolved is None:
-        plan = None
-        subsamples = forest.draw_subsamples(data.n, cfg, master)
-    else:
-        n_sigma, d_sigma = resolved
-        plan = forest.se_subsample_plan(data.n, cfg, n_sigma, d_sigma, master)
-        subsamples = list(plan.tree_subsamples)
-
-    phi = basis_matrix(spec, data.y)
-    branches = forest._grow_forest(x, data, cfg, spec, subsamples, tree_rngs, phi)
-    w = WeightVector(forest._weights_from_branches(branches, data.n))
+    w, branches, phi, plan = forest.grow_forest(
+        x, data, cfg, spec, resolve_se_params(se_params, cfg, data.n), rng)
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")
     per_tree_h = forest.per_tree_means(branches, phi)

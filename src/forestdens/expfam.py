@@ -12,15 +12,21 @@ coefficient vector matching a moment target ``mu`` solves
 
 a smooth convex-dual root-finding problem handled by Newton's method with
 the exact Jacobian (the basis covariance under the current density).
+
+One batched row kernel evaluates the family: the density at the quadrature
+nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
+a stack of coefficient vectors.  The Newton solver, the forest's
+pseudo-outcomes and the one-row functions all call it.  Solutions carry no
+cached state: a one-row evaluation costs less than a cache lookup did.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, basis_vector
+from .basis import BasisSpec, basis_matrix, basis_range
 from .errors import BoundaryMoment, NonConvergence
 
 __all__ = [
@@ -37,7 +43,7 @@ __all__ = [
     "SOLVED",
     "BOUNDARY",
     "NO_CONVERGENCE",
-    "row_moment_states",
+    "row_pseudo_outcomes",
     "pseudo_outcomes_theta",
     "t_functional",
 ]
@@ -61,8 +67,7 @@ class MomentVector:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if not np.all(np.isfinite(mu)):
             raise ValueError("moment vector must be finite")
-        bound = np.sqrt(2.0 * np.arange(1, mu.size + 1) + 1.0)
-        if np.any(np.abs(mu) > bound + 1e-9):
+        if np.any(np.abs(mu) > basis_range(mu.size) + 1e-9):
             raise ValueError("moment component exceeds the basis range")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -76,16 +81,15 @@ class ThetaSolution:
     """Solved coefficient vector with residual diagnostics.
 
     ``converged`` is True only when the final moment residual sup-norm is
-    within the solver tolerance.  Instances are immutable; the basis moments
-    and the lower Cholesky factor of the covariance (``np.linalg.cholesky``)
-    for a given basis are cached on first use.
+    within the solver tolerance.  Instances are immutable and hold only the
+    coefficients and the diagnostics; the moments, covariance and density
+    at ``theta`` are evaluated afresh by the functions that need them.
     """
 
     theta: np.ndarray
     residual_inf_norm: float
     iterations: int
     converged: bool
-    _state_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -96,43 +100,72 @@ class ThetaSolution:
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
-    def _state(self, spec: BasisSpec):
-        # keys hold a strong reference to spec so the id stays valid
-        hit = self._state_cache.get(id(spec))
-        if hit is None:
-            mu = moments(self.theta, spec).mu
-            factor = (np.linalg.cholesky(covariance(self.theta, spec)), True)
-            hit = (spec, mu, factor)
-            self._state_cache[id(spec)] = hit
-        return hit
 
-    def cho(self, spec: BasisSpec):
-        """Cholesky factorization of the basis covariance at ``theta``, as ``(c, lower=True)``."""
-        return self._state(spec)[2]
+def _row_states(theta: np.ndarray, spec: BasisSpec):
+    """Density at the quadrature nodes, basis moments and log Z for each row of ``theta``.
 
-    def moments_at(self, spec: BasisSpec) -> np.ndarray:
-        """Basis moments at ``theta``, cached alongside the factorization."""
-        return self._state(spec)[1]
-
-
-def _node_weights(theta: np.ndarray, spec: BasisSpec):
-    """Density values at the quadrature nodes, via max-subtraction.
-
-    Returns ``(dens_at_nodes, log_partition)``.
+    Returns ``(dens, mu, top, z)`` with log Z = ``top + log(z)``, left unformed
+    so that the Newton iteration does not pay for it.  Every product is a
+    stacked matmul whose core is one row, so a row's result does not depend
+    on the other rows in the batch.
     """
-    theta = np.asarray(theta, dtype=float)
-    g = spec.phi_nodes @ theta
-    if not np.all(np.isfinite(g)):
+    phi, w = spec.phi_nodes, spec.weights
+    g = (phi @ theta[:, :, None])[:, :, 0]
+    top = g.max(axis=1, keepdims=True)
+    e = np.exp(g - top)
+    z = (e[:, None, :] @ w[:, None])[:, 0]
+    dens = e / z
+    mu = (phi.T @ (w * dens)[:, :, None])[:, :, 0]
+    return dens, mu, top[:, 0], z[:, 0]
+
+
+def _outer_products(spec: BasisSpec) -> np.ndarray:
+    """Outer products phi(t) phi(t)^T at the quadrature nodes, flattened: (Q, J*J)."""
+    phi = spec.phi_nodes
+    return (phi[:, :, None] * phi[:, None, :]).reshape(phi.shape[0], -1)
+
+
+def _row_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec,
+                     outer: np.ndarray) -> np.ndarray:
+    """Basis covariance for each row, from :func:`_row_states` output."""
+    j = mu.shape[1]
+    second = ((spec.weights * dens)[:, None, :] @ outer).reshape(-1, j, j)
+    v = second - mu[:, :, None] * mu[:, None, :]
+    return 0.5 * (v + v.transpose(0, 2, 1))
+
+
+def _one_row(theta, spec: BasisSpec):
+    """``(dens, mu, log Z)`` of one coefficient vector; ``dens`` and ``mu`` keep a row axis."""
+    dens, mu, top, z = _row_states(np.asarray(theta, dtype=float)[None, :], spec)
+    if not np.all(np.isfinite(dens)):
         raise OverflowError("exponent is not finite at a quadrature node")
-    m = g.max()
-    e = np.exp(g - m)
-    z = float(spec.weights @ e)
-    return e / z, m + np.log(z)
+    return dens, mu, top[0] + np.log(z[0])
+
+
+def _pseudo_outcomes(dens, mu, phi: np.ndarray, spec: BasisSpec) -> np.ndarray:
+    """:func:`row_pseudo_outcomes` from the rows' :func:`_row_states` output.
+
+    One matrix-vector product per member keeps every row batch-independent.
+    """
+    cov = _row_covariances(dens, mu, spec, _outer_products(spec))
+    inv_t = np.linalg.inv(cov).transpose(0, 2, 1)[:, None, :, :]
+    dev = phi - mu[:, None, :]
+    return (dev[:, :, None, :] @ inv_t)[:, :, 0, :]
+
+
+def row_pseudo_outcomes(theta, phi, spec: BasisSpec) -> np.ndarray:
+    """Influence residuals ``V(theta_k)^{-1} (phi[k, i] - mu(theta_k))`` for each row ``k``.
+
+    ``theta`` has shape ``(m, J)`` and ``phi`` shape ``(m, k, J)``, as does the
+    result; each row is computed exactly as when it is passed alone.
+    """
+    dens, mu, _, _ = _row_states(np.atleast_2d(np.asarray(theta, dtype=float)), spec)
+    return _pseudo_outcomes(dens, mu, phi, spec)
 
 
 def log_partition(theta, spec: BasisSpec) -> float:
     """log of the normalizing integral, computed with max-subtraction."""
-    return _node_weights(theta, spec)[1]
+    return _one_row(theta, spec)[2]
 
 
 def density(y, theta, spec: BasisSpec):
@@ -146,8 +179,7 @@ def density(y, theta, spec: BasisSpec):
 
 def moments(theta, spec: BasisSpec) -> MomentVector:
     """Basis moments of dens(.; theta), by quadrature."""
-    dens, _ = _node_weights(theta, spec)
-    return MomentVector(spec.phi_nodes.T @ (spec.weights * dens))
+    return MomentVector(_one_row(theta, spec)[1][0])
 
 
 def covariance(theta, spec: BasisSpec) -> np.ndarray:
@@ -157,12 +189,8 @@ def covariance(theta, spec: BasisSpec) -> np.ndarray:
     Hessian of :func:`log_partition`.  A downstream factorization failure
     indicates the quadrature rule is under-resolving the integrands.
     """
-    dens, _ = _node_weights(theta, spec)
-    w = spec.weights * dens
-    mu = spec.phi_nodes.T @ w
-    second = (spec.phi_nodes * w[:, None]).T @ spec.phi_nodes
-    v = second - np.outer(mu, mu)
-    return 0.5 * (v + v.T)
+    dens, mu, _ = _one_row(theta, spec)
+    return _row_covariances(dens, mu, spec, _outer_products(spec))[0]
 
 
 def _as_moment_array(mu_target) -> np.ndarray:
@@ -196,46 +224,6 @@ class NewtonBatch:
     status: np.ndarray
 
 
-def _row_states(theta: np.ndarray, spec: BasisSpec):
-    """Density at the quadrature nodes and basis moments for each row of ``theta``.
-
-    Every product is a stacked matmul whose core is one row, so a row's
-    result does not depend on the other rows in the batch.
-    """
-    phi, w = spec.phi_nodes, spec.weights
-    g = (phi @ theta[:, :, None])[:, :, 0]
-    e = np.exp(g - g.max(axis=1, keepdims=True))
-    dens = e / (e[:, None, :] @ w[:, None])[:, 0]
-    mu = (phi.T @ (w * dens)[:, :, None])[:, :, 0]
-    return dens, mu
-
-
-def _outer_products(spec: BasisSpec) -> np.ndarray:
-    """Outer products phi(t) phi(t)^T at the quadrature nodes, flattened: (Q, J*J)."""
-    phi = spec.phi_nodes
-    return (phi[:, :, None] * phi[:, None, :]).reshape(phi.shape[0], -1)
-
-
-def _row_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec,
-                     outer: np.ndarray) -> np.ndarray:
-    """Basis covariance for each row, from :func:`_row_states` output."""
-    j = mu.shape[1]
-    second = ((spec.weights * dens)[:, None, :] @ outer).reshape(-1, j, j)
-    v = second - mu[:, :, None] * mu[:, None, :]
-    return 0.5 * (v + v.transpose(0, 2, 1))
-
-
-def row_moment_states(theta, spec: BasisSpec):
-    """Basis moments and covariances at each row of ``theta``, shape ``(m, J)``.
-
-    Returns ``(mu, cov)`` with shapes ``(m, J)`` and ``(m, J, J)``; each
-    row is computed exactly as when it is passed alone.
-    """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    dens, mu = _row_states(theta, spec)
-    return mu, _row_covariances(dens, mu, spec, _outer_products(spec))
-
-
 def solve_theta_batch(mu_targets, spec: BasisSpec, tol: float = 1e-10,
                       max_iter: int = 100) -> NewtonBatch:
     """Solve the moment-matching system for every row of ``mu_targets``.
@@ -254,8 +242,7 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, tol: float = 1e-10,
         raise ValueError(f"target has {j} components but basis order is {spec.order}")
     out = NewtonBatch(np.zeros((m, j)), np.zeros(m), np.zeros(m, dtype=np.intp),
                       np.full(m, SOLVED, dtype=np.int8))
-    sup = np.sqrt(2.0 * np.arange(1, j + 1) + 1.0)
-    out.status[(np.abs(targets) >= sup).any(axis=1)] = BOUNDARY
+    out.status[(np.abs(targets) >= basis_range(j)).any(axis=1)] = BOUNDARY
     # an exact zero target has the exact root zero: no iteration
     rows = np.flatnonzero((out.status == SOLVED) & targets.any(axis=1))
     outer = _outer_products(spec)
@@ -269,7 +256,7 @@ def _newton_rows(targets, rows, spec, outer, tol, max_iter, out: NewtonBatch) ->
     """Run the Newton iteration on ``targets[rows]``, writing into ``out``."""
     target = targets[rows]
     theta = np.zeros_like(target)
-    dens, mu = _row_states(theta, spec)
+    dens, mu, _, _ = _row_states(theta, spec)
     resid = target - mu
     rnorm = np.abs(resid).max(axis=1)
 
@@ -293,7 +280,7 @@ def _newton_rows(targets, rows, spec, outer, tol, max_iter, out: NewtonBatch) ->
         new = [theta.copy(), dens.copy(), mu.copy(), resid.copy(), rnorm.copy()]
         for _ in range(31):
             cand = theta[pending] + lam[pending, None] * step[pending]
-            cand_dens, cand_mu = _row_states(cand, spec)
+            cand_dens, cand_mu, _, _ = _row_states(cand, spec)
             cand_resid = target[pending] - cand_mu
             cand_rnorm = np.abs(cand_resid).max(axis=1)
             better = cand_rnorm < rnorm[pending]
@@ -358,10 +345,9 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
     theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
     status = res.status[0]
     if status == SOLVED:
-        return _solved(theta, rnorm, iters, spec)
+        return ThetaSolution(theta, rnorm, iters, True)
     if status == BOUNDARY:
-        sup = np.sqrt(2.0 * np.arange(1, mu_target.size + 1) + 1.0)
-        if np.any(np.abs(mu_target) >= sup):
+        if np.any(np.abs(mu_target) >= basis_range(mu_target.size)):
             raise BoundaryMoment(
                 "moment target at or outside the attainable range of the basis",
                 target=mu_target,
@@ -378,32 +364,17 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
     raise NonConvergence(message, solution=ThetaSolution(theta, rnorm, iters, False))
 
 
-def _solved(theta, rnorm, iters, spec) -> ThetaSolution:
-    """Build a converged solution with its evaluation state pre-cached."""
-    sol = ThetaSolution(theta, rnorm, iters, True)
-    sol.cho(spec)
-    return sol
-
-
-def _cov_solve(theta: ThetaSolution, spec: BasisSpec, rhs: np.ndarray) -> np.ndarray:
-    """``V(theta)^{-1} rhs`` by forward and back solves on the cached Cholesky factor."""
-    lower, _ = theta.cho(spec)
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
-
-
 def pseudo_outcomes_theta(theta: ThetaSolution, y, spec: BasisSpec) -> np.ndarray:
     """Influence-style residuals -V(theta)^{-1} (mu(theta) - phi(y)).
 
     Accepts a scalar ``y`` (returns shape ``(J,)``) or an array of
-    outcomes (returns shape ``(m, J)``).  Uses one forward and one back
-    solve against the cached lower Cholesky factor of the covariance.
+    outcomes (returns shape ``(m, J)``).  This is the one-row case of
+    :func:`row_pseudo_outcomes`.
     """
     if not theta.converged:
         raise ValueError("pseudo-outcomes require a converged solution")
     arr = np.asarray(y, dtype=float)
-    phi = basis_matrix(spec, arr)
-    mu = theta.moments_at(spec)
-    rho = _cov_solve(theta, spec, (phi - mu).T).T
+    rho = row_pseudo_outcomes(theta.theta, basis_matrix(spec, arr)[None], spec)[0]
     return rho[0] if arr.ndim == 0 else rho
 
 
@@ -411,13 +382,13 @@ def t_functional(y: float, theta: ThetaSolution, spec: BasisSpec) -> np.ndarray:
     """Delta-method row vector mapping moment perturbations to density changes.
 
     Returns ``dens(y; theta) * (phi(y) - mu(theta))^T V(theta)^{-1}`` as a
-    1-D array of length J, solving against the cached Cholesky factor.
+    1-D array of length J: the density at ``y`` times the pseudo-outcome of
+    ``y``, from one evaluation of the family at ``theta`` and of ``phi(y)``.
     """
     if not theta.converged:
         raise ValueError("t_functional requires a converged solution")
     if not 0.0 <= y <= 1.0:
         raise ValueError("y must lie in [0, 1]")
-    phi = basis_vector(spec, y)
-    mu = theta.moments_at(spec)
-    row = _cov_solve(theta, spec, phi - mu)
-    return density(y, theta.theta, spec) * row
+    phi = basis_matrix(spec, y)
+    dens, mu, logz = _one_row(theta.theta, spec)
+    return np.exp(phi @ theta.theta - logz) * _pseudo_outcomes(dens, mu, phi[None], spec)[0, 0]

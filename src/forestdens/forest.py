@@ -8,15 +8,15 @@ holdout half (honesty).  Per-observation similarity weights average the
 normalized leaf co-membership indicator over trees, with the convention
 0/0 = 0 for trees whose leaf captures no holdout point.
 
-All branches of a forest grow together, one level at a time.  A level
-holds the current node of every tree that is still growing.  Each of those
-trees first draws its node's eligible dimensions from its own stream (after
-the half split, the only other draw of that stream), so a tree's result does
-not depend on the other trees.  Then the level is processed as arrays:
-the nodes' target moments, one batched Newton solve
-(:func:`~forestdens.expfam.solve_theta_batch`), the pseudo-outcomes, and the
-threshold scores from padded, per-node sorted cumulative sums.  Each node's
-computation is independent of the batch it is in, so growing one tree alone
+:func:`grow_forest` is the one growth pipeline.  The seed gives a master
+stream, which draws the subsamples (or the jackknife's delete-group plan),
+and one stream per tree, which draws the tree's half split and then, node by
+node, its eligible dimensions.  All branches grow together, one level at a
+time, and a level is processed as arrays: the nodes' target moments, one
+batched Newton solve (:func:`~forestdens.expfam.solve_theta_batch`), the
+pseudo-outcomes (:func:`~forestdens.expfam.row_pseudo_outcomes`), and the
+threshold scores from padded, per-node sorted cumulative sums.  No node's
+computation depends on the batch it is in, so growing one tree alone
 (:func:`grow_branch`) gives the same branch as growing it in a forest.
 Batched temporaries are capped by :data:`forestdens.expfam.BATCH_ELEMENTS`.
 
@@ -56,6 +56,7 @@ __all__ = [
     "best_split",
     "grow_branch",
     "grow_from_halves",
+    "grow_forest",
     "weights",
     "mu_hat",
     "se_subsample_plan",
@@ -372,11 +373,7 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     phi = phi_ext[members]
     rho = phi - means[:, None, :]
     if solved.any():
-        mu, cov = expfam.row_moment_states(theta[solved], spec)
-        dev = phi[solved] - mu[:, None, :]
-        # one matrix-vector product per member keeps each row batch-independent
-        inv_t = np.linalg.inv(cov).transpose(0, 2, 1)[:, None, :, :]
-        rho[solved] = (dev[:, :, None, :] @ inv_t)[:, :, 0, :]
+        rho[solved] = expfam.row_pseudo_outcomes(theta[solved], phi[solved], spec)
     totals = _member_sums(rho, counts)
 
     coords = x_ext[members[row_node], row_dim[:, None]]
@@ -512,6 +509,9 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
     (:func:`_split_level`); a tree stops when fewer than ``2 * min_child``
     deciding members remain in its node or no split is feasible.
     """
+    x = np.asarray(x, dtype=float)
+    if not cfg.initial_parent.contains(x):
+        raise ValueError("query point lies outside the initial parent node")
     n, d = x_pts.shape
     n_trees = len(decidings)
     x_ext, phi_ext = _with_sentinel(x_pts, phi)
@@ -609,9 +609,6 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
     or no feasible split exists.  Exposed so the half-split device can be
     enumerated exactly; this is the one-tree case of forest growth.
     """
-    x = np.asarray(x, dtype=float)
-    if not cfg.initial_parent.contains(x):
-        raise ValueError("query point lies outside the initial parent node")
     if spec is None:
         spec = default_basis(cfg.basis_order)
     x_sub = np.atleast_2d(np.asarray(x_sub, dtype=float))
@@ -651,28 +648,6 @@ def _effective_seed(cfg: ForestConfig, rng) -> int:
     return int(rng.integers(np.iinfo(np.int64).max))
 
 
-def _grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec,
-                 subsamples, tree_rngs, phi: np.ndarray) -> list[BranchResult]:
-    """Grow every tree's branch; each tree's stream first draws its half split."""
-    holdouts, decidings = [], []
-    for idx, rng in zip(subsamples, tree_rngs):
-        holdout_pos, deciding_pos = split_half(np.arange(idx.size), rng)
-        holdouts.append(idx[holdout_pos])
-        decidings.append(idx[deciding_pos])
-    return _grow_branches(np.asarray(x, dtype=float), data.x, phi, holdouts, decidings,
-                          tree_rngs, cfg, spec)
-
-
-def _weights_from_branches(branches, n: int) -> np.ndarray:
-    w = np.zeros(n)
-    n_trees = len(branches)
-    for br in branches:
-        h = br.holdout_members
-        if h.size:
-            w[h] += 1.0 / (n_trees * h.size)
-    return w
-
-
 def per_tree_means(branches, phi: np.ndarray) -> np.ndarray:
     """Per-tree holdout basis means; empty leaves contribute zero rows."""
     out = np.zeros((len(branches), phi.shape[1]))
@@ -680,6 +655,36 @@ def per_tree_means(branches, phi: np.ndarray) -> np.ndarray:
         if br.holdout_members.size:
             out[t] = phi[br.holdout_members].mean(axis=0)
     return out
+
+
+def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec,
+                se_params=None, rng=None):
+    """Draw the subsamples and grow every tree's branch containing ``x``.
+
+    The seed is ``rng`` or ``cfg.seed``; ``se_params = (n_sigma, d_sigma)``
+    draws the paired delete-group plan instead of plain subsamples.  Returns
+    ``(weights, branches, phi, plan)``, with ``phi`` the basis values of the
+    outcomes and ``plan`` None without ``se_params``.
+    """
+    master, tree_rngs = _tree_streams(_effective_seed(cfg, rng), cfg.n_trees)
+    if se_params is None:
+        plan, subsamples = None, draw_subsamples(data.n, cfg, master)
+    else:
+        plan = se_subsample_plan(data.n, cfg, *se_params, master)
+        subsamples = plan.tree_subsamples
+    phi = basis_matrix(spec, data.y)
+    holdouts, decidings = [], []
+    for idx, tree_rng in zip(subsamples, tree_rngs):
+        holdout_pos, deciding_pos = split_half(np.arange(idx.size), tree_rng)
+        holdouts.append(idx[holdout_pos])
+        decidings.append(idx[deciding_pos])
+    branches = _grow_branches(x, data.x, phi, holdouts, decidings, tree_rngs, cfg, spec)
+    w = np.zeros(data.n)
+    for br in branches:
+        h = br.holdout_members
+        if h.size:
+            w[h] += 1.0 / (cfg.n_trees * h.size)
+    return WeightVector(w), branches, phi, plan
 
 
 def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
@@ -692,16 +697,7 @@ def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
     Deterministic given ``cfg.seed``.  ``workers`` is accepted for
     compatibility and has no effect: growth runs in the calling thread.
     """
-    x = np.asarray(x, dtype=float)
-    if not cfg.initial_parent.contains(x):
-        raise ValueError("query point lies outside the initial parent node")
-    seed = _effective_seed(cfg, rng)
-    master, tree_rngs = _tree_streams(seed, cfg.n_trees)
-    subsamples = draw_subsamples(data.n, cfg, master)
-    spec = default_basis(cfg.basis_order)
-    phi = basis_matrix(spec, data.y)
-    branches = _grow_forest(x, data, cfg, spec, subsamples, tree_rngs, phi)
-    return WeightVector(_weights_from_branches(branches, data.n))
+    return grow_forest(x, data, cfg, default_basis(cfg.basis_order), rng=rng)[0]
 
 
 def mu_hat(weight_vector: WeightVector, data: Dataset,

@@ -285,8 +285,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     se_params = estimator.resolve_se_params(se_params, cfg, n)
 
     if rep_seeds is None:
-        master = np.random.SeedSequence(cfg.seed if rng is None else
-                                        forest._effective_seed(cfg, rng))
+        master = np.random.SeedSequence(forest._effective_seed(cfg, rng))
         rep_streams = master.spawn(reps)
     else:
         if len(rep_seeds) != reps:

@@ -1,10 +1,13 @@
 """End-to-end fits: reductions, moment matching, intervals, and hooks."""
 
+from hashlib import sha256
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from forestdens import estimator, expfam, forest
+from forestdens import cli, estimator, expfam, forest
 from forestdens.basis import basis_matrix, default_basis
 from forestdens.errors import MissingPlan
 from forestdens.estimator import confidence_interval, fit, pdf, std_error
@@ -228,3 +231,54 @@ class TestConfidenceInterval:
         lo95, hi95 = confidence_interval(fitted, 0.5, 0.95)
         lo99, hi99 = confidence_interval(fitted, 0.5, 0.99)
         assert lo99 <= lo95 <= lo90 <= hi90 <= hi95 <= hi99
+
+
+class TestPointEstimateRegression:
+    """Seeded point estimates and standard errors recorded before the
+    exponential-family state and the growth pipeline were each reduced to
+    one implementation; the point estimate must reproduce them bit for bit."""
+
+    grid = np.linspace(0.05, 0.95, 19)  # the fit command's default y_grid
+
+    def check(self, fitted, theta_digest, pdf_digest, se):
+        assert sha256(fitted.theta_hat.theta.tobytes()).hexdigest() == theta_digest
+        assert sha256(pdf(fitted, self.grid).tobytes()).hexdigest() == pdf_digest
+        np.testing.assert_allclose([std_error(fitted, float(y)) for y in self.grid],
+                                   se, rtol=1e-13, atol=0.0)
+
+    def test_cli_golden_fit_config(self):
+        # acceptance criterion 9's fit configuration
+        data = cli._read_input_csv(str(Path(__file__).parent / "data" / "sample200.csv"))
+        cfg = cli._build_forest_config(
+            dict(cli._FOREST_DEFAULTS, subsample_size=40, n_trees=40, basis_order=4,
+                 min_child=4), 41, data)
+        self.check(
+            fit(data, np.full(4, 0.5), cfg, se_params=(8, 9)),
+            "2c4662f44644ef39da268ad1ea05d4c3b90f36818e9978ed5c84b4da10c813c3",
+            "51532a64e4a64ac4ae68677b1b20c29f179583a0aab249b0b8ec0c0327dc335b",
+            [1.1052617679777639, 1.3516853213594127, 1.5661491649008117,
+             1.3804218654431555, 0.9665052807744037, 0.6771879169043342,
+             0.6976180569490293, 0.8241235997224667, 0.9014191277322325,
+             0.9006585812130697, 0.8195448765586981, 0.6703427142783425,
+             0.5742873546915084, 0.8275392015948266, 1.3284988508770361,
+             1.68540024500335, 1.6192956892488073, 1.7071886876277707,
+             2.582340329308126])
+
+    def test_theta_scheme_with_se_plan(self):
+        rng = np.random.default_rng(2026)
+        x = rng.random((300, 3))
+        data = Dataset(rng.beta(1.0 + 2.0 * x[:, 0], 1.5 + x[:, 1]), x)
+        cfg = ForestConfig(subsample_size=60, n_trees=50, basis_order=6,
+                           initial_parent=[[0.0] * 3, [1.0] * 3], min_child=4,
+                           scheme="theta", seed=19)
+        self.check(
+            fit(data, np.array([0.5, 0.4, 0.6]), cfg, se_params=(10, 12)),
+            "1954f7ba242a16d9bcc664c9da8b12dc501b88eb49fb8312ceef8e874bb22546",
+            "08c9fc3f31bc83e810f3a5a923ab7a7cbe55f06a0ee4286a84114c5556972385",
+            [1.6534284126650325, 1.0295864439179667, 1.6229251134210523,
+             1.5665760324353768, 1.4067198319167042, 1.2260011748639141,
+             1.2346576404835976, 2.1738932021403254, 3.4803693362544155,
+             4.023488679153855, 3.2312371889256584, 1.742165879888135,
+             1.9653226095371985, 3.3003773493677033, 4.001970639216026,
+             3.658250698033487, 2.30627738680205, 0.9304903543441447,
+             0.5384392151047599])
