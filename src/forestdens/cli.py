@@ -122,6 +122,8 @@ def _read_input_csv(path: str) -> Dataset:
                 vals = [float(v) for v in row]
             except ValueError:
                 raise UsageError(f"input {path} row {rownum}: non-numeric value") from None
+            if not np.all(np.isfinite(vals)):
+                raise UsageError(f"input {path} row {rownum}: non-finite value")
             if not 0.0 <= vals[0] <= 1.0:
                 raise UsageError(
                     f"input {path} row {rownum}: outcome {vals[0]} outside [0, 1]")
@@ -228,7 +230,7 @@ def _y_grid(spec) -> np.ndarray:
         grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
     else:
         grid = np.asarray(spec, dtype=float)
-    if grid.size == 0 or np.any(grid < 0.0) or np.any(grid > 1.0):
+    if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):  # NaN fails both
         raise UsageError("y_grid must be a nonempty grid inside [0, 1]")
     return grid
 

@@ -118,17 +118,15 @@ def pdf(fitted: FittedConditionalDensity, y):
     return expfam.density(y, fitted.theta_hat.theta, fitted.basis)
 
 
-def std_error(fitted: FittedConditionalDensity, y: float,
-              t_row: np.ndarray = None) -> float:
+def std_error(fitted: FittedConditionalDensity, y: float) -> float:
     """Jackknife standard error of the fitted density at ``y``.
 
-    ``t_row`` replaces the delta-method row vector when given (diagnostics
-    hook); the value scales linearly in it.
+    The jackknife deviations of the moments are mapped to the density by
+    the delta-method row :func:`~forestdens.expfam.t_functional`.
     """
     if fitted.plan is None:
         raise MissingPlan("fit was built without se_params; no subsample plan stored")
-    if t_row is None:
-        t_row = expfam.t_functional(y, fitted.theta_hat, fitted.basis)
+    t_row = expfam.t_functional(y, fitted.theta_hat, fitted.basis)
     plan = fitted.plan
     n = fitted.weights.weights.size
     return forest.se_from_deviations(fitted._jackknife_deviations, t_row, n,

@@ -33,6 +33,7 @@ __all__ = [
     "MomentVector",
     "ThetaSolution",
     "THETA_BOX_BOUND",
+    "NEWTON_TOL",
     "log_partition",
     "density",
     "moments",
@@ -51,6 +52,9 @@ __all__ = [
 #: Iterates with sup-norm beyond this bound signal a target at or outside
 #: the moment-space boundary.
 THETA_BOX_BOUND = 50.0
+
+#: Newton's convergence threshold on the moment residual sup-norm.
+NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +85,7 @@ class ThetaSolution:
     """Solved coefficient vector with residual diagnostics.
 
     ``converged`` is True only when the final moment residual sup-norm is
-    within the solver tolerance.  Instances are immutable and hold only the
+    within :data:`NEWTON_TOL`.  Instances are immutable and hold only the
     coefficients and the diagnostics; the moments, covariance and density
     at ``theta`` are evaluated afresh by the functions that need them.
     """
@@ -224,8 +228,7 @@ class NewtonBatch:
     status: np.ndarray
 
 
-def solve_theta_batch(mu_targets, spec: BasisSpec, tol: float = 1e-10,
-                      max_iter: int = 100) -> NewtonBatch:
+def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> NewtonBatch:
     """Solve the moment-matching system for every row of ``mu_targets``.
 
     Each row runs the Newton iteration described in :func:`solve_theta`,
@@ -248,11 +251,11 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, tol: float = 1e-10,
     outer = _outer_products(spec)
     chunk = max(1, BATCH_ELEMENTS // (8 * spec.nodes.size + j * j))
     for lo in range(0, rows.size, chunk):
-        _newton_rows(targets, rows[lo:lo + chunk], spec, outer, tol, max_iter, out)
+        _newton_rows(targets, rows[lo:lo + chunk], spec, outer, max_iter, out)
     return out
 
 
-def _newton_rows(targets, rows, spec, outer, tol, max_iter, out: NewtonBatch) -> None:
+def _newton_rows(targets, rows, spec, outer, max_iter, out: NewtonBatch) -> None:
     """Run the Newton iteration on ``targets[rows]``, writing into ``out``."""
     target = targets[rows]
     theta = np.zeros_like(target)
@@ -268,7 +271,7 @@ def _newton_rows(targets, rows, spec, outer, tol, max_iter, out: NewtonBatch) ->
         return ~sel
 
     for it in range(1, max_iter + 1):
-        keep = finish(rnorm <= tol, SOLVED, it - 1)
+        keep = finish(rnorm <= NEWTON_TOL, SOLVED, it - 1)
         rows, target, theta, dens, mu, resid, rnorm = (
             a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm))
         if rows.size == 0:
@@ -299,13 +302,12 @@ def _newton_rows(targets, rows, spec, outer, tol, max_iter, out: NewtonBatch) ->
         keep = finish(escaped, BOUNDARY, it) & keep
         rows, target, theta, dens, mu, resid, rnorm = (
             a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm))
-    converged = rnorm <= tol
+    converged = rnorm <= NEWTON_TOL
     finish(converged, SOLVED, max_iter)
     finish(~converged, NO_CONVERGENCE, max_iter)
 
 
-def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
-                max_iter: int = 100) -> ThetaSolution:
+def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolution:
     """Solve the moment-matching system by Newton's method.
 
     Starts from zero coefficients and iterates
@@ -320,8 +322,6 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
     mu_target : MomentVector or array_like
         Target moments, one per basis function.
     spec : BasisSpec
-    tol : float
-        Convergence threshold on the residual sup-norm.
     max_iter : int
         Iteration cap.
 
@@ -337,11 +337,11 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
         escapes the box bound ``THETA_BOX_BOUND`` (the target sits at or
         outside the boundary of the attainable moment space).
     NonConvergence
-        If the residual is still above ``tol`` after ``max_iter``
+        If the residual is still above ``NEWTON_TOL`` after ``max_iter``
         iterations, or the line search cannot reduce it.
     """
     mu_target = _as_moment_array(mu_target)
-    res = solve_theta_batch(mu_target[None, :], spec, tol, max_iter)
+    res = solve_theta_batch(mu_target[None, :], spec, max_iter)
     theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
     status = res.status[0]
     if status == SOLVED:
@@ -360,7 +360,7 @@ def solve_theta(mu_target, spec: BasisSpec, tol: float = 1e-10,
     if iters < max_iter:
         message = f"line search stalled at residual {rnorm:.3e}"
     else:
-        message = f"residual {rnorm:.3e} above tol {tol:.1e} after {max_iter} iterations"
+        message = f"residual {rnorm:.3e} above tol {NEWTON_TOL:.1e} after {max_iter} iterations"
     raise NonConvergence(message, solution=ThetaSolution(theta, rnorm, iters, False))
 
 

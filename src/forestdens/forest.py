@@ -33,7 +33,6 @@ Two splitting schemes are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -134,7 +133,7 @@ class Dataset:
 
 
 def poisson_dim_law(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Default split-dimension law: min(max(Poisson(5), 1), d) distinct dims.
+    """Split-dimension law: min(max(Poisson(5), 1), d) distinct dims, ascending.
 
     Every singleton has positive probability, so any direction can be split
     regardless of the score function.
@@ -146,6 +145,8 @@ def poisson_dim_law(rng: np.random.Generator, d: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ForestConfig:
     """Tuning parameters for branch growth and weighting.
+
+    The dimensions eligible at each split are drawn by :func:`poisson_dim_law`.
 
     Parameters
     ----------
@@ -164,10 +165,6 @@ class ForestConfig:
     min_fraction : float
         Minimum fraction of the parent's deciding-half members per child,
         in (0, 1/2).
-    split_dim_law : callable(rng, d) -> array of dims
-        Law of the random set of dimensions eligible at each split.  Must
-        never return the empty set and should give every singleton positive
-        mass.
     scheme : {"theta", "mu"}
         Splitting scheme.
     n_grid : int
@@ -182,7 +179,6 @@ class ForestConfig:
     initial_parent: Box
     min_child: int = 10
     min_fraction: float = 0.05
-    split_dim_law: Callable[[np.random.Generator, int], np.ndarray] = poisson_dim_law
     scheme: str = "theta"
     n_grid: int = 32
     seed: int = 0
@@ -418,23 +414,6 @@ def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
         a = b
 
 
-def _eligible_rows(drawn, d: int):
-    """Scoring rows ``(row_node, row_dim)`` from each node's drawn dimension set.
-
-    Rows are sorted by node, then dimension, without repeats.
-    """
-    row_node = np.repeat(np.arange(len(drawn)), [a.size for a in drawn])
-    row_dim = np.concatenate(drawn)
-    if (np.bincount(row_node, minlength=len(drawn)) == 0).any() or (
-            row_dim.min() < 0 or row_dim.max() >= d):
-        raise ValueError("split_dim_law returned an invalid dimension set")
-    order = np.lexsort((row_dim, row_node))
-    row_node, row_dim = row_node[order], row_dim[order]
-    new = np.ones(row_node.size, dtype=bool)
-    new[1:] = (row_node[1:] != row_node[:-1]) | (row_dim[1:] != row_dim[:-1])
-    return row_node[new], row_dim[new]
-
-
 def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
                  cfg: ForestConfig, spec: BasisSpec):
     """Best split of every active node of one level (nodes by decreasing count).
@@ -531,9 +510,11 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
         if trees.size == 0:
             break
         members = members[:, :counts[0]]
-        drawn = [np.asarray(cfg.split_dim_law(rngs[t], d), dtype=np.intp)
-                 for t in trees.tolist()]
-        row_node, row_dim = _eligible_rows(drawn, d)
+        # poisson_dim_law draws non-empty, ascending sets: the rows come out
+        # sorted by node, then dimension, as _node_splits needs
+        drawn = [poisson_dim_law(rngs[t], d) for t in trees.tolist()]
+        row_node = np.repeat(np.arange(trees.size), [a.size for a in drawn])
+        row_dim = np.concatenate(drawn)
         dim, thr = _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
                                 cfg, spec)
 
@@ -599,8 +580,7 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
 
 def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
                      holdout_pos, deciding_pos, rng: np.random.Generator,
-                     index=None, spec: BasisSpec = None,
-                     phi_sub: np.ndarray = None) -> BranchResult:
+                     index=None) -> BranchResult:
     """Grow the branch containing ``x`` from an explicit half split.
 
     ``holdout_pos`` / ``deciding_pos`` are positions into the subsample
@@ -609,11 +589,9 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
     or no feasible split exists.  Exposed so the half-split device can be
     enumerated exactly; this is the one-tree case of forest growth.
     """
-    if spec is None:
-        spec = default_basis(cfg.basis_order)
+    spec = default_basis(cfg.basis_order)
     x_sub = np.atleast_2d(np.asarray(x_sub, dtype=float))
-    if phi_sub is None:
-        phi_sub = basis_matrix(spec, np.asarray(y_sub, dtype=float))
+    phi_sub = basis_matrix(spec, np.asarray(y_sub, dtype=float))
     branch, = _grow_branches(x, x_sub, phi_sub, [np.asarray(holdout_pos, dtype=np.intp)],
                              [np.asarray(deciding_pos, dtype=np.intp)], [rng], cfg, spec)
     if index is None:
@@ -624,13 +602,12 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
 
 
 def grow_branch(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
-                rng: np.random.Generator, index=None, spec: BasisSpec = None,
-                phi_sub: np.ndarray = None) -> BranchResult:
+                rng: np.random.Generator, index=None) -> BranchResult:
     """Draw the half-split device, then grow the branch containing ``x``."""
     s = np.asarray(y_sub).size
     holdout_pos, deciding_pos = split_half(np.arange(s), rng)
     return grow_from_halves(x, y_sub, x_sub, cfg, holdout_pos, deciding_pos,
-                            rng, index=index, spec=spec, phi_sub=phi_sub)
+                            rng, index=index)
 
 
 def _tree_streams(seed: int, n_trees: int):

@@ -35,6 +35,7 @@ from .forest import Dataset, ForestConfig
 __all__ = [
     "DESIGNS",
     "DEFAULT_DESIGN_POINTS",
+    "MISE_INTERVAL",
     "MCReport",
     "gen_covariates",
     "gen_outcome",
@@ -49,6 +50,8 @@ __all__ = [
 
 DESIGNS = ("D1", "D2", "D3")
 DEFAULT_DESIGN_POINTS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+#: Outcome interval over which the integrated squared error is taken.
+MISE_INTERVAL = (0.15, 0.85)
 
 _COV_SD = np.sqrt(1.0 / 8.0)
 _COV_DIM = 4
@@ -260,12 +263,13 @@ def _one_replication(design, n, cfg, se_params, points, grid, ci_level, x_query,
 def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
            design_points=DEFAULT_DESIGN_POINTS, rng=None, workers: int = 1,
            mise_grid_points: int = 141, ci_level: float = 0.95,
-           mise_interval=(0.15, 0.85), rep_seeds=None) -> MCReport:
+           rep_seeds=None) -> MCReport:
     """Run the Monte Carlo benchmark for one design.
 
     Each replication generates a fresh sample, fits at the fixed query
     point x = (1/2, 1/2, 1/2, 1/2), and records the estimate at the design
-    points and on the integrated-squared-error grid.  Replication streams
+    points and on the integrated-squared-error grid of ``mise_grid_points``
+    points over :data:`MISE_INTERVAL`.  Replication streams
     derive from the master seed and the replication index, so aggregation
     does not depend on the worker pool; failures are collected and reported
     without aborting the run.
@@ -277,8 +281,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     if reps < 2:
         raise ValueError("need at least 2 replications")
     points = np.asarray(design_points, dtype=float)
-    lo, hi = mise_interval
-    grid = np.linspace(lo, hi, mise_grid_points)
+    grid = np.linspace(*MISE_INTERVAL, mise_grid_points)
     x_query = np.full(4, 0.5)
     truth_points = true_density(design, points, x_query)
     truth_grid = true_density(design, grid, x_query)
@@ -344,7 +347,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
         design_points=points, truth=truth_points, bias=bias, sd=sd,
         avg_se=avg_se, coverage=coverage,
         mise=float(ise[ok].mean()), ci_level=ci_level,
-        mise_interval=(float(lo), float(hi)), mise_grid_points=mise_grid_points,
+        mise_interval=MISE_INTERVAL, mise_grid_points=mise_grid_points,
         runtime_seconds=time.perf_counter() - t0, failures=tuple(failures),
     )
 

@@ -50,6 +50,13 @@ class TestLegendreEval:
         with pytest.raises(ValueError):
             legendre_eval(2, 1.0001)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError):
+            legendre_eval(2, bad)
+        with pytest.raises(ValueError):
+            basis_matrix(default_basis(2), [0.5, bad])
+
     @given(st.integers(min_value=0, max_value=12),
            st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
@@ -125,16 +132,6 @@ class TestBasisSpec:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             BasisSpec(order=0)
-
-    def test_rejects_bad_weights(self):
-        nodes, weights = make_quadrature(16)
-        with pytest.raises(ValueError):
-            BasisSpec(order=2, nodes=nodes, weights=2.0 * weights)
-
-    def test_rejects_underresolved_rule(self):
-        nodes, weights = make_quadrature(3)
-        with pytest.raises(ValueError):
-            BasisSpec(order=12, nodes=nodes, weights=weights)
 
     def test_quad_nodes_pairs(self):
         spec = default_basis(2)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,24 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "fit" in err and "AllWeightsZero" in err
 
+    def test_non_finite_y_grid_is_input_error(self, tmp_path, capsys):
+        cfg = fit_config(tmp_path, se=None, y_grid=[0.5, float("nan")])
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "y_grid" in capsys.readouterr().err
+        assert not (tmp_path / "fit.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_is_input_error(self, tmp_path, capsys, bad):
+        bad_csv = tmp_path / "bad.csv"
+        rows = DATA.read_text().splitlines()
+        rows[3] = rows[3][:rows[3].rindex(",") + 1] + bad
+        bad_csv.write_text("\n".join(rows) + "\n")
+        cfg = fit_config(tmp_path, input=str(bad_csv))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"input {bad_csv} row 4: non-finite value" in err
+        assert "Traceback" not in err
+
     def test_provenance_records_resolved_defaults(self, tmp_path):
         cfg = fit_config(tmp_path)
         out = tmp_path / "prov"
@@ -143,6 +162,24 @@ class TestMCCommand:
 
     def test_bad_flag_is_input_error(self, tmp_path, capsys):
         assert main(["mc", "--bogus"]) == 1
+
+
+class TestGoldenBytes:
+    """The criterion-9 configs of tests/test_acceptance.py, pinned to their output bytes.
+
+    The provenance files and ``mc_report.json`` embed library versions and
+    are left out.
+    """
+
+    def test_criterion_9_outputs(self, tmp_path):
+        fit_cfg = fit_config(tmp_path, seed=41, y_grid={"start": 0.05, "stop": 0.95, "num": 19})
+        mc_cfg = mc_config(tmp_path, seed=43)
+        assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
+        assert main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "mc")]) == 0
+        assert sha256((tmp_path / "fit" / "fit.csv").read_bytes()).hexdigest() == (
+            "2cdca778bbc85b631fa092fbf536f8bf4ead89bd3923c5c98f3af1254b99a002")
+        assert sha256((tmp_path / "mc" / "mc_report.csv").read_bytes()).hexdigest() == (
+            "8fdafcb470d5620d6a7ae044facefed6910725b143a7d5499a454fd11f76f162")
 
 
 class TestSmokeProfileRuntime:

@@ -169,17 +169,6 @@ class TestStdError:
                            np.ones_like(fitted.per_tree_h))
         assert std_error(forced, 0.5) == 0.0
 
-    def test_scales_with_t_row_hook(self):
-        rng = np.random.default_rng(8)
-        data = small_dataset(rng, n=50)
-        cfg = small_config(subsample_size=20, n_trees=10, seed=29)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 4))
-        row = expfam.t_functional(0.5, fitted.theta_hat, fitted.basis)
-        base = std_error(fitted, 0.5, t_row=row)
-        assert std_error(fitted, 0.5, t_row=-2.0 * row) == pytest.approx(2.0 * base,
-                                                                         rel=1e-12)
-        assert std_error(fitted, 0.5) == pytest.approx(base, rel=1e-12)
-
     def test_auto_se_params(self):
         rng = np.random.default_rng(9)
         data = small_dataset(rng, n=100)

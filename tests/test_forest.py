@@ -56,6 +56,19 @@ class TestBox:
             Box([1.0], [0.0])
 
 
+class TestPoissonDimLaw:
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_are_nonempty_ascending_and_in_range(self, d, seed):
+        # growth turns these sets into its scoring rows without sorting or checking them
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            dims = forest_mod.poisson_dim_law(rng, d)
+            assert 1 <= dims.size <= d
+            assert np.all(np.diff(dims) > 0)
+            assert 0 <= dims[0] and dims[-1] < d
+
+
 class TestDrawSubsamples:
     def test_rejects_subsample_equal_to_sample(self):
         cfg = make_config(subsample_size=10, min_child=2)
