@@ -145,20 +145,17 @@ def _build_forest_config(fcfg: dict, seed: int, data: Dataset = None) -> ForestC
         parent = Box(lo + pad, hi - pad)
     else:
         parent = np.asarray(parent, dtype=float)
-    try:
-        return ForestConfig(
-            subsample_size=int(fcfg["subsample_size"]),
-            n_trees=int(fcfg["n_trees"]),
-            basis_order=int(fcfg["basis_order"]),
-            initial_parent=parent,
-            min_child=int(fcfg["min_child"]),
-            min_fraction=float(fcfg["min_fraction"]),
-            scheme=str(fcfg["scheme"]),
-            n_grid=int(fcfg["n_grid"]),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise UsageError(f"invalid forest config: {exc}") from exc
+    return ForestConfig(
+        subsample_size=int(fcfg["subsample_size"]),
+        n_trees=int(fcfg["n_trees"]),
+        basis_order=int(fcfg["basis_order"]),
+        initial_parent=parent,
+        min_child=int(fcfg["min_child"]),
+        min_fraction=float(fcfg["min_fraction"]),
+        scheme=str(fcfg["scheme"]),
+        n_grid=int(fcfg["n_grid"]),
+        seed=seed,
+    )
 
 
 def _resolved_forest_dict(cfg: ForestConfig) -> dict:
@@ -203,11 +200,16 @@ def _write_provenance(out_dir: str, name: str, command: str, cfg: dict,
 
 
 @contextmanager
-def _estimator_input(command: str):
-    """Treat a ``ValueError`` raised by the estimator as an input error."""
+def _input_errors(command: str, errors=(TypeError, ValueError, OverflowError)):
+    """Treat ``errors`` raised in the block as an input error.
+
+    Config values are converted under the default, so that a value of the
+    wrong type or out of range is an input error; the estimator runs under
+    ``ValueError`` alone.
+    """
     try:
         yield
-    except ValueError as exc:
+    except errors as exc:
         raise UsageError(f"invalid {command} configuration: {exc}") from exc
 
 
@@ -215,18 +217,16 @@ def _se_arg(se):
     if se is None or se == "auto":
         return se
     if isinstance(se, dict):
-        extra = set(se) - {"n_sigma", "d_sigma"}
-        if extra:
-            raise UsageError(f"unknown se keys {sorted(extra)}")
+        if set(se) != {"n_sigma", "d_sigma"}:
+            raise UsageError(f"se keys must be n_sigma and d_sigma, not {sorted(se)}")
         return int(se["n_sigma"]), int(se["d_sigma"])
     raise UsageError("se must be null, \"auto\", or {n_sigma, d_sigma}")
 
 
 def _y_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
-        extra = set(spec) - {"start", "stop", "num"}
-        if extra:
-            raise UsageError(f"unknown y_grid keys {sorted(extra)}")
+        if set(spec) != {"start", "stop", "num"}:
+            raise UsageError(f"y_grid keys must be start, stop and num, not {sorted(spec)}")
         grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
     else:
         grid = np.asarray(spec, dtype=float)
@@ -243,18 +243,18 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
     if cfg["query_x"] is None:
         raise UsageError("config key 'query_x' is required for fit")
     data = _read_input_csv(cfg["input"])
-    query_x = np.asarray(cfg["query_x"], dtype=float)
+    with _input_errors("fit"):
+        query_x = np.asarray(cfg["query_x"], dtype=float)
+        fcfg = _build_forest_config(cfg["forest"], int(cfg["seed"]), data)
+        grid = _y_grid(cfg["y_grid"])
+        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, data.n)
+        level, workers = float(cfg["ci_level"]), int(cfg["workers"])
     if query_x.size != data.dim:
         raise UsageError(
             f"query_x has {query_x.size} coordinates but the input has {data.dim}")
-    fcfg = _build_forest_config(cfg["forest"], int(cfg["seed"]), data)
-    grid = _y_grid(cfg["y_grid"])
-    se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, data.n)
-    level = float(cfg["ci_level"])
 
-    with _estimator_input("fit"):
-        fitted = estimator.fit(data, query_x, fcfg, se_params=se_params,
-                               workers=int(cfg["workers"]))
+    with _input_errors("fit", ValueError):
+        fitted = estimator.fit(data, query_x, fcfg, se_params=se_params, workers=workers)
         rows = []
         for y in grid:
             dens = estimator.pdf(fitted, float(y))
@@ -283,17 +283,17 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     design = cfg["design"]
     if design not in simbench.DESIGNS:
         raise UsageError(f"config key 'design' must be one of {simbench.DESIGNS}")
-    fcfg = _build_forest_config(cfg["forest"], int(cfg["seed"]))
-    se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, int(cfg["n"]))
+    with _input_errors("mc"):
+        fcfg = _build_forest_config(cfg["forest"], int(cfg["seed"]))
+        n, reps = int(cfg["n"]), int(cfg["reps"])
+        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, n)
+        options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
+                       workers=int(cfg["workers"]),
+                       mise_grid_points=int(cfg["mise_grid_points"]),
+                       ci_level=float(cfg["ci_level"]))
 
-    with _estimator_input("mc"):
-        report = simbench.run_mc(
-            design, int(cfg["n"]), int(cfg["reps"]), fcfg, se_params,
-            design_points=np.asarray(cfg["design_points"], dtype=float),
-            workers=int(cfg["workers"]),
-            mise_grid_points=int(cfg["mise_grid_points"]),
-            ci_level=float(cfg["ci_level"]),
-        )
+    with _input_errors("mc", ValueError):
+        report = simbench.run_mc(design, n, reps, fcfg, se_params, **options)
 
     out = _write_provenance(out_dir, "mc_report.json", "mc", cfg, fcfg, se_params,
                             report=simbench.report_to_dict(report))

@@ -11,7 +11,10 @@ coefficient vector matching a moment target ``mu`` solves
     integral phi(y) dens(y; theta) dy = mu,
 
 a smooth convex-dual root-finding problem handled by Newton's method with
-the exact Jacobian (the basis covariance under the current density).
+the exact Jacobian (the basis covariance under the current density) and a
+step-halving line search.  A batch of systems is solved in one pass: each
+round evaluates the full step of every row at once, then the halved steps of
+the rows that reject it, several lengths per row in one evaluation.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -206,8 +209,8 @@ def _as_moment_array(mu_target) -> np.ndarray:
 #: Row status codes returned by :func:`solve_theta_batch`.
 SOLVED, BOUNDARY, NO_CONVERGENCE = 0, 1, 2
 
-#: Elements allowed in one batched temporary: larger Newton batches, and
-#: the levels of forest growth, are processed in consecutive slices of rows.
+#: Elements allowed in any one batched temporary (not in their sum): larger
+#: Newton batches, and the levels of forest growth, go in slices of rows.
 BATCH_ELEMENTS = 1 << 18
 
 
@@ -232,10 +235,14 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     """Solve the moment-matching system for every row of ``mu_targets``.
 
     Each row runs the Newton iteration described in :func:`solve_theta`,
-    with its own step-halving line search, tolerance check and box bound;
-    rows leave the batch as soon as they converge or fail.  A row's result
-    is bit-identical to solving it alone.  Failures do not raise: they are
-    reported per row in :attr:`NewtonBatch.status`.
+    with its own line search, tolerance check and box bound; rows leave the
+    batch as soon as they converge or fail.  Rows that reject the full step
+    try the lengths 2^-1 ... 2^-30 in blocks of up to 8 per evaluation and
+    take the first, in order, that lowers the residual.  The lengths are
+    powers of two, so each candidate has the bits it has when the step is
+    halved once per evaluation, and a row's result is bit-identical to
+    solving it alone.  Failures do not raise: they are reported per row in
+    :attr:`NewtonBatch.status`.
     """
     targets = np.atleast_2d(np.asarray(mu_targets, dtype=float))
     if not np.all(np.isfinite(targets)):
@@ -249,15 +256,16 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     # an exact zero target has the exact root zero: no iteration
     rows = np.flatnonzero((out.status == SOLVED) & targets.any(axis=1))
     outer = _outer_products(spec)
-    chunk = max(1, BATCH_ELEMENTS // (8 * spec.nodes.size + j * j))
+    chunk = max(1, BATCH_ELEMENTS // max(spec.nodes.size, j * j))
     for lo in range(0, rows.size, chunk):
-        _newton_rows(targets, rows[lo:lo + chunk], spec, outer, max_iter, out)
+        _newton_rows(targets, rows[lo:lo + chunk], spec, outer, max_iter, chunk, out)
     return out
 
 
-def _newton_rows(targets, rows, spec, outer, max_iter, out: NewtonBatch) -> None:
+def _newton_rows(targets, rows, spec, outer, max_iter, chunk, out: NewtonBatch) -> None:
     """Run the Newton iteration on ``targets[rows]``, writing into ``out``."""
     target = targets[rows]
+    j = target.shape[1]
     theta = np.zeros_like(target)
     dens, mu, _, _ = _row_states(theta, spec)
     resid = target - mu
@@ -278,25 +286,24 @@ def _newton_rows(targets, rows, spec, outer, max_iter, out: NewtonBatch) -> None
             return
         cov = _row_covariances(dens, mu, spec, outer)
         step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
-        lam = np.ones(rows.size)
         pending = np.arange(rows.size)
         new = [theta.copy(), dens.copy(), mu.copy(), resid.copy(), rnorm.copy()]
-        for _ in range(31):
-            cand = theta[pending] + lam[pending, None] * step[pending]
+        first = 0  # next length 2^-first: the full step alone, then <= 8 a row, <= chunk in all
+        while pending.size and first < 31:
+            k = 1 if first == 0 else min(8, 31 - first, max(1, chunk // pending.size))
+            lam = np.ldexp(1.0, -np.arange(first, first + k))
+            cand = (theta[pending, None] + lam[:, None] * step[pending, None]).reshape(-1, j)
             cand_dens, cand_mu, _, _ = _row_states(cand, spec)
-            cand_resid = target[pending] - cand_mu
+            cand_resid = np.repeat(target[pending], k, axis=0) - cand_mu
             cand_rnorm = np.abs(cand_resid).max(axis=1)
-            better = cand_rnorm < rnorm[pending]
-            done = pending[better]
+            better = cand_rnorm.reshape(-1, k) < rnorm[pending, None]
+            hit = better.any(axis=1)
+            pick = np.flatnonzero(hit) * k + better.argmax(axis=1)[hit]
             for a, b in zip(new, (cand, cand_dens, cand_mu, cand_resid, cand_rnorm)):
-                a[done] = b[better]
-            pending = pending[~better]
-            if pending.size == 0:
-                break
-            lam[pending] *= 0.5
-        stalled = np.zeros(rows.size, dtype=bool)
-        stalled[pending] = True
-        keep = finish(stalled, NO_CONVERGENCE, it)
+                a[pending[hit]] = b[pick]
+            pending = pending[~hit]
+            first += k
+        keep = finish(np.isin(np.arange(rows.size), pending), NO_CONVERGENCE, it)
         theta, dens, mu, resid, rnorm = new
         escaped = keep & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)
         keep = finish(escaped, BOUNDARY, it) & keep
@@ -315,7 +322,7 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     step-halving line search: the step is halved (up to 30 times) until the
     residual sup-norm strictly decreases, so the residual is non-increasing
     across accepted iterations.  This is the one-row case of
-    :func:`solve_theta_batch`.
+    :func:`solve_theta_batch`, whose blocked search accepts the same step.
 
     Parameters
     ----------

@@ -18,7 +18,9 @@ pseudo-outcomes (:func:`~forestdens.expfam.row_pseudo_outcomes`), and the
 threshold scores from padded, per-node sorted cumulative sums.  No node's
 computation depends on the batch it is in, so growing one tree alone
 (:func:`grow_branch`) gives the same branch as growing it in a forest.
-Batched temporaries are capped by :data:`forestdens.expfam.BATCH_ELEMENTS`.
+Each batched temporary is capped by :data:`forestdens.expfam.BATCH_ELEMENTS`:
+a level's split search runs in slices of nodes sized by their largest
+temporary, and its Newton solve, up to 4096 nodes at J = 8, in one pass.
 
 Two splitting schemes are supported:
 
@@ -402,14 +404,17 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
 
 
 def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
-    """Consecutive node ranges whose split-search temporaries fit the batch cap.
+    """Consecutive node ranges whose largest split-search temporary fits the batch cap.
 
-    ``counts`` is non-increasing, so a range's widest node is its first.
+    A node of ``c`` members has up to ``d`` scoring rows, each with ``(c, J)``
+    cumulative sums, ``(n_grid, c)`` booleans and ``(n_grid, J)`` child sums;
+    sizes are in bytes.  ``counts`` is non-increasing, so a range's widest
+    node is its first.
     """
     a = 0
     while a < counts.size:
-        per_node = int(counts[a]) * (4 * j + d * (3 + 2 * j + n_grid // 8)) + 4 * d * n_grid * j
-        b = min(counts.size, a + max(1, expfam.BATCH_ELEMENTS // per_node))
+        per_node = d * max(int(counts[a]) * max(8 * j, n_grid), 8 * n_grid * j)
+        b = min(counts.size, a + max(1, 8 * expfam.BATCH_ELEMENTS // per_node))
         yield a, b
         a = b
 

@@ -29,6 +29,7 @@ from scipy.integrate import simpson
 from scipy.special import betainc, betaincinv, ndtr, ndtri
 
 from . import estimator, forest
+from .basis import _check_unit_interval
 from .errors import EstimationError, ZeroDenominator
 from .forest import Dataset, ForestConfig
 
@@ -155,8 +156,7 @@ def true_density(design: str, y, x):
     """Conditional density of the rescaled truncated law at ``y`` in [0, 1]."""
     design = _check_design(design)
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("y must lie in [0, 1]")
+    _check_unit_interval(arr)
     params, (lo, hi) = _design_params(design, x)
     mass = _base_cdf(design, hi, params) - _base_cdf(design, lo, params)
     t = lo + (hi - lo) * arr
@@ -165,13 +165,14 @@ def true_density(design: str, y, x):
 
 
 def true_cdf(design: str, y, x):
-    """Conditional CDF matching :func:`true_density`."""
+    """Conditional CDF matching :func:`true_density`, at ``y`` in [0, 1]."""
     design = _check_design(design)
     arr = np.asarray(y, dtype=float)
+    _check_unit_interval(arr)
     params, (lo, hi) = _design_params(design, x)
     c_lo = _base_cdf(design, lo, params)
     c_hi = _base_cdf(design, hi, params)
-    t = lo + (hi - lo) * np.clip(arr, 0.0, 1.0)
+    t = lo + (hi - lo) * arr
     vals = (_base_cdf(design, t, params) - c_lo) / (c_hi - c_lo)
     return float(np.squeeze(vals)) if arr.ndim == 0 else np.asarray(vals).reshape(arr.shape)
 

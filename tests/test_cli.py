@@ -140,6 +140,44 @@ class TestFitCommand:
         assert payload["config"]["forest"]["initial_parent"] is not None
 
 
+class TestWrongTypedConfig:
+    """A config value of the wrong type or out of range is an input error, exit 1."""
+
+    @pytest.mark.parametrize("override", [
+        {"y_grid": {"start": 0.1, "stop": 0.9, "num": float("nan")}},
+        {"y_grid": {"start": 0.1, "stop": 0.9}},
+        {"y_grid": [[0.1, 0.2], [0.3]]},
+        {"query_x": ["a", 0.5, 0.5, 0.5]},
+        {"se": {"n_sigma": "many", "d_sigma": 9}},
+        {"se": {"n_sigma": 8}},
+        {"ci_level": "high"},
+        {"seed": None},
+        {"forest": {"n_trees": None}},
+        {"forest": {"n_trees": float("inf")}},
+        {"forest": {"initial_parent": [[0.0, "a"], [1.0, 1.0]]}},
+    ])
+    def test_fit(self, tmp_path, capsys, override):
+        cfg = fit_config(tmp_path, **override)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert not (tmp_path / "fit.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"n": "lots"},
+        {"reps": None},
+        {"design_points": ["a"]},
+        {"se": {"n_sigma": [8], "d_sigma": 9}},
+        {"mise_grid_points": float("nan")},
+    ])
+    def test_mc(self, tmp_path, capsys, override):
+        cfg = mc_config(tmp_path, **override)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert not (tmp_path / "mc_report.csv").exists()
+
+
 class TestMCCommand:
     def test_report_schema_and_determinism(self, tmp_path):
         cfg = mc_config(tmp_path)

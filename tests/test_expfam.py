@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from forestdens import expfam
 from forestdens.basis import basis_matrix, default_basis
+from forestdens.basis import basis_range
 from forestdens.errors import BoundaryMoment, NonConvergence
 from forestdens.expfam import (BOUNDARY, NO_CONVERGENCE, SOLVED, MomentVector,
                                ThetaSolution, covariance, density,
@@ -239,6 +240,107 @@ class TestSolveThetaBatch:
         assert res.status.tolist() == [NO_CONVERGENCE, SOLVED]
         assert res.iterations.tolist() == [2, 0]
         assert res.residual[0] > 1e-10 and np.any(res.theta[0] != 0.0)
+
+
+def sequential_newton(target, spec, max_iter=100):
+    """Reference solver: one row, the step halved once per family evaluation.
+
+    The plain loop the blocked line search must reproduce, on the same
+    family kernels.  Returns ``(theta, residual, iterations, status, halvings)``
+    with ``halvings`` the most halvings any accepted step needed.
+    """
+    j = target.size
+    theta = np.zeros((1, j))
+    if np.any(np.abs(target) >= basis_range(j)):
+        return theta[0], 0.0, 0, BOUNDARY, 0
+    if not target.any():
+        return theta[0], 0.0, 0, SOLVED, 0
+    outer = expfam._outer_products(spec)
+    dens, mu, _, _ = expfam._row_states(theta, spec)
+    resid = target - mu
+    rnorm = np.abs(resid).max()
+    halvings = 0
+    for it in range(1, max_iter + 1):
+        if rnorm <= expfam.NEWTON_TOL:
+            return theta[0], rnorm, it - 1, SOLVED, halvings
+        cov = expfam._row_covariances(dens, mu, spec, outer)
+        step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
+        lam = 1.0
+        for tries in range(31):
+            cand = theta + lam * step
+            cand_dens, cand_mu, _, _ = expfam._row_states(cand, spec)
+            cand_resid = target - cand_mu
+            cand_rnorm = np.abs(cand_resid).max()
+            if cand_rnorm < rnorm:
+                break
+            lam *= 0.5
+        else:
+            return theta[0], rnorm, it, NO_CONVERGENCE, halvings
+        halvings = max(halvings, tries)
+        theta, dens, mu, resid, rnorm = cand, cand_dens, cand_mu, cand_resid, cand_rnorm
+        if np.abs(theta).max() > expfam.THETA_BOX_BOUND:
+            return theta[0], rnorm, it, BOUNDARY, halvings
+    status = SOLVED if rnorm <= expfam.NEWTON_TOL else NO_CONVERGENCE
+    return theta[0], rnorm, max_iter, status, halvings
+
+
+def assert_row_is(batch, i, theta, residual, iterations, status):
+    assert batch.theta[i].tobytes() == np.asarray(theta, dtype=float).tobytes()
+    assert batch.residual[i].tobytes() == np.float64(residual).tobytes()
+    assert batch.iterations[i] == iterations
+    assert batch.status[i] == status
+
+
+class TestBlockedLineSearch:
+    """The blocked step-halving search accepts the step of sequential halving."""
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=12),
+           st.sampled_from([1, 2, 3, 5, 100]), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_sequential_halving(self, j, m, max_iter, pyrandom):
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        spec = default_basis(j)
+        far = [moments(random_theta(rng, j, 14.0), spec).mu for _ in range(m)]
+        targets = np.vstack([mixed_targets(rng, j, m), far])
+        batch = solve_theta_batch(targets, spec, max_iter)
+        for i, target in enumerate(targets):
+            assert_row_is(batch, i, *sequential_newton(target, spec, max_iter)[:4])
+
+    @pytest.mark.parametrize("case", ["solved", "box escape", "stall", "iteration cap"])
+    def test_each_outcome_equals_sequential_halving(self, case):
+        spec3, spec8 = default_basis(3), default_basis(8)
+        target, spec, max_iter, status = {
+            # a far target whose steps need up to 28 halvings: four blocks
+            "solved": (moments(np.array([-1.0, 3.0, 2.0, 1.5, -0.3, -0.1, 1.5, 1.2]), spec8).mu,
+                       spec8, 100, SOLVED),
+            "box escape": (np.array([1.72]), default_basis(1), 100, BOUNDARY),
+            "stall": (0.95 * basis_range(8), spec8, 100, NO_CONVERGENCE),
+            "iteration cap": (moments(np.array([2.0, -1.0, 0.5]), spec3).mu, spec3, 2,
+                              NO_CONVERGENCE),
+        }[case]
+        ref = sequential_newton(target, spec, max_iter)
+        assert ref[3] == status
+        if case == "solved":
+            assert ref[4] == 28
+        if case == "stall":
+            assert ref[2] < max_iter
+        # the row alone, and among other rows whose searches end elsewhere
+        others = mixed_targets(np.random.default_rng(31), target.size, 30)
+        for targets in (target[None, :], np.vstack([others, target])):
+            batch = solve_theta_batch(targets, spec, max_iter)
+            assert_row_is(batch, targets.shape[0] - 1, *ref[:4])
+
+    def test_large_batch_equals_one_row_slices(self, monkeypatch):
+        # more rows than any level of the reference fit: one pass at J = 8
+        rng = np.random.default_rng(47)
+        spec = default_basis(8)
+        targets = mixed_targets(rng, 8, 2304)
+        whole = solve_theta_batch(targets, spec)
+        assert {SOLVED, BOUNDARY, NO_CONVERGENCE} <= set(whole.status.tolist())
+        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per pass and evaluation
+        sliced = solve_theta_batch(targets, spec)
+        for field in ("theta", "residual", "iterations", "status"):
+            assert getattr(sliced, field).tobytes() == getattr(whole, field).tobytes()
 
 
 class TestPseudoOutcomes:

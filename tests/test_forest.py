@@ -468,6 +468,58 @@ class TestGrowthRegression:
         np.testing.assert_array_equal(weights(np.full(3, 0.5), data, cfg).weights, whole)
 
 
+def largest_split_temporary(nodes, width, rows, j, n_grid):
+    """Bytes of the largest array the split search of one slice builds:
+    member basis values and pseudo-outcomes (nodes, width, J), per-row
+    cumulative sums (rows, width, J), the threshold comparison
+    (rows, n_grid, width) of booleans, and the child sums (rows, n_grid, J)."""
+    return max(8 * nodes * width * j, 8 * rows * width * j, rows * n_grid * width,
+               8 * rows * n_grid * j)
+
+
+class TestLevelSlices:
+    @given(st.lists(st.integers(min_value=1, max_value=600), max_size=80),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=40), st.sampled_from([1, 500, 20_000, 1 << 18]))
+    @settings(max_examples=100, deadline=None)
+    def test_cover_every_node_once_within_the_cap(self, counts, d, j, n_grid, cap):
+        counts = np.array(sorted(counts, reverse=True), dtype=np.intp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expfam, "BATCH_ELEMENTS", cap)
+            slices = list(forest_mod._level_slices(counts, j, d, n_grid))
+        covered = np.concatenate([np.arange(a, b) for a, b in slices] + [np.zeros(0, int)])
+        np.testing.assert_array_equal(covered, np.arange(counts.size))
+        for a, b in slices:
+            # every node of a slice is padded to the slice's first (widest) node
+            largest = largest_split_temporary(b - a, counts[a], d * (b - a), j, n_grid)
+            assert largest <= 8 * cap or b - a == 1
+
+    def test_split_search_temporaries_within_the_cap(self, monkeypatch):
+        cap = 6000
+        seen = []
+        node_splits = forest_mod._node_splits
+
+        def recording(x_ext, phi_ext, members, counts, row_node, *args):
+            cfg, spec = args[-2:]
+            seen.append((members.shape[0], largest_split_temporary(
+                *members.shape, row_node.size, spec.order, cfg.n_grid)))
+            return node_splits(x_ext, phi_ext, members, counts, row_node, *args)
+
+        rng = np.random.default_rng(29)
+        data = random_dataset(rng, 300, 4)
+        cfg = ForestConfig(subsample_size=120, n_trees=24, basis_order=8,
+                           initial_parent=unit_box(4), min_child=3, scheme="theta", seed=5)
+        monkeypatch.setattr(forest_mod, "_node_splits", recording)
+        whole = weights(np.full(4, 0.5), data, cfg).weights
+        levels = len(seen)  # one slice per level under the default cap
+        seen.clear()
+        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", cap)
+        np.testing.assert_array_equal(weights(np.full(4, 0.5), data, cfg).weights, whole)
+        assert len(seen) > levels and max(n for n, _ in seen) > 1
+        for nodes, largest in seen:
+            assert largest <= 8 * cap or nodes == 1
+
+
 class TestMuHat:
     def test_uniform_weights_give_sample_mean(self):
         rng = np.random.default_rng(18)

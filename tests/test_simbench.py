@@ -132,6 +132,17 @@ class TestTrueDensity:
         assert true_cdf(design, 1.0, X_QUERY) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestTruthDomain:
+    """The true density and CDF take y in [0, 1] only; NaN is not in it."""
+
+    @pytest.mark.parametrize("fn", [true_density, true_cdf])
+    @pytest.mark.parametrize("y", [float("nan"), np.array([0.5, np.nan]), float("inf"),
+                                   -0.25, np.array([0.5, 1.5])])
+    def test_rejects_points_outside_unit_interval(self, fn, y):
+        with pytest.raises(ValueError):
+            fn("D1", y, X_QUERY)
+
+
 class TestKernelBaseline:
     def test_single_point_with_explicit_bandwidths(self):
         data = Dataset(np.array([0.4]), np.array([[0.5, 0.5, 0.5, 0.5]]))
