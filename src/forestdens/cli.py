@@ -134,6 +134,14 @@ def _read_input_csv(path: str) -> Dataset:
     return Dataset(np.array(ys), np.array(xs))
 
 
+def _count(value, name: str) -> int:
+    """An integer config count; a boolean, a fractional float or a non-number is an input error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _build_forest_config(fcfg: dict, seed: int, data: Dataset = None) -> ForestConfig:
     parent = fcfg["initial_parent"]
     if parent is None:
@@ -145,32 +153,18 @@ def _build_forest_config(fcfg: dict, seed: int, data: Dataset = None) -> ForestC
         parent = Box(lo + pad, hi - pad)
     else:
         parent = np.asarray(parent, dtype=float)
-    return ForestConfig(
-        subsample_size=int(fcfg["subsample_size"]),
-        n_trees=int(fcfg["n_trees"]),
-        basis_order=int(fcfg["basis_order"]),
-        initial_parent=parent,
-        min_child=int(fcfg["min_child"]),
-        min_fraction=float(fcfg["min_fraction"]),
-        scheme=str(fcfg["scheme"]),
-        n_grid=int(fcfg["n_grid"]),
-        seed=seed,
-    )
+    counts = {key: _count(fcfg[key], key)
+              for key, default in _FOREST_DEFAULTS.items() if isinstance(default, int)}
+    return ForestConfig(**counts, initial_parent=parent,
+                        min_fraction=float(fcfg["min_fraction"]),
+                        scheme=str(fcfg["scheme"]), seed=seed)
 
 
 def _resolved_forest_dict(cfg: ForestConfig) -> dict:
-    return {
-        "subsample_size": cfg.subsample_size,
-        "n_trees": cfg.n_trees,
-        "basis_order": cfg.basis_order,
-        "min_child": cfg.min_child,
-        "min_fraction": cfg.min_fraction,
-        "scheme": cfg.scheme,
-        "n_grid": cfg.n_grid,
-        "initial_parent": [cfg.initial_parent.lower.tolist(),
-                           cfg.initial_parent.upper.tolist()],
-        "split_dim_law": "poisson5",
-    }
+    return dict({key: getattr(cfg, key) for key in _FOREST_DEFAULTS},
+                initial_parent=[cfg.initial_parent.lower.tolist(),
+                                cfg.initial_parent.upper.tolist()],
+                split_dim_law="poisson5")
 
 
 def _write_provenance(out_dir: str, name: str, command: str, cfg: dict,
@@ -219,7 +213,7 @@ def _se_arg(se):
     if isinstance(se, dict):
         if set(se) != {"n_sigma", "d_sigma"}:
             raise UsageError(f"se keys must be n_sigma and d_sigma, not {sorted(se)}")
-        return int(se["n_sigma"]), int(se["d_sigma"])
+        return _count(se["n_sigma"], "se.n_sigma"), _count(se["d_sigma"], "se.d_sigma")
     raise UsageError("se must be null, \"auto\", or {n_sigma, d_sigma}")
 
 
@@ -227,7 +221,8 @@ def _y_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         if set(spec) != {"start", "stop", "num"}:
             raise UsageError(f"y_grid keys must be start, stop and num, not {sorted(spec)}")
-        grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+        grid = np.linspace(float(spec["start"]), float(spec["stop"]),
+                           _count(spec["num"], "y_grid.num"))
     else:
         grid = np.asarray(spec, dtype=float)
     if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):  # NaN fails both
@@ -245,10 +240,10 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
     data = _read_input_csv(cfg["input"])
     with _input_errors("fit"):
         query_x = np.asarray(cfg["query_x"], dtype=float)
-        fcfg = _build_forest_config(cfg["forest"], int(cfg["seed"]), data)
+        fcfg = _build_forest_config(cfg["forest"], _count(cfg["seed"], "seed"), data)
         grid = _y_grid(cfg["y_grid"])
         se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, data.n)
-        level, workers = float(cfg["ci_level"]), int(cfg["workers"])
+        level, workers = float(cfg["ci_level"]), _count(cfg["workers"], "workers")
     if query_x.size != data.dim:
         raise UsageError(
             f"query_x has {query_x.size} coordinates but the input has {data.dim}")
@@ -284,12 +279,12 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     if design not in simbench.DESIGNS:
         raise UsageError(f"config key 'design' must be one of {simbench.DESIGNS}")
     with _input_errors("mc"):
-        fcfg = _build_forest_config(cfg["forest"], int(cfg["seed"]))
-        n, reps = int(cfg["n"]), int(cfg["reps"])
+        fcfg = _build_forest_config(cfg["forest"], _count(cfg["seed"], "seed"))
+        n, reps = _count(cfg["n"], "n"), _count(cfg["reps"], "reps")
         se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, n)
         options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
-                       workers=int(cfg["workers"]),
-                       mise_grid_points=int(cfg["mise_grid_points"]),
+                       workers=_count(cfg["workers"], "workers"),
+                       mise_grid_points=_count(cfg["mise_grid_points"], "mise_grid_points"),
                        ci_level=float(cfg["ci_level"]))
 
     with _input_errors("mc", ValueError):

@@ -268,6 +268,7 @@ class SESubsamplePlan:
     For each delete-group ``l``, trees ``2l`` and ``2l + 1`` (0-based) are
     drawn from the complement of the group, guaranteeing at least two clean
     trees per group; the remaining trees are drawn from the full index set.
+    Indices are non-negative; :func:`_overlaps` checks the pairing.
     """
 
     delete_groups: tuple[np.ndarray, ...]
@@ -278,18 +279,14 @@ class SESubsamplePlan:
         trees = tuple(_readonly(np.asarray(t, dtype=np.intp)) for t in self.tree_subsamples)
         if 2 * len(groups) >= len(trees) - 1:
             raise ValueError("need 2 * n_sigma < n_trees - 1")
-        if groups:
-            # a membership table per group, read at its trees 2l and 2l + 1
-            paired = trees[:2 * len(groups)]
-            flat = np.concatenate(groups + paired)
-            lo = int(flat.min(initial=0))
-            member = np.zeros((len(groups), int(flat.max(initial=0)) - lo + 1), dtype=bool)
-            member[np.repeat(np.arange(len(groups)), [g.size for g in groups]),
-                   np.concatenate(groups) - lo] = True
-            owner = np.repeat(np.arange(len(paired)), [t.size for t in paired])
-            hits = owner[member[owner // 2, np.concatenate(paired) - lo]]
-            if hits.size:
-                raise ValueError(f"tree {hits[0]} overlaps delete group {hits[0] // 2}")
+        flat = np.concatenate(groups + trees)
+        if flat.min(initial=0) < 0:
+            raise ValueError("plan indices must be non-negative")
+        pairs = np.arange(2 * len(groups))
+        overlap = _overlaps(groups, trees[:pairs.size], int(flat.max(initial=-1)) + 1)
+        hits = np.flatnonzero(overlap[pairs // 2, pairs])
+        if hits.size:
+            raise ValueError(f"tree {hits[0]} overlaps delete group {hits[0] // 2}")
         object.__setattr__(self, "delete_groups", groups)
         object.__setattr__(self, "tree_subsamples", trees)
 
@@ -697,6 +694,7 @@ def se_subsample_plan(n: int, cfg: ForestConfig, n_sigma: int, d_sigma: int,
 
     Group ``l`` has ``d_sigma`` indices; trees ``2l`` and ``2l + 1`` are
     drawn from its complement, the remaining trees from the full index set.
+    The group count is checked before any group is drawn, the pairing by the plan.
     """
     s = cfg.subsample_size
     if s >= n:
@@ -721,21 +719,25 @@ def se_subsample_plan(n: int, cfg: ForestConfig, n_sigma: int, d_sigma: int,
     return SESubsamplePlan(tuple(groups), tuple(trees))
 
 
-def _clean_tree_mask(plan: SESubsamplePlan, n: int) -> np.ndarray:
-    """Mask of shape (n_sigma, n_trees): tree disjoint from delete group.
+def _overlaps(groups, trees, n: int) -> np.ndarray:
+    """``(len(groups), len(trees))`` bools: group ``l`` and tree ``t`` share an index.
 
-    Trees are checked in slices against an (n, n_sigma) group-membership
-    table, so the temporaries stay within the batch cap.
+    The one ``(n, len(trees))`` membership table, packed to bits along the
+    trees, is OR-ed over each (ragged or empty) group's rows.
     """
-    in_group = np.zeros((n, plan.n_sigma), dtype=bool)
-    in_group[np.concatenate(plan.delete_groups),
-             np.repeat(np.arange(plan.n_sigma), plan.d_sigma)] = True
-    trees = plan.tree_subsamples
-    step = max(1, expfam.BATCH_ELEMENTS // (trees[0].size * plan.n_sigma))
-    clean = np.empty((plan.n_sigma, len(trees)), dtype=bool)
-    for a in range(0, len(trees), step):
-        clean[:, a:a + step] = ~in_group[np.stack(trees[a:a + step])].any(axis=1).T
-    return clean
+    member = np.zeros((n, len(trees)), dtype=bool)
+    member[np.concatenate([np.empty(0, np.intp), *trees]),
+           np.repeat(np.arange(len(trees)), [len(t) for t in trees])] = True
+    packed = np.packbits(member, axis=1)
+    hit = np.empty((len(groups), packed.shape[1]), dtype=np.uint8)
+    for l, g in enumerate(groups):
+        hit[l] = np.bitwise_or.reduce(packed[g], axis=0)
+    return np.unpackbits(hit, axis=1, count=len(trees)).astype(bool)
+
+
+def _clean_tree_mask(plan: SESubsamplePlan, n: int) -> np.ndarray:
+    """Mask of shape (n_sigma, n_trees): tree disjoint from delete group."""
+    return ~_overlaps(plan.delete_groups, plan.tree_subsamples, n)
 
 
 def jackknife_deviations(plan: SESubsamplePlan, per_tree_h: np.ndarray, n: int) -> np.ndarray:

@@ -155,6 +155,10 @@ class TestWrongTypedConfig:
         {"forest": {"n_trees": None}},
         {"forest": {"n_trees": float("inf")}},
         {"forest": {"initial_parent": [[0.0, "a"], [1.0, 1.0]]}},
+        {"forest": {"subsample_size": 40, "n_trees": 40.7, "basis_order": 4, "min_child": 4}},
+        {"y_grid": {"start": 0.1, "stop": 0.9, "num": 9.7}},
+        {"y_grid": {"start": 0.1, "stop": 0.9, "num": True}},
+        {"se": {"n_sigma": 8.5, "d_sigma": 9}},
     ])
     def test_fit(self, tmp_path, capsys, override):
         cfg = fit_config(tmp_path, **override)
@@ -169,6 +173,9 @@ class TestWrongTypedConfig:
         {"design_points": ["a"]},
         {"se": {"n_sigma": [8], "d_sigma": 9}},
         {"mise_grid_points": float("nan")},
+        {"reps": 2.5},
+        {"n": True},
+        {"workers": True},
     ])
     def test_mc(self, tmp_path, capsys, override):
         cfg = mc_config(tmp_path, **override)
@@ -176,6 +183,16 @@ class TestWrongTypedConfig:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "Traceback" not in err
         assert not (tmp_path / "mc_report.csv").exists()
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        assert main(["fit", "--config", fit_config(tmp_path), "--out", str(tmp_path / "a")]) == 0
+        whole = fit_config(tmp_path, seed=7.0, y_grid={"start": 0.1, "stop": 0.9, "num": 9.0},
+                           se={"n_sigma": 8.0, "d_sigma": 9},
+                           forest={"subsample_size": 40, "n_trees": 40.0, "basis_order": 4,
+                                   "min_child": 4})
+        assert main(["fit", "--config", whole, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "fit.csv").read_bytes() == \
+            (tmp_path / "b" / "fit.csv").read_bytes()
 
 
 class TestMCCommand:

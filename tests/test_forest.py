@@ -595,6 +595,42 @@ class TestSESubsamplePlan:
         with pytest.raises(ValueError):
             se_subsample_plan(20, cfg, n_sigma=4, d_sigma=2, rng=rng)  # 2n_sigma >= N-1
 
+    def test_group_count_rejected_before_drawing(self):
+        # a huge n_sigma must fail at once, not after drawing n_sigma groups
+        class NoDraws:
+            def choice(self, *args, **kwargs):
+                raise AssertionError("drew a subsample before checking n_sigma")
+        cfg = ForestConfig(subsample_size=6, n_trees=9, basis_order=2,
+                           initial_parent=unit_box(1), min_child=2, seed=0)
+        with pytest.raises(ValueError, match="n_sigma < n_trees"):
+            se_subsample_plan(20, cfg, n_sigma=10**9, d_sigma=2, rng=NoDraws())
+
+    def test_rejects_negative_indices(self):
+        trees = (np.array([0, 1]), np.array([2, 3]), np.array([-1, 2]), np.array([0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            SESubsamplePlan((np.array([4]),), trees)
+
+
+class TestCleanTreeMask:
+    @given(st.data(), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_set_intersection(self, data, n, blocks, extra):
+        # tree counts on and off a multiple of 8 cover the packbits padding
+        index = st.integers(0, n - 1)
+        groups = data.draw(st.lists(st.lists(index, max_size=4), max_size=6))
+        trees = data.draw(st.lists(st.lists(index, max_size=6),
+                                   min_size=8 * blocks + extra, max_size=8 * blocks + extra))
+
+        class Plan:
+            delete_groups = tuple(np.array(g, dtype=np.intp) for g in groups)
+            tree_subsamples = tuple(np.array(t, dtype=np.intp) for t in trees)
+        clean = forest_mod._clean_tree_mask(Plan(), n)
+        assert clean.shape == (len(groups), len(trees)) and clean.dtype == bool
+        for l, g in enumerate(groups):
+            for t, tree in enumerate(trees):
+                assert clean[l, t] == (not set(g) & set(tree))
+
 
 class TestSigmaFe:
     def _plan(self, n_sigma, n, d_sigma, n_trees, s, seed=0):
