@@ -81,7 +81,7 @@ def _merge_config(defaults: dict, user: dict, context: str = "") -> dict:
 
 
 def _load_config(path: str, defaults: dict, seed=None, workers=None) -> dict:
-    """Read a JSON config over ``defaults``; the ``--seed``/``--workers`` flags win."""
+    """Read a JSON config over ``defaults``; the ``--seed``/``--workers`` flags win, as integers."""
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -96,6 +96,8 @@ def _load_config(path: str, defaults: dict, seed=None, workers=None) -> dict:
         cfg["seed"] = seed
     if workers is not None:
         cfg["workers"] = workers
+    for key in ("seed", "workers"):
+        cfg[key] = _count(cfg[key], key)
     return cfg
 
 
@@ -240,24 +242,23 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
     data = _read_input_csv(cfg["input"])
     with _input_errors("fit"):
         query_x = np.asarray(cfg["query_x"], dtype=float)
-        fcfg = _build_forest_config(cfg["forest"], _count(cfg["seed"], "seed"), data)
+        fcfg = _build_forest_config(cfg["forest"], cfg["seed"], data)
         grid = _y_grid(cfg["y_grid"])
         se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, data.n)
-        level, workers = float(cfg["ci_level"]), _count(cfg["workers"], "workers")
+        level = float(cfg["ci_level"])
     if query_x.size != data.dim:
         raise UsageError(
             f"query_x has {query_x.size} coordinates but the input has {data.dim}")
 
     with _input_errors("fit", ValueError):
-        fitted = estimator.fit(data, query_x, fcfg, se_params=se_params, workers=workers)
+        fitted = estimator.fit(data, query_x, fcfg, se_params=se_params, workers=cfg["workers"])
         rows = []
         for y in grid:
             dens = estimator.pdf(fitted, float(y))
             if se_params is not None:
                 se = estimator.std_error(fitted, float(y))
-                lo_ci, hi_ci = estimator.confidence_interval(fitted, float(y), level)
                 rows.append([repr(float(y)), repr(dens), repr(se),
-                             repr(lo_ci), repr(hi_ci)])
+                             *map(repr, estimator._interval(dens, se, level))])
             else:
                 rows.append([repr(float(y)), repr(dens), "", "", ""])
 
@@ -279,11 +280,11 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     if design not in simbench.DESIGNS:
         raise UsageError(f"config key 'design' must be one of {simbench.DESIGNS}")
     with _input_errors("mc"):
-        fcfg = _build_forest_config(cfg["forest"], _count(cfg["seed"], "seed"))
+        fcfg = _build_forest_config(cfg["forest"], cfg["seed"])
         n, reps = _count(cfg["n"], "n"), _count(cfg["reps"], "reps")
         se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, n)
         options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
-                       workers=_count(cfg["workers"], "workers"),
+                       workers=cfg["workers"],
                        mise_grid_points=_count(cfg["mise_grid_points"], "mise_grid_points"),
                        ci_level=float(cfg["ci_level"]))
 

@@ -147,9 +147,12 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
 def confidence_interval(fitted: FittedConditionalDensity, y: float,
                         level: float = 0.95) -> tuple[float, float]:
     """Symmetric interval for the density at ``y``; the quantile is ``NormalDist().inv_cdf``."""
+    return _interval(pdf(fitted, y), std_error(fitted, y), level)
+
+
+def _interval(center: float, se: float, level: float) -> tuple[float, float]:
+    """``center`` -/+ the normal ``level`` quantile times ``se``, from values already computed."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    center = pdf(fitted, y)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * std_error(fitted, y)
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * se
     return center - half, center + half

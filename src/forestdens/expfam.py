@@ -10,11 +10,12 @@ coefficient vector matching a moment target ``mu`` solves
 
     integral phi(y) dens(y; theta) dy = mu,
 
-a smooth convex-dual root-finding problem handled by Newton's method with
-the exact Jacobian (the basis covariance under the current density) and a
-step-halving line search.  A batch of systems is solved in one pass: each
-round evaluates the full step of every row at once, then the halved steps of
-the rows that reject it, several lengths per row in one evaluation.
+the gradient system of the convex dual L(theta) = log Z(theta) - theta . mu,
+handled by Newton's method with the exact Jacobian (the basis covariance
+under the current density) and a step-halving line search on L and the
+residual.  A batch of systems is solved in one pass: each round evaluates the
+full step of every row at once, then the halved steps of the rows that reject
+it, several lengths per row in one evaluation.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -58,6 +59,8 @@ THETA_BOX_BOUND = 50.0
 
 #: Newton's convergence threshold on the moment residual sup-norm.
 NEWTON_TOL = 1e-10
+
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search's Armijo test
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +114,9 @@ class ThetaSolution:
 def _row_states(theta: np.ndarray, spec: BasisSpec):
     """Density at the quadrature nodes, basis moments and log Z for each row of ``theta``.
 
-    Returns ``(dens, mu, top, z)`` with log Z = ``top + log(z)``, left unformed
-    so that the Newton iteration does not pay for it.  Every product is a
-    stacked matmul whose core is one row, so a row's result does not depend
-    on the other rows in the batch.
+    Returns ``(dens, mu, logz)``.  Every product is a stacked matmul whose
+    core is one row, so a row's result does not depend on the other rows in
+    the batch.
     """
     phi, w = spec.phi_nodes, spec.weights
     g = (phi @ theta[:, :, None])[:, :, 0]
@@ -123,7 +125,7 @@ def _row_states(theta: np.ndarray, spec: BasisSpec):
     z = (e[:, None, :] @ w[:, None])[:, 0]
     dens = e / z
     mu = (phi.T @ (w * dens)[:, :, None])[:, :, 0]
-    return dens, mu, top[:, 0], z[:, 0]
+    return dens, mu, top[:, 0] + np.log(z[:, 0])
 
 
 def _outer_products(spec: BasisSpec) -> np.ndarray:
@@ -143,10 +145,10 @@ def _row_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec,
 
 def _one_row(theta, spec: BasisSpec):
     """``(dens, mu, log Z)`` of one coefficient vector; ``dens`` and ``mu`` keep a row axis."""
-    dens, mu, top, z = _row_states(np.asarray(theta, dtype=float)[None, :], spec)
+    dens, mu, logz = _row_states(np.asarray(theta, dtype=float)[None, :], spec)
     if not np.all(np.isfinite(dens)):
         raise OverflowError("exponent is not finite at a quadrature node")
-    return dens, mu, top[0] + np.log(z[0])
+    return dens, mu, logz[0]
 
 
 def _pseudo_outcomes(dens, mu, phi: np.ndarray, spec: BasisSpec) -> np.ndarray:
@@ -166,7 +168,7 @@ def row_pseudo_outcomes(theta, phi, spec: BasisSpec) -> np.ndarray:
     ``theta`` has shape ``(m, J)`` and ``phi`` shape ``(m, k, J)``, as does the
     result; each row is computed exactly as when it is passed alone.
     """
-    dens, mu, _, _ = _row_states(np.atleast_2d(np.asarray(theta, dtype=float)), spec)
+    dens, mu, _ = _row_states(np.atleast_2d(np.asarray(theta, dtype=float)), spec)
     return _pseudo_outcomes(dens, mu, phi, spec)
 
 
@@ -238,11 +240,11 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     with its own line search, tolerance check and box bound; rows leave the
     batch as soon as they converge or fail.  Rows that reject the full step
     try the lengths 2^-1 ... 2^-30 in blocks of up to 8 per evaluation and
-    take the first, in order, that lowers the residual.  The lengths are
-    powers of two, so each candidate has the bits it has when the step is
-    halved once per evaluation, and a row's result is bit-identical to
-    solving it alone.  Failures do not raise: they are reported per row in
-    :attr:`NewtonBatch.status`.
+    take the first, in order, that passes the test of :func:`solve_theta`.
+    The lengths are powers of two, so each candidate has the bits it has when
+    the step is halved once per evaluation, and a row's result is
+    bit-identical to solving it alone.  Failures do not raise: they are
+    reported per row in :attr:`NewtonBatch.status`.
     """
     targets = np.atleast_2d(np.asarray(mu_targets, dtype=float))
     if not np.all(np.isfinite(targets)):
@@ -267,7 +269,7 @@ def _newton_rows(targets, rows, spec, outer, max_iter, chunk, out: NewtonBatch) 
     target = targets[rows]
     j = target.shape[1]
     theta = np.zeros_like(target)
-    dens, mu, _, _ = _row_states(theta, spec)
+    dens, mu, dual = _row_states(theta, spec)  # the dual L = log Z - theta . target, at 0
     resid = target - mu
     rnorm = np.abs(resid).max(axis=1)
 
@@ -280,35 +282,40 @@ def _newton_rows(targets, rows, spec, outer, max_iter, chunk, out: NewtonBatch) 
 
     for it in range(1, max_iter + 1):
         keep = finish(rnorm <= NEWTON_TOL, SOLVED, it - 1)
-        rows, target, theta, dens, mu, resid, rnorm = (
-            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm))
+        rows, target, theta, dens, mu, resid, rnorm, dual = (
+            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual))
         if rows.size == 0:
             return
         cov = _row_covariances(dens, mu, spec, outer)
         step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
+        armijo = _ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]  # -c grad L . step
         pending = np.arange(rows.size)
-        new = [theta.copy(), dens.copy(), mu.copy(), resid.copy(), rnorm.copy()]
+        new = [a.copy() for a in (theta, dens, mu, resid, rnorm, dual)]
         first = 0  # next length 2^-first: the full step alone, then <= 8 a row, <= chunk in all
         while pending.size and first < 31:
             k = 1 if first == 0 else min(8, 31 - first, max(1, chunk // pending.size))
             lam = np.ldexp(1.0, -np.arange(first, first + k))
             cand = (theta[pending, None] + lam[:, None] * step[pending, None]).reshape(-1, j)
-            cand_dens, cand_mu, _, _ = _row_states(cand, spec)
-            cand_resid = np.repeat(target[pending], k, axis=0) - cand_mu
+            cand_dens, cand_mu, cand_logz = _row_states(cand, spec)
+            cand_target = np.repeat(target[pending], k, axis=0)
+            cand_resid = cand_target - cand_mu
             cand_rnorm = np.abs(cand_resid).max(axis=1)
-            better = cand_rnorm.reshape(-1, k) < rnorm[pending, None]
+            cand_dual = cand_logz - (cand[:, None, :] @ cand_target[:, :, None])[:, 0, 0]
+            bound = dual[pending, None] - lam * armijo[pending, None]  # L + c lam grad L . step
+            better = ((cand_rnorm.reshape(-1, k) < rnorm[pending, None])
+                      | (cand_dual.reshape(-1, k) <= bound))
             hit = better.any(axis=1)
             pick = np.flatnonzero(hit) * k + better.argmax(axis=1)[hit]
-            for a, b in zip(new, (cand, cand_dens, cand_mu, cand_resid, cand_rnorm)):
+            for a, b in zip(new, (cand, cand_dens, cand_mu, cand_resid, cand_rnorm, cand_dual)):
                 a[pending[hit]] = b[pick]
             pending = pending[~hit]
             first += k
         keep = finish(np.isin(np.arange(rows.size), pending), NO_CONVERGENCE, it)
-        theta, dens, mu, resid, rnorm = new
+        theta, dens, mu, resid, rnorm, dual = new
         escaped = keep & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)
         keep = finish(escaped, BOUNDARY, it) & keep
-        rows, target, theta, dens, mu, resid, rnorm = (
-            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm))
+        rows, target, theta, dens, mu, resid, rnorm, dual = (
+            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual))
     converged = rnorm <= NEWTON_TOL
     finish(converged, SOLVED, max_iter)
     finish(~converged, NO_CONVERGENCE, max_iter)
@@ -318,10 +325,12 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     """Solve the moment-matching system by Newton's method.
 
     Starts from zero coefficients and iterates
-    ``theta <- theta + V(theta)^{-1} (mu_target - mu(theta))`` with a
-    step-halving line search: the step is halved (up to 30 times) until the
-    residual sup-norm strictly decreases, so the residual is non-increasing
-    across accepted iterations.  This is the one-row case of
+    ``theta <- theta + lam V(theta)^{-1} (mu_target - mu(theta))``: Newton's
+    method on the convex dual L(theta) = log Z(theta) - theta . mu_target,
+    whose gradient is minus the residual.  ``lam`` is halved from 1 (up to 30
+    times) until L falls by the Armijo amount, 1e-4 lam |grad L . step|, or
+    the residual sup-norm strictly falls, so every accepted step lowers one
+    of the two (not always both).  This is the one-row case of
     :func:`solve_theta_batch`, whose blocked search accepts the same step.
 
     Parameters
@@ -345,7 +354,7 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
         outside the boundary of the attainable moment space).
     NonConvergence
         If the residual is still above ``NEWTON_TOL`` after ``max_iter``
-        iterations, or the line search cannot reduce it.
+        iterations, or no length passes the line search.
     """
     mu_target = _as_moment_array(mu_target)
     res = solve_theta_batch(mu_target[None, :], spec, max_iter)

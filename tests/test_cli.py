@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forestdens import estimator
 from forestdens.cli import main
 
 DATA = Path(__file__).parent / "data" / "sample200.csv"
@@ -129,6 +130,22 @@ class TestFitCommand:
         assert f"input {bad_csv} row 4: non-finite value" in err
         assert "Traceback" not in err
 
+    def test_density_and_se_evaluated_once_per_grid_point(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(estimator, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("pdf", "std_error"):
+            monkeypatch.setattr(estimator, name, counted(name))
+        assert main(["fit", "--config", fit_config(tmp_path), "--out", str(tmp_path)]) == 0
+        assert calls.count("pdf") == calls.count("std_error") == 9
+
     def test_provenance_records_resolved_defaults(self, tmp_path):
         cfg = fit_config(tmp_path)
         out = tmp_path / "prov"
@@ -193,6 +210,17 @@ class TestWrongTypedConfig:
         assert main(["fit", "--config", whole, "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "fit.csv").read_bytes() == \
             (tmp_path / "b" / "fit.csv").read_bytes()
+
+    def test_integral_float_seed_and_workers_recorded_as_integers(self, tmp_path):
+        fit_cfg = fit_config(tmp_path, seed=7.0, workers=1.0)
+        mc_cfg = mc_config(tmp_path, seed=3.0, workers=1.0)
+        assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
+        assert main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "mc")]) == 0
+        for path, seed in ((tmp_path / "fit" / "fit_provenance.json", 7),
+                           (tmp_path / "mc" / "mc_report.json", 3)):
+            config = json.loads(path.read_text())["config"]
+            assert [config["seed"], config["workers"]] == [seed, 1]
+            assert type(config["seed"]) is int and type(config["workers"]) is int
 
 
 class TestMCCommand:

@@ -242,12 +242,15 @@ class TestSolveThetaBatch:
         assert res.residual[0] > 1e-10 and np.any(res.theta[0] != 0.0)
 
 
-def sequential_newton(target, spec, max_iter=100):
+def sequential_newton(target, spec, max_iter=100, accepted=None):
     """Reference solver: one row, the step halved once per family evaluation.
 
     The plain loop the blocked line search must reproduce, on the same
-    family kernels.  Returns ``(theta, residual, iterations, status, halvings)``
-    with ``halvings`` the most halvings any accepted step needed.
+    family kernels: a length is accepted when it lowers the dual
+    L = log Z - theta . target by the Armijo amount or lowers the residual
+    sup-norm.  Returns ``(theta, residual, iterations, status, halvings)``
+    with ``halvings`` the most halvings any accepted step needed.  When
+    ``accepted`` is a list, each accepted step appends ``(theta, length, step)``.
     """
     j = target.size
     theta = np.zeros((1, j))
@@ -256,7 +259,7 @@ def sequential_newton(target, spec, max_iter=100):
     if not target.any():
         return theta[0], 0.0, 0, SOLVED, 0
     outer = expfam._outer_products(spec)
-    dens, mu, _, _ = expfam._row_states(theta, spec)
+    dens, mu, dual = expfam._row_states(theta, spec)  # L = log Z at theta = 0
     resid = target - mu
     rnorm = np.abs(resid).max()
     halvings = 0
@@ -265,23 +268,34 @@ def sequential_newton(target, spec, max_iter=100):
             return theta[0], rnorm, it - 1, SOLVED, halvings
         cov = expfam._row_covariances(dens, mu, spec, outer)
         step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
+        armijo = expfam._ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]
         lam = 1.0
         for tries in range(31):
             cand = theta + lam * step
-            cand_dens, cand_mu, _, _ = expfam._row_states(cand, spec)
+            cand_dens, cand_mu, cand_logz = expfam._row_states(cand, spec)
             cand_resid = target - cand_mu
             cand_rnorm = np.abs(cand_resid).max()
-            if cand_rnorm < rnorm:
+            cand_dual = cand_logz - (cand[:, None, :] @ target[None, :, None])[:, 0, 0]
+            if cand_rnorm < rnorm or cand_dual[0] <= dual[0] - lam * armijo[0]:
                 break
             lam *= 0.5
         else:
             return theta[0], rnorm, it, NO_CONVERGENCE, halvings
+        if accepted is not None:
+            accepted.append((theta[0], lam, step[0]))
         halvings = max(halvings, tries)
         theta, dens, mu, resid, rnorm = cand, cand_dens, cand_mu, cand_resid, cand_rnorm
+        dual = cand_dual
         if np.abs(theta).max() > expfam.THETA_BOX_BOUND:
             return theta[0], rnorm, it, BOUNDARY, halvings
     status = SOLVED if rnorm <= expfam.NEWTON_TOL else NO_CONVERGENCE
     return theta[0], rnorm, max_iter, status, halvings
+
+
+def dual_and_residual(theta, target, spec):
+    """The dual L = log Z - theta . target and the residual sup-norm, from the one-row functions."""
+    return (log_partition(theta, spec) - theta @ target,
+            np.abs(target - moments(theta, spec).mu).max())
 
 
 def assert_row_is(batch, i, theta, residual, iterations, status):
@@ -292,7 +306,9 @@ def assert_row_is(batch, i, theta, residual, iterations, status):
 
 
 class TestBlockedLineSearch:
-    """The blocked step-halving search accepts the step of sequential halving."""
+    """The blocked step-halving search accepts the step of sequential halving:
+    the first length that passes the Armijo test on the dual or lowers the
+    residual sup-norm."""
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=12),
            st.sampled_from([1, 2, 3, 5, 100]), st.randoms(use_true_random=False))
@@ -310,7 +326,8 @@ class TestBlockedLineSearch:
     def test_each_outcome_equals_sequential_halving(self, case):
         spec3, spec8 = default_basis(3), default_basis(8)
         target, spec, max_iter, status = {
-            # a far target whose steps need up to 28 halvings: four blocks
+            # a far target whose steps need up to 28 halvings (four blocks), and
+            # whose full step is once taken on the Armijo test alone
             "solved": (moments(np.array([-1.0, 3.0, 2.0, 1.5, -0.3, -0.1, 1.5, 1.2]), spec8).mu,
                        spec8, 100, SOLVED),
             "box escape": (np.array([1.72]), default_basis(1), 100, BOUNDARY),
@@ -318,10 +335,13 @@ class TestBlockedLineSearch:
             "iteration cap": (moments(np.array([2.0, -1.0, 0.5]), spec3).mu, spec3, 2,
                               NO_CONVERGENCE),
         }[case]
-        ref = sequential_newton(target, spec, max_iter)
+        steps = []
+        ref = sequential_newton(target, spec, max_iter, steps)
         assert ref[3] == status
         if case == "solved":
             assert ref[4] == 28
+            assert any(dual_and_residual(theta + lam * step, target, spec)[1]
+                       >= dual_and_residual(theta, target, spec)[1] for theta, lam, step in steps)
         if case == "stall":
             assert ref[2] < max_iter
         # the row alone, and among other rows whose searches end elsewhere
@@ -329,6 +349,24 @@ class TestBlockedLineSearch:
         for targets in (target[None, :], np.vstack([others, target])):
             batch = solve_theta_batch(targets, spec, max_iter)
             assert_row_is(batch, targets.shape[0] - 1, *ref[:4])
+
+    @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_accepted_steps_descend_dual_or_residual(self, j, pyrandom):
+        # Armijo on the convex dual, L(theta + lam p) <= L(theta) + c lam grad L . p,
+        # or a strictly lower residual sup-norm, recomputed from the one-row functions
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        spec = default_basis(j)
+        far = moments(random_theta(rng, j, 14.0), spec).mu
+        for target in np.vstack([mixed_targets(rng, j, 3), far]):
+            steps = []
+            sequential_newton(target, spec, accepted=steps)
+            for theta, lam, step in steps:
+                dual, rnorm = dual_and_residual(theta, target, spec)
+                new_dual, new_rnorm = dual_and_residual(theta + lam * step, target, spec)
+                slope = (moments(theta, spec).mu - target) @ step
+                bound = dual + expfam._ARMIJO_C * lam * slope + 1e-12 * max(1.0, abs(dual))
+                assert new_dual <= bound or new_rnorm < rnorm
 
     def test_large_batch_equals_one_row_slices(self, monkeypatch):
         # more rows than any level of the reference fit: one pass at J = 8

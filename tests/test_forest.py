@@ -420,6 +420,30 @@ class TestGrowthRegression:
             "45c80270c4ff42f54730ade0f59ca6e563a03f56c16af4db16523fe1be33282f")
         assert statuses.count(expfam.BOUNDARY) == 9 and len(statuses) == 74
 
+    def test_theta_node_solves_end_within_twenty_iterations(self, monkeypatch):
+        # the forest above; BOUNDARY rows once crept toward the box bound in
+        # up to 32 Newton iterations, and their slow rows held every level
+        batches = []
+        solve = expfam.solve_theta_batch
+
+        def recording(targets, spec, *args, **kwargs):
+            batches.append(solve(targets, spec, *args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(expfam, "solve_theta_batch", recording)
+        rng = np.random.default_rng(2024)
+        x = rng.random((300, 4))
+        data = Dataset(rng.beta(0.6 + 2 * x[:, 0], 0.8 + x[:, 1]), x)
+        cfg = ForestConfig(subsample_size=60, n_trees=16, basis_order=6,
+                           initial_parent=unit_box(4), min_child=3, scheme="theta", seed=11)
+        weights(np.full(4, 0.5), data, cfg)
+        status = np.concatenate([b.status for b in batches])
+        iterations = np.concatenate([b.iterations for b in batches])
+        # recorded with the residual-only line search, before the Armijo test
+        assert "".join(map(str, status.tolist())) == (
+            "00000000000000000000000000000000000000000000010000000000100100100001110011")
+        assert iterations.max() <= 20
+
     def test_mu_scheme(self):
         rng = np.random.default_rng(2025)
         x = rng.random((200, 3))
