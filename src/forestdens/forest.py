@@ -340,6 +340,12 @@ def delta_tilde(rho_by_child) -> float:
     return float(s1 @ s1 / rho1.shape[0] + s2 @ s2 / rho2.shape[0])
 
 
+#: Relative tolerance within which two split scores count as tied.  Candidates
+#: giving the same partition tie in exact arithmetic; their computed scores
+#: differ by summation roundoff, far below this.
+_TIE_RTOL = 1e-12
+
+
 def _member_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of ``values[k, :counts[k]]`` over its members, for every row ``k``.
 
@@ -363,10 +369,10 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     ``V(theta)^{-1} (phi - mu(theta))`` on ``solved`` nodes and centered
     basis values ``phi - mean`` elsewhere.  There is one scoring row per
     (node, eligible dimension) pair, ``row_node`` ascending and
-    ``row_dim`` ascending within a node, so the first maximum of a node is
-    its lexicographically smallest (dimension, threshold) among the best
-    scores.  Returns ``(dim, threshold)`` arrays, ``dim = -1`` where no
-    candidate is feasible.
+    ``row_dim`` ascending within a node, so a node's first candidate within
+    :data:`_TIE_RTOL` of its best score is its lexicographically smallest
+    (dimension, threshold) among the near-best.  Returns ``(dim, threshold)``
+    arrays, ``dim = -1`` (threshold NaN) where no candidate is feasible.
     """
     phi = phi_ext[members]
     rho = phi - means[:, None, :]
@@ -394,13 +400,19 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     score = np.full(n_left.shape, -np.inf)
     score[row, grid] = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
 
-    row_best = score.argmax(axis=1)
-    row_score = score[np.arange(row_best.size), row_best]
-    node_score = np.maximum.reduceat(row_score, np.searchsorted(row_node, np.arange(counts.size)))
-    hits = np.flatnonzero(row_score == node_score[row_node])
+    # scores are >= 0, so best * (1 - tol) is best - tol |best|, and -inf where
+    # nothing is feasible; a node takes its first candidate within the tolerance
+    best = np.maximum.reduceat(score.max(axis=1),
+                               np.searchsorted(row_node, np.arange(counts.size)))
+    near = feasible & (score >= (best * (1.0 - _TIE_RTOL))[row_node, None])
+    row_first = near.argmax(axis=1)
+    hits = np.flatnonzero(near.any(axis=1))
     chosen = hits[np.unique(row_node[hits], return_index=True)[1]]
-    dim = np.where(node_score > -np.inf, row_dim[chosen], -1)
-    return dim, thresholds[chosen, row_best[chosen]]
+    found = best > -np.inf
+    dim = np.full(counts.size, -1, dtype=np.intp)
+    thr = np.full(counts.size, np.nan)
+    dim[found], thr[found] = row_dim[chosen], thresholds[chosen, row_first[chosen]]
+    return dim, thr
 
 
 def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
@@ -553,7 +565,10 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     thresholds between the members' min and max coordinate are scored; a
     candidate is feasible only when both children keep at least
     ``max(min_fraction * m, min_child)`` members.  Ties break toward the
-    lexicographically smallest (dimension, threshold).  Pseudo-outcomes are
+    lexicographically smallest (dimension, threshold): the split is the
+    smallest candidate whose score is at least ``best - 1e-12 |best|``, so
+    two candidates that give the same partition, whose scores differ only by
+    summation roundoff, never leave the choice to roundoff.  Pseudo-outcomes are
     derived from ``pivot``: a :class:`~forestdens.expfam.ThetaSolution`
     gives the influence residuals, a
     :class:`~forestdens.expfam.MomentVector` the centered basis values.

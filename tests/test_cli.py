@@ -260,7 +260,7 @@ class TestGoldenBytes:
         assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
         assert main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "mc")]) == 0
         assert sha256((tmp_path / "fit" / "fit.csv").read_bytes()).hexdigest() == (
-            "7be5601d8886e822048d59d3f22a9e68606f5f641fecae7651a68a7622572c19")
+            "4fe6848397c5e07f8c3770f78ece0dd69b9362b5868b8bbfda29751030a07974")
         assert sha256((tmp_path / "mc" / "mc_report.csv").read_bytes()).hexdigest() == (
             "8fdafcb470d5620d6a7ae044facefed6910725b143a7d5499a454fd11f76f162")
 

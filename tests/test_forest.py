@@ -242,6 +242,22 @@ class TestBestSplit:
             b = best_split(x, y, zero_mu, cfg, [0, 1], spec=spec)
             assert a == b
 
+    @pytest.mark.parametrize("pivot", ["mu", "theta"])
+    def test_mirrored_covariate_ties_go_to_the_first_dim(self, pivot):
+        # covariate 1 is 1 - covariate 0, so every dim-1 candidate has a dim-0
+        # candidate with the same partition and a score equal up to roundoff;
+        # the split must not be left to roundoff (it was on 1 in 3 datasets)
+        spec = default_basis(3)
+        cfg = make_config(basis_order=3, min_child=3)
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            x0 = rng.random(int(rng.integers(12, 40)))
+            y = rng.random(x0.size)
+            mean = basis_matrix(spec, y).mean(axis=0)
+            p = expfam.MomentVector(mean) if pivot == "mu" else expfam.solve_theta(mean, spec)
+            got = best_split(np.column_stack([x0, 1.0 - x0]), y, p, cfg, [0, 1], spec=spec)
+            assert got is not None and got[0] == 0, seed
+
 
 class TestGrowBranch:
     def test_no_split_when_min_child_large(self):
