@@ -219,6 +219,13 @@ def _se_arg(se):
     raise UsageError("se must be null, \"auto\", or {n_sigma, d_sigma}")
 
 
+def _ci_level(value) -> float:
+    level = float(value)
+    if not 0.0 < level < 1.0:  # NaN fails both
+        raise UsageError(f"ci_level must lie in (0, 1), not {value!r}")
+    return level
+
+
 def _y_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         if set(spec) != {"start", "stop", "num"}:
@@ -245,7 +252,7 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"], data)
         grid = _y_grid(cfg["y_grid"])
         se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, data.n)
-        level = float(cfg["ci_level"])
+        level = _ci_level(cfg["ci_level"])
     if query_x.size != data.dim:
         raise UsageError(
             f"query_x has {query_x.size} coordinates but the input has {data.dim}")
@@ -286,7 +293,7 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
         options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
                        workers=cfg["workers"],
                        mise_grid_points=_count(cfg["mise_grid_points"], "mise_grid_points"),
-                       ci_level=float(cfg["ci_level"]))
+                       ci_level=_ci_level(cfg["ci_level"]))
 
     with _input_errors("mc", ValueError):
         report = simbench.run_mc(design, n, reps, fcfg, se_params, **options)

@@ -281,6 +281,8 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     design = _check_design(design)
     if reps < 2:
         raise ValueError("need at least 2 replications")
+    if not 0.0 < ci_level < 1.0:  # NaN fails both
+        raise ValueError("ci_level must lie in (0, 1)")
     points = np.asarray(design_points, dtype=float)
     grid = np.linspace(*MISE_INTERVAL, mise_grid_points)
     x_query = np.full(4, 0.5)

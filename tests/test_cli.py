@@ -176,6 +176,9 @@ class TestWrongTypedConfig:
         {"y_grid": {"start": 0.1, "stop": 0.9, "num": 9.7}},
         {"y_grid": {"start": 0.1, "stop": 0.9, "num": True}},
         {"se": {"n_sigma": 8.5, "d_sigma": 9}},
+        {"se": None, "ci_level": 1.5},
+        {"ci_level": 0.0},
+        {"ci_level": float("nan")},
     ])
     def test_fit(self, tmp_path, capsys, override):
         cfg = fit_config(tmp_path, **override)
@@ -193,6 +196,8 @@ class TestWrongTypedConfig:
         {"reps": 2.5},
         {"n": True},
         {"workers": True},
+        {"ci_level": 1.5},
+        {"ci_level": 0.0},
     ])
     def test_mc(self, tmp_path, capsys, override):
         cfg = mc_config(tmp_path, **override)

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad, simpson
 
+from forestdens import estimator
 from forestdens.errors import ZeroDenominator
 from forestdens.forest import Dataset, ForestConfig
 from forestdens.simbench import (DEFAULT_DESIGN_POINTS, DESIGNS, gen_covariates,
@@ -246,3 +247,12 @@ class TestRunMC:
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
             run_mc("D1", 100, 1, small_mc_config(), None)
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_rejects_ci_level_outside_unit_interval_before_any_fit(self, level, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the level was checked")
+
+        monkeypatch.setattr(estimator, "fit", no_fit)
+        with pytest.raises(ValueError, match="ci_level"):
+            run_mc("D1", 100, 2, small_mc_config(), None, ci_level=level)
