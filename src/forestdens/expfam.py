@@ -15,7 +15,9 @@ handled by Newton's method with the exact Jacobian (the basis covariance
 under the current density) and a step-halving line search on L and the
 residual.  A batch of systems is solved in one pass: each round evaluates the
 full step of every row at once, then the halved steps of the rows that reject
-it, several lengths per row in one evaluation.
+it, several lengths per row in one evaluation.  The public solvers start from
+zero coefficients; forest growth starts each child node from its parent's
+root.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -154,19 +156,20 @@ def _one_row(theta, spec: BasisSpec):
 def _pseudo_outcomes(dens, mu, phi: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """:func:`row_pseudo_outcomes` from the rows' :func:`_row_states` output.
 
-    One matrix-vector product per member keeps every row batch-independent.
+    One matrix product per row maps all of its members at once: a stacked
+    matmul whose core is the row's ``(k, J) @ (J, J)`` product.
     """
     cov = _row_covariances(dens, mu, spec, _outer_products(spec))
-    inv_t = np.linalg.inv(cov).transpose(0, 2, 1)[:, None, :, :]
-    dev = phi - mu[:, None, :]
-    return (dev[:, :, None, :] @ inv_t)[:, :, 0, :]
+    return (phi - mu[:, None, :]) @ np.linalg.inv(cov).transpose(0, 2, 1)
 
 
 def row_pseudo_outcomes(theta, phi, spec: BasisSpec) -> np.ndarray:
     """Influence residuals ``V(theta_k)^{-1} (phi[k, i] - mu(theta_k))`` for each row ``k``.
 
     ``theta`` has shape ``(m, J)`` and ``phi`` shape ``(m, k, J)``, as does the
-    result; each row is computed exactly as when it is passed alone.
+    result.  Each row is one ``(k, J) @ (J, J)`` product, so with ``k >= 2``
+    members a row is computed exactly as when it is passed alone (a one-member
+    product takes the matrix-vector path instead).
     """
     dens, mu, _ = _row_states(np.atleast_2d(np.asarray(theta, dtype=float)), spec)
     return _pseudo_outcomes(dens, mu, phi, spec)
@@ -237,16 +240,33 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     """Solve the moment-matching system for every row of ``mu_targets``.
 
     Each row runs the Newton iteration described in :func:`solve_theta`,
-    with its own line search, tolerance check and box bound; rows leave the
-    batch as soon as they converge or fail.  Rows that reject the full step
-    try the lengths 2^-1 ... 2^-30 in blocks of up to 8 per evaluation and
-    take the first, in order, that passes the test of :func:`solve_theta`.
-    The lengths are powers of two, so each candidate has the bits it has when
-    the step is halved once per evaluation, and a row's result is
-    bit-identical to solving it alone.  Failures do not raise: they are
-    reported per row in :attr:`NewtonBatch.status`.
+    from zero coefficients, with its own line search, tolerance check and
+    box bound; rows leave the batch as soon as they converge or fail.  Rows
+    that reject the full step try the lengths 2^-1 ... 2^-30 in blocks of up
+    to 8 per evaluation and take the first, in order, that passes the test
+    of :func:`solve_theta`.  The lengths are powers of two, so each
+    candidate has the bits it has when the step is halved once per
+    evaluation, and a row's result is bit-identical to solving it alone.
+    Failures do not raise: they are reported per row in
+    :attr:`NewtonBatch.status`.
+
+    Forest growth starts each child node's iteration from its parent's
+    solved coefficients instead, through the private :func:`_solve_from`.
     """
     targets = np.atleast_2d(np.asarray(mu_targets, dtype=float))
+    return _solve_from(targets, np.zeros_like(targets), spec, max_iter)
+
+
+def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
+                max_iter: int) -> NewtonBatch:
+    """:func:`solve_theta_batch` with row ``k``'s iteration started from ``start[k]``.
+
+    The dual at the start is ``log Z(start) - start . target``; the
+    exact-zero-target shortcut, tolerance, box bound, iteration cap, line
+    search and status codes are those of :func:`solve_theta_batch`, and a
+    row's result is still bit-identical to solving it alone from its start.
+    A start at the exact root returns it as SOLVED after 0 iterations.
+    """
     if not np.all(np.isfinite(targets)):
         raise ValueError("moment target must be finite")
     m, j = targets.shape
@@ -260,16 +280,17 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     outer = _outer_products(spec)
     chunk = max(1, BATCH_ELEMENTS // max(spec.nodes.size, j * j))
     for lo in range(0, rows.size, chunk):
-        _newton_rows(targets, rows[lo:lo + chunk], spec, outer, max_iter, chunk, out)
+        _newton_rows(targets, start, rows[lo:lo + chunk], spec, outer, max_iter, chunk, out)
     return out
 
 
-def _newton_rows(targets, rows, spec, outer, max_iter, chunk, out: NewtonBatch) -> None:
-    """Run the Newton iteration on ``targets[rows]``, writing into ``out``."""
+def _newton_rows(targets, start, rows, spec, outer, max_iter, chunk, out: NewtonBatch) -> None:
+    """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``."""
     target = targets[rows]
     j = target.shape[1]
-    theta = np.zeros_like(target)
-    dens, mu, dual = _row_states(theta, spec)  # the dual L = log Z - theta . target, at 0
+    theta = start[rows]
+    dens, mu, logz = _row_states(theta, spec)
+    dual = logz - (theta[:, None, :] @ target[:, :, None])[:, 0, 0]  # L = log Z - theta . target
     resid = target - mu
     rnorm = np.abs(resid).max(axis=1)
 

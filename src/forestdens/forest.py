@@ -13,11 +13,14 @@ stream, which draws the subsamples (or the jackknife's delete-group plan),
 and one stream per tree, which draws the tree's half split and then, node by
 node, its eligible dimensions.  All branches grow together, one level at a
 time, and a level is processed as arrays: the nodes' target moments, one
-batched Newton solve (:func:`~forestdens.expfam.solve_theta_batch`), the
-pseudo-outcomes (:func:`~forestdens.expfam.row_pseudo_outcomes`), and the
-threshold scores from padded, per-node sorted cumulative sums.  No node's
-computation depends on the batch it is in, so growing one tree alone
-(:func:`grow_branch`) gives the same branch as growing it in a forest.
+batched Newton solve (:func:`~forestdens.expfam.solve_theta_batch`'s
+iteration, each child node started from its parent's solved coefficients),
+the pseudo-outcomes (:func:`~forestdens.expfam.row_pseudo_outcomes`, one
+matrix product per node), and the threshold scores from padded, per-node
+sorted cumulative sums, ties within a relative 1e-12 going to the smallest
+(dimension, threshold).  No node's computation depends on the batch it is
+in, so growing one tree alone (:func:`grow_branch`) gives the same branch
+as growing it in a forest.
 Each batched temporary is capped by :data:`forestdens.expfam.BATCH_ELEMENTS`:
 a level's split search runs in slices of nodes sized by their largest
 temporary, and its Newton solve, up to 4096 nodes at J = 8, in one pass.
@@ -431,14 +434,16 @@ def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
         a = b
 
 
-def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
+def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
                  cfg: ForestConfig, spec: BasisSpec):
     """Best split of every active node of one level (nodes by decreasing count).
 
     The node targets are the deciding members' basis means; under the
-    "theta" scheme they go through one batched Newton solve, and nodes whose
-    solve fails (``BoundaryMoment`` or ``NonConvergence``) are scored with
-    centered basis values instead.
+    "theta" scheme they go through one batched Newton solve, each node's
+    started from its row of ``start``, and nodes whose solve fails
+    (``BoundaryMoment`` or ``NonConvergence``) are scored with centered
+    basis values instead.  Returns ``(dim, threshold, theta)``, ``theta``
+    the solved coefficients, zero where no solve succeeded.
     """
     j = spec.order
     slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))
@@ -449,8 +454,9 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
     theta = np.zeros_like(means)
     solved = np.zeros(counts.size, dtype=bool)
     if cfg.scheme == "theta":
-        batch = expfam.solve_theta_batch(means, spec)
-        theta, solved = batch.theta, batch.status == expfam.SOLVED
+        batch = expfam._solve_from(means, start, spec, 100)
+        solved = batch.status == expfam.SOLVED
+        theta[solved] = batch.theta[solved]
     dim = np.empty(counts.size, dtype=np.intp)
     thr = np.empty(counts.size)
     row_bounds = np.searchsorted(row_node, [a for a, _ in slices] + [counts.size])
@@ -459,7 +465,7 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
             x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
             row_node[r0:r1] - a, row_dim[r0:r1], means[a:b], theta[a:b],
             solved[a:b], cfg, spec)
-    return dim, thr
+    return dim, thr, theta
 
 
 def _with_sentinel(x: np.ndarray, phi: np.ndarray):
@@ -503,7 +509,10 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
     ``x_pts`` / ``phi``.  Each level draws every active node's eligible
     dimensions from its tree's stream, then splits all nodes together
     (:func:`_split_level`); a tree stops when fewer than ``2 * min_child``
-    deciding members remain in its node or no split is feasible.
+    deciding members remain in its node or no split is feasible.  Each tree
+    carries its node's solved coefficients to the next level, where the
+    child's Newton solve starts from them; the root, and the child of a
+    node whose solve failed, start from zero.
     """
     x = np.asarray(x, dtype=float)
     if not cfg.initial_parent.contains(x):
@@ -516,6 +525,7 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
     upper = np.tile(root.upper, (n_trees, 1))
     lower_open = np.tile(root.lower_open, (n_trees, 1))
     records: list[list[SplitRecord]] = [[] for _ in range(n_trees)]
+    theta = np.zeros((n_trees, spec.order))  # each tree's last solved node, 0 if none
 
     members = _padded(decidings, n)
     members, counts = _compact(members, _inside(x_ext, members, lower, upper, lower_open), n)
@@ -532,8 +542,8 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
         drawn = [poisson_dim_law(rngs[t], d) for t in trees.tolist()]
         row_node = np.repeat(np.arange(trees.size), [a.size for a in drawn])
         row_dim = np.concatenate(drawn)
-        dim, thr = _split_level(x_ext, phi_ext, members, counts, row_node, row_dim,
-                                cfg, spec)
+        dim, thr, theta[trees] = _split_level(x_ext, phi_ext, members, counts, row_node,
+                                              row_dim, theta[trees], cfg, spec)
 
         split = dim >= 0
         trees, members, counts, dim, thr = (a[split] for a in (trees, members, counts, dim, thr))

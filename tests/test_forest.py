@@ -419,14 +419,14 @@ class TestGrowthRegression:
 
     def test_theta_scheme_with_boundary_fallbacks(self, monkeypatch):
         statuses = []
-        solve = expfam.solve_theta_batch
+        solve = expfam._solve_from  # the level solve, warm-started by growth
 
-        def recording(targets, spec, *args, **kwargs):
-            res = solve(targets, spec, *args, **kwargs)
+        def recording(*args):
+            res = solve(*args)
             statuses.extend(res.status.tolist())
             return res
 
-        monkeypatch.setattr(expfam, "solve_theta_batch", recording)
+        monkeypatch.setattr(expfam, "_solve_from", recording)
         rng = np.random.default_rng(2024)
         x = rng.random((300, 4))
         data = Dataset(rng.beta(0.6 + 2 * x[:, 0], 0.8 + x[:, 1]), x)
@@ -440,13 +440,13 @@ class TestGrowthRegression:
         # the forest above; BOUNDARY rows once crept toward the box bound in
         # up to 32 Newton iterations, and their slow rows held every level
         batches = []
-        solve = expfam.solve_theta_batch
+        solve = expfam._solve_from
 
-        def recording(targets, spec, *args, **kwargs):
-            batches.append(solve(targets, spec, *args, **kwargs))
+        def recording(*args):
+            batches.append(solve(*args))
             return batches[-1]
 
-        monkeypatch.setattr(expfam, "solve_theta_batch", recording)
+        monkeypatch.setattr(expfam, "_solve_from", recording)
         rng = np.random.default_rng(2024)
         x = rng.random((300, 4))
         data = Dataset(rng.beta(0.6 + 2 * x[:, 0], 0.8 + x[:, 1]), x)
