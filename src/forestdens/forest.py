@@ -13,14 +13,13 @@ stream, which draws the subsamples (or the jackknife's delete-group plan),
 and one stream per tree, which draws the tree's half split and then, node by
 node, its eligible dimensions.  All branches grow together, one level at a
 time, and a level is processed as arrays: the nodes' target moments, one
-batched Newton solve (:func:`~forestdens.expfam.solve_theta_batch`'s
-iteration, each child node started from its parent's solved coefficients),
-the pseudo-outcomes (:func:`~forestdens.expfam.row_pseudo_outcomes`, one
-matrix product per node), and the threshold scores from padded, per-node
-sorted cumulative sums, ties within a relative 1e-12 going to the smallest
-(dimension, threshold).  No node's computation depends on the batch it is
-in, so growing one tree alone (:func:`grow_branch`) gives the same branch
-as growing it in a forest.
+batched Newton solve (the iteration of
+:func:`~forestdens.expfam.solve_theta_batch`, each child node started from
+its parent's solved coefficients), the pseudo-outcomes
+(:func:`~forestdens.expfam.row_pseudo_outcomes`), and the threshold scores
+from padded, per-node sorted cumulative sums.  No node's computation
+depends on the batch it is in, so growing one tree alone
+(:func:`grow_branch`) gives the same branch as growing it in a forest.
 Each batched temporary is capped by :data:`forestdens.expfam.BATCH_ELEMENTS`:
 a level's split search runs in slices of nodes sized by their largest
 temporary, and its Newton solve, up to 4096 nodes at J = 8, in one pass.
@@ -375,7 +374,7 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     ``row_dim`` ascending within a node, so a node's first candidate within
     :data:`_TIE_RTOL` of its best score is its lexicographically smallest
     (dimension, threshold) among the near-best.  Returns ``(dim, threshold)``
-    arrays, ``dim = -1`` (threshold NaN) where no candidate is feasible.
+    arrays, ``dim = -1`` where no candidate is feasible.
     """
     phi = phi_ext[members]
     rho = phi - means[:, None, :]
@@ -403,19 +402,16 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     score = np.full(n_left.shape, -np.inf)
     score[row, grid] = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
 
-    # scores are >= 0, so best * (1 - tol) is best - tol |best|, and -inf where
-    # nothing is feasible; a node takes its first candidate within the tolerance
+    # scores are >= 0, so best * (1 - tol) is best - tol |best|; it is -inf, not
+    # NaN, at a node where nothing is feasible, whose every candidate is then near
     best = np.maximum.reduceat(score.max(axis=1),
                                np.searchsorted(row_node, np.arange(counts.size)))
-    near = feasible & (score >= (best * (1.0 - _TIE_RTOL))[row_node, None])
+    near = score >= (best * (1.0 - _TIE_RTOL))[row_node, None]
     row_first = near.argmax(axis=1)
     hits = np.flatnonzero(near.any(axis=1))
     chosen = hits[np.unique(row_node[hits], return_index=True)[1]]
-    found = best > -np.inf
-    dim = np.full(counts.size, -1, dtype=np.intp)
-    thr = np.full(counts.size, np.nan)
-    dim[found], thr[found] = row_dim[chosen], thresholds[chosen, row_first[chosen]]
-    return dim, thr
+    dim = np.where(best > -np.inf, row_dim[chosen], -1)
+    return dim, thresholds[chosen, row_first[chosen]]
 
 
 def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):

@@ -242,14 +242,15 @@ class TestSolveThetaBatch:
         assert res.residual[0] > 1e-10 and np.any(res.theta[0] != 0.0)
 
 
-def sequential_newton(target, spec, max_iter=100, accepted=None):
+def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
     """Reference solver: one row, the step halved once per family evaluation.
 
     The plain loop the blocked line search must reproduce, on the same
     family kernels: a length is accepted when it lowers the dual
     L = log Z - theta . target by the Armijo amount or lowers the residual
-    sup-norm.  Returns ``(theta, residual, iterations, status, halvings)``
-    with ``halvings`` the most halvings any accepted step needed.  When
+    sup-norm.  The iteration starts from ``start`` (zero by default).
+    Returns ``(theta, residual, iterations, status, halvings)`` with
+    ``halvings`` the most halvings any accepted step needed.  When
     ``accepted`` is a list, each accepted step appends ``(theta, length, step)``.
     """
     j = target.size
@@ -258,8 +259,11 @@ def sequential_newton(target, spec, max_iter=100, accepted=None):
         return theta[0], 0.0, 0, BOUNDARY, 0
     if not target.any():
         return theta[0], 0.0, 0, SOLVED, 0
+    if start is not None:
+        theta = np.array(start, dtype=float)[None, :]
     outer = expfam._outer_products(spec)
-    dens, mu, dual = expfam._row_states(theta, spec)  # L = log Z at theta = 0
+    dens, mu, logz = expfam._row_states(theta, spec)
+    dual = logz - (theta[:, None, :] @ target[None, :, None])[:, 0, 0]  # L = log Z - theta . target
     resid = target - mu
     rnorm = np.abs(resid).max()
     halvings = 0
@@ -381,7 +385,73 @@ class TestBlockedLineSearch:
             assert getattr(sliced, field).tobytes() == getattr(whole, field).tobytes()
 
 
+def mixed_starts(rng, j, m):
+    """Zero starts, moderate starts and starts within 1 % of the box bound."""
+    rows = []
+    for kind in rng.integers(3, size=m):
+        if kind == 0:
+            rows.append(np.zeros(j))
+        elif kind == 1:
+            rows.append(random_theta(rng, j, 8.0))
+        else:
+            v = rng.standard_normal(j)
+            rows.append(0.99 * expfam.THETA_BOX_BOUND * v / np.abs(v).max())
+    return np.array(rows)
+
+
+class TestWarmStart:
+    """The private entry forest growth uses to start each child node's
+    Newton iteration from its parent's solved coefficients."""
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_each_row_alone_from_its_start(self, j, m, pyrandom):
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        spec = default_basis(j)
+        roots = [random_theta(rng, j, 4.0) for _ in range(2)]
+        targets = np.vstack([mixed_targets(rng, j, m), [moments(r, spec).mu for r in roots]])
+        starts = np.vstack([mixed_starts(rng, j, m), roots])
+        batch = expfam._solve_from(targets, starts, spec, 100)
+        for i, (target, start) in enumerate(zip(targets, starts)):
+            alone = expfam._solve_from(target[None, :], start[None, :], spec, 100)
+            assert_row_is(batch, i, alone.theta[0], alone.residual[0], alone.iterations[0],
+                          alone.status[0])
+            assert_row_is(batch, i, *sequential_newton(target, spec, start=start)[:4])
+        # a start at the exact root is returned as it is
+        for i in (m, m + 1):
+            assert batch.status[i] == SOLVED and batch.iterations[i] == 0
+            assert batch.theta[i].tobytes() == starts[i].tobytes()
+
+    @pytest.mark.parametrize("j", [1, 3, 8])
+    def test_target_outside_basis_range_is_boundary_from_any_start(self, j):
+        rng = np.random.default_rng(j)
+        spec = default_basis(j)
+        starts = mixed_starts(rng, j, 12)
+        target = np.zeros(j)
+        target[-1] = 1.001 * basis_range(j)[-1]
+        res = expfam._solve_from(np.tile(target, (12, 1)), starts, spec, 100)
+        assert np.all(res.status == BOUNDARY) and np.all(res.iterations == 0)
+
+
 class TestPseudoOutcomes:
+    @pytest.mark.parametrize("k", [2, 3, 8, 40, 129])
+    def test_stack_rows_equal_each_row_alone(self, k):
+        # one (k, J) @ (J, J) product per row, whatever the other rows are
+        rng = np.random.default_rng(k)
+        spec = default_basis(8)
+        theta = np.array([random_theta(rng, 8, r) for r in (0.0, 1.0, 4.0, 9.0)])
+        phi = basis_matrix(spec, rng.random(4 * k)).reshape(4, k, 8)
+        stack = expfam.row_pseudo_outcomes(theta, phi, spec)
+        for i in range(4):
+            alone = expfam.row_pseudo_outcomes(theta[i:i + 1], phi[i:i + 1], spec)
+            assert stack[i].tobytes() == alone[0].tobytes()
+        # and the row's members agree with the definition V^-1 (phi - mu)
+        for i in range(4):
+            rho = np.linalg.solve(covariance(theta[i], spec),
+                                  (phi[i] - moments(theta[i], spec).mu).T).T
+            np.testing.assert_allclose(stack[i], rho, rtol=1e-9, atol=1e-9)
+
     def test_zero_theta_returns_basis_values(self):
         spec = default_basis(3)
         sol = solve_theta(np.zeros(3), spec)
