@@ -402,16 +402,17 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     score = np.full(n_left.shape, -np.inf)
     score[row, grid] = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
 
+    row_best = score.argmax(axis=1)
+    row_score = score[np.arange(row_best.size), row_best]
+    best = np.maximum.reduceat(row_score, np.searchsorted(row_node, np.arange(counts.size)))
     # scores are >= 0, so best * (1 - tol) is best - tol |best|; it is -inf, not
-    # NaN, at a node where nothing is feasible, whose every candidate is then near
-    best = np.maximum.reduceat(score.max(axis=1),
-                               np.searchsorted(row_node, np.arange(counts.size)))
-    near = score >= (best * (1.0 - _TIE_RTOL))[row_node, None]
-    row_first = near.argmax(axis=1)
-    hits = np.flatnonzero(near.any(axis=1))
+    # NaN, at a node where nothing is feasible, whose first candidate is then taken
+    cutoff = best * (1.0 - _TIE_RTOL)
+    hits = np.flatnonzero(row_score >= cutoff[row_node])
     chosen = hits[np.unique(row_node[hits], return_index=True)[1]]
+    first = (score[chosen] >= cutoff[:, None]).argmax(axis=1)
     dim = np.where(best > -np.inf, row_dim[chosen], -1)
-    return dim, thresholds[chosen, row_first[chosen]]
+    return dim, thresholds[chosen, first]
 
 
 def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
