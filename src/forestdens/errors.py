@@ -40,7 +40,7 @@ class NoCleanTrees(EstimationError):
 
 
 class MissingPlan(EstimationError):
-    """A standard error was requested from a fit built without a subsample plan."""
+    """A standard error was requested from a fit built without ``se_params``."""
 
 
 class ZeroDenominator(EstimationError):

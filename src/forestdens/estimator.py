@@ -19,7 +19,7 @@ from . import expfam, forest
 # basis_matrix stays a module attribute here: the traced benchmark wraps it
 from .basis import BasisSpec, basis_matrix, default_basis  # noqa: F401
 from .errors import AllWeightsZero, MissingPlan
-from .forest import Dataset, ForestConfig, SESubsamplePlan, WeightVector
+from .forest import Dataset, ForestConfig, WeightVector
 
 __all__ = ["FittedConditionalDensity", "fit", "pdf", "std_error",
            "confidence_interval", "resolve_se_params"]
@@ -29,8 +29,9 @@ __all__ = ["FittedConditionalDensity", "fit", "pdf", "std_error",
 class FittedConditionalDensity:
     """Everything needed to evaluate the estimate at one query point.
 
-    ``per_tree_h`` holds each tree's holdout basis mean so that standard
-    errors reuse the trees grown for the point estimate.  Instances are
+    ``per_tree_h`` holds each tree's holdout basis mean and ``tree_subsamples``
+    its index set (None without ``se_params``), so that standard errors reuse
+    the trees grown for the point estimate.  Instances are
     immutable; evaluation methods are safe for concurrent reads.  The first
     :func:`std_error` builds the two ``(J, J)`` infinitesimal-jackknife
     matrices of :func:`~forestdens.forest.infinitesimal_jackknife`, later
@@ -41,29 +42,31 @@ class FittedConditionalDensity:
     mu_hat: expfam.MomentVector
     theta_hat: expfam.ThetaSolution
     per_tree_h: np.ndarray
-    plan: SESubsamplePlan | None
+    tree_subsamples: tuple[np.ndarray, ...] | None
     config: ForestConfig
     basis: BasisSpec
     weights: WeightVector
 
     @cached_property
     def _ij_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        return forest.infinitesimal_jackknife(self.plan.tree_subsamples, self.per_tree_h,
+        return forest.infinitesimal_jackknife(self.tree_subsamples, self.per_tree_h,
                                               self.weights.weights.size)
 
 
 def resolve_se_params(se_params, cfg: ForestConfig, n: int):
     """Normalize the SE request: None, "auto", or an (n_sigma, d_sigma) pair.
 
-    The automatic choice uses a quarter of the trees as delete-groups and
-    deletes a twentieth of the sample per group.
+    "auto" names a quarter of the trees as delete-groups of a twentieth of
+    the sample each; no fit draws them, the command line records them.
     """
     if se_params is None:
         return None
     if se_params == "auto":
         return max(1, cfg.n_trees // 4), max(1, n // 20)
-    n_sigma, d_sigma = se_params
-    return int(n_sigma), int(d_sigma)
+    n_sigma, d_sigma = (int(v) for v in se_params)
+    if n_sigma < 1 or d_sigma < 1:
+        raise ValueError("n_sigma and d_sigma must be positive")
+    return n_sigma, d_sigma
 
 
 def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
@@ -78,8 +81,9 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
         Query point; must lie inside ``cfg.initial_parent``.
     cfg : ForestConfig
     se_params : None, "auto", or (n_sigma, d_sigma)
-        When given, tree subsamples follow the paired delete-group plan,
-        which the fit keeps, so that ``std_error`` is available afterwards.
+        When given, the fit keeps its tree subsamples for ``std_error``.
+        The value only requests standard errors: the forest is the same
+        either way, and a pair draws no delete groups.
     rng : int or numpy Generator, optional
         Overrides ``cfg.seed`` as the source of randomness.
     workers : int
@@ -106,14 +110,15 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
                                         np.zeros((0, cfg.basis_order)),
                                         None, cfg, spec, w)
 
-    w, branches, phi, plan = forest.grow_forest(
-        x, data, cfg, spec, resolve_se_params(se_params, cfg, data.n), rng)
+    se_requested = resolve_se_params(se_params, cfg, data.n) is not None
+    w, branches, phi, subsamples = forest.grow_forest(x, data, cfg, spec, rng)
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")
     per_tree_h = forest.per_tree_means(branches, phi)
     mu = expfam.MomentVector(per_tree_h.mean(axis=0))
     theta = expfam.solve_theta(mu, spec)
-    return FittedConditionalDensity(x, mu, theta, per_tree_h, plan, cfg, spec, w)
+    return FittedConditionalDensity(x, mu, theta, per_tree_h,
+                                    subsamples if se_requested else None, cfg, spec, w)
 
 
 def pdf(fitted: FittedConditionalDensity, y):
@@ -131,11 +136,11 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
     positive by :func:`~forestdens.forest.debiased_variance` with the tree
     count as its noise count.  The result is finite and non-negative, and
     0 only when every tree's holdout mean maps to the same value at ``y``.
-    The paired delete-group formula stays available as
-    :func:`~forestdens.forest.sigma_fe`.
+    A fit without ``se_params`` raises :class:`~forestdens.errors.MissingPlan`;
+    the paired delete-group formula stays as :func:`~forestdens.forest.sigma_fe`.
     """
-    if fitted.plan is None:
-        raise MissingPlan("fit was built without se_params; no subsample plan stored")
+    if fitted.tree_subsamples is None:
+        raise MissingPlan("fit was built without se_params; no tree subsamples stored")
     t_row = expfam.t_functional(y, fitted.theta_hat, fitted.basis)
     raw, corr = fitted._ij_parts
     # both forms are positive semidefinite; the clip only absorbs roundoff

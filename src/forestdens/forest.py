@@ -9,11 +9,10 @@ normalized leaf co-membership indicator over trees, with the convention
 0/0 = 0 for trees whose leaf captures no holdout point.
 
 :func:`grow_forest` is the one growth pipeline.  The seed gives a master
-stream, which draws the subsamples (or the jackknife's delete-group plan),
-and one stream per tree, which draws the tree's half split and then, node by
-node, its eligible dimensions.  All branches grow together, one level at a
-time, and a level is processed as arrays: the nodes' target moments, one
-batched Newton solve (the iteration of
+stream, which draws the subsamples, and one stream per tree, which draws
+the tree's half split and then, node by node, its eligible dimensions.  All
+branches grow together, one level at a time, and a level is processed as
+arrays: the nodes' target moments, one batched Newton solve (the iteration of
 :func:`~forestdens.expfam.solve_theta_batch`, each child node started from
 its parent's solved coefficients), the pseudo-outcomes
 (:func:`~forestdens.expfam.row_pseudo_outcomes`), and the threshold scores
@@ -64,8 +63,6 @@ __all__ = [
     "weights",
     "mu_hat",
     "se_subsample_plan",
-    "jackknife_deviations",
-    "se_from_deviations",
     "sigma_fe",
     "infinitesimal_jackknife",
     "debiased_variance",
@@ -273,7 +270,8 @@ class SESubsamplePlan:
     For each delete-group ``l``, trees ``2l`` and ``2l + 1`` (0-based) are
     drawn from the complement of the group, guaranteeing at least two clean
     trees per group; the remaining trees are drawn from the full index set.
-    Indices are non-negative; :func:`_overlaps` checks the pairing.
+    Indices are non-negative; :func:`_overlaps` checks the pairing.  Only
+    :func:`sigma_fe` reads a plan; no fit draws one.
     """
 
     delete_groups: tuple[np.ndarray, ...]
@@ -661,21 +659,15 @@ def per_tree_means(branches, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec,
-                se_params=None, rng=None):
+def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec, rng=None):
     """Draw the subsamples and grow every tree's branch containing ``x``.
 
-    The seed is ``rng`` or ``cfg.seed``; ``se_params = (n_sigma, d_sigma)``
-    draws the paired delete-group plan instead of plain subsamples.  Returns
-    ``(weights, branches, phi, plan)``, with ``phi`` the basis values of the
-    outcomes and ``plan`` None without ``se_params``.
+    The seed is ``rng`` or ``cfg.seed``.  Returns ``(weights, branches, phi,
+    subsamples)``, with ``phi`` the basis values of the outcomes and
+    ``subsamples`` the trees' index sets, in tree order.
     """
     master, tree_rngs = _tree_streams(_effective_seed(cfg, rng), cfg.n_trees)
-    if se_params is None:
-        plan, subsamples = None, draw_subsamples(data.n, cfg, master)
-    else:
-        plan = se_subsample_plan(data.n, cfg, *se_params, master)
-        subsamples = plan.tree_subsamples
+    subsamples = draw_subsamples(data.n, cfg, master)
     phi = basis_matrix(spec, data.y)
     holdouts, decidings = [], []
     for idx, tree_rng in zip(subsamples, tree_rngs):
@@ -688,7 +680,7 @@ def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec,
         h = br.holdout_members
         if h.size:
             w[h] += 1.0 / (cfg.n_trees * h.size)
-    return WeightVector(w), branches, phi, plan
+    return WeightVector(w), branches, phi, tuple(subsamples)
 
 
 def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
@@ -760,47 +752,27 @@ def _overlaps(groups, trees, n: int) -> np.ndarray:
     return np.unpackbits(hit, axis=1, count=len(trees)).astype(bool)
 
 
-def _clean_tree_mask(plan: SESubsamplePlan, n: int) -> np.ndarray:
-    """Mask of shape (n_sigma, n_trees): tree disjoint from delete group."""
-    return ~_overlaps(plan.delete_groups, plan.tree_subsamples, n)
+def sigma_fe(plan: SESubsamplePlan, per_tree_h: np.ndarray, t_row: np.ndarray,
+             n: int, d_sigma: int, n_sigma: int) -> float:
+    """Feasible jackknife standard error from the paired subsample plan.
 
+    For each delete-group the leave-group-out moment estimate ``mu_minus_l``
+    averages the per-tree holdout means over trees disjoint from the group
+    (:class:`~forestdens.errors.NoCleanTrees` if there is none); the
+    returned value is
 
-def jackknife_deviations(plan: SESubsamplePlan, per_tree_h: np.ndarray, n: int) -> np.ndarray:
-    """Centered leave-group-out moment estimates, shape ``(n_sigma, J)``.
-
-    Row ``l`` is the mean of ``per_tree_h`` over the trees disjoint from
-    delete-group ``l``, minus the mean over groups; every ``t_row`` shares it.
+        sqrt( (n - d_sigma) / (d_sigma * n_sigma)
+              * sum_l [ t_row . (mu_minus_l - mean_l mu_minus_l) ]^2 ).
     """
     per_tree_h = np.atleast_2d(np.asarray(per_tree_h, dtype=float))
-    clean = _clean_tree_mask(plan, n)
+    clean = ~_overlaps(plan.delete_groups, plan.tree_subsamples, n)
     counts = clean.sum(axis=1)
     if np.any(counts == 0):
         bad = int(np.flatnonzero(counts == 0)[0])
         raise NoCleanTrees(f"delete group {bad} has no disjoint tree subsample")
     mu_minus = (clean @ per_tree_h) / counts[:, None]
-    return mu_minus - mu_minus.mean(axis=0)
-
-
-def se_from_deviations(deviations: np.ndarray, t_row: np.ndarray, n: int,
-                       d_sigma: int, n_sigma: int) -> float:
-    """The :func:`sigma_fe` standard error from :func:`jackknife_deviations` output."""
-    dev = np.asarray(t_row, dtype=float) @ deviations.T
+    dev = np.asarray(t_row, dtype=float) @ (mu_minus - mu_minus.mean(axis=0)).T
     return float(np.sqrt((n - d_sigma) / (d_sigma * n_sigma) * (dev @ dev)))
-
-
-def sigma_fe(plan: SESubsamplePlan, per_tree_h: np.ndarray, t_row: np.ndarray,
-             n: int, d_sigma: int, n_sigma: int) -> float:
-    """Feasible jackknife standard error from the paired subsample plan.
-
-    For each delete-group the leave-group-out moment estimate averages the
-    per-tree holdout means over trees disjoint from the group; the returned
-    value is
-
-        sqrt( (n - d_sigma) / (d_sigma * n_sigma)
-              * sum_l [ t_row . (mu_minus_l - mean_l mu_minus_l) ]^2 ).
-    """
-    return se_from_deviations(jackknife_deviations(plan, per_tree_h, n), t_row,
-                              n, d_sigma, n_sigma)
 
 
 def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,

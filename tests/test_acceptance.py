@@ -1,7 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL line.
 
 Criteria 7 and 8 share a single benchmark run (100 replications of design
-D1 at n = 1000 with the jackknife subsample plan) cached at session scope;
+D1 at n = 1000 with standard errors) cached at session scope;
 its seed is frozen so the whole suite is reproducible bit-for-bit.
 """
 
@@ -289,7 +289,7 @@ BENCH_SEED = 20260810
 
 @pytest.fixture(scope="session")
 def d1_benchmark():
-    """Shared 100-replication D1 run with the jackknife subsample plan."""
+    """Shared 100-replication D1 run with standard errors."""
     cfg = ForestConfig(subsample_size=200, n_trees=2240, basis_order=8,
                        min_child=10, min_fraction=0.05, scheme="theta",
                        initial_parent=[[0.0] * 4, [1.0] * 4], seed=BENCH_SEED)
@@ -333,12 +333,6 @@ def test_criterion_8_coverage_and_se(d1_benchmark):
            f"coverage(0.25) {rep.coverage[i25]:.2f} (>=0.90); "
            f"avg se(0.50) {rep.avg_se[i50]:.3f} in [0.05,0.20]")
     assert coverage_ok
-    # Known red: the contracted jackknife formula averages each delete-group's
-    # leave-group-out moments over the (two) clean trees the plan guarantees,
-    # so per-tree Monte Carlo noise of order Var(holdout mean)/2 enters the
-    # squared deviations and is inflated by (n - D)/D.  At these parameters
-    # that floor is ~1.8, an order of magnitude above the target band; see
-    # the decisions ledger for the full analysis.
     assert se_ok
 
 

@@ -26,7 +26,6 @@ OPTIONS = [
     "forest.best_split.spec",
     "forest.grow_branch.index",
     "forest.grow_from_halves.index",
-    "forest.grow_forest.se_params",
     "forest.grow_forest.rng",
     "forest.weights.rng",
     "forest.weights.workers",

@@ -176,6 +176,7 @@ class TestWrongTypedConfig:
         {"y_grid": {"start": 0.1, "stop": 0.9, "num": 9.7}},
         {"y_grid": {"start": 0.1, "stop": 0.9, "num": True}},
         {"se": {"n_sigma": 8.5, "d_sigma": 9}},
+        {"se": {"n_sigma": 0, "d_sigma": 9}},
         {"se": None, "ci_level": 1.5},
         {"ci_level": 0.0},
         {"ci_level": float("nan")},
@@ -265,7 +266,7 @@ class TestGoldenBytes:
         assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
         assert main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "mc")]) == 0
         assert sha256((tmp_path / "fit" / "fit.csv").read_bytes()).hexdigest() == (
-            "4fe6848397c5e07f8c3770f78ece0dd69b9362b5868b8bbfda29751030a07974")
+            "67b993e35e837b2256793c291889f7ef80ff9d7ecb7c2379d46ff98c0cadaa19")
         assert sha256((tmp_path / "mc" / "mc_report.csv").read_bytes()).hexdigest() == (
             "8fdafcb470d5620d6a7ae044facefed6910725b143a7d5499a454fd11f76f162")
 

@@ -203,15 +203,34 @@ class TestStdError:
         se = np.array([std_error(fitted, float(y)) for y in np.linspace(0.05, 0.95, 19)])
         assert np.all(np.isfinite(se)) and np.all(se > 0.0)
 
-    def test_auto_se_params(self):
+    def test_se_params_only_requests_se(self, monkeypatch):
+        # the forest is the same with and without a standard-error request,
+        # and no fit draws the paired delete-group plan
+        def no_plan(*args, **kwargs):
+            raise AssertionError("the fit drew a delete-group plan")
+        monkeypatch.setattr(forest, "se_subsample_plan", no_plan)
         rng = np.random.default_rng(9)
         data = small_dataset(rng, n=100)
         cfg = small_config(subsample_size=20, n_trees=21, seed=31)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params="auto")
-        assert fitted.plan is not None
-        assert fitted.plan.n_sigma == 21 // 4
-        assert fitted.plan.d_sigma == 100 // 20
-        assert std_error(fitted, 0.5) >= 0.0
+        plain, auto, pair = (fit(data, np.array([0.5, 0.5]), cfg, se_params=p)
+                             for p in (None, "auto", (3, 4)))
+        for fitted in (auto, pair):
+            assert fitted.weights.weights.tobytes() == plain.weights.weights.tobytes()
+            assert fitted.per_tree_h.tobytes() == plain.per_tree_h.tobytes()
+            assert fitted.theta_hat.theta.tobytes() == plain.theta_hat.theta.tobytes()
+            assert [t.size for t in fitted.tree_subsamples] == [20] * 21
+            assert std_error(fitted, 0.5) >= 0.0
+        assert plain.tree_subsamples is None
+
+    @pytest.mark.parametrize("n, s", [(41, 40), (100, 96)])
+    def test_auto_se_params_when_few_observations_stay_out(self, n, s):
+        # n - s <= n // 20: "auto" names delete groups larger than what a tree leaves out
+        rng = np.random.default_rng(14)
+        data = small_dataset(rng, n=n)
+        fitted = fit(data, np.array([0.5, 0.5]), small_config(subsample_size=s),
+                     se_params="auto")
+        se = std_error(fitted, 0.5)
+        assert np.isfinite(se) and se >= 0.0
 
 
 class TestConfidenceInterval:
@@ -265,7 +284,9 @@ class TestPointEstimateRegression:
     criterion-9 configuration was re-recorded when near-tied split scores
     started to break toward the smallest (dimension, threshold): one of its
     splits had been decided by roundoff between two candidates that give the
-    same partition."""
+    same partition.  Both cases were re-recorded when ``se_params`` stopped
+    drawing the paired delete-group plan: a fit that requests standard errors
+    now grows the forest of the same fit without them."""
 
     grid = np.linspace(0.05, 0.95, 19)  # the fit command's default y_grid
 
@@ -283,15 +304,15 @@ class TestPointEstimateRegression:
                  min_child=4), 41, data)
         self.check(
             fit(data, np.full(4, 0.5), cfg, se_params=(8, 9)),
-            "afd17129b755908ced5a7d9a39c64946c89b7ed069fd12d80f3fb7a824ae9527",
-            "4bd56e4e7cffeb04c69aa1d62c400f2419a3641fff4bb2dbe4424b751ef9622a",
-            [0.4093525909532739, 0.46330810310810877, 0.5774168995007947,
-             0.6028197786378424, 0.5242540504939572, 0.4094087487570116,
-             0.3164109249811319, 0.27745189007224996, 0.2685786137167895,
-             0.26606087904194803, 0.2646027480024668, 0.2700864080242322,
-             0.3032844631810545, 0.38853944411712693, 0.5106461559624479,
-             0.5971629515385894, 0.569830146330305, 0.5139178116054383,
-             0.6443008907994446])
+            "ea1dddef662425b59ac8c019d42f15db79c780ab6609750d64d476b19b65f660",
+            "3d7429588abbacdad09aea44ae241c111d65ed218e3a7296f8ca2ffe22c7fa50",
+            [0.49817854203935785, 0.49863550678510626, 0.47727790182003177,
+             0.4381668653575321, 0.3788527450578099, 0.33469273288327034,
+             0.3275270186777993, 0.3433009631779777, 0.36566994020468,
+             0.37832895730107186, 0.37989067718340536, 0.3809904614840441,
+             0.3995942429443987, 0.4389374585093443, 0.4739182697186654,
+             0.47003492035594163, 0.39416427554795663, 0.30958861853388814,
+             0.426109563864761])
 
     def test_theta_scheme_with_se_plan(self):
         rng = np.random.default_rng(2026)
@@ -302,12 +323,12 @@ class TestPointEstimateRegression:
                            scheme="theta", seed=19)
         self.check(
             fit(data, np.array([0.5, 0.4, 0.6]), cfg, se_params=(10, 12)),
-            "1954f7ba242a16d9bcc664c9da8b12dc501b88eb49fb8312ceef8e874bb22546",
-            "08c9fc3f31bc83e810f3a5a923ab7a7cbe55f06a0ee4286a84114c5556972385",
-            [0.4515031694093287, 0.4443946880339893, 0.49737235909575866,
-             0.45806326385593, 0.3919966628325136, 0.3378067588338558,
-             0.35061607434553055, 0.5247981592389392, 0.7732648233688734,
-             0.9082633086130756, 0.8249088321829368, 0.6040012755891482,
-             0.5212185218027926, 0.6334806511150309, 0.7578697216226441,
-             0.8352814896681784, 0.8450837062826767, 0.6191041042282457,
-             0.2572686791526605])
+            "28128ac56bcd8b348ff35fe7f34277a852d613404b4ef249669990f38d54320e",
+            "e3afcc52675c75e60917828ff58e3f952b9458b0b0fb678e457b640503f51c45",
+            [0.4511033302621013, 0.6340997362186888, 0.6694433318151104,
+             0.47443192112758337, 0.35055743841892195, 0.330163169010517,
+             0.36871630333135047, 0.40928602017248233, 0.4090350683486639,
+             0.3516901351837762, 0.32953671896018544, 0.49056944952263265,
+             0.6598890939498038, 0.6873930250995346, 0.605547971680652,
+             0.5439813750465337, 0.38690715970696316, 0.2490093038802991,
+             0.1540876029609822])

@@ -663,10 +663,8 @@ class TestCleanTreeMask:
         trees = data.draw(st.lists(st.lists(index, max_size=6),
                                    min_size=8 * blocks + extra, max_size=8 * blocks + extra))
 
-        class Plan:
-            delete_groups = tuple(np.array(g, dtype=np.intp) for g in groups)
-            tree_subsamples = tuple(np.array(t, dtype=np.intp) for t in trees)
-        clean = forest_mod._clean_tree_mask(Plan(), n)
+        clean = ~forest_mod._overlaps([np.array(g, dtype=np.intp) for g in groups],
+                                      [np.array(t, dtype=np.intp) for t in trees], n)
         assert clean.shape == (len(groups), len(trees)) and clean.dtype == bool
         for l, g in enumerate(groups):
             for t, tree in enumerate(trees):
@@ -692,7 +690,7 @@ class TestSigmaFe:
     def test_two_group_hand_case(self):
         n, d_sigma, s = 40, 2, 5
         plan = self._plan(n_sigma=2, n=n, d_sigma=d_sigma, n_trees=20, s=s, seed=4)
-        clean = forest_mod._clean_tree_mask(plan, n)
+        clean = ~forest_mod._overlaps(plan.delete_groups, plan.tree_subsamples, n)
         h = np.random.default_rng(24).standard_normal((20, 1))
         a = h[clean[0], 0].mean()
         b = h[clean[1], 0].mean()
@@ -743,7 +741,7 @@ class TestSigmaFe:
 
 def hand_ij_se(fitted, y, n, s):
     """The debiased infinitesimal-jackknife SE by loops over observations and trees."""
-    trees = fitted.plan.tree_subsamples
+    trees = fitted.tree_subsamples
     b = len(trees)
     t_row = expfam.t_functional(y, fitted.theta_hat, fitted.basis)
     est = [float(h @ t_row) for h in fitted.per_tree_h]
