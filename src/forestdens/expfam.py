@@ -248,7 +248,9 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     candidate has the bits it has when the step is halved once per
     evaluation, and a row's result is bit-identical to solving it alone.
     Failures do not raise: they are reported per row in
-    :attr:`NewtonBatch.status`.
+    :attr:`NewtonBatch.status`.  A row whose covariance is singular (the
+    family has collapsed onto one quadrature node) takes no step and stops
+    as :data:`NO_CONVERGENCE`.
 
     Forest growth starts each child node's iteration from its parent's
     solved coefficients instead, through the private :func:`_solve_from`.
@@ -284,6 +286,27 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     return out
 
 
+def _newton_steps(cov: np.ndarray, resid: np.ndarray):
+    """Newton steps ``V^-1 r`` for each row, and the rows whose ``V`` is singular.
+
+    A family that has collapsed onto one quadrature node has a covariance
+    that is zero up to roundoff, which LAPACK can find exactly singular.
+    Such a row gets a zero step and ``True`` in the returned mask; the
+    other rows' steps are those of the stacked solve, solved one at a time.
+    """
+    singular = np.zeros(len(cov), dtype=bool)
+    try:
+        return np.linalg.solve(cov, resid[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(resid)
+        for i in range(len(cov)):
+            try:
+                step[i] = np.linalg.solve(cov[i:i + 1], resid[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
+
+
 def _newton_rows(targets, start, rows, spec, outer, max_iter, chunk, out: NewtonBatch) -> None:
     """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``."""
     target = targets[rows]
@@ -307,8 +330,13 @@ def _newton_rows(targets, start, rows, spec, outer, max_iter, chunk, out: Newton
             a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual))
         if rows.size == 0:
             return
-        cov = _row_covariances(dens, mu, spec, outer)
-        step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
+        step, singular = _newton_steps(_row_covariances(dens, mu, spec, outer), resid)
+        if singular.any():
+            keep = finish(singular, NO_CONVERGENCE, it)
+            rows, target, theta, dens, mu, resid, rnorm, dual, step = (
+                a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual, step))
+            if rows.size == 0:
+                return
         armijo = _ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]  # -c grad L . step
         pending = np.arange(rows.size)
         new = [a.copy() for a in (theta, dens, mu, resid, rnorm, dual)]
@@ -375,7 +403,8 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
         outside the boundary of the attainable moment space).
     NonConvergence
         If the residual is still above ``NEWTON_TOL`` after ``max_iter``
-        iterations, or no length passes the line search.
+        iterations, or the iteration stalls: no length passes the line
+        search, or the covariance at the iterate is singular.
     """
     mu_target = _as_moment_array(mu_target)
     res = solve_theta_batch(mu_target[None, :], spec, max_iter)
@@ -395,7 +424,7 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
             target=mu_target,
         )
     if iters < max_iter:
-        message = f"line search stalled at residual {rnorm:.3e}"
+        message = f"Newton iteration stalled at residual {rnorm:.3e}"
     else:
         message = f"residual {rnorm:.3e} above tol {NEWTON_TOL:.1e} after {max_iter} iterations"
     raise NonConvergence(message, solution=ThetaSolution(theta, rnorm, iters, False))

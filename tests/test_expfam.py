@@ -248,7 +248,8 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
     The plain loop the blocked line search must reproduce, on the same
     family kernels: a length is accepted when it lowers the dual
     L = log Z - theta . target by the Armijo amount or lowers the residual
-    sup-norm.  The iteration starts from ``start`` (zero by default).
+    sup-norm.  The iteration starts from ``start`` (zero by default); a
+    singular covariance ends it as NO_CONVERGENCE without a step.
     Returns ``(theta, residual, iterations, status, halvings)`` with
     ``halvings`` the most halvings any accepted step needed.  When
     ``accepted`` is a list, each accepted step appends ``(theta, length, step)``.
@@ -271,7 +272,10 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
         if rnorm <= expfam.NEWTON_TOL:
             return theta[0], rnorm, it - 1, SOLVED, halvings
         cov = expfam._row_covariances(dens, mu, spec, outer)
-        step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
+        try:
+            step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # collapsed family: no step is taken
+            return theta[0], rnorm, it, NO_CONVERGENCE, halvings
         armijo = expfam._ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]
         lam = 1.0
         for tries in range(31):
@@ -422,6 +426,26 @@ class TestWarmStart:
         for i in (m, m + 1):
             assert batch.status[i] == SOLVED and batch.iterations[i] == 0
             assert batch.theta[i].tobytes() == starts[i].tobytes()
+
+    def test_start_collapsed_onto_a_node_stops_without_a_step(self):
+        # at this start the family sits on one quadrature node: its
+        # covariance is zero up to roundoff and LAPACK finds it singular
+        spec = default_basis(8)
+        collapsed = np.array([-34.25104516095402, -45.11528741850862, -45.295558477592614,
+                              45.635422988204745, -26.94538811548156, -41.60605340176012,
+                              -47.516226014044236, 49.5])
+        target = moments(random_theta(np.random.default_rng(0), 8, 1.0), spec).mu
+        targets = np.vstack([target, target])
+        starts = np.vstack([collapsed, np.zeros(8)])
+        batch = expfam._solve_from(targets, starts, spec, 100)
+        assert batch.status[0] == NO_CONVERGENCE and batch.iterations[0] == 1
+        assert batch.theta[0].tobytes() == collapsed.tobytes()
+        assert_row_is(batch, 0, *sequential_newton(target, spec, start=collapsed)[:4])
+        # the other row of the stack is solved as it is alone
+        alone = expfam._solve_from(target[None, :], np.zeros((1, 8)), spec, 100)
+        assert batch.status[1] == SOLVED
+        assert_row_is(batch, 1, alone.theta[0], alone.residual[0], alone.iterations[0],
+                      alone.status[0])
 
     @pytest.mark.parametrize("j", [1, 3, 8])
     def test_target_outside_basis_range_is_boundary_from_any_start(self, j):
