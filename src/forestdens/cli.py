@@ -173,15 +173,15 @@ def _write_provenance(out_dir: str, name: str, command: str, cfg: dict,
                       fcfg: ForestConfig, se_params, **extra) -> Path:
     """Create the output directory and write the provenance block as ``name`` in it.
 
-    The block holds the command, ``cfg`` with the resolved forest and SE
-    settings, the library versions and the ``extra`` entries.  Returns the directory.
+    The block holds the command, ``cfg`` with the resolved forest settings and
+    ``se``, whether SE columns were computed, the library versions and the
+    ``extra`` entries.  Returns the directory.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    se = None if se_params is None else {"n_sigma": se_params[0], "d_sigma": se_params[1]}
     payload = {
         "command": command,
-        "config": dict(cfg, forest=_resolved_forest_dict(fcfg), se=se),
+        "config": dict(cfg, forest=_resolved_forest_dict(fcfg), se=se_params is not None),
         "versions": {
             "forestdens": __version__,
             "numpy": np.__version__,
@@ -251,7 +251,7 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
         query_x = np.asarray(cfg["query_x"], dtype=float)
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"], data)
         grid = _y_grid(cfg["y_grid"])
-        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, data.n)
+        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]))
         level = _ci_level(cfg["ci_level"])
     if query_x.size != data.dim:
         raise UsageError(
@@ -289,7 +289,7 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     with _input_errors("mc"):
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"])
         n, reps = _count(cfg["n"], "n"), _count(cfg["reps"], "reps")
-        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]), fcfg, n)
+        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]))
         options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
                        workers=cfg["workers"],
                        mise_grid_points=_count(cfg["mise_grid_points"], "mise_grid_points"),

@@ -29,9 +29,10 @@ __all__ = ["FittedConditionalDensity", "fit", "pdf", "std_error",
 class FittedConditionalDensity:
     """Everything needed to evaluate the estimate at one query point.
 
-    ``per_tree_h`` holds each tree's holdout basis mean and ``tree_subsamples``
-    its index set (None without ``se_params``), so that standard errors reuse
-    the trees grown for the point estimate.  Instances are
+    ``per_tree_h`` holds each tree's holdout basis mean, and
+    ``tree_subsamples`` (None without ``se_params``) is the read-only
+    ``(n_trees, subsample_size)`` table of the trees' index sets, so that
+    standard errors reuse the trees grown for the point estimate.  Instances are
     immutable; evaluation methods are safe for concurrent reads.  The first
     :func:`std_error` builds the two ``(J, J)`` infinitesimal-jackknife
     matrices of :func:`~forestdens.forest.infinitesimal_jackknife`, later
@@ -42,7 +43,7 @@ class FittedConditionalDensity:
     mu_hat: expfam.MomentVector
     theta_hat: expfam.ThetaSolution
     per_tree_h: np.ndarray
-    tree_subsamples: tuple[np.ndarray, ...] | None
+    tree_subsamples: np.ndarray | None
     config: ForestConfig
     basis: BasisSpec
     weights: WeightVector
@@ -53,16 +54,14 @@ class FittedConditionalDensity:
                                               self.weights.weights.size)
 
 
-def resolve_se_params(se_params, cfg: ForestConfig, n: int):
-    """Normalize the SE request: None, "auto", or an (n_sigma, d_sigma) pair.
+def resolve_se_params(se_params):
+    """Check the SE request: None, "auto", or an (n_sigma, d_sigma) pair.
 
-    "auto" names a quarter of the trees as delete-groups of a twentieth of
-    the sample each; no fit draws them, the command line records them.
+    A pair comes back as positive ints; any request but None only makes the
+    fit keep its subsamples, and no fit draws from a pair.
     """
-    if se_params is None:
-        return None
-    if se_params == "auto":
-        return max(1, cfg.n_trees // 4), max(1, n // 20)
+    if se_params is None or se_params == "auto":
+        return se_params
     n_sigma, d_sigma = (int(v) for v in se_params)
     if n_sigma < 1 or d_sigma < 1:
         raise ValueError("n_sigma and d_sigma must be positive")
@@ -110,11 +109,10 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
                                         np.zeros((0, cfg.basis_order)),
                                         None, cfg, spec, w)
 
-    se_requested = resolve_se_params(se_params, cfg, data.n) is not None
-    w, branches, phi, subsamples = forest.grow_forest(x, data, cfg, spec, rng)
+    se_requested = resolve_se_params(se_params) is not None
+    w, per_tree_h, subsamples = forest.grow_forest(x, data, cfg, spec, rng)
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")
-    per_tree_h = forest.per_tree_means(branches, phi)
     mu = expfam.MomentVector(per_tree_h.mean(axis=0))
     theta = expfam.solve_theta(mu, spec)
     return FittedConditionalDensity(x, mu, theta, per_tree_h,

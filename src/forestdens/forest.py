@@ -19,6 +19,9 @@ its parent's solved coefficients), the pseudo-outcomes
 from padded, per-node sorted cumulative sums.  No node's computation
 depends on the batch it is in, so growing one tree alone
 (:func:`grow_branch`) gives the same branch as growing it in a forest.
+A fit's trees stay arrays, one row per tree, from the subsample draw to the
+standard error; only the one-tree functions build :class:`BranchResult`,
+:class:`Box` and :class:`SplitRecord` objects.
 Each batched temporary is capped by :data:`forestdens.expfam.BATCH_ELEMENTS`:
 a level's split search runs in slices of nodes sized by their largest
 temporary, and its Newton solve, up to 4096 nodes at J = 8, in one pass.
@@ -302,12 +305,14 @@ class SESubsamplePlan:
         return self.delete_groups[0].size if self.delete_groups else 0
 
 
-def draw_subsamples(n: int, cfg: ForestConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """Draw ``cfg.n_trees`` sorted index sets of size ``cfg.subsample_size``."""
+def draw_subsamples(n: int, cfg: ForestConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``cfg.n_trees`` sorted index sets of size ``cfg.subsample_size``, as table rows."""
     if cfg.subsample_size >= n:
         raise ValueError("subsample_size must be smaller than the sample size")
-    return [np.sort(rng.choice(n, size=cfg.subsample_size, replace=False))
-            for _ in range(cfg.n_trees)]
+    out = np.empty((cfg.n_trees, cfg.subsample_size), dtype=np.intp)
+    for row in out:
+        row[:] = np.sort(rng.choice(n, size=cfg.subsample_size, replace=False))
+    return out
 
 
 def split_half(index_set, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -469,14 +474,6 @@ def _with_sentinel(x: np.ndarray, phi: np.ndarray):
             np.vstack([phi, np.zeros((1, phi.shape[1]))]))
 
 
-def _padded(rows, fill: int) -> np.ndarray:
-    """Stack index arrays of unequal length as rows, padded with ``fill``."""
-    out = np.full((len(rows), max((r.size for r in rows), default=0)), fill, dtype=np.intp)
-    for k, r in enumerate(rows):
-        out[k, :r.size] = r
-    return out
-
-
 def _compact(members: np.ndarray, keep: np.ndarray, fill: int):
     """Move each row's kept members to the front, in order, and re-pad."""
     counts = keep.sum(axis=1)
@@ -497,17 +494,21 @@ def _inside(x_ext, members, lower, upper, lower_open) -> np.ndarray:
 
 
 def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
-                   cfg: ForestConfig, spec: BasisSpec) -> list[BranchResult]:
+                   cfg: ForestConfig, spec: BasisSpec):
     """Grow the branch containing ``x`` in every tree, one level at a time.
 
-    ``holdouts`` / ``decidings`` hold each tree's half positions into
-    ``x_pts`` / ``phi``.  Each level draws every active node's eligible
-    dimensions from its tree's stream, then splits all nodes together
-    (:func:`_split_level`); a tree stops when fewer than ``2 * min_child``
-    deciding members remain in its node or no split is feasible.  Each tree
-    carries its node's solved coefficients to the next level, where the
-    child's Newton solve starts from them; the root, and the child of a
-    node whose solve failed, start from zero.
+    ``holdouts`` / ``decidings`` are ``(n_trees, .)`` tables of each tree's
+    half positions into ``x_pts`` / ``phi``.  Each level draws every active
+    node's eligible dimensions from its tree's stream, then splits all nodes
+    together (:func:`_split_level`); a tree stops when fewer than
+    ``2 * min_child`` deciding members remain in its node or no split is
+    feasible.  Each tree carries its node's solved coefficients to the next
+    level, where the child's Newton solve starts from them; the root, and
+    the child of a node whose solve failed, start from zero.
+
+    Returns ``(leaf, counts, lower, upper, lower_open, levels)``: tree ``t``'s
+    leaf holdout members ``leaf[t, :counts[t]]``, its leaf box in row ``t`` of
+    the bounds, and per level the split arrays (tree, dim, threshold, n_parent, n_left).
     """
     x = np.asarray(x, dtype=float)
     if not cfg.initial_parent.contains(x):
@@ -519,11 +520,10 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
     lower = np.tile(root.lower, (n_trees, 1))
     upper = np.tile(root.upper, (n_trees, 1))
     lower_open = np.tile(root.lower_open, (n_trees, 1))
-    records: list[list[SplitRecord]] = [[] for _ in range(n_trees)]
+    levels = []
     theta = np.zeros((n_trees, spec.order))  # each tree's last solved node, 0 if none
 
-    members = _padded(decidings, n)
-    members, counts = _compact(members, _inside(x_ext, members, lower, upper, lower_open), n)
+    members, counts = _compact(decidings, _inside(x_ext, decidings, lower, upper, lower_open), n)
     trees = np.arange(n_trees)
     while True:
         live = np.flatnonzero(counts >= 2 * cfg.min_child)
@@ -547,19 +547,14 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
         keep = np.where(go_left[:, None], coords <= thr[:, None], coords > thr[:, None])
         keep &= np.arange(members.shape[1]) < counts[:, None]
         n_keep = keep.sum(axis=1)
-        for t, dd, tt, m, k, gl in zip(trees.tolist(), dim.tolist(), thr.tolist(),
-                                       counts.tolist(), n_keep.tolist(), go_left.tolist()):
-            records[t].append(SplitRecord(dd, tt, m, k if gl else m - k, m - k if gl else k))
+        levels.append((trees, dim, thr, counts, np.where(go_left, n_keep, counts - n_keep)))
         upper[trees[go_left], dim[go_left]] = thr[go_left]
         lower[trees[~go_left], dim[~go_left]] = thr[~go_left]
         lower_open[trees[~go_left], dim[~go_left]] = True
         members, counts = _compact(members, keep, n)
 
-    held = _padded(holdouts, n)
-    in_leaf = _inside(x_ext, held, lower, upper, lower_open)
-    return [BranchResult(Box(lower[t], upper[t], lower_open[t]), held[t][in_leaf[t]],
-                         decidings[t], tuple(records[t]))
-            for t in range(n_trees)]
+    leaf, leaf_counts = _compact(holdouts, _inside(x_ext, holdouts, lower, upper, lower_open), n)
+    return leaf, leaf_counts, lower, upper, lower_open, levels
 
 
 def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
@@ -617,13 +612,15 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
     spec = default_basis(cfg.basis_order)
     x_sub = np.atleast_2d(np.asarray(x_sub, dtype=float))
     phi_sub = basis_matrix(spec, np.asarray(y_sub, dtype=float))
-    branch, = _grow_branches(x, x_sub, phi_sub, [np.asarray(holdout_pos, dtype=np.intp)],
-                             [np.asarray(deciding_pos, dtype=np.intp)], [rng], cfg, spec)
-    if index is None:
-        return branch
-    index = np.asarray(index, dtype=np.intp)
-    return BranchResult(branch.leaf_box, index[branch.holdout_members],
-                        index[branch.split_members], branch.splits)
+    deciding = np.asarray(deciding_pos, dtype=np.intp)
+    leaf, count, lower, upper, lower_open, levels = _grow_branches(
+        x, x_sub, phi_sub, np.asarray(holdout_pos, dtype=np.intp)[None], deciding[None],
+        [rng], cfg, spec)
+    splits = tuple(SplitRecord(d, t, m, k, m - k) for level in levels
+                   for _, d, t, m, k in zip(*(a.tolist() for a in level)))
+    index = np.arange(x_sub.shape[0]) if index is None else np.asarray(index, dtype=np.intp)
+    return BranchResult(Box(lower[0], upper[0], lower_open[0]), index[leaf[0, :count[0]]],
+                        index[deciding], splits)
 
 
 def grow_branch(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
@@ -650,37 +647,37 @@ def _effective_seed(cfg: ForestConfig, rng) -> int:
     return int(rng.integers(np.iinfo(np.int64).max))
 
 
-def per_tree_means(branches, phi: np.ndarray) -> np.ndarray:
-    """Per-tree holdout basis means; empty leaves contribute zero rows."""
-    out = np.zeros((len(branches), phi.shape[1]))
-    for t, br in enumerate(branches):
-        if br.holdout_members.size:
-            out[t] = phi[br.holdout_members].mean(axis=0)
-    return out
+def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Per-tree holdout basis means; empty leaves contribute zero rows.
+
+    Tree ``t``'s members are ``leaf[t, :counts[t]]``, row indices of ``phi``;
+    the rest of the row is padding.  Each mean is bit-identical to
+    ``phi[members].mean(axis=0)``.
+    """
+    rows = np.take(phi, leaf, axis=0, mode="clip")  # clips the padding, which is never summed
+    return _member_sums(rows, counts) / np.maximum(counts, 1)[:, None]
 
 
 def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec, rng=None):
     """Draw the subsamples and grow every tree's branch containing ``x``.
 
-    The seed is ``rng`` or ``cfg.seed``.  Returns ``(weights, branches, phi,
-    subsamples)``, with ``phi`` the basis values of the outcomes and
-    ``subsamples`` the trees' index sets, in tree order.
+    The seed is ``rng`` or ``cfg.seed``.  Returns ``(weights, per_tree_h,
+    subsamples)``: the similarity weights, each tree's holdout basis mean
+    (:func:`per_tree_means`) and the read-only ``(n_trees, subsample_size)``
+    subsample table of :func:`draw_subsamples`, in tree order.  Each weight
+    adds its trees' shares in tree order.
     """
     master, tree_rngs = _tree_streams(_effective_seed(cfg, rng), cfg.n_trees)
     subsamples = draw_subsamples(data.n, cfg, master)
+    subsamples.setflags(write=False)
+    halves = [split_half(idx, tree_rng) for idx, tree_rng in zip(subsamples, tree_rngs)]
+    holdouts, decidings = (np.stack(half) for half in zip(*halves))
     phi = basis_matrix(spec, data.y)
-    holdouts, decidings = [], []
-    for idx, tree_rng in zip(subsamples, tree_rngs):
-        holdout_pos, deciding_pos = split_half(np.arange(idx.size), tree_rng)
-        holdouts.append(idx[holdout_pos])
-        decidings.append(idx[deciding_pos])
-    branches = _grow_branches(x, data.x, phi, holdouts, decidings, tree_rngs, cfg, spec)
-    w = np.zeros(data.n)
-    for br in branches:
-        h = br.holdout_members
-        if h.size:
-            w[h] += 1.0 / (cfg.n_trees * h.size)
-    return WeightVector(w), branches, phi, tuple(subsamples)
+    leaf, counts, *_ = _grow_branches(x, data.x, phi, holdouts, decidings, tree_rngs, cfg, spec)
+    share = 1.0 / (cfg.n_trees * np.maximum(counts, 1))
+    w = np.bincount(leaf[np.arange(leaf.shape[1]) < counts[:, None]],
+                    weights=np.repeat(share, counts), minlength=data.n)
+    return WeightVector(w), per_tree_means(leaf, counts, phi), subsamples
 
 
 def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
@@ -779,9 +776,9 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
                             n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bias-corrected infinitesimal-jackknife parts, two ``(J, J)`` matrices.
 
-    With ``dev_t = h_t - mean_t h_t`` tree ``t``'s centred holdout mean, ``B``
-    trees and subsamples of one size ``s``, the covariance
-    of observation ``i``'s inclusion with the tree means is
+    With ``dev_t = h_t - mean_t h_t`` tree ``t``'s centred holdout mean and
+    ``tree_subsamples`` the ``(B, s)`` table of the trees' index sets, the
+    covariance of observation ``i``'s inclusion with the tree means is
     ``C_i = (1/B) sum_t 1{i in subsample t} dev_t`` (one ``bincount`` per
     basis column), and the returned ``(raw, corr)`` are
 
@@ -794,15 +791,17 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     :func:`debiased_variance`.
     """
     h = np.asarray(per_tree_h, dtype=float)
-    b = h.shape[0]
-    sizes = np.array([len(t) for t in tree_subsamples])
-    s = int(sizes[0])
+    members = np.array(tree_subsamples, dtype=np.intp)  # writable: bincount copies read-only input
+    b, s = h.shape[0], members.shape[1]
     # shifting by the first row first makes equal rows centre to exact zeros
     dev = h - h[0]
     dev -= dev.mean(axis=0)
-    members = np.concatenate(tree_subsamples)
-    c = np.column_stack([np.bincount(members, weights=np.repeat(dev[:, j], sizes),
-                                     minlength=n) for j in range(h.shape[1])]) / b
+    spread = np.empty(members.shape)  # one buffer: row t holds tree t's deviation
+    c = np.empty((n, h.shape[1]))
+    for j in range(h.shape[1]):
+        spread[:] = dev[:, j, None]
+        c[:, j] = np.bincount(members.ravel(), weights=spread.ravel(), minlength=n)
+    c /= b
     raw = (n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)
     corr = (n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b
     return raw, corr

@@ -288,7 +288,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     x_query = np.full(4, 0.5)
     truth_points = true_density(design, points, x_query)
     truth_grid = true_density(design, grid, x_query)
-    se_params = estimator.resolve_se_params(se_params, cfg, n)
+    se_params = estimator.resolve_se_params(se_params)
 
     if rep_seeds is None:
         master = np.random.SeedSequence(forest._effective_seed(cfg, rng))
@@ -339,16 +339,10 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     fp = f_points[ok]
     bias = fp.mean(axis=0) - truth_points
     sd = fp.std(axis=0, ddof=1)
-    if se_params is not None:
-        avg_se = se_all[ok].mean(axis=0)
-        coverage = hits[ok].mean(axis=0)
-    else:
-        avg_se = np.full(points.size, np.nan)
-        coverage = np.full(points.size, np.nan)
     return MCReport(
         design=design, n=n, reps=reps, completed=completed,
         design_points=points, truth=truth_points, bias=bias, sd=sd,
-        avg_se=avg_se, coverage=coverage,
+        avg_se=se_all[ok].mean(axis=0), coverage=hits[ok].mean(axis=0),
         mise=float(ise[ok].mean()), ci_level=ci_level,
         mise_interval=MISE_INTERVAL, mise_grid_points=mise_grid_points,
         runtime_seconds=time.perf_counter() - t0, failures=tuple(failures),

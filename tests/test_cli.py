@@ -156,6 +156,14 @@ class TestFitCommand:
         assert payload["config"]["seed"] == 7
         assert payload["config"]["forest"]["initial_parent"] is not None
 
+    @pytest.mark.parametrize("se, recorded", [
+        ("auto", True), ({"n_sigma": 8, "d_sigma": 9}, True), (None, False)])
+    def test_provenance_records_whether_se_was_computed(self, tmp_path, se, recorded):
+        cfg = fit_config(tmp_path, se=se)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "fit_provenance.json").read_text())
+        assert payload["config"]["se"] is recorded
+
 
 class TestWrongTypedConfig:
     """A config value of the wrong type or out of range is an input error, exit 1."""

@@ -222,6 +222,27 @@ class TestStdError:
             assert std_error(fitted, 0.5) >= 0.0
         assert plain.tree_subsamples is None
 
+    def test_tree_subsamples_is_a_read_only_table(self):
+        rng = np.random.default_rng(10)
+        data = small_dataset(rng, n=100)
+        cfg = small_config(subsample_size=20, n_trees=21, seed=32)
+        subsamples = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 4)).tree_subsamples
+        assert isinstance(subsamples, np.ndarray) and subsamples.shape == (21, 20)
+        with pytest.raises(ValueError):
+            subsamples[0, 0] = 0
+
+    def test_fit_builds_no_per_tree_objects(self, monkeypatch):
+        # a fit's trees stay arrays; only the one-tree API builds these objects
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fit built a per-tree object")
+        rng = np.random.default_rng(11)
+        data = small_dataset(rng, n=100)
+        cfg = small_config(subsample_size=40, n_trees=12, seed=33)
+        for name in ("BranchResult", "SplitRecord", "Box"):
+            monkeypatch.setattr(forest, name, forbidden)
+        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params="auto")
+        assert std_error(fitted, 0.5) >= 0.0
+
     @pytest.mark.parametrize("n, s", [(41, 40), (100, 96)])
     def test_auto_se_params_when_few_observations_stay_out(self, n, s):
         # n - s <= n // 20: "auto" names delete groups larger than what a tree leaves out

@@ -499,6 +499,32 @@ class TestGrowthRegression:
         np.testing.assert_array_equal(w, expected)
         assert max(depth) >= 5
 
+    def test_fit_equals_one_tree_loop_with_an_empty_leaf(self):
+        # the fit's array path gives the bits of a loop over the one-tree API
+        from forestdens import estimator
+        rng = np.random.default_rng(30)
+        data = random_dataset(rng, 120, 4)
+        cfg = ForestConfig(subsample_size=30, n_trees=40, basis_order=4,
+                           initial_parent=unit_box(4), min_child=2, scheme="theta", seed=3)
+        x_query = np.full(4, 0.5)
+        fitted = estimator.fit(data, x_query, cfg)
+
+        master, tree_rngs = forest_mod._tree_streams(cfg.seed, cfg.n_trees)
+        phi = basis_matrix(default_basis(cfg.basis_order), data.y)
+        w = np.zeros(data.n)
+        per_tree_h = np.zeros((cfg.n_trees, cfg.basis_order))
+        sizes = []
+        for t, idx in enumerate(draw_subsamples(data.n, cfg, master)):
+            h = grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_rngs[t],
+                            index=idx).holdout_members
+            sizes.append(h.size)
+            if h.size:
+                w[h] += 1.0 / (cfg.n_trees * h.size)
+                per_tree_h[t] = phi[h].mean(axis=0)
+        assert 0 in sizes
+        assert fitted.weights.weights.tobytes() == w.tobytes()
+        assert fitted.per_tree_h.tobytes() == per_tree_h.tobytes()
+
     def test_level_slices_do_not_change_weights(self, monkeypatch):
         rng = np.random.default_rng(28)
         data = random_dataset(rng, 150, 3)
@@ -816,11 +842,8 @@ class TestPerTreeMeans:
         y = rng.random(6)
         spec = default_basis(2)
         phi = basis_matrix(spec, y)
-
-        class Br:
-            def __init__(self, members):
-                self.holdout_members = np.asarray(members, dtype=np.intp)
-
-        rows = per_tree_means([Br([0, 1]), Br([])], phi)
-        np.testing.assert_allclose(rows[0], phi[[0, 1]].mean(axis=0))
+        leaf = np.array([[0, 1], [6, 6], [3, 6]])  # rows padded with the sample size
+        rows = per_tree_means(leaf, np.array([2, 0, 1]), phi)
+        assert rows[0].tobytes() == phi[[0, 1]].mean(axis=0).tobytes()
         np.testing.assert_array_equal(rows[1], 0.0)
+        assert rows[2].tobytes() == phi[3].tobytes()
