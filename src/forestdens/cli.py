@@ -165,8 +165,7 @@ def _build_forest_config(fcfg: dict, seed: int, data: Dataset = None) -> ForestC
 def _resolved_forest_dict(cfg: ForestConfig) -> dict:
     return dict({key: getattr(cfg, key) for key in _FOREST_DEFAULTS},
                 initial_parent=[cfg.initial_parent.lower.tolist(),
-                                cfg.initial_parent.upper.tolist()],
-                split_dim_law="poisson5")
+                                cfg.initial_parent.upper.tolist()])
 
 
 def _write_provenance(out_dir: str, name: str, command: str, cfg: dict,
@@ -210,13 +209,19 @@ def _input_errors(command: str, errors=(TypeError, ValueError, OverflowError)):
 
 
 def _se_arg(se):
-    if se is None or se == "auto":
-        return se
+    """The ``se_params`` of a config's ``se``; a recorded true/false reads as "auto"/None."""
+    if se is None or se is False:
+        return None
+    if se is True or se == "auto":
+        return "auto"
     if isinstance(se, dict):
         if set(se) != {"n_sigma", "d_sigma"}:
             raise UsageError(f"se keys must be n_sigma and d_sigma, not {sorted(se)}")
-        return _count(se["n_sigma"], "se.n_sigma"), _count(se["d_sigma"], "se.d_sigma")
-    raise UsageError("se must be null, \"auto\", or {n_sigma, d_sigma}")
+        pair = _count(se["n_sigma"], "se.n_sigma"), _count(se["d_sigma"], "se.d_sigma")
+        if min(pair) < 1:
+            raise UsageError(f"se.n_sigma and se.d_sigma must be at least 1, not {pair}")
+        return pair
+    raise UsageError("se must be null, \"auto\", a boolean, or {n_sigma, d_sigma}")
 
 
 def _ci_level(value) -> float:
@@ -251,7 +256,7 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
         query_x = np.asarray(cfg["query_x"], dtype=float)
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"], data)
         grid = _y_grid(cfg["y_grid"])
-        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]))
+        se_params = _se_arg(cfg["se"])
         level = _ci_level(cfg["ci_level"])
     if query_x.size != data.dim:
         raise UsageError(
@@ -289,7 +294,7 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     with _input_errors("mc"):
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"])
         n, reps = _count(cfg["n"], "n"), _count(cfg["reps"], "reps")
-        se_params = estimator.resolve_se_params(_se_arg(cfg["se"]))
+        se_params = _se_arg(cfg["se"])
         options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
                        workers=cfg["workers"],
                        mise_grid_points=_count(cfg["mise_grid_points"], "mise_grid_points"),

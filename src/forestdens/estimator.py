@@ -22,7 +22,7 @@ from .errors import AllWeightsZero, MissingPlan
 from .forest import Dataset, ForestConfig, WeightVector
 
 __all__ = ["FittedConditionalDensity", "fit", "pdf", "std_error",
-           "confidence_interval", "resolve_se_params"]
+           "confidence_interval"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,21 +54,7 @@ class FittedConditionalDensity:
                                               self.weights.weights.size)
 
 
-def resolve_se_params(se_params):
-    """Check the SE request: None, "auto", or an (n_sigma, d_sigma) pair.
-
-    A pair comes back as positive ints; any request but None only makes the
-    fit keep its subsamples, and no fit draws from a pair.
-    """
-    if se_params is None or se_params == "auto":
-        return se_params
-    n_sigma, d_sigma = (int(v) for v in se_params)
-    if n_sigma < 1 or d_sigma < 1:
-        raise ValueError("n_sigma and d_sigma must be positive")
-    return n_sigma, d_sigma
-
-
-def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
+def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         workers: int = 1, weights_override=None) -> FittedConditionalDensity:
     """Fit the conditional density of the outcome at covariate value ``x``.
 
@@ -79,12 +65,11 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
     x : array_like
         Query point; must lie inside ``cfg.initial_parent``.
     cfg : ForestConfig
+        ``cfg.seed`` is the fit's only source of randomness.
     se_params : None, "auto", or (n_sigma, d_sigma)
-        When given, the fit keeps its tree subsamples for ``std_error``.
-        The value only requests standard errors: the forest is the same
-        either way, and a pair draws no delete groups.
-    rng : int or numpy Generator, optional
-        Overrides ``cfg.seed`` as the source of randomness.
+        Any value but None makes the fit keep its tree subsamples for
+        ``std_error``.  The value is not otherwise read: the forest is the
+        same either way, and a pair draws no delete groups.
     workers : int
         Accepted for compatibility and has no effect: all trees grow
         together in the calling thread, one level at a time.
@@ -109,14 +94,13 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None, rng=None,
                                         np.zeros((0, cfg.basis_order)),
                                         None, cfg, spec, w)
 
-    se_requested = resolve_se_params(se_params) is not None
-    w, per_tree_h, subsamples = forest.grow_forest(x, data, cfg, spec, rng)
+    w, per_tree_h, subsamples = forest.grow_forest(x, data, cfg, spec)
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")
     mu = expfam.MomentVector(per_tree_h.mean(axis=0))
     theta = expfam.solve_theta(mu, spec)
     return FittedConditionalDensity(x, mu, theta, per_tree_h,
-                                    subsamples if se_requested else None, cfg, spec, w)
+                                    None if se_params is None else subsamples, cfg, spec, w)
 
 
 def pdf(fitted: FittedConditionalDensity, y):

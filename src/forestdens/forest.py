@@ -639,14 +639,6 @@ def _tree_streams(seed: int, n_trees: int):
             [np.random.default_rng(c) for c in children[1:]])
 
 
-def _effective_seed(cfg: ForestConfig, rng) -> int:
-    if rng is None:
-        return int(cfg.seed)
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return int(rng.integers(np.iinfo(np.int64).max))
-
-
 def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Per-tree holdout basis means; empty leaves contribute zero rows.
 
@@ -658,16 +650,16 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
     return _member_sums(rows, counts) / np.maximum(counts, 1)[:, None]
 
 
-def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec, rng=None):
+def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):
     """Draw the subsamples and grow every tree's branch containing ``x``.
 
-    The seed is ``rng`` or ``cfg.seed``.  Returns ``(weights, per_tree_h,
-    subsamples)``: the similarity weights, each tree's holdout basis mean
-    (:func:`per_tree_means`) and the read-only ``(n_trees, subsample_size)``
-    subsample table of :func:`draw_subsamples`, in tree order.  Each weight
-    adds its trees' shares in tree order.
+    ``cfg.seed`` is the only source of randomness.  Returns ``(weights,
+    per_tree_h, subsamples)``: the similarity weights, each tree's holdout
+    basis mean (:func:`per_tree_means`) and the read-only ``(n_trees,
+    subsample_size)`` subsample table of :func:`draw_subsamples`, in tree
+    order.  Each weight adds its trees' shares in tree order.
     """
-    master, tree_rngs = _tree_streams(_effective_seed(cfg, rng), cfg.n_trees)
+    master, tree_rngs = _tree_streams(cfg.seed, cfg.n_trees)
     subsamples = draw_subsamples(data.n, cfg, master)
     subsamples.setflags(write=False)
     halves = [split_half(idx, tree_rng) for idx, tree_rng in zip(subsamples, tree_rngs)]
@@ -680,8 +672,7 @@ def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec, rng=None):
     return WeightVector(w), per_tree_means(leaf, counts, phi), subsamples
 
 
-def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
-            workers: int = 1) -> WeightVector:
+def weights(x, data: Dataset, cfg: ForestConfig, workers: int = 1) -> WeightVector:
     """Similarity weights of every observation for the query point.
 
     Each tree spreads mass ``1 / n_trees`` uniformly over its holdout
@@ -690,7 +681,7 @@ def weights(x, data: Dataset, cfg: ForestConfig, rng=None,
     Deterministic given ``cfg.seed``.  ``workers`` is accepted for
     compatibility and has no effect: growth runs in the calling thread.
     """
-    return grow_forest(x, data, cfg, default_basis(cfg.basis_order), rng=rng)[0]
+    return grow_forest(x, data, cfg, default_basis(cfg.basis_order))[0]
 
 
 def mu_hat(weight_vector: WeightVector, data: Dataset,

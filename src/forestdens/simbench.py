@@ -21,14 +21,17 @@ errors, interval coverage, and the integrated squared error over
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import stats
 from scipy.integrate import simpson
 from scipy.special import betainc, betaincinv, ndtr, ndtri
 
-from . import estimator, forest
+from . import estimator
 from .basis import _check_unit_interval
 from .errors import EstimationError, ZeroDenominator
 from .forest import Dataset, ForestConfig
@@ -243,40 +246,44 @@ class MCReport:
 
 
 def _one_replication(design, n, cfg, se_params, points, grid, ci_level, x_query, rep_ss):
+    """One replication's estimates, SEs and interval hits, or its failure as a message."""
     rng = np.random.default_rng(rep_ss)
-    xmat = gen_covariates(n, rng)
-    yvec = gen_outcome(design, xmat, rng)
-    data = Dataset(yvec, xmat)
-    fitted = estimator.fit(data, x_query, cfg, se_params=se_params, rng=rng)
-    f_points = estimator.pdf(fitted, points)
-    f_grid = estimator.pdf(fitted, grid)
-    if se_params is not None:
-        se = np.array([estimator.std_error(fitted, float(y)) for y in points])
-        z = float(ndtri(0.5 + ci_level / 2.0))
-        truth = true_density(design, points, x_query)
-        hits = (np.abs(f_points - truth) <= z * se).astype(float)
-    else:
-        se = np.full(points.size, np.nan)
-        hits = np.full(points.size, np.nan)
+    try:
+        xmat = gen_covariates(n, rng)
+        yvec = gen_outcome(design, xmat, rng)
+        data = Dataset(yvec, xmat)
+        fit_cfg = replace(cfg, seed=int(rng.integers(np.iinfo(np.int64).max)))
+        fitted = estimator.fit(data, x_query, fit_cfg, se_params=se_params)
+        f_points = estimator.pdf(fitted, points)
+        f_grid = estimator.pdf(fitted, grid)
+        if se_params is not None:
+            se = np.array([estimator.std_error(fitted, float(y)) for y in points])
+            z = float(ndtri(0.5 + ci_level / 2.0))
+            truth = true_density(design, points, x_query)
+            hits = (np.abs(f_points - truth) <= z * se).astype(float)
+        else:
+            se = np.full(points.size, np.nan)
+            hits = np.full(points.size, np.nan)
+    except EstimationError as exc:
+        return f"{type(exc).__name__}: {exc}"
     return f_points, f_grid, se, hits
 
 
 def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
            design_points=DEFAULT_DESIGN_POINTS, rng=None, workers: int = 1,
-           mise_grid_points: int = 141, ci_level: float = 0.95,
-           rep_seeds=None) -> MCReport:
+           mise_grid_points: int = 141, ci_level: float = 0.95) -> MCReport:
     """Run the Monte Carlo benchmark for one design.
 
     Each replication generates a fresh sample, fits at the fixed query
     point x = (1/2, 1/2, 1/2, 1/2), and records the estimate at the design
     points and on the integrated-squared-error grid of ``mise_grid_points``
-    points over :data:`MISE_INTERVAL`.  Replication streams
-    derive from the master seed and the replication index, so aggregation
-    does not depend on the worker pool; failures are collected and reported
-    without aborting the run.
-
-    ``rep_seeds`` overrides the per-replication seeds (testing hook; e.g.
-    two identical seeds give zero dispersion).
+    points over :data:`MISE_INTERVAL`.  ``se_params`` is passed to
+    :func:`~forestdens.estimator.fit`; without it the SE and coverage
+    columns are NaN.  The master seed is ``rng`` (an int) or ``cfg.seed``;
+    each replication's stream is spawned from it by index and seeds that
+    replication's data and forest, so the report does not depend on
+    ``workers``, the number of worker processes.  Failures are collected
+    in replication order and reported without aborting the run.
     """
     design = _check_design(design)
     if reps < 2:
@@ -288,15 +295,9 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     x_query = np.full(4, 0.5)
     truth_points = true_density(design, points, x_query)
     truth_grid = true_density(design, grid, x_query)
-    se_params = estimator.resolve_se_params(se_params)
-
-    if rep_seeds is None:
-        master = np.random.SeedSequence(forest._effective_seed(cfg, rng))
-        rep_streams = master.spawn(reps)
-    else:
-        if len(rep_seeds) != reps:
-            raise ValueError("rep_seeds must have one entry per replication")
-        rep_streams = [np.random.SeedSequence(int(s)) for s in rep_seeds]
+    rep_streams = np.random.SeedSequence(cfg.seed if rng is None else int(rng)).spawn(reps)
+    replicate = partial(_one_replication, design, n, cfg, se_params, points, grid,
+                        ci_level, x_query)
 
     t0 = time.perf_counter()
     f_points = np.full((reps, points.size), np.nan)
@@ -304,33 +305,14 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     se_all = np.full((reps, points.size), np.nan)
     hits = np.full((reps, points.size), np.nan)
     failures: list[str] = []
-
-    def record(r, outcome) -> None:
-        fp, fg, se, hit = outcome
-        f_points[r] = fp
-        ise[r] = simpson((fg - truth_grid) ** 2, x=grid)
-        se_all[r] = se
-        hits[r] = hit
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {r: pool.submit(_one_replication, design, n, cfg, se_params,
-                                      points, grid, ci_level, x_query, rep_streams[r])
-                       for r in range(reps)}
-            for r, fut in futures.items():
-                try:
-                    record(r, fut.result())
-                except EstimationError as exc:
-                    failures.append(f"replication {r}: {type(exc).__name__}: {exc}")
-    else:
-        for r in range(reps):
-            try:
-                record(r, _one_replication(design, n, cfg, se_params, points,
-                                           grid, ci_level, x_query, rep_streams[r]))
-            except EstimationError as exc:
-                failures.append(f"replication {r}: {type(exc).__name__}: {exc}")
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        for r, outcome in enumerate((pool.map if pool else map)(replicate, rep_streams)):
+            if isinstance(outcome, str):
+                failures.append(f"replication {r}: {outcome}")
+                continue
+            f_points[r], fg, se_all[r], hits[r] = outcome
+            ise[r] = simpson((fg - truth_grid) ** 2, x=grid)
 
     ok = ~np.isnan(f_points[:, 0])
     completed = int(ok.sum())

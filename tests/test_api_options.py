@@ -1,15 +1,17 @@
-"""Census of the public API's optional settings.
+"""Census of the public API's optional settings and the command line's config keys.
 
 Every defaulted parameter of a public function and every defaulted init
-field of a public dataclass is a setting a caller may choose.  A setting
-belongs here only when a workload, the command line or a demo sets it, or
-when a test needs it to reach a behaviour it checks.  Adding one means
-adding its name below.
+field of a public dataclass is a setting a caller may choose, and so is
+every leaf key of a command's config.  A setting belongs here only when a
+workload, the command line or a demo sets it, or when a test needs it to
+reach a behaviour it checks.  Adding one means adding its name below.
 """
 
 import dataclasses
 import importlib
 import inspect
+
+from forestdens import cli
 
 MODULES = ("basis", "expfam", "forest", "estimator", "simbench", "cli")
 
@@ -26,11 +28,8 @@ OPTIONS = [
     "forest.best_split.spec",
     "forest.grow_branch.index",
     "forest.grow_from_halves.index",
-    "forest.grow_forest.rng",
-    "forest.weights.rng",
     "forest.weights.workers",
     "estimator.fit.se_params",
-    "estimator.fit.rng",
     "estimator.fit.workers",
     "estimator.fit.weights_override",
     "estimator.confidence_interval.level",
@@ -41,7 +40,6 @@ OPTIONS = [
     "simbench.run_mc.workers",
     "simbench.run_mc.mise_grid_points",
     "simbench.run_mc.ci_level",
-    "simbench.run_mc.rep_seeds",
     "cli.main.argv",
     "cli.cmd_fit.seed",
     "cli.cmd_fit.workers",
@@ -50,6 +48,22 @@ OPTIONS = [
     "cli.cmd_mc.workers",
     "cli.cmd_mc.out_dir",
 ]
+
+FOREST_KEYS = ["subsample_size", "n_trees", "basis_order", "min_child", "min_fraction",
+               "scheme", "n_grid", "initial_parent"]
+
+CONFIG_KEYS = {
+    "fit": ["input", "query_x", "y_grid.start", "y_grid.stop", "y_grid.num", "ci_level",
+            "se", "seed", "workers", *(f"forest.{k}" for k in FOREST_KEYS)],
+    "mc": ["design", "n", "reps", "design_points", "ci_level", "mise_grid_points", "se",
+           "seed", "workers", *(f"forest.{k}" for k in FOREST_KEYS)],
+}
+
+
+def leaf_keys(defaults: dict, prefix: str = "") -> list[str]:
+    return [leaf for key, value in defaults.items()
+            for leaf in (leaf_keys(value, f"{prefix}{key}.") if isinstance(value, dict)
+                         else [prefix + key])]
 
 
 def defaulted_settings(module_name: str) -> list[str]:
@@ -70,3 +84,8 @@ def defaulted_settings(module_name: str) -> list[str]:
 
 def test_public_options_are_the_recorded_ones():
     assert [s for m in MODULES for s in defaulted_settings(m)] == OPTIONS
+
+
+def test_config_keys_are_the_recorded_ones():
+    found = {"fit": leaf_keys(cli._FIT_DEFAULTS), "mc": leaf_keys(cli._MC_DEFAULTS)}
+    assert found == CONFIG_KEYS

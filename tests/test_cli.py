@@ -261,6 +261,24 @@ class TestMCCommand:
         assert main(["mc", "--bogus"]) == 1
 
 
+class TestRecordedConfig:
+    """The config block a command records, given back, reproduces its outputs."""
+
+    @pytest.mark.parametrize("command, make_config, outputs", [
+        ("fit", fit_config, ("fit.csv", "fit_provenance.json")),
+        ("mc", mc_config, ("mc_report.csv", "mc_report.json")),
+    ])
+    def test_rerun_from_recorded_config_is_byte_identical(self, tmp_path, command,
+                                                          make_config, outputs):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, "--config", make_config(tmp_path), "--out", str(first)]) == 0
+        recorded = json.loads((first / outputs[1]).read_text())["config"]
+        assert main([command, "--config", write_config(tmp_path / "recorded.json", recorded),
+                     "--out", str(again)]) == 0
+        for name in outputs:
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 class TestGoldenBytes:
     """The criterion-9 configs of tests/test_acceptance.py, pinned to their output bytes.
 

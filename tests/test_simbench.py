@@ -191,10 +191,18 @@ def small_mc_config(**kw):
 
 
 class TestRunMC:
-    def test_identical_rep_seeds_give_zero_dispersion(self):
+    def test_identical_rep_seeds_give_zero_dispersion(self, monkeypatch):
+        seed_sequence = np.random.SeedSequence
+
+        class Repeated(seed_sequence):
+            # the master spawns k copies of one stream; the fits then spawn as usual
+            def spawn(self, n_children):
+                monkeypatch.undo()
+                return [seed_sequence(7) for _ in range(n_children)]
+
+        monkeypatch.setattr(np.random, "SeedSequence", Repeated)
         cfg = small_mc_config()
-        report = run_mc("D1", 200, 2, cfg, None, design_points=(0.25, 0.5),
-                        rep_seeds=[7, 7])
+        report = run_mc("D1", 200, 2, cfg, None, design_points=(0.25, 0.5))
         np.testing.assert_array_equal(report.sd, 0.0)
         assert report.mise >= 0.0
 
@@ -230,19 +238,24 @@ class TestRunMC:
         assert float(rows[-1][1]) == report.mise
         assert rows[0][5] == ""  # no coverage without a subsample plan
 
-    def test_failures_recorded_without_aborting(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_recorded_without_aborting(self, workers):
         # single-tree forests on a thin parent often leave one or zero
         # holdout points, so some replications fail with boundary or
         # empty-leaf errors while the rest still aggregate
         cfg = ForestConfig(subsample_size=30, n_trees=1, basis_order=3,
                            initial_parent=[[0.3] * 4, [0.7] * 4], min_child=3,
                            scheme="mu", seed=5)
-        report = run_mc("D1", 150, 8, cfg, None, design_points=(0.5,), rng=0)
+        report = run_mc("D1", 150, 8, cfg, None, design_points=(0.5,), rng=0,
+                        workers=workers)
         assert report.completed >= 2
         assert report.failures
         assert report.completed + len(report.failures) == 8
         assert all("replication" in msg for msg in report.failures)
         assert np.isfinite(report.mise)
+        serial = run_mc("D1", 150, 8, cfg, None, design_points=(0.5,), rng=0)
+        assert report.failures == serial.failures
+        assert report.mise == serial.mise
 
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
