@@ -239,8 +239,8 @@ def _y_grid(spec) -> np.ndarray:
                            _count(spec["num"], "y_grid.num"))
     else:
         grid = np.asarray(spec, dtype=float)
-    if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):  # NaN fails both
-        raise UsageError("y_grid must be a nonempty grid inside [0, 1]")
+    if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise UsageError("y_grid must be a nonempty flat grid inside [0, 1]")  # NaN fails too
     return grid
 
 
@@ -258,9 +258,8 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
         grid = _y_grid(cfg["y_grid"])
         se_params = _se_arg(cfg["se"])
         level = _ci_level(cfg["ci_level"])
-    if query_x.size != data.dim:
-        raise UsageError(
-            f"query_x has {query_x.size} coordinates but the input has {data.dim}")
+    if query_x.shape != (data.dim,):
+        raise UsageError(f"query_x must be {data.dim} coordinates, not shape {query_x.shape}")
 
     with _input_errors("fit", ValueError):
         fitted = estimator.fit(data, query_x, fcfg, se_params=se_params, workers=cfg["workers"])

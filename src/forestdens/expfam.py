@@ -14,10 +14,10 @@ the gradient system of the convex dual L(theta) = log Z(theta) - theta . mu,
 handled by Newton's method with the exact Jacobian (the basis covariance
 under the current density) and a step-halving line search on L and the
 residual.  A batch of systems is solved in one pass: each round evaluates the
-full step of every row at once, then the halved steps of the rows that reject
-it, several lengths per row in one evaluation.  The public solvers start from
-zero coefficients; forest growth starts each child node from its parent's
-root.
+full step of every row at once, then halves the step of the rows that reject
+it, one length per evaluation of the rows still pending.  The public solvers
+start from zero coefficients; forest growth starts each child node from its
+parent's root.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -242,13 +242,11 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     Each row runs the Newton iteration described in :func:`solve_theta`,
     from zero coefficients, with its own line search, tolerance check and
     box bound; rows leave the batch as soon as they converge or fail.  Rows
-    that reject the full step try the lengths 2^-1 ... 2^-30 in blocks of up
-    to 8 per evaluation and take the first, in order, that passes the test
-    of :func:`solve_theta`.  The lengths are powers of two, so each
-    candidate has the bits it has when the step is halved once per
-    evaluation, and a row's result is bit-identical to solving it alone.
-    Failures do not raise: they are reported per row in
-    :attr:`NewtonBatch.status`.  A row whose covariance is singular (the
+    that reject the full step halve it, up to 30 times, in one evaluation
+    per length of the rows still pending, and take the first length that
+    passes the test of :func:`solve_theta`, so a row's result is
+    bit-identical to solving it alone.  Failures do not raise: they are
+    reported per row in :attr:`NewtonBatch.status`.  A row whose covariance is singular (the
     family has collapsed onto one quadrature node) takes no step and stops
     as :data:`NO_CONVERGENCE`.
 
@@ -282,7 +280,7 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     outer = _outer_products(spec)
     chunk = max(1, BATCH_ELEMENTS // max(spec.nodes.size, j * j))
     for lo in range(0, rows.size, chunk):
-        _newton_rows(targets, start, rows[lo:lo + chunk], spec, outer, max_iter, chunk, out)
+        _newton_rows(targets, start, rows[lo:lo + chunk], spec, outer, max_iter, out)
     return out
 
 
@@ -307,15 +305,20 @@ def _newton_steps(cov: np.ndarray, resid: np.ndarray):
         return step, singular
 
 
-def _newton_rows(targets, start, rows, spec, outer, max_iter, chunk, out: NewtonBatch) -> None:
+def _dual_states(theta: np.ndarray, target: np.ndarray, spec: BasisSpec):
+    """``(dens, mu, resid, rnorm, dual)`` of each row: :func:`_row_states`, the
+    residual ``target - mu`` with its sup-norm, and the dual ``log Z - theta . target``."""
+    dens, mu, logz = _row_states(theta, spec)
+    resid = target - mu
+    dual = logz - (theta[:, None, :] @ target[:, :, None])[:, 0, 0]
+    return dens, mu, resid, np.abs(resid).max(axis=1), dual
+
+
+def _newton_rows(targets, start, rows, spec, outer, max_iter, out: NewtonBatch) -> None:
     """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``."""
     target = targets[rows]
-    j = target.shape[1]
     theta = start[rows]
-    dens, mu, logz = _row_states(theta, spec)
-    dual = logz - (theta[:, None, :] @ target[:, :, None])[:, 0, 0]  # L = log Z - theta . target
-    resid = target - mu
-    rnorm = np.abs(resid).max(axis=1)
+    dens, mu, resid, rnorm, dual = _dual_states(theta, target, spec)
 
     def finish(sel, status, iterations):
         out.theta[rows[sel]] = theta[sel]
@@ -331,35 +334,20 @@ def _newton_rows(targets, start, rows, spec, outer, max_iter, chunk, out: Newton
         if rows.size == 0:
             return
         step, singular = _newton_steps(_row_covariances(dens, mu, spec, outer), resid)
-        if singular.any():
-            keep = finish(singular, NO_CONVERGENCE, it)
-            rows, target, theta, dens, mu, resid, rnorm, dual, step = (
-                a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual, step))
-            if rows.size == 0:
-                return
         armijo = _ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]  # -c grad L . step
-        pending = np.arange(rows.size)
+        pending = np.flatnonzero(~singular)  # a singular row takes no step
         new = [a.copy() for a in (theta, dens, mu, resid, rnorm, dual)]
-        first = 0  # next length 2^-first: the full step alone, then <= 8 a row, <= chunk in all
-        while pending.size and first < 31:
-            k = 1 if first == 0 else min(8, 31 - first, max(1, chunk // pending.size))
-            lam = np.ldexp(1.0, -np.arange(first, first + k))
-            cand = (theta[pending, None] + lam[:, None] * step[pending, None]).reshape(-1, j)
-            cand_dens, cand_mu, cand_logz = _row_states(cand, spec)
-            cand_target = np.repeat(target[pending], k, axis=0)
-            cand_resid = cand_target - cand_mu
-            cand_rnorm = np.abs(cand_resid).max(axis=1)
-            cand_dual = cand_logz - (cand[:, None, :] @ cand_target[:, :, None])[:, 0, 0]
-            bound = dual[pending, None] - lam * armijo[pending, None]  # L + c lam grad L . step
-            better = ((cand_rnorm.reshape(-1, k) < rnorm[pending, None])
-                      | (cand_dual.reshape(-1, k) <= bound))
-            hit = better.any(axis=1)
-            pick = np.flatnonzero(hit) * k + better.argmax(axis=1)[hit]
-            for a, b in zip(new, (cand, cand_dens, cand_mu, cand_resid, cand_rnorm, cand_dual)):
-                a[pending[hit]] = b[pick]
+        for lam in np.ldexp(1.0, -np.arange(31)):  # 2^0 ... 2^-30, on the rows still pending
+            if pending.size == 0:
+                break
+            cand = theta[pending] + lam * step[pending]
+            state = _dual_states(cand, target[pending], spec)
+            bound = dual[pending] - lam * armijo[pending]  # L + c lam grad L . step
+            hit = (state[3] < rnorm[pending]) | (state[4] <= bound)  # lower residual, or Armijo
+            for a, b in zip(new, (cand, *state)):
+                a[pending[hit]] = b[hit]
             pending = pending[~hit]
-            first += k
-        keep = finish(np.isin(np.arange(rows.size), pending), NO_CONVERGENCE, it)
+        keep = finish(singular | np.isin(np.arange(rows.size), pending), NO_CONVERGENCE, it)
         theta, dens, mu, resid, rnorm, dual = new
         escaped = keep & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)
         keep = finish(escaped, BOUNDARY, it) & keep
@@ -380,7 +368,7 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     times) until L falls by the Armijo amount, 1e-4 lam |grad L . step|, or
     the residual sup-norm strictly falls, so every accepted step lowers one
     of the two (not always both).  This is the one-row case of
-    :func:`solve_theta_batch`, whose blocked search accepts the same step.
+    :func:`solve_theta_batch`.
 
     Parameters
     ----------

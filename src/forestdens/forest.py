@@ -15,9 +15,10 @@ branches grow together, one level at a time, and a level is processed as
 arrays: the nodes' target moments, one batched Newton solve (the iteration of
 :func:`~forestdens.expfam.solve_theta_batch`, each child node started from
 its parent's solved coefficients), the pseudo-outcomes
-(:func:`~forestdens.expfam.row_pseudo_outcomes`), and the threshold scores
-from padded, per-node sorted cumulative sums.  No node's computation
-depends on the batch it is in, so growing one tree alone
+(:func:`~forestdens.expfam.row_pseudo_outcomes`), and the threshold scores,
+whose left-child sums are one masked matmul over the slice's padded width.
+The padding adds exact zeros, so the batch moves a score only by roundoff,
+far below the split's tie tolerance: growing one tree alone
 (:func:`grow_branch`) gives the same branch as growing it in a forest.
 A fit's trees stay arrays, one row per tree, from the subsample draw to the
 standard error; only the one-tree functions build :class:`BranchResult`,
@@ -193,6 +194,8 @@ class ForestConfig:
     def __post_init__(self):
         if not isinstance(self.initial_parent, Box):
             bounds = np.asarray(self.initial_parent, dtype=float)
+            if bounds.ndim != 2 or bounds.shape[0] != 2:
+                raise ValueError(f"initial_parent bounds have shape {bounds.shape}, not (2, d)")
             object.__setattr__(self, "initial_parent", Box(bounds[0], bounds[1]))
         if self.min_child < 2:
             raise ValueError("min_child must be at least 2")
@@ -374,7 +377,9 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     ``V(theta)^{-1} (phi - mu(theta))`` on ``solved`` nodes and centered
     basis values ``phi - mean`` elsewhere.  There is one scoring row per
     (node, eligible dimension) pair, ``row_node`` ascending and
-    ``row_dim`` ascending within a node, so a node's first candidate within
+    ``row_dim`` ascending within a node.  A row's left-child sums are its
+    threshold mask, as floats, times its node's pseudo-outcomes; the right
+    sums are the node totals minus the left.  A node's first candidate within
     :data:`_TIE_RTOL` of its best score is its lexicographically smallest
     (dimension, threshold) among the near-best.  Returns ``(dim, threshold)``
     arrays, ``dim = -1`` where no candidate is feasible.
@@ -386,27 +391,25 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     totals = _member_sums(rho, counts)
 
     coords = x_ext[members[row_node], row_dim[:, None]]
-    order = np.argsort(coords, axis=1, kind="stable")
-    coords = np.take_along_axis(coords, order, axis=1)
     c = counts[row_node]
-    lo, hi = coords[:, 0], coords[np.arange(c.size), c - 1]
+    lo = coords.min(axis=1)  # the padding is +inf
+    hi = coords.max(axis=1, initial=-np.inf, where=np.arange(coords.shape[1]) < c[:, None])
     spread = hi > lo
     thresholds = np.linspace(np.where(spread, lo, 0.0), np.where(spread, hi, 1.0),
                              cfg.n_grid + 2, axis=1)[:, 1:-1]
-    n_left = (coords[:, None, :] <= thresholds[:, :, None]).sum(axis=2)
+    below = coords[:, None, :] <= thresholds[:, :, None]
+    n_left = below.sum(axis=2)
     n_right = c[:, None] - n_left
     bound = np.maximum(cfg.min_fraction * c, cfg.min_child)[:, None]
     feasible = spread[:, None] & (n_left >= bound) & (n_right >= bound)
-    csum = np.cumsum(rho[row_node[:, None], order], axis=1)
     row, grid = np.nonzero(feasible)
     nl, nr = n_left[row, grid], n_right[row, grid]
-    left = csum[row, nl - 1]
+    left = (below.astype(float) @ rho[row_node])[row, grid]
     right = totals[row_node[row]] - left
     score = np.full(n_left.shape, -np.inf)
     score[row, grid] = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
 
-    row_best = score.argmax(axis=1)
-    row_score = score[np.arange(row_best.size), row_best]
+    row_score = score.max(axis=1)
     best = np.maximum.reduceat(row_score, np.searchsorted(row_node, np.arange(counts.size)))
     # scores are >= 0, so best * (1 - tol) is best - tol |best|; it is -inf, not
     # NaN, at a node where nothing is feasible, whose first candidate is then taken
@@ -422,14 +425,14 @@ def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
     """Consecutive node ranges whose largest split-search temporary fits the batch cap.
 
     A node of ``c`` members has up to ``d`` scoring rows, each with ``(c, J)``
-    cumulative sums, ``(n_grid, c)`` booleans and ``(n_grid, J)`` child sums;
-    sizes are in bytes.  ``counts`` is non-increasing, so a range's widest
-    node is its first.
+    pseudo-outcomes, an ``(n_grid, c)`` threshold mask as floats and
+    ``(n_grid, J)`` child sums; sizes are in float elements.  ``counts`` is
+    non-increasing, so a range's widest node is its first.
     """
     a = 0
     while a < counts.size:
-        per_node = d * max(int(counts[a]) * max(8 * j, n_grid), 8 * n_grid * j)
-        b = min(counts.size, a + max(1, 8 * expfam.BATCH_ELEMENTS // per_node))
+        per_node = d * max(int(counts[a]) * max(j, n_grid), n_grid * j)
+        b = min(counts.size, a + max(1, expfam.BATCH_ELEMENTS // per_node))
         yield a, b
         a = b
 
@@ -511,9 +514,12 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
     the bounds, and per level the split arrays (tree, dim, threshold, n_parent, n_left).
     """
     x = np.asarray(x, dtype=float)
+    n, d = x_pts.shape
+    if x.shape != (d,) or cfg.dim != d:
+        raise ValueError(f"query point of shape {x.shape} and {cfg.dim}-D initial parent node "
+                         f"do not match {d}-D covariates")
     if not cfg.initial_parent.contains(x):
         raise ValueError("query point lies outside the initial parent node")
-    n, d = x_pts.shape
     n_trees = len(decidings)
     x_ext, phi_ext = _with_sentinel(x_pts, phi)
     root = cfg.initial_parent
@@ -653,11 +659,13 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
 def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):
     """Draw the subsamples and grow every tree's branch containing ``x``.
 
-    ``cfg.seed`` is the only source of randomness.  Returns ``(weights,
-    per_tree_h, subsamples)``: the similarity weights, each tree's holdout
-    basis mean (:func:`per_tree_means`) and the read-only ``(n_trees,
-    subsample_size)`` subsample table of :func:`draw_subsamples`, in tree
-    order.  Each weight adds its trees' shares in tree order.
+    ``x``, ``cfg.initial_parent`` and ``data`` must have one dimension ``d``
+    (``ValueError`` otherwise).  ``cfg.seed`` is the only source of
+    randomness.  Returns ``(weights, per_tree_h, subsamples)``: the
+    similarity weights, each tree's holdout basis mean
+    (:func:`per_tree_means`) and the read-only ``(n_trees, subsample_size)``
+    subsample table of :func:`draw_subsamples`, in tree order.  Each weight
+    adds its trees' shares in tree order.
     """
     master, tree_rngs = _tree_streams(cfg.seed, cfg.n_trees)
     subsamples = draw_subsamples(data.n, cfg, master)

@@ -277,7 +277,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     Each replication generates a fresh sample, fits at the fixed query
     point x = (1/2, 1/2, 1/2, 1/2), and records the estimate at the design
     points and on the integrated-squared-error grid of ``mise_grid_points``
-    points over :data:`MISE_INTERVAL`.  ``se_params`` is passed to
+    (at least 2) points over :data:`MISE_INTERVAL`.  ``se_params`` is passed to
     :func:`~forestdens.estimator.fit`; without it the SE and coverage
     columns are NaN.  The master seed is ``rng`` (an int) or ``cfg.seed``;
     each replication's stream is spawned from it by index and seeds that
@@ -290,7 +290,11 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
         raise ValueError("need at least 2 replications")
     if not 0.0 < ci_level < 1.0:  # NaN fails both
         raise ValueError("ci_level must lie in (0, 1)")
+    if mise_grid_points < 2:  # Simpson's rule on one point integrates to 0
+        raise ValueError("mise_grid_points must be at least 2")
     points = np.asarray(design_points, dtype=float)
+    if points.ndim != 1 or points.size == 0:
+        raise ValueError(f"design_points must be a nonempty flat list, not shape {points.shape}")
     grid = np.linspace(*MISE_INTERVAL, mise_grid_points)
     x_query = np.full(4, 0.5)
     truth_points = true_density(design, points, x_query)

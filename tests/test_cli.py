@@ -188,6 +188,13 @@ class TestWrongTypedConfig:
         {"se": None, "ci_level": 1.5},
         {"ci_level": 0.0},
         {"ci_level": float("nan")},
+        {"y_grid": [[0.1, 0.2], [0.3, 0.4]]},
+        {"y_grid": 0.5},
+        {"query_x": [[0.5, 0.5, 0.5, 0.5]]},
+        {"forest": {"subsample_size": 40, "n_trees": 40, "basis_order": 4, "min_child": 4,
+                    "initial_parent": [[0.0], [1.0]]}},
+        {"forest": {"subsample_size": 40, "n_trees": 40, "basis_order": 4, "min_child": 4,
+                    "initial_parent": [[0.0] * 4]}},
     ])
     def test_fit(self, tmp_path, capsys, override):
         cfg = fit_config(tmp_path, **override)
@@ -207,6 +214,10 @@ class TestWrongTypedConfig:
         {"workers": True},
         {"ci_level": 1.5},
         {"ci_level": 0.0},
+        {"design_points": [[0.25, 0.5]]},
+        {"mise_grid_points": 1},
+        {"forest": {"subsample_size": 30, "n_trees": 24, "basis_order": 4, "min_child": 3,
+                    "initial_parent": [[0.0], [1.0]]}},
     ])
     def test_mc(self, tmp_path, capsys, override):
         cfg = mc_config(tmp_path, **override)

@@ -314,9 +314,9 @@ def assert_row_is(batch, i, theta, residual, iterations, status):
 
 
 class TestBlockedLineSearch:
-    """The blocked step-halving search accepts the step of sequential halving:
-    the first length that passes the Armijo test on the dual or lowers the
-    residual sup-norm."""
+    """The batched step-halving search, one length per evaluation of the rows
+    still pending, accepts the step of one row halved alone: the first length
+    that passes the Armijo test on the dual or lowers the residual sup-norm."""
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=12),
            st.sampled_from([1, 2, 3, 5, 100]), st.randoms(use_true_random=False))
@@ -334,7 +334,7 @@ class TestBlockedLineSearch:
     def test_each_outcome_equals_sequential_halving(self, case):
         spec3, spec8 = default_basis(3), default_basis(8)
         target, spec, max_iter, status = {
-            # a far target whose steps need up to 28 halvings (four blocks), and
+            # a far target whose steps need up to 28 halvings (29 evaluations), and
             # whose full step is once taken on the Armijo test alone
             "solved": (moments(np.array([-1.0, 3.0, 2.0, 1.5, -0.3, -0.1, 1.5, 1.2]), spec8).mu,
                        spec8, 100, SOLVED),

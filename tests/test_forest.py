@@ -409,6 +409,27 @@ class TestWeights:
         assert w.total == 0.0
 
 
+class TestShapeChecks:
+    @pytest.mark.parametrize("parent, x, match", [
+        ([[0.0], [1.0]], [0.5, 0.5], r"shape \(2,\) and 1-D initial parent"),
+        (unit_box(3), [0.5, 0.5, 0.5], r"shape \(3,\) and 3-D initial parent"),
+        (unit_box(2), [[0.5, 0.5]], r"shape \(1, 2\) and 2-D"),
+        (unit_box(2), [0.5, 0.5, 0.5], r"shape \(3,\) and 2-D"),
+        (unit_box(2), 0.5, r"shape \(\) and 2-D"),
+    ])
+    def test_grow_forest_rejects_mismatched_dimensions(self, parent, x, match):
+        data = random_dataset(np.random.default_rng(40), 30, 2)
+        cfg = make_config(subsample_size=16, min_child=2, initial_parent=parent)
+        with pytest.raises(ValueError, match=match):
+            weights(np.array(x), data, cfg)
+
+    @pytest.mark.parametrize("bounds", [[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[0.0, 0.0]],
+                                        [0.0, 1.0]])
+    def test_config_rejects_bounds_that_are_not_two_rows(self, bounds):
+        with pytest.raises(ValueError, match=r"not \(2, d\)"):
+            make_config(initial_parent=bounds)
+
+
 def weights_digest(x_query, data, cfg):
     return sha256(weights(x_query, data, cfg).weights.tobytes()).hexdigest()
 
@@ -538,9 +559,9 @@ class TestGrowthRegression:
 def largest_split_temporary(nodes, width, rows, j, n_grid):
     """Bytes of the largest array the split search of one slice builds:
     member basis values and pseudo-outcomes (nodes, width, J), per-row
-    cumulative sums (rows, width, J), the threshold comparison
-    (rows, n_grid, width) of booleans, and the child sums (rows, n_grid, J)."""
-    return max(8 * nodes * width * j, 8 * rows * width * j, rows * n_grid * width,
+    pseudo-outcomes (rows, width, J), the threshold mask (rows, n_grid,
+    width) as floats, and the child sums (rows, n_grid, J)."""
+    return max(8 * nodes * width * j, 8 * rows * width * j, 8 * rows * n_grid * width,
                8 * rows * n_grid * j)
 
 
@@ -560,6 +581,38 @@ class TestLevelSlices:
             # every node of a slice is padded to the slice's first (widest) node
             largest = largest_split_temporary(b - a, counts[a], d * (b - a), j, n_grid)
             assert largest <= 8 * cap or b - a == 1
+
+    @given(st.lists(st.integers(min_value=4, max_value=60), min_size=2, max_size=6),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_node_in_a_wider_slice_splits_as_alone(self, sizes, d, j, coarse, pyrandom):
+        # each node's child sums run over the slice's padded width; the split
+        # chosen must still be the one best_split chooses for the node alone
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        spec = default_basis(j)
+        cfg = make_config(basis_order=j, min_child=2, n_grid=8)
+        counts = np.array(sorted(sizes, reverse=True))
+        x = rng.integers(0, 6, (counts.sum(), d)) / 5 if coarse else rng.random((counts.sum(), d))
+        y = rng.random(counts.sum())
+        x_ext, phi_ext = forest_mod._with_sentinel(x, basis_matrix(spec, y))
+        starts = np.cumsum(counts) - counts
+        members = np.full((counts.size, counts[0]), counts.sum())
+        for k, (a, c) in enumerate(zip(starts, counts)):
+            members[k, :c] = np.arange(a, a + c)
+        dims = [np.sort(rng.choice(d, size=rng.integers(1, d + 1), replace=False))
+                for _ in counts]
+        means = np.array([phi_ext[a:a + c].mean(axis=0) for a, c in zip(starts, counts)])
+        theta = rng.normal(scale=0.5, size=means.shape)
+        solved = rng.random(counts.size) < 0.5
+        row_node = np.repeat(np.arange(counts.size), [a.size for a in dims])
+        dim, thr = forest_mod._node_splits(x_ext, phi_ext, members, counts, row_node,
+                                           np.concatenate(dims), means, theta, solved, cfg, spec)
+        for k, (a, c) in enumerate(zip(starts, counts)):
+            pivot = (expfam.ThetaSolution(theta[k], 0.0, 0, True) if solved[k]
+                     else expfam.MomentVector(means[k]))
+            alone = best_split(x[a:a + c], y[a:a + c], pivot, cfg, dims[k], spec=spec)
+            assert alone == (None if dim[k] < 0 else (dim[k], thr[k]))
 
     def test_split_search_temporaries_within_the_cap(self, monkeypatch):
         cap = 6000

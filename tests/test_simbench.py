@@ -261,6 +261,21 @@ class TestRunMC:
         with pytest.raises(ValueError):
             run_mc("D1", 100, 1, small_mc_config(), None)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        # Simpson's rule on one point gives an ISE, and so a MISE, of exactly 0
+        (dict(mise_grid_points=1), "mise_grid_points"),
+        (dict(mise_grid_points=0), "mise_grid_points"),
+        (dict(design_points=[[0.25, 0.5]]), "design_points"),
+        (dict(design_points=[]), "design_points"),
+    ])
+    def test_rejects_bad_options_before_any_fit(self, kwargs, match, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the options were checked")
+
+        monkeypatch.setattr(estimator, "fit", no_fit)
+        with pytest.raises(ValueError, match=match):
+            run_mc("D1", 100, 2, small_mc_config(), None, **kwargs)
+
     @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.2, float("nan")])
     def test_rejects_ci_level_outside_unit_interval_before_any_fit(self, level, monkeypatch):
         def no_fit(*args, **kwargs):
