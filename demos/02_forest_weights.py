@@ -21,12 +21,13 @@ cfg = ForestConfig(subsample_size=80, n_trees=6, basis_order=3,
                    initial_parent=[[0.0, 0.0], [1.0, 1.0]],
                    min_child=5, min_fraction=0.05, scheme="mu", seed=7)
 
-# Replay the per-tree streams to inspect each branch individually.
-master, tree_rngs = forest._tree_streams(cfg.seed, cfg.n_trees)
+# Replay each tree from its key, which keys its half split and its eligible
+# dimensions, to inspect each branch individually.
+master, tree_keys = forest._tree_streams(cfg.seed, cfg.n_trees)
 subsamples = forest.draw_subsamples(n, cfg, master)
 for t, idx in enumerate(subsamples):
     res = forest.grow_branch(x_query, data.y[idx], data.x[idx], cfg,
-                             tree_rngs[t], index=idx)
+                             tree_keys[t], index=idx)
     lo = np.round(res.leaf_box.lower, 3)
     hi = np.round(res.leaf_box.upper, 3)
     print(f"tree {t}: {len(res.splits)} splits, leaf box {lo}..{hi}, "

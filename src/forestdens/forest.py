@@ -9,8 +9,12 @@ normalized leaf co-membership indicator over trees, with the convention
 0/0 = 0 for trees whose leaf captures no holdout point.
 
 :func:`grow_forest` is the one growth pipeline.  The seed gives a master
-stream, which draws the subsamples, and one stream per tree, which draws
-the tree's half split and then, node by node, its eligible dimensions.  All
+stream, which draws the subsamples, and one 64-bit key per tree.  Every other
+draw is a counter-based hash of (tree key, domain, slot), the SplitMix64
+finaliser on uint64 arrays (Salmon et al. 2011; Steele, Lea & Flood 2014):
+one domain for the tree's half split and one per tree level for the eligible
+dimensions of the tree's node at that level.  So each draw is a pure function
+of (seed, tree index), drawn for all trees in one array call.  All
 branches grow together, one level at a time, and a level is processed as
 arrays: the nodes' target moments, one batched Newton solve (the iteration of
 :func:`~forestdens.expfam.solve_theta_batch`, each child node started from
@@ -39,7 +43,9 @@ Two splitting schemes are supported:
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +146,77 @@ class Dataset:
         return self.x.shape[1]
 
 
-def poisson_dim_law(rng: np.random.Generator, d: int) -> np.ndarray:
+#: SplitMix64's state increment, the odd integer nearest 2^64 / golden ratio.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+#: Step between the draw domains of one tree key; each domain's start is mixed.
+_DOMAIN_STEP = np.uint64(0xD1B54A32D192ED03)
+#: P(Poisson(5) <= i) for i = 0, 1, ...; it rounds to exactly 1.0 before the end.
+_POISSON5_CDF = np.cumsum([math.exp(-5.0) * 5.0 ** i / math.factorial(i) for i in range(40)])
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output finaliser, a bijection of uint64, applied elementwise."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _splitmix(states: np.ndarray, n: int) -> np.ndarray:
+    """``(len(states), n)`` uint64: outputs 1..n of SplitMix64 from each state, mod 2^64."""
+    with np.errstate(over="ignore"):
+        return _mix(states[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA)
+
+
+def _keyed(keys: np.ndarray, domain: int, slots: int) -> np.ndarray:
+    """``(len(keys), slots)`` uint64 draws, entry ``[i, j]`` a function of (keys[i], domain, j) only.
+
+    The domain's state ``mix(key + (domain + 1) * step)`` starts a
+    SplitMix64 sequence, whose output ``j + 1`` is slot ``j``.  Domain 0 is
+    the half split; domain ``l + 1`` the dimension sets of tree level ``l``.
+    """
+    with np.errstate(over="ignore"):
+        return _splitmix(_mix(keys + np.uint64(domain + 1) * _DOMAIN_STEP), slots)
+
+
+def _key(key) -> np.uint64:
+    """A tree key, an integer in [0, 2^64), as given, or one key drawn from a ``Generator``."""
+    if isinstance(key, np.random.Generator):
+        return key.integers(2 ** 64, dtype=np.uint64)
+    return np.uint64(operator.index(key))
+
+
+def _dim_masks(keys: np.ndarray, level: int, d: int) -> np.ndarray:
+    """``(len(keys), d)`` bools: the eligible dimensions of each tree's node at ``level``.
+
+    Row ``i`` draws k = min(max(Poisson(5), 1), d) by inverse CDF from the
+    53-bit uniform of slot 0, and takes the k smallest of the keyed values
+    in slots 1..d, a uniform k-subset.  Every row has at least one dimension.
+    """
+    v = _keyed(keys, level + 1, d + 1)
+    u = (v[:, 0] >> np.uint64(11)) * 2.0 ** -53
+    k = np.clip(np.searchsorted(_POISSON5_CDF, u, side="right"), 1, d)
+    mask = np.empty((keys.size, d), dtype=bool)
+    np.put_along_axis(mask, np.argsort(v[:, 1:], axis=1), np.arange(d) < k[:, None], axis=1)
+    return mask
+
+
+def _half_masks(keys: np.ndarray, s: int) -> np.ndarray:
+    """``(len(keys), s)`` bools: each tree's ``s // 2`` smallest keyed values, its deciding half."""
+    part = np.argpartition(_keyed(keys, 0, s), s // 2 - 1, axis=1)[:, :s // 2]
+    mask = np.zeros((keys.size, s), dtype=bool)
+    np.put_along_axis(mask, part, True, axis=1)
+    return mask
+
+
+def poisson_dim_law(key, d: int) -> np.ndarray:
     """Split-dimension law: min(max(Poisson(5), 1), d) distinct dims, ascending.
 
     Every singleton has positive probability, so any direction can be split
-    regardless of the score function.
+    regardless of the score function.  ``key`` is a tree key, or a
+    ``Generator`` that draws one; the set is the one that tree's root node
+    draws, the one-row case of a level's batched draw.
     """
-    k = min(max(int(rng.poisson(5)), 1), d)
-    return np.sort(rng.choice(d, size=k, replace=False))
+    return np.flatnonzero(_dim_masks(np.array([_key(key)]), 0, d)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +247,12 @@ class ForestConfig:
     n_grid : int
         Candidate thresholds per eligible dimension.
     seed : int
-        Base seed; per-tree streams are derived from (seed, tree index).
+        Non-negative base seed.  It seeds the master stream, which draws the
+        subsamples, and the tree keys; every draw of tree ``t`` is keyed by
+        (seed, t), so a tree is the same at any tree count.
+
+    The integer fields and the seed must be Python or NumPy integers, not
+    booleans; a ``ValueError`` names the first field that is not.
     """
 
     subsample_size: int
@@ -197,6 +271,13 @@ class ForestConfig:
             if bounds.ndim != 2 or bounds.shape[0] != 2:
                 raise ValueError(f"initial_parent bounds have shape {bounds.shape}, not (2, d)")
             object.__setattr__(self, "initial_parent", Box(bounds[0], bounds[1]))
+        for name in ("subsample_size", "n_trees", "basis_order", "min_child", "n_grid", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.min_child < 2:
             raise ValueError("min_child must be at least 2")
         if self.subsample_size < 2 * self.min_child:
@@ -318,18 +399,19 @@ def draw_subsamples(n: int, cfg: ForestConfig, rng: np.random.Generator) -> np.n
     return out
 
 
-def split_half(index_set, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def split_half(index_set, key) -> tuple[np.ndarray, np.ndarray]:
     """Divide an index set into holdout and split-deciding halves.
 
     The deciding half gets ``floor(s / 2)`` elements chosen uniformly among
-    all such subsets; the holdout half is the complement.
+    all such subsets; the holdout half is the complement.  ``key`` is a tree
+    key, or a ``Generator`` that draws one; this is the one-row case of the
+    forest's half split.
     """
     idx = np.asarray(index_set, dtype=np.intp)
     s = idx.size
     if s < 2:
         raise ValueError("need at least two indices to split")
-    mask = np.zeros(s, dtype=bool)
-    mask[rng.choice(s, size=s // 2, replace=False)] = True
+    mask = _half_masks(np.array([_key(key)]), s)[0]
     return np.sort(idx[~mask]), np.sort(idx[mask])
 
 
@@ -496,13 +578,14 @@ def _inside(x_ext, members, lower, upper, lower_open) -> np.ndarray:
     return out
 
 
-def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
+def _grow_branches(x, x_pts, phi, holdouts, decidings, keys,
                    cfg: ForestConfig, spec: BasisSpec):
     """Grow the branch containing ``x`` in every tree, one level at a time.
 
     ``holdouts`` / ``decidings`` are ``(n_trees, .)`` tables of each tree's
-    half positions into ``x_pts`` / ``phi``.  Each level draws every active
-    node's eligible dimensions from its tree's stream, then splits all nodes
+    half positions into ``x_pts`` / ``phi``, ``keys`` the trees' uint64 keys.
+    Each level draws every active node's eligible dimensions in one call
+    (:func:`_dim_masks`, keyed by its tree and the level), then splits all nodes
     together (:func:`_split_level`); a tree stops when fewer than
     ``2 * min_child`` deciding members remain in its node or no split is
     feasible.  Each tree carries its node's solved coefficients to the next
@@ -531,18 +614,16 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, rngs,
 
     members, counts = _compact(decidings, _inside(x_ext, decidings, lower, upper, lower_open), n)
     trees = np.arange(n_trees)
-    while True:
+    for level in itertools.count():
         live = np.flatnonzero(counts >= 2 * cfg.min_child)
         live = live[np.argsort(-counts[live], kind="stable")]
         trees, members, counts = trees[live], members[live], counts[live]
         if trees.size == 0:
             break
         members = members[:, :counts[0]]
-        # poisson_dim_law draws non-empty, ascending sets: the rows come out
-        # sorted by node, then dimension, as _node_splits needs
-        drawn = [poisson_dim_law(rngs[t], d) for t in trees.tolist()]
-        row_node = np.repeat(np.arange(trees.size), [a.size for a in drawn])
-        row_dim = np.concatenate(drawn)
+        # every node has a dimension, and nonzero gives the rows sorted by
+        # node, then dimension, as _node_splits needs
+        row_node, row_dim = np.nonzero(_dim_masks(keys[trees], level, d))
         dim, thr, theta[trees] = _split_level(x_ext, phi_ext, members, counts, row_node,
                                               row_dim, theta[trees], cfg, spec)
 
@@ -605,15 +686,16 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
 
 
 def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
-                     holdout_pos, deciding_pos, rng: np.random.Generator,
-                     index=None) -> BranchResult:
+                     holdout_pos, deciding_pos, key, index=None) -> BranchResult:
     """Grow the branch containing ``x`` from an explicit half split.
 
     ``holdout_pos`` / ``deciding_pos`` are positions into the subsample
     arrays.  Splits consult only deciding-half members inside the current
     node; growth stops when fewer than ``2 * min_child`` of them remain
-    or no feasible split exists.  Exposed so the half-split device can be
-    enumerated exactly; this is the one-tree case of forest growth.
+    or no feasible split exists.  ``key`` is the tree key, or a
+    ``Generator`` that draws one, and keys the eligible dimensions drawn at
+    each level.  Exposed so the half-split device can be enumerated exactly;
+    this is the one-tree case of forest growth.
     """
     spec = default_basis(cfg.basis_order)
     x_sub = np.atleast_2d(np.asarray(x_sub, dtype=float))
@@ -621,7 +703,7 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
     deciding = np.asarray(deciding_pos, dtype=np.intp)
     leaf, count, lower, upper, lower_open, levels = _grow_branches(
         x, x_sub, phi_sub, np.asarray(holdout_pos, dtype=np.intp)[None], deciding[None],
-        [rng], cfg, spec)
+        np.array([_key(key)]), cfg, spec)
     splits = tuple(SplitRecord(d, t, m, k, m - k) for level in levels
                    for _, d, t, m, k in zip(*(a.tolist() for a in level)))
     index = np.arange(x_sub.shape[0]) if index is None else np.asarray(index, dtype=np.intp)
@@ -630,19 +712,28 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
 
 
 def grow_branch(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
-                rng: np.random.Generator, index=None) -> BranchResult:
-    """Draw the half-split device, then grow the branch containing ``x``."""
-    s = np.asarray(y_sub).size
-    holdout_pos, deciding_pos = split_half(np.arange(s), rng)
+                key, index=None) -> BranchResult:
+    """Draw the half-split device, then grow the branch containing ``x``.
+
+    ``key`` is the tree key, or a ``Generator`` that draws one; the key
+    decides the half split and every level's eligible dimensions.
+    """
+    key = _key(key)
+    holdout_pos, deciding_pos = split_half(np.arange(np.asarray(y_sub).size), key)
     return grow_from_halves(x, y_sub, x_sub, cfg, holdout_pos, deciding_pos,
-                            rng, index=index)
+                            key, index=index)
 
 
 def _tree_streams(seed: int, n_trees: int):
-    """Master stream plus one independent stream per tree, from the base seed."""
-    children = np.random.SeedSequence(seed).spawn(n_trees + 1)
-    return (np.random.default_rng(children[0]),
-            [np.random.default_rng(c) for c in children[1:]])
+    """The master stream, which draws the subsamples, and the ``(n_trees,)`` uint64 tree keys.
+
+    The master is spawned child 0 of the seed, whatever the tree count.
+    Tree ``t``'s key is output ``t + 1`` of the SplitMix64 sequence started
+    at a key of child 1, so it depends only on (seed, t).
+    """
+    master, keyed = np.random.SeedSequence(seed).spawn(2)
+    return (np.random.default_rng(master),
+            _splitmix(keyed.generate_state(1, np.uint64), n_trees)[0])
 
 
 def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -667,13 +758,15 @@ def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):
     subsample table of :func:`draw_subsamples`, in tree order.  Each weight
     adds its trees' shares in tree order.
     """
-    master, tree_rngs = _tree_streams(cfg.seed, cfg.n_trees)
+    master, keys = _tree_streams(cfg.seed, cfg.n_trees)
     subsamples = draw_subsamples(data.n, cfg, master)
     subsamples.setflags(write=False)
-    halves = [split_half(idx, tree_rng) for idx, tree_rng in zip(subsamples, tree_rngs)]
-    holdouts, decidings = (np.stack(half) for half in zip(*halves))
+    # the rows are sorted, so both halves come out sorted, as split_half gives them
+    deciding = _half_masks(keys, cfg.subsample_size)
+    holdouts = subsamples[~deciding].reshape(cfg.n_trees, -1)
+    decidings = subsamples[deciding].reshape(cfg.n_trees, -1)
     phi = basis_matrix(spec, data.y)
-    leaf, counts, *_ = _grow_branches(x, data.x, phi, holdouts, decidings, tree_rngs, cfg, spec)
+    leaf, counts, *_ = _grow_branches(x, data.x, phi, holdouts, decidings, keys, cfg, spec)
     share = 1.0 / (cfg.n_trees * np.maximum(counts, 1))
     w = np.bincount(leaf[np.arange(leaf.shape[1]) < counts[:, None]],
                     weights=np.repeat(share, counts), minlength=data.n)

@@ -303,9 +303,9 @@ class TestGoldenBytes:
         assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
         assert main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "mc")]) == 0
         assert sha256((tmp_path / "fit" / "fit.csv").read_bytes()).hexdigest() == (
-            "67b993e35e837b2256793c291889f7ef80ff9d7ecb7c2379d46ff98c0cadaa19")
+            "0fb1de50dc9ad034c63d9dda01d059309eaf75e25a907f2284b914889d3fb50d")
         assert sha256((tmp_path / "mc" / "mc_report.csv").read_bytes()).hexdigest() == (
-            "8fdafcb470d5620d6a7ae044facefed6910725b143a7d5499a454fd11f76f162")
+            "30965701989ee1c7b7e0949236e8fb90bb2b8663e32c056a6d2642e51e1bf9db")
 
 
 class TestSmokeProfileRuntime:

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from forestdens import cli, estimator, expfam, forest
 from forestdens.basis import basis_matrix, default_basis
-from forestdens.errors import MissingPlan
+from forestdens.errors import EstimationError, MissingPlan
 from forestdens.estimator import confidence_interval, fit, pdf, std_error
 from forestdens.forest import Dataset, ForestConfig
 
@@ -190,12 +192,12 @@ class TestStdError:
             assert std_error(scaled, y) == pytest.approx(3.0 * std_error(fitted, y), rel=1e-12)
 
     def test_positive_on_criterion_9_fit_grid(self):
-        # the fit config of acceptance criterion 9, where the Monte Carlo
-        # correction exceeds the raw variance near y = 0.5
+        # the fit config of acceptance criterion 9 with seed 43, where the
+        # Monte Carlo correction exceeds the raw variance near y = 0.5
         data = cli._read_input_csv(str(Path(__file__).parent / "data" / "sample200.csv"))
         cfg = cli._build_forest_config(
             dict(cli._FOREST_DEFAULTS, subsample_size=40, n_trees=40, basis_order=4,
-                 min_child=4), 41, data)
+                 min_child=4), 43, data)
         fitted = fit(data, np.full(4, 0.5), cfg, se_params=(8, 9))
         raw, corr = fitted._ij_parts
         t_mid = expfam.t_functional(0.5, fitted.theta_hat, fitted.basis)
@@ -307,7 +309,8 @@ class TestPointEstimateRegression:
     splits had been decided by roundoff between two candidates that give the
     same partition.  Both cases were re-recorded when ``se_params`` stopped
     drawing the paired delete-group plan: a fit that requests standard errors
-    now grows the forest of the same fit without them."""
+    now grows the forest of the same fit without them, and again when each
+    tree's half split and dimension sets became keyed counter-based draws."""
 
     grid = np.linspace(0.05, 0.95, 19)  # the fit command's default y_grid
 
@@ -325,15 +328,15 @@ class TestPointEstimateRegression:
                  min_child=4), 41, data)
         self.check(
             fit(data, np.full(4, 0.5), cfg, se_params=(8, 9)),
-            "ea1dddef662425b59ac8c019d42f15db79c780ab6609750d64d476b19b65f660",
-            "3d7429588abbacdad09aea44ae241c111d65ed218e3a7296f8ca2ffe22c7fa50",
-            [0.49817854203935785, 0.49863550678510626, 0.47727790182003177,
-             0.4381668653575321, 0.3788527450578099, 0.33469273288327034,
-             0.3275270186777993, 0.3433009631779777, 0.36566994020468,
-             0.37832895730107186, 0.37989067718340536, 0.3809904614840441,
-             0.3995942429443987, 0.4389374585093443, 0.4739182697186654,
-             0.47003492035594163, 0.39416427554795663, 0.30958861853388814,
-             0.426109563864761])
+            "8c318dd05151c502c68c129ec0c6b9d6171d653db1219d137499fa06d7d3bb24",
+            "32d1adaca568aef0a091fa13344a2e6b98318a6eddc531158833ad72c2108475",
+            [0.5510341022788684, 0.5304535055251526, 0.5711795019198518,
+             0.5695079752103523, 0.5245383294332773, 0.48160314532135096,
+             0.4711955463995001, 0.4864780809710192, 0.5034169051914572,
+             0.5022661946407695, 0.4765017778616874, 0.43886905191283815,
+             0.42927332482526975, 0.4875065280111401, 0.5868015224077909,
+             0.6515840480889106, 0.6233305016228837, 0.5136308940933788,
+             0.4436367059754152])
 
     def test_theta_scheme_with_se_plan(self):
         rng = np.random.default_rng(2026)
@@ -344,12 +347,59 @@ class TestPointEstimateRegression:
                            scheme="theta", seed=19)
         self.check(
             fit(data, np.array([0.5, 0.4, 0.6]), cfg, se_params=(10, 12)),
-            "28128ac56bcd8b348ff35fe7f34277a852d613404b4ef249669990f38d54320e",
-            "e3afcc52675c75e60917828ff58e3f952b9458b0b0fb678e457b640503f51c45",
-            [0.4511033302621013, 0.6340997362186888, 0.6694433318151104,
-             0.47443192112758337, 0.35055743841892195, 0.330163169010517,
-             0.36871630333135047, 0.40928602017248233, 0.4090350683486639,
-             0.3516901351837762, 0.32953671896018544, 0.49056944952263265,
-             0.6598890939498038, 0.6873930250995346, 0.605547971680652,
-             0.5439813750465337, 0.38690715970696316, 0.2490093038802991,
-             0.1540876029609822])
+            "c3ef0daf05f6b7019e6566c0295f76e5b1444d8350e9517c14c9d9ce7c10cbf6",
+            "205d8c07fe86c70876c10339c6c2c464220d60da402ed1daf7e3c82102b308c3",
+            [0.7411702255949064, 0.9961871792682491, 0.636939226383341,
+             0.37794406555509086, 0.34588029831713873, 0.3698785758211637,
+             0.4224538741920255, 0.5329957377875959, 0.6698073761322368,
+             0.7105306762860439, 0.6600270058475523, 0.6309070028019784,
+             0.6200937261253424, 0.6200467803501128, 0.6748633748347672,
+             0.8367312039271577, 0.7790866489300464, 0.4499135194851851,
+             0.30661564154148513])
+
+
+OUTCOMES = {
+    "point mass at 0.5": lambda rng, n: np.full(n, 0.5),
+    "y in {0, 1}": lambda rng, n: rng.integers(0, 2, n).astype(float),
+    "two-valued y": lambda rng, n: rng.choice([0.3, 0.7], n),
+    "uniform y": lambda rng, n: rng.random(n),
+}
+
+COVARIATES = {
+    "constant x": lambda rng, n, d: np.full((n, d), 0.5),
+    "x tied to two values": lambda rng, n, d: rng.choice([0.25, 0.75], (n, d)),
+    "uniform x": lambda rng, n, d: rng.random((n, d)),
+}
+
+
+class TestDegenerateInputs:
+    """A fit on a degenerate sample raises a typed error or gives a finite,
+    positive pdf with finite standard errors; it never returns NaN."""
+
+    grid = np.linspace(0.05, 0.95, 7)
+
+    @given(st.sampled_from(sorted(OUTCOMES)), st.sampled_from(sorted(COVARIATES)),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=8, max_value=30),
+           st.sampled_from([1, 2, 40]), st.booleans(), st.sampled_from(["theta", "mu"]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_typed_error_or_finite_positive_output(self, outcome, covariate, d, s, extra,
+                                                   on_face, scheme, seed):
+        # extra = 1 is the smallest sample a subsample of size s allows (n = s + 1)
+        rng = np.random.default_rng(seed)
+        n = s + extra
+        data = Dataset(OUTCOMES[outcome](rng, n), COVARIATES[covariate](rng, n, d))
+        x_query = rng.random(d)
+        if on_face:
+            x_query[rng.integers(d)] = float(rng.integers(2))
+        cfg = ForestConfig(subsample_size=s, n_trees=16, basis_order=4,
+                           initial_parent=[[0.0] * d, [1.0] * d], min_child=2,
+                           scheme=scheme, seed=seed)
+        try:
+            fitted = fit(data, x_query, cfg, se_params="auto")
+            dens = pdf(fitted, self.grid)
+            se = np.array([std_error(fitted, float(y)) for y in self.grid])
+        except EstimationError:
+            return
+        assert np.all(np.isfinite(dens)) and np.all(dens > 0.0)
+        assert np.all(np.isfinite(se)) and np.all(se >= 0.0)

@@ -2,10 +2,11 @@
 
 The split search is checked against a from-scratch exhaustive scan; the
 weight combination rule is checked by replaying the documented per-tree
-stream derivation and applying the leaf-mass formula by hand.
+key derivation and applying the leaf-mass formula by hand.
 """
 
 import math
+import warnings
 from hashlib import sha256
 from pathlib import Path
 
@@ -68,6 +69,111 @@ class TestPoissonDimLaw:
             assert 1 <= dims.size <= d
             assert np.all(np.diff(dims) > 0)
             assert 0 <= dims[0] and dims[-1] < d
+
+
+def within_3se(count, total, p):
+    return abs(count / total - p) <= 3 * math.sqrt(p * (1 - p) / total)
+
+
+class TestKeyedDraws:
+    """The laws of the keyed draws, checked on the batched functions growth calls."""
+
+    N = 60_000
+    keys = forest_mod._tree_streams(2026, N)[1]
+
+    def test_splitmix64_known_answer(self):
+        # the published SplitMix64 outputs from state 0
+        assert forest_mod._splitmix(np.zeros(1, np.uint64), 3)[0].tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_draws_raise_no_overflow_warning(self):
+        # the hash wraps mod 2^64 on purpose; as under -W error, a warning would raise
+        top = np.uint64(2 ** 64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forest_mod._tree_streams(2 ** 63, 3)
+            forest_mod.poisson_dim_law(top, 12)
+            split_half(np.arange(9), top)
+            forest_mod._dim_masks(np.array([top, 0], dtype=np.uint64), 7, 4)
+
+    @pytest.mark.parametrize("d", [4, 12])
+    def test_set_size_law(self, d):
+        pois = [math.exp(-5.0) * 5.0 ** i / math.factorial(i) for i in range(d)]
+        pmf = [pois[0] + pois[1], *pois[2:d], 1.0 - sum(pois)]
+        k = forest_mod._dim_masks(self.keys, 3, d).sum(axis=1)
+        counts = np.bincount(k, minlength=d + 1)
+        assert counts[0] == 0
+        for size in range(1, d + 1):
+            assert within_3se(counts[size], self.N, pmf[size - 1]), size
+
+    def test_sets_uniform_given_their_size(self):
+        d = 5
+        mask = forest_mod._dim_masks(self.keys, 0, d)
+        k = mask.sum(axis=1)
+        for size in range(1, d):
+            rows = mask[k == size]
+            for a in range(d):
+                assert within_3se(rows[:, a].sum(), rows.shape[0], size / d), (size, a)
+                for b in range(a + 1, d):
+                    both = (rows[:, a] & rows[:, b]).sum()
+                    assert within_3se(both, rows.shape[0], size * (size - 1) / (d * (d - 1)))
+
+    def test_half_split_uniform_over_subsets(self):
+        from itertools import combinations
+        mask = forest_mod._half_masks(self.keys, 6)
+        assert np.all(mask.sum(axis=1) == 3)
+        code = mask @ (1 << np.arange(6))
+        counts = np.bincount(code, minlength=64)
+        for subset in combinations(range(6), 3):
+            assert within_3se(counts[sum(1 << i for i in subset)], self.N, 1 / 20), subset
+
+    def test_levels_of_one_key_uncorrelated(self):
+        d = 4
+        zero, one = (forest_mod._dim_masks(self.keys, level, d) for level in (0, 1))
+        bound = 3 / math.sqrt(self.N)
+        assert abs(np.corrcoef(zero.sum(axis=1), one.sum(axis=1))[0, 1]) <= bound
+        for a in range(d):
+            for b in range(d):
+                assert abs(np.corrcoef(zero[:, a], one[:, b])[0, 1]) <= bound, (a, b)
+
+    def test_one_row_api_is_a_row_of_the_batch(self):
+        keys = self.keys[:50]
+        dims = forest_mod._dim_masks(keys, 0, 7)
+        halves = forest_mod._half_masks(keys, 11)
+        for i, key in enumerate(keys):
+            np.testing.assert_array_equal(forest_mod.poisson_dim_law(key, 7),
+                                          np.flatnonzero(dims[i]))
+            holdout, deciding = split_half(np.arange(11), key)
+            np.testing.assert_array_equal(deciding, np.flatnonzero(halves[i]))
+            np.testing.assert_array_equal(holdout, np.flatnonzero(~halves[i]))
+        # a Generator stands for the one key it draws
+        key = np.random.default_rng(3).integers(2 ** 64, dtype=np.uint64)
+        np.testing.assert_array_equal(forest_mod.poisson_dim_law(np.random.default_rng(3), 12),
+                                      forest_mod.poisson_dim_law(key, 12))
+        with pytest.raises(TypeError):
+            split_half(np.arange(4), 1.5)
+        with pytest.raises(OverflowError):
+            forest_mod.poisson_dim_law(-1, 4)
+
+    def test_tree_draws_depend_only_on_seed_and_index(self):
+        rng = np.random.default_rng(41)
+        data = random_dataset(rng, 150, 3)
+        spec = default_basis(4)
+        grown = [forest_mod.grow_forest(np.full(3, 0.5), data, ForestConfig(
+                     subsample_size=40, n_trees=n_trees, basis_order=4, initial_parent=unit_box(3),
+                     min_child=3, scheme="theta", seed=8), spec) for n_trees in (40, 20)]
+        (_, h40, sub40), (_, h20, sub20) = grown
+        assert h40[:20].tobytes() == h20.tobytes()
+        np.testing.assert_array_equal(sub40[:20], sub20)
+
+    def test_subsample_table_is_the_master_stream(self):
+        # the subsamples come from spawned child 0 of the seed, as before the
+        # trees' draws were keyed
+        cfg = ForestConfig(subsample_size=30, n_trees=40, basis_order=4,
+                           initial_parent=unit_box(4), min_child=2, seed=3)
+        master, _ = forest_mod._tree_streams(cfg.seed, cfg.n_trees)
+        assert sha256(draw_subsamples(120, cfg, master).tobytes()).hexdigest() == (
+            "137af015b2417d26607ea71e1cc079748bf5972a4015a2267230f37e7b05a713")
 
 
 class TestDrawSubsamples:
@@ -360,10 +466,11 @@ class TestWeights:
         np.testing.assert_allclose(w[nz], 0.25)
 
     def test_sum_to_one_when_leaves_nonempty(self):
+        # with seed 8, every tree's leaf holds a holdout point
         rng = np.random.default_rng(14)
         data = random_dataset(rng, 30, 3)
         cfg = ForestConfig(subsample_size=12, n_trees=16, basis_order=2,
-                           initial_parent=unit_box(3), min_child=2, seed=7,
+                           initial_parent=unit_box(3), min_child=2, seed=8,
                            scheme="mu")
         w = weights(np.full(3, 0.5), data, cfg)
         assert w.total == pytest.approx(1.0, abs=1e-12)
@@ -429,14 +536,34 @@ class TestShapeChecks:
         with pytest.raises(ValueError, match=r"not \(2, d\)"):
             make_config(initial_parent=bounds)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "3"), ("n_trees", 2.5),
+        ("subsample_size", 40.0), ("basis_order", np.float64(3.0)), ("min_child", False),
+        ("n_grid", True),
+    ])
+    def test_config_rejects_non_integer_counts_and_seed(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            make_config(**{field: value})
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            make_config(seed=-1)
+
+    def test_config_takes_numpy_integers_as_ints(self):
+        cfg = make_config(seed=np.uint64(2 ** 63), n_trees=np.int32(3), n_grid=np.int64(8))
+        assert (cfg.seed, cfg.n_trees, cfg.n_grid) == (2 ** 63, 3, 8)
+        assert all(type(v) is int for v in (cfg.seed, cfg.n_trees, cfg.n_grid))
+
 
 def weights_digest(x_query, data, cfg):
     return sha256(weights(x_query, data, cfg).weights.tobytes()).hexdigest()
 
 
 class TestGrowthRegression:
-    """Seeded weight digests recorded with per-node growth, before every
-    level of a forest was grown as one batch; growth must reproduce them."""
+    """Seeded weight digests, first recorded with per-node growth, before every
+    level of a forest was grown as one batch; growth must reproduce them.
+    They were re-recorded, with the solve statuses, when each tree's half
+    split and dimension sets became keyed counter-based draws."""
 
     def test_theta_scheme_with_boundary_fallbacks(self, monkeypatch):
         statuses = []
@@ -454,8 +581,8 @@ class TestGrowthRegression:
         cfg = ForestConfig(subsample_size=60, n_trees=16, basis_order=6,
                            initial_parent=unit_box(4), min_child=3, scheme="theta", seed=11)
         assert weights_digest(np.full(4, 0.5), data, cfg) == (
-            "45c80270c4ff42f54730ade0f59ca6e563a03f56c16af4db16523fe1be33282f")
-        assert statuses.count(expfam.BOUNDARY) == 9 and len(statuses) == 74
+            "911dad623f6340a37a7dba4fbb41cbea44991ada6a7006aef635b0d0d8098bbd")
+        assert statuses.count(expfam.BOUNDARY) == 7 and len(statuses) == 71
 
     def test_theta_node_solves_end_within_twenty_iterations(self, monkeypatch):
         # the forest above; BOUNDARY rows once crept toward the box bound in
@@ -476,9 +603,8 @@ class TestGrowthRegression:
         weights(np.full(4, 0.5), data, cfg)
         status = np.concatenate([b.status for b in batches])
         iterations = np.concatenate([b.iterations for b in batches])
-        # recorded with the residual-only line search, before the Armijo test
         assert "".join(map(str, status.tolist())) == (
-            "00000000000000000000000000000000000000000000010000000000100100100001110011")
+            "00000000000000000000000000000000000000000000000100000000110000001101010")
         assert iterations.max() <= 20
 
     def test_mu_scheme(self):
@@ -488,7 +614,7 @@ class TestGrowthRegression:
         cfg = ForestConfig(subsample_size=50, n_trees=24, basis_order=5,
                            initial_parent=unit_box(3), min_child=4, scheme="mu", seed=12)
         assert weights_digest(np.array([0.3, 0.6, 0.5]), data, cfg) == (
-            "9d9c82e91dc8dfefd81750e1ad086fd6ae4b6be4b0d5f5aaa5eaaa29188e1e15")
+            "ad21311b527be24608a0524b6e7ec974920a84e42553fc82a7394eadeac63957")
 
     def test_cli_golden_fit_config(self):
         # the forest of acceptance criterion 9's fit configuration
@@ -497,7 +623,7 @@ class TestGrowthRegression:
             dict(cli._FOREST_DEFAULTS, subsample_size=40, n_trees=40, basis_order=4,
                  min_child=4), 41, data)
         assert weights_digest(np.full(4, 0.5), data, cfg) == (
-            "f663c136d86c9b78d57b4a328989013d3e9c60ed170f5e263a4c2a61b06934b3")
+            "d16f85ef098761dc48d4942366c1f0fc0f4287643e9cf9898556482b177fd0a5")
 
     def test_forest_equals_trees_grown_alone(self):
         # a node's solve and split do not depend on the batch it is in
