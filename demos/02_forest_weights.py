@@ -35,11 +35,11 @@ for t, idx in enumerate(subsamples):
     overlap = set(res.holdout_members) & set(res.split_members)
     assert not overlap, "honesty: holdout never influences splits"
 
-w = weights(x_query, data, cfg, workers=2)
+w = weights(x_query, data, cfg)
 print(f"\nweights: {np.count_nonzero(w.weights)} observations share mass "
       f"{w.total:.6f}")
 print("largest weights:", np.round(np.sort(w.weights)[-5:], 4))
 
-# Determinism: the same seed gives bit-identical weights at any worker count.
-w_again = weights(x_query, data, cfg, workers=1)
+# Determinism: a rerun with the same seed gives bit-identical weights.
+w_again = weights(x_query, data, cfg)
 print("bit-identical rerun:", np.array_equal(w.weights, w_again.weights))

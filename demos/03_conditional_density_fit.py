@@ -26,8 +26,8 @@ cfg = ForestConfig(subsample_size=200, n_trees=560, basis_order=8,
 
 # se_params requests standard errors: the fit keeps its tree subsamples, and
 # the bias-corrected infinitesimal jackknife reuses every tree grown for the
-# point estimate.  The (n_sigma, d_sigma) pair draws no delete groups.
-fitted = fit(data, x_query, cfg, se_params=(70, 50), workers=2)
+# point estimate.
+fitted = fit(data, x_query, cfg, se_params="auto")
 print(f"solved coefficients: {np.round(fitted.theta_hat.theta, 3)}")
 
 print("\ny      estimate  truth    se      95% interval")

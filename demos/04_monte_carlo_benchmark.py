@@ -18,7 +18,7 @@ cfg = ForestConfig(subsample_size=125, n_trees=280, basis_order=8,
                    initial_parent=[[0.0] * 4, [1.0] * 4], seed=1)
 
 report = run_mc("D1", 500, 10, cfg, None, design_points=(0.25, 0.5, 0.75),
-                rng=1, workers=2)
+                workers=2)
 print("y       truth   bias     sd")
 for i, y in enumerate(report.design_points):
     print(f"{y:.3f}  {report.truth[i]:6.3f}  {report.bias[i]:+.4f}  "

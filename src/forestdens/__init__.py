@@ -8,14 +8,14 @@ errors and confidence intervals.
 
 __version__ = "0.1.0"
 
-from .basis import BasisSpec, basis_matrix, basis_vector, default_basis, integrate, legendre_eval, make_quadrature
+from .basis import BasisSpec, basis_matrix, default_basis, integrate, legendre_eval, make_quadrature
 from .errors import (AllWeightsZero, BoundaryMoment, EstimationError,
                      MissingPlan, NoCleanTrees, NonConvergence, ZeroDenominator)
 from .expfam import (MomentVector, ThetaSolution, covariance, density,
                      log_partition, moments, pseudo_outcomes_theta,
                      solve_theta, t_functional)
 from .forest import (Box, BranchResult, Dataset, ForestConfig, SESubsamplePlan,
-                     WeightVector, best_split, delta_tilde, draw_subsamples,
+                     WeightVector, best_split, draw_subsamples,
                      grow_branch, grow_from_halves, mu_hat, poisson_dim_law,
                      se_subsample_plan, sigma_fe, split_half, weights)
 from .estimator import (FittedConditionalDensity, confidence_interval, fit,

@@ -26,7 +26,6 @@ __all__ = [
     "BasisSpec",
     "default_basis",
     "legendre_eval",
-    "basis_vector",
     "basis_matrix",
     "basis_range",
     "make_quadrature",
@@ -90,11 +89,6 @@ def basis_matrix(spec: "BasisSpec", y) -> np.ndarray:
     _check_unit_interval(arr)
     table = _legendre_table(2.0 * arr - 1.0, spec.order)
     return table[:, 1:] * basis_range(spec.order)
-
-
-def basis_vector(spec: "BasisSpec", y: float) -> np.ndarray:
-    """Basis vector (phi_1(y), ..., phi_J(y)) at a single point."""
-    return basis_matrix(spec, y)[0]
 
 
 def make_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,11 +158,6 @@ class BasisSpec:
         gram = (phi * weights[:, None]).T @ phi
         if np.max(np.abs(gram - np.eye(self.order))) > 1e-10:
             raise ValueError("quadrature does not resolve basis orthonormality")
-
-    @property
-    def quad_nodes(self) -> list[tuple[float, float]]:
-        """The rule as (node, weight) pairs."""
-        return list(zip(self.nodes.tolist(), self.weights.tolist()))
 
 
 @lru_cache(maxsize=32)

@@ -214,14 +214,7 @@ def _se_arg(se):
         return None
     if se is True or se == "auto":
         return "auto"
-    if isinstance(se, dict):
-        if set(se) != {"n_sigma", "d_sigma"}:
-            raise UsageError(f"se keys must be n_sigma and d_sigma, not {sorted(se)}")
-        pair = _count(se["n_sigma"], "se.n_sigma"), _count(se["d_sigma"], "se.d_sigma")
-        if min(pair) < 1:
-            raise UsageError(f"se.n_sigma and se.d_sigma must be at least 1, not {pair}")
-        return pair
-    raise UsageError("se must be null, \"auto\", a boolean, or {n_sigma, d_sigma}")
+    raise UsageError(f"se must be null, \"auto\" or a boolean, not {se!r}")
 
 
 def _ci_level(value) -> float:
@@ -262,7 +255,7 @@ def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> in
         raise UsageError(f"query_x must be {data.dim} coordinates, not shape {query_x.shape}")
 
     with _input_errors("fit", ValueError):
-        fitted = estimator.fit(data, query_x, fcfg, se_params=se_params, workers=cfg["workers"])
+        fitted = estimator.fit(data, query_x, fcfg, se_params=se_params)
         rows = []
         for y in grid:
             dens = estimator.pdf(fitted, float(y))

@@ -55,7 +55,7 @@ class FittedConditionalDensity:
 
 
 def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
-        workers: int = 1, weights_override=None) -> FittedConditionalDensity:
+        workers: int = 1) -> FittedConditionalDensity:
     """Fit the conditional density of the outcome at covariate value ``x``.
 
     Parameters
@@ -71,12 +71,8 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         ``std_error``.  The value is not otherwise read: the forest is the
         same either way, and a pair draws no delete groups.
     workers : int
-        Accepted for compatibility and has no effect: all trees grow
-        together in the calling thread, one level at a time.
-    weights_override : array_like, optional
-        Test hook: skip the forest and use these weights directly (e.g.
-        uniform weights reproduce the unconditional series estimate through
-        the same solver path).
+        Has no effect: all trees grow together in the calling thread, one
+        level at a time.  Kept because ``bench/worker.py`` passes it.
 
     Raises
     ------
@@ -85,22 +81,23 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
     """
     x = np.asarray(x, dtype=float)
     spec = default_basis(cfg.basis_order)
-
-    if weights_override is not None:
-        w = WeightVector(np.asarray(weights_override, dtype=float))
-        mu = forest.mu_hat(w, data, spec)
-        theta = expfam.solve_theta(mu, spec)
-        return FittedConditionalDensity(x, mu, theta,
-                                        np.zeros((0, cfg.basis_order)),
-                                        None, cfg, spec, w)
-
     w, per_tree_h, subsamples = forest.grow_forest(x, data, cfg, spec)
+    return _from_trees(x, w, per_tree_h, None if se_params is None else subsamples, cfg, spec)
+
+
+def _from_trees(x, w: WeightVector, per_tree_h: np.ndarray, tree_subsamples,
+                cfg: ForestConfig, spec: BasisSpec) -> FittedConditionalDensity:
+    """The fit from its trees: the per-tree rows' mean is the moment vector, then one solve.
+
+    ``fit`` ends here.  One row is one leaf holding the weights' basis mean:
+    uniform weights give the unconditional series estimate through the
+    fit's own solve.
+    """
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")
     mu = expfam.MomentVector(per_tree_h.mean(axis=0))
     theta = expfam.solve_theta(mu, spec)
-    return FittedConditionalDensity(x, mu, theta, per_tree_h,
-                                    None if se_params is None else subsamples, cfg, spec, w)
+    return FittedConditionalDensity(x, mu, theta, per_tree_h, tree_subsamples, cfg, spec, w)
 
 
 def pdf(fitted: FittedConditionalDensity, y):

@@ -65,7 +65,6 @@ __all__ = [
     "poisson_dim_law",
     "draw_subsamples",
     "split_half",
-    "delta_tilde",
     "best_split",
     "grow_branch",
     "grow_from_halves",
@@ -415,38 +414,10 @@ def split_half(index_set, key) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(idx[~mask]), np.sort(idx[mask])
 
 
-def delta_tilde(rho_by_child) -> float:
-    """Heterogeneity score of a candidate split.
-
-    ``rho_by_child`` is a pair of pseudo-outcome stacks, one per child.
-    The score sums, over basis components, the squared within-child column
-    sums scaled by the inverse child counts.
-    """
-    rho1, rho2 = (np.atleast_2d(np.asarray(r, dtype=float)) for r in rho_by_child)
-    if rho1.shape[0] == 0 or rho2.shape[0] == 0:
-        raise ValueError("both children must be nonempty")
-    s1 = rho1.sum(axis=0)
-    s2 = rho2.sum(axis=0)
-    return float(s1 @ s1 / rho1.shape[0] + s2 @ s2 / rho2.shape[0])
-
-
 #: Relative tolerance within which two split scores count as tied.  Candidates
 #: giving the same partition tie in exact arithmetic; their computed scores
 #: differ by summation roundoff, far below this.
 _TIE_RTOL = 1e-12
-
-
-def _member_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of ``values[k, :counts[k]]`` over its members, for every row ``k``.
-
-    Rows of equal count are reduced together, so every sum is bit-identical
-    to ``values[k, :counts[k]].sum(axis=0)`` on the unpadded row.
-    """
-    out = np.empty((values.shape[0], values.shape[2]))
-    for c in np.unique(counts):
-        rows = counts == c
-        out[rows] = values[rows, :c].sum(axis=1)
-    return out
 
 
 def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
@@ -457,7 +428,8 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     ``phi_ext`` in their original order, padded with the sentinel last row
     (coordinates +inf, basis values 0).  Pseudo-outcomes are
     ``V(theta)^{-1} (phi - mu(theta))`` on ``solved`` nodes and centered
-    basis values ``phi - mean`` elsewhere.  There is one scoring row per
+    basis values ``phi - mean`` elsewhere, and 0 in the padding, so a node's
+    totals are sums over the padded width.  There is one scoring row per
     (node, eligible dimension) pair, ``row_node`` ascending and
     ``row_dim`` ascending within a node.  A row's left-child sums are its
     threshold mask, as floats, times its node's pseudo-outcomes; the right
@@ -470,7 +442,8 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     rho = phi - means[:, None, :]
     if solved.any():
         rho[solved] = expfam.row_pseudo_outcomes(theta[solved], phi[solved], spec)
-    totals = _member_sums(rho, counts)
+    rho[np.arange(members.shape[1]) >= counts[:, None]] = 0.0
+    totals = rho.sum(axis=1)
 
     coords = x_ext[members[row_node], row_dim[:, None]]
     c = counts[row_node]
@@ -534,8 +507,7 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
     slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))
     means = np.empty((counts.size, j))
     for a, b in slices:
-        sums = _member_sums(phi_ext[members[a:b, :counts[a]]], counts[a:b])
-        means[a:b] = sums / counts[a:b, None]
+        means[a:b] = phi_ext[members[a:b, :counts[a]]].sum(axis=1) / counts[a:b, None]
     theta = np.zeros_like(means)
     solved = np.zeros(counts.size, dtype=bool)
     if cfg.scheme == "theta":
@@ -645,7 +617,7 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys,
 
 
 def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
-               cfg: ForestConfig, allowed_dims, spec: BasisSpec = None):
+               cfg: ForestConfig, allowed_dims):
     """Search the threshold grid for the feasible split with the highest score.
 
     For each allowed dimension, ``cfg.n_grid`` equally spaced interior
@@ -658,15 +630,15 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     summation roundoff, never leave the choice to roundoff.  Pseudo-outcomes are
     derived from ``pivot``: a :class:`~forestdens.expfam.ThetaSolution`
     gives the influence residuals, a
-    :class:`~forestdens.expfam.MomentVector` the centered basis values.
+    :class:`~forestdens.expfam.MomentVector` the centered basis values, both
+    in the basis ``default_basis(cfg.basis_order)``.
 
     Returns ``(dim, threshold)`` or ``None`` when no candidate is feasible.
     This is the one-node case of the split search used by branch growth.
     """
     x_members = np.atleast_2d(np.asarray(x_members, dtype=float))
     m = x_members.shape[0]
-    if spec is None:
-        spec = default_basis(cfg.basis_order)
+    spec = default_basis(cfg.basis_order)
     zero = np.zeros((1, spec.order))
     if isinstance(pivot, expfam.ThetaSolution):
         means, theta, solved = zero, pivot.theta[None, :], True
@@ -740,11 +712,13 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
     """Per-tree holdout basis means; empty leaves contribute zero rows.
 
     Tree ``t``'s members are ``leaf[t, :counts[t]]``, row indices of ``phi``;
-    the rest of the row is padding.  Each mean is bit-identical to
-    ``phi[members].mean(axis=0)``.
+    the rest of the row is padding, summed as zeros.  With two or more basis
+    columns each mean is bit-identical to ``phi[members].mean(axis=0)``;
+    numpy sums a lone column pairwise, so at J = 1 only up to roundoff.
     """
-    rows = np.take(phi, leaf, axis=0, mode="clip")  # clips the padding, which is never summed
-    return _member_sums(rows, counts) / np.maximum(counts, 1)[:, None]
+    rows = np.take(phi, leaf, axis=0, mode="clip")  # the padding is clipped, then zeroed
+    rows[np.arange(leaf.shape[1]) >= counts[:, None]] = 0.0
+    return rows.sum(axis=1) / np.maximum(counts, 1)[:, None]
 
 
 def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):
@@ -773,14 +747,13 @@ def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):
     return WeightVector(w), per_tree_means(leaf, counts, phi), subsamples
 
 
-def weights(x, data: Dataset, cfg: ForestConfig, workers: int = 1) -> WeightVector:
+def weights(x, data: Dataset, cfg: ForestConfig) -> WeightVector:
     """Similarity weights of every observation for the query point.
 
     Each tree spreads mass ``1 / n_trees`` uniformly over its holdout
     members in the leaf containing ``x`` (zero if the leaf is empty), so
     the weights sum to one exactly when every leaf is nonempty.
-    Deterministic given ``cfg.seed``.  ``workers`` is accepted for
-    compatibility and has no effect: growth runs in the calling thread.
+    Deterministic given ``cfg.seed``; growth runs in the calling thread.
     """
     return grow_forest(x, data, cfg, default_basis(cfg.basis_order))[0]
 

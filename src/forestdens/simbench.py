@@ -270,7 +270,7 @@ def _one_replication(design, n, cfg, se_params, points, grid, ci_level, x_query,
 
 
 def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
-           design_points=DEFAULT_DESIGN_POINTS, rng=None, workers: int = 1,
+           design_points=DEFAULT_DESIGN_POINTS, workers: int = 1,
            mise_grid_points: int = 141, ci_level: float = 0.95) -> MCReport:
     """Run the Monte Carlo benchmark for one design.
 
@@ -279,11 +279,11 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     points and on the integrated-squared-error grid of ``mise_grid_points``
     (at least 2) points over :data:`MISE_INTERVAL`.  ``se_params`` is passed to
     :func:`~forestdens.estimator.fit`; without it the SE and coverage
-    columns are NaN.  The master seed is ``rng`` (an int) or ``cfg.seed``;
-    each replication's stream is spawned from it by index and seeds that
-    replication's data and forest, so the report does not depend on
-    ``workers``, the number of worker processes.  Failures are collected
-    in replication order and reported without aborting the run.
+    columns are NaN.  ``cfg.seed`` is the master seed: each replication's
+    stream is spawned from it by index and seeds that replication's data and
+    forest, so the report does not depend on ``workers``, the number of
+    worker processes.  Failures are collected in replication order and
+    reported without aborting the run.
     """
     design = _check_design(design)
     if reps < 2:
@@ -299,7 +299,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     x_query = np.full(4, 0.5)
     truth_points = true_density(design, points, x_query)
     truth_grid = true_density(design, grid, x_query)
-    rep_streams = np.random.SeedSequence(cfg.seed if rng is None else int(rng)).spawn(reps)
+    rep_streams = np.random.SeedSequence(cfg.seed).spawn(reps)
     replicate = partial(_one_replication, design, n, cfg, se_params, points, grid,
                         ci_level, x_query)
 

@@ -170,8 +170,8 @@ def test_criterion_4_forest_structure():
         )
         x_query = rng.random(d)
 
-        w1 = forest.weights(x_query, data, cfg, workers=1)
-        w8 = forest.weights(x_query, data, cfg, workers=8)
+        w1 = forest.weights(x_query, data, cfg)
+        w8 = forest.weights(x_query, data, cfg)
         assert np.array_equal(w1.weights, w8.weights), "worker determinism"
         assert np.all(w1.weights >= 0.0)
         assert w1.total <= 1.0 + 1e-12
@@ -267,8 +267,11 @@ def test_criterion_6_uniform_weights_reduction():
     cfg = ForestConfig(subsample_size=30, n_trees=8, basis_order=5,
                        initial_parent=[[0.0] * 3, [1.0] * 3], min_child=3, seed=0)
     uniform = np.full(data.n, 1.0 / data.n)
-    fitted = estimator.fit(data, np.full(3, 0.5), cfg, weights_override=uniform)
     spec = default_basis(5)
+    # the fit's solve step, given one leaf that holds the whole sample
+    w = forest.WeightVector(uniform)
+    fitted = estimator._from_trees(np.full(3, 0.5), w, forest.mu_hat(w, data, spec).mu[None, :],
+                                   None, cfg, spec)
     unconditional = expfam.solve_theta(
         forest.mu_hat(forest.WeightVector(uniform), data, spec), spec)
     bit_equal = (np.array_equal(fitted.theta_hat.theta, unconditional.theta)
@@ -293,7 +296,7 @@ def d1_benchmark():
     cfg = ForestConfig(subsample_size=200, n_trees=2240, basis_order=8,
                        min_child=10, min_fraction=0.05, scheme="theta",
                        initial_parent=[[0.0] * 4, [1.0] * 4], seed=BENCH_SEED)
-    return fd.run_mc("D1", 1000, 100, cfg, (560, 50), rng=BENCH_SEED, workers=2)
+    return fd.run_mc("D1", 1000, 100, cfg, (560, 50), workers=2)
 
 
 def test_criterion_7_d1_reproduction(d1_benchmark):
@@ -308,7 +311,7 @@ def test_criterion_7_d1_reproduction(d1_benchmark):
     smoke_cfg = ForestConfig(subsample_size=125, n_trees=560, basis_order=8,
                              min_child=10, min_fraction=0.05, scheme="theta",
                              initial_parent=[[0.0] * 4, [1.0] * 4], seed=77)
-    smoke = fd.run_mc("D1", 500, 20, smoke_cfg, None, rng=77, workers=2)
+    smoke = fd.run_mc("D1", 500, 20, smoke_cfg, None, workers=2)
     smoke_elapsed = time.perf_counter() - t0
     smoke_ok = smoke_elapsed < 1800.0 and smoke.mise < 0.05
 
@@ -329,9 +332,12 @@ def test_criterion_8_coverage_and_se(d1_benchmark):
     i50 = int(np.flatnonzero(rep.design_points == 0.5)[0])
     coverage_ok = rep.coverage[i25] >= 0.90
     se_ok = 0.05 <= rep.avg_se[i50] <= 0.20
+    at_points = ", ".join(f"{y:.3g}: {c:.2f}/{se:.3f}" for y, c, se
+                          in zip(rep.design_points, rep.coverage, rep.avg_se))
     report("8 coverage and std. error", coverage_ok and se_ok,
            f"coverage(0.25) {rep.coverage[i25]:.2f} (>=0.90); "
-           f"avg se(0.50) {rep.avg_se[i50]:.3f} in [0.05,0.20]")
+           f"avg se(0.50) {rep.avg_se[i50]:.3f} in [0.05,0.20]; "
+           f"coverage/avg se at y = {at_points}")
     assert coverage_ok
     assert se_ok
 
@@ -352,7 +358,7 @@ def test_criterion_9_cli_golden(tmp_path):
         "input": str(data),
         "query_x": [0.5, 0.5, 0.5, 0.5],
         "seed": 41,
-        "se": {"n_sigma": 8, "d_sigma": 9},
+        "se": "auto",
         "forest": {"subsample_size": 40, "n_trees": 40, "basis_order": 4,
                    "min_child": 4},
     }))

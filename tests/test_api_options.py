@@ -25,18 +25,14 @@ OPTIONS = [
     "forest.ForestConfig.n_grid",
     "forest.ForestConfig.seed",
     "forest.BranchResult.splits",
-    "forest.best_split.spec",
     "forest.grow_branch.index",
     "forest.grow_from_halves.index",
-    "forest.weights.workers",
     "estimator.fit.se_params",
     "estimator.fit.workers",
-    "estimator.fit.weights_override",
     "estimator.confidence_interval.level",
     "simbench.MCReport.failures",
     "simbench.kernel_baseline.bandwidths",
     "simbench.run_mc.design_points",
-    "simbench.run_mc.rng",
     "simbench.run_mc.workers",
     "simbench.run_mc.mise_grid_points",
     "simbench.run_mc.ci_level",

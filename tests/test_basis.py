@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestdens.basis import (BasisSpec, basis_matrix, basis_vector,
-                              default_basis, integrate, legendre_eval,
-                              make_quadrature)
+from forestdens.basis import (BasisSpec, basis_matrix, default_basis, integrate,
+                              legendre_eval, make_quadrature)
 
 
 def binomial_sum_oracle(ell: int, y: float) -> float:
@@ -67,15 +66,15 @@ class TestLegendreEval:
 class TestBasisVector:
     def test_second_component_at_half(self):
         # phi_2(y) = sqrt(5) (6 y^2 - 6 y + 1)
-        vec = basis_vector(default_basis(2), 0.5)
+        vec = basis_matrix(default_basis(2), 0.5)[0]
         np.testing.assert_allclose(vec, [0.0, np.sqrt(5) * (-0.5)], atol=1e-14)
 
     def test_single_component_at_one(self):
-        np.testing.assert_allclose(basis_vector(default_basis(1), 1.0),
+        np.testing.assert_allclose(basis_matrix(default_basis(1), 1.0)[0],
                                    [np.sqrt(3.0)], rtol=1e-15)
 
     def test_alternating_signs_at_zero(self):
-        vec = basis_vector(default_basis(3), 0.0)
+        vec = basis_matrix(default_basis(3), 0.0)[0]
         expected = [binomial_sum_oracle(ell, 0.0) for ell in (1, 2, 3)]
         np.testing.assert_allclose(vec, expected, atol=1e-12)
         np.testing.assert_allclose(vec, [-np.sqrt(3), np.sqrt(5), -np.sqrt(7)],
@@ -86,7 +85,7 @@ class TestBasisVector:
         ys = np.array([0.1, 0.53, 0.99])
         mat = basis_matrix(spec, ys)
         for i, y in enumerate(ys):
-            np.testing.assert_array_equal(mat[i], basis_vector(spec, y))
+            np.testing.assert_array_equal(mat[i], basis_matrix(spec, y)[0])
 
 
 class TestQuadrature:
@@ -132,12 +131,6 @@ class TestBasisSpec:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             BasisSpec(order=0)
-
-    def test_quad_nodes_pairs(self):
-        spec = default_basis(2)
-        pairs = spec.quad_nodes
-        assert len(pairs) == spec.nodes.size
-        assert pairs[0] == (spec.nodes[0], spec.weights[0])
 
 
 class TestOrthonormalityProperty:

