@@ -134,27 +134,28 @@ class BasisSpec:
     ``max(64, 4*order + 16)`` nodes, enough for the smooth exponential
     integrands this package produces at the tolerances it verifies.
     Construction checks that it reproduces the basis orthonormality
-    relations to 1e-10.  The matrix of basis values at the nodes is
-    precomputed and shared by all downstream integrals; instances are
-    immutable and safe to use concurrently.
+    relations to 1e-10.  The matrix of basis values at the nodes, and
+    their outer products ``phi(t) phi(t)^T`` flattened to ``(Q, J*J)``, are
+    precomputed, read-only, and shared by all downstream integrals;
+    instances are immutable and safe to use concurrently.
     """
 
     order: int
     nodes: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
     phi_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    outer_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("basis order must be at least 1")
         nodes, weights = make_quadrature(max(64, 4 * self.order + 16))
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
         phi = basis_matrix(self, nodes)
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi_nodes", phi)
+        outer = (phi[:, :, None] * phi[:, None, :]).reshape(phi.shape[0], -1)
+        for name, a in (("nodes", nodes), ("weights", weights), ("phi_nodes", phi),
+                        ("outer_nodes", outer)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         gram = (phi * weights[:, None]).T @ phi
         if np.max(np.abs(gram - np.eye(self.order))) > 1e-10:
             raise ValueError("quadrature does not resolve basis orthonormality")

@@ -16,8 +16,9 @@ under the current density) and a step-halving line search on L and the
 residual.  A batch of systems is solved in one pass: each round evaluates the
 full step of every row at once, then halves the step of the rows that reject
 it, one length per evaluation of the rows still pending.  The public solvers
-start from zero coefficients; forest growth starts each child node from its
-parent's root.
+start from zero coefficients and stop at :data:`NEWTON_TOL`; forest growth
+starts each child node from its parent's root, stops at :data:`GROWTH_TOL`
+and keeps each root's density and moments for its pseudo-outcomes.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -40,6 +41,7 @@ __all__ = [
     "ThetaSolution",
     "THETA_BOX_BOUND",
     "NEWTON_TOL",
+    "GROWTH_TOL",
     "log_partition",
     "density",
     "moments",
@@ -61,6 +63,10 @@ THETA_BOX_BOUND = 50.0
 
 #: Newton's convergence threshold on the moment residual sup-norm.
 NEWTON_TOL = 1e-10
+
+#: The threshold of forest growth's node solves, whose roots only feed split
+#: scores; a fit's final solve keeps :data:`NEWTON_TOL`.
+GROWTH_TOL = 1e-6
 
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search's Armijo test
 
@@ -130,17 +136,10 @@ def _row_states(theta: np.ndarray, spec: BasisSpec):
     return dens, mu, top[:, 0] + np.log(z[:, 0])
 
 
-def _outer_products(spec: BasisSpec) -> np.ndarray:
-    """Outer products phi(t) phi(t)^T at the quadrature nodes, flattened: (Q, J*J)."""
-    phi = spec.phi_nodes
-    return (phi[:, :, None] * phi[:, None, :]).reshape(phi.shape[0], -1)
-
-
-def _row_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec,
-                     outer: np.ndarray) -> np.ndarray:
+def _row_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """Basis covariance for each row, from :func:`_row_states` output."""
     j = mu.shape[1]
-    second = ((spec.weights * dens)[:, None, :] @ outer).reshape(-1, j, j)
+    second = ((spec.weights * dens)[:, None, :] @ spec.outer_nodes).reshape(-1, j, j)
     v = second - mu[:, :, None] * mu[:, None, :]
     return 0.5 * (v + v.transpose(0, 2, 1))
 
@@ -153,14 +152,18 @@ def _one_row(theta, spec: BasisSpec):
     return dens, mu, logz[0]
 
 
+def _inverse_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec) -> np.ndarray:
+    """``V(theta)^{-1}`` for each row, from :func:`_row_states` output: one stacked inverse."""
+    return np.linalg.inv(_row_covariances(dens, mu, spec))
+
+
 def _pseudo_outcomes(dens, mu, phi: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """:func:`row_pseudo_outcomes` from the rows' :func:`_row_states` output.
 
     One matrix product per row maps all of its members at once: a stacked
     matmul whose core is the row's ``(k, J) @ (J, J)`` product.
     """
-    cov = _row_covariances(dens, mu, spec, _outer_products(spec))
-    return (phi - mu[:, None, :]) @ np.linalg.inv(cov).transpose(0, 2, 1)
+    return (phi - mu[:, None, :]) @ _inverse_covariances(dens, mu, spec).transpose(0, 2, 1)
 
 
 def row_pseudo_outcomes(theta, phi, spec: BasisSpec) -> np.ndarray:
@@ -202,7 +205,7 @@ def covariance(theta, spec: BasisSpec) -> np.ndarray:
     indicates the quadrature rule is under-resolving the integrands.
     """
     dens, mu, _ = _one_row(theta, spec)
-    return _row_covariances(dens, mu, spec, _outer_products(spec))[0]
+    return _row_covariances(dens, mu, spec)[0]
 
 
 def _as_moment_array(mu_target) -> np.ndarray:
@@ -227,13 +230,16 @@ class NewtonBatch:
     :data:`NO_CONVERGENCE` for each row.  ``theta``, ``residual`` and
     ``iterations`` are the root, its residual sup-norm and the Newton
     iterations for solved rows, and the last accepted iterate for rows that
-    did not converge.
+    did not converge.  ``dens`` (at the quadrature nodes) and ``mu`` are the
+    family's state at a solved row's root, the bits :func:`_row_states` gives.
     """
 
     theta: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
     status: np.ndarray
+    dens: np.ndarray
+    mu: np.ndarray
 
 
 def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> NewtonBatch:
@@ -251,21 +257,23 @@ def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> Newto
     as :data:`NO_CONVERGENCE`.
 
     Forest growth starts each child node's iteration from its parent's
-    solved coefficients instead, through the private :func:`_solve_from`.
+    solved coefficients instead, and stops it at :data:`GROWTH_TOL`,
+    through the private :func:`_solve_from`.
     """
     targets = np.atleast_2d(np.asarray(mu_targets, dtype=float))
     return _solve_from(targets, np.zeros_like(targets), spec, max_iter)
 
 
 def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
-                max_iter: int) -> NewtonBatch:
+                max_iter: int, tol: float = NEWTON_TOL) -> NewtonBatch:
     """:func:`solve_theta_batch` with row ``k``'s iteration started from ``start[k]``.
 
     The dual at the start is ``log Z(start) - start . target``; the
-    exact-zero-target shortcut, tolerance, box bound, iteration cap, line
-    search and status codes are those of :func:`solve_theta_batch`, and a
-    row's result is still bit-identical to solving it alone from its start.
-    A start at the exact root returns it as SOLVED after 0 iterations.
+    exact-zero-target shortcut, box bound, iteration cap, line search and
+    status codes are those of :func:`solve_theta_batch`, the tolerance is
+    ``tol``, and a row's result is bit-identical to solving it alone from its
+    start.  A start at the exact root returns it as SOLVED after 0
+    iterations.  Solved rows keep the state their last evaluation computed.
     """
     if not np.all(np.isfinite(targets)):
         raise ValueError("moment target must be finite")
@@ -273,14 +281,17 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     if spec.order != j:
         raise ValueError(f"target has {j} components but basis order is {spec.order}")
     out = NewtonBatch(np.zeros((m, j)), np.zeros(m), np.zeros(m, dtype=np.intp),
-                      np.full(m, SOLVED, dtype=np.int8))
+                      np.full(m, SOLVED, dtype=np.int8), np.zeros((m, spec.nodes.size)),
+                      np.zeros((m, j)))
     out.status[(np.abs(targets) >= basis_range(j)).any(axis=1)] = BOUNDARY
     # an exact zero target has the exact root zero: no iteration
-    rows = np.flatnonzero((out.status == SOLVED) & targets.any(axis=1))
-    outer = _outer_products(spec)
+    zero = (out.status == SOLVED) & ~targets.any(axis=1)
+    if zero.any():
+        out.dens[zero], out.mu[zero] = _row_states(np.zeros((1, j)), spec)[:2]
+    rows = np.flatnonzero((out.status == SOLVED) & ~zero)
     chunk = max(1, BATCH_ELEMENTS // max(spec.nodes.size, j * j))
     for lo in range(0, rows.size, chunk):
-        _newton_rows(targets, start, rows[lo:lo + chunk], spec, outer, max_iter, out)
+        _newton_rows(targets, start, rows[lo:lo + chunk], spec, max_iter, tol, out)
     return out
 
 
@@ -314,46 +325,53 @@ def _dual_states(theta: np.ndarray, target: np.ndarray, spec: BasisSpec):
     return dens, mu, resid, np.abs(resid).max(axis=1), dual
 
 
-def _newton_rows(targets, start, rows, spec, outer, max_iter, out: NewtonBatch) -> None:
-    """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``."""
+def _newton_rows(targets, start, rows, spec, max_iter, tol, out: NewtonBatch) -> None:
+    """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``.
+
+    The state arrays are copies, updated in place as each row accepts a length.
+    """
     target = targets[rows]
     theta = start[rows]
     dens, mu, resid, rnorm, dual = _dual_states(theta, target, spec)
 
     def finish(sel, status, iterations):
-        out.theta[rows[sel]] = theta[sel]
-        out.residual[rows[sel]] = rnorm[sel]
-        out.iterations[rows[sel]] = iterations
-        out.status[rows[sel]] = status
+        done = rows[sel]
+        out.theta[done], out.dens[done], out.mu[done] = theta[sel], dens[sel], mu[sel]
+        out.residual[done] = rnorm[sel]
+        out.iterations[done] = iterations
+        out.status[done] = status
         return ~sel
 
     for it in range(1, max_iter + 1):
-        keep = finish(rnorm <= NEWTON_TOL, SOLVED, it - 1)
+        keep = finish(rnorm <= tol, SOLVED, it - 1)
         rows, target, theta, dens, mu, resid, rnorm, dual = (
             a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual))
         if rows.size == 0:
             return
-        step, singular = _newton_steps(_row_covariances(dens, mu, spec, outer), resid)
+        step, singular = _newton_steps(_row_covariances(dens, mu, spec), resid)
         armijo = _ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]  # -c grad L . step
-        pending = np.flatnonzero(~singular)  # a singular row takes no step
-        new = [a.copy() for a in (theta, dens, mu, resid, rnorm, dual)]
-        for lam in np.ldexp(1.0, -np.arange(31)):  # 2^0 ... 2^-30, on the rows still pending
+        # one evaluation tries the full step of every non-singular row (a
+        # singular row takes no step); the rows that reject it halve it,
+        # 2^-1 ... 2^-30, in one evaluation per length
+        pending = np.flatnonzero(~singular)
+        for lam in np.ldexp(1.0, -np.arange(31)):
             if pending.size == 0:
                 break
             cand = theta[pending] + lam * step[pending]
             state = _dual_states(cand, target[pending], spec)
             bound = dual[pending] - lam * armijo[pending]  # L + c lam grad L . step
             hit = (state[3] < rnorm[pending]) | (state[4] <= bound)  # lower residual, or Armijo
-            for a, b in zip(new, (cand, *state)):
+            for a, b in zip((theta, dens, mu, resid, rnorm, dual), (cand, *state)):
                 a[pending[hit]] = b[hit]
             pending = pending[~hit]
-        keep = finish(singular | np.isin(np.arange(rows.size), pending), NO_CONVERGENCE, it)
-        theta, dens, mu, resid, rnorm, dual = new
+        stalled = singular.copy()
+        stalled[pending] = True
+        keep = finish(stalled, NO_CONVERGENCE, it)
         escaped = keep & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)
         keep = finish(escaped, BOUNDARY, it) & keep
         rows, target, theta, dens, mu, resid, rnorm, dual = (
             a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual))
-    converged = rnorm <= NEWTON_TOL
+    converged = rnorm <= tol
     finish(converged, SOLVED, max_iter)
     finish(~converged, NO_CONVERGENCE, max_iter)
 

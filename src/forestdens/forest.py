@@ -18,11 +18,12 @@ of (seed, tree index), drawn for all trees in one array call.  All
 branches grow together, one level at a time, and a level is processed as
 arrays: the nodes' target moments, one batched Newton solve (the iteration of
 :func:`~forestdens.expfam.solve_theta_batch`, each child node started from
-its parent's solved coefficients), the pseudo-outcomes
-(:func:`~forestdens.expfam.row_pseudo_outcomes`), and the threshold scores,
-whose left-child sums are one masked matmul over the slice's padded width.
-The padding adds exact zeros, so the batch moves a score only by roundoff,
-far below the split's tie tolerance: growing one tree alone
+its parent's solved coefficients, to :data:`~forestdens.expfam.GROWTH_TOL`),
+the pseudo-outcomes from the moments and density the solve kept at each root
+(one stacked inverse per level, as grf builds them from the parent's estimate
+and Jacobian), and the threshold scores, whose left-child sums and counts are
+one masked matmul over the slice's padded width.  Sums over members run in
+member order, so the padding adds exact zeros: growing one tree alone
 (:func:`grow_branch`) gives the same branch as growing it in a forest.
 A fit's trees stay arrays, one row per tree, from the subsample draw to the
 standard error; only the one-tree functions build :class:`BranchResult`,
@@ -420,30 +421,48 @@ def split_half(index_set, key) -> tuple[np.ndarray, np.ndarray]:
 _TIE_RTOL = 1e-12
 
 
+def _member_sums(rows: np.ndarray) -> np.ndarray:
+    """Sums of ``rows`` over its padded member axis 1, in member order at any width.
+
+    numpy adds a middle axis in order, but a lone column (J = 1) is contiguous
+    and numpy sums it pairwise, so there a running sum is taken; ``+ 0.0``
+    gives an all-zero sum the sign numpy's sum gives.
+    """
+    if rows.shape[2] > 1 or rows.shape[1] == 0:
+        return rows.sum(axis=1)
+    return rows.cumsum(axis=1)[:, -1] + 0.0
+
+
 def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
-                 means, theta, solved, cfg: ForestConfig, spec: BasisSpec):
+                 center, vinv, solved, cfg: ForestConfig):
     """Score the threshold grid of every node and pick each node's best split.
 
     ``members`` holds each node's deciding-half positions into ``x_ext`` /
     ``phi_ext`` in their original order, padded with the sentinel last row
     (coordinates +inf, basis values 0).  Pseudo-outcomes are
-    ``V(theta)^{-1} (phi - mu(theta))`` on ``solved`` nodes and centered
-    basis values ``phi - mean`` elsewhere, and 0 in the padding, so a node's
-    totals are sums over the padded width.  There is one scoring row per
-    (node, eligible dimension) pair, ``row_node`` ascending and
-    ``row_dim`` ascending within a node.  A row's left-child sums are its
-    threshold mask, as floats, times its node's pseudo-outcomes; the right
-    sums are the node totals minus the left.  A node's first candidate within
-    :data:`_TIE_RTOL` of its best score is its lexicographically smallest
-    (dimension, threshold) among the near-best.  Returns ``(dim, threshold)``
-    arrays, ``dim = -1`` where no candidate is feasible.
+    ``vinv (phi - center)`` on ``solved`` nodes, ``(mu(theta), V(theta)^{-1})``
+    at the root, and ``phi - center`` elsewhere, ``center`` the node's mean;
+    then a column of ones, and 0 in the padding, so a node's totals are sums
+    over the padded width.  There is one scoring row per (node, eligible
+    dimension) pair, ``row_node`` ascending and ``row_dim`` ascending within a
+    node.  A row's left-child sums and count are its threshold mask, as
+    floats, times its node's pseudo-outcomes; the right sums are the node
+    totals minus the left.  A node's first candidate within :data:`_TIE_RTOL`
+    of its best score is its lexicographically smallest (dimension, threshold)
+    among the near-best.  Returns ``(dim, threshold)`` arrays, ``dim = -1``
+    where no candidate is feasible.
     """
     phi = phi_ext[members]
-    rho = phi - means[:, None, :]
+    j = phi.shape[2]
+    rho = np.empty(phi.shape[:2] + (j + 1,))
+    dev = phi - center[:, None, :]
+    rho[:, :, :j] = dev
     if solved.any():
-        rho[solved] = expfam.row_pseudo_outcomes(theta[solved], phi[solved], spec)
+        # one (width, J) @ (J, J) product per node, on contiguous operands
+        rho[solved, :, :j] = dev[solved] @ vinv[solved].transpose(0, 2, 1)
+    rho[:, :, j] = 1.0
     rho[np.arange(members.shape[1]) >= counts[:, None]] = 0.0
-    totals = rho.sum(axis=1)
+    totals = rho.sum(axis=1)  # in member order: J + 1 >= 2 columns
 
     coords = x_ext[members[row_node], row_dim[:, None]]
     c = counts[row_node]
@@ -453,14 +472,15 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     thresholds = np.linspace(np.where(spread, lo, 0.0), np.where(spread, hi, 1.0),
                              cfg.n_grid + 2, axis=1)[:, 1:-1]
     below = coords[:, None, :] <= thresholds[:, :, None]
-    n_left = below.sum(axis=2)
+    sums = below.astype(float) @ rho[row_node]
+    n_left = sums[:, :, j]  # whole numbers, exact in floats
     n_right = c[:, None] - n_left
     bound = np.maximum(cfg.min_fraction * c, cfg.min_child)[:, None]
     feasible = spread[:, None] & (n_left >= bound) & (n_right >= bound)
     row, grid = np.nonzero(feasible)
     nl, nr = n_left[row, grid], n_right[row, grid]
-    left = (below.astype(float) @ rho[row_node])[row, grid]
-    right = totals[row_node[row]] - left
+    left = sums[row, grid, :j]
+    right = totals[row_node[row], :j] - left
     score = np.full(n_left.shape, -np.inf)
     score[row, grid] = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
 
@@ -479,14 +499,14 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
 def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
     """Consecutive node ranges whose largest split-search temporary fits the batch cap.
 
-    A node of ``c`` members has up to ``d`` scoring rows, each with ``(c, J)``
-    pseudo-outcomes, an ``(n_grid, c)`` threshold mask as floats and
-    ``(n_grid, J)`` child sums; sizes are in float elements.  ``counts`` is
+    A node of ``c`` members has up to ``d`` scoring rows, each with ``(c, J + 1)``
+    pseudo-outcomes and counts, an ``(n_grid, c)`` threshold mask as floats and
+    ``(n_grid, J + 1)`` child sums; sizes are in float elements.  ``counts`` is
     non-increasing, so a range's widest node is its first.
     """
     a = 0
     while a < counts.size:
-        per_node = d * max(int(counts[a]) * max(j, n_grid), n_grid * j)
+        per_node = d * max(int(counts[a]) * max(j + 1, n_grid), n_grid * (j + 1))
         b = min(counts.size, a + max(1, expfam.BATCH_ELEMENTS // per_node))
         yield a, b
         a = b
@@ -498,30 +518,35 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
 
     The node targets are the deciding members' basis means; under the
     "theta" scheme they go through one batched Newton solve, each node's
-    started from its row of ``start``, and nodes whose solve fails
-    (``BoundaryMoment`` or ``NonConvergence``) are scored with centered
-    basis values instead.  Returns ``(dim, threshold, theta)``, ``theta``
-    the solved coefficients, zero where no solve succeeded.
+    started from its row of ``start``, whose kept moments and density give
+    every solved node's ``V(theta)^{-1}`` in one stacked inverse.  Nodes
+    whose solve fails (``BoundaryMoment`` or ``NonConvergence``) are scored
+    with centered basis values instead.  Returns ``(dim, threshold, theta)``,
+    ``theta`` the solved coefficients, zero where no solve succeeded.
     """
     j = spec.order
     slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))
     means = np.empty((counts.size, j))
     for a, b in slices:
-        means[a:b] = phi_ext[members[a:b, :counts[a]]].sum(axis=1) / counts[a:b, None]
+        means[a:b] = _member_sums(phi_ext[members[a:b, :counts[a]]]) / counts[a:b, None]
     theta = np.zeros_like(means)
+    center = means
+    vinv = np.zeros((counts.size, j, j))
     solved = np.zeros(counts.size, dtype=bool)
     if cfg.scheme == "theta":
-        batch = expfam._solve_from(means, start, spec, 100)
+        batch = expfam._solve_from(means, start, spec, 100, expfam.GROWTH_TOL)
         solved = batch.status == expfam.SOLVED
         theta[solved] = batch.theta[solved]
+        center = np.where(solved[:, None], batch.mu, means)
+        vinv[solved] = expfam._inverse_covariances(batch.dens[solved], batch.mu[solved], spec)
     dim = np.empty(counts.size, dtype=np.intp)
     thr = np.empty(counts.size)
     row_bounds = np.searchsorted(row_node, [a for a, _ in slices] + [counts.size])
     for (a, b), r0, r1 in zip(slices, row_bounds[:-1], row_bounds[1:]):
         dim[a:b], thr[a:b] = _node_splits(
             x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
-            row_node[r0:r1] - a, row_dim[r0:r1], means[a:b], theta[a:b],
-            solved[a:b], cfg, spec)
+            row_node[r0:r1] - a, row_dim[r0:r1], center[a:b], vinv[a:b],
+            solved[a:b], cfg)
     return dim, thr, theta
 
 
@@ -639,11 +664,11 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     x_members = np.atleast_2d(np.asarray(x_members, dtype=float))
     m = x_members.shape[0]
     spec = default_basis(cfg.basis_order)
-    zero = np.zeros((1, spec.order))
     if isinstance(pivot, expfam.ThetaSolution):
-        means, theta, solved = zero, pivot.theta[None, :], True
+        dens, center, _ = expfam._row_states(pivot.theta[None, :], spec)
+        vinv, solved = expfam._inverse_covariances(dens, center, spec), True
     elif isinstance(pivot, expfam.MomentVector):
-        means, theta, solved = pivot.mu[None, :], zero, False
+        center, vinv, solved = pivot.mu[None, :], np.zeros((1, spec.order, spec.order)), False
     else:
         raise TypeError("pivot must be a ThetaSolution or a MomentVector")
     x_ext, phi_ext = _with_sentinel(
@@ -652,8 +677,8 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     if dims.size == 0:
         return None
     dim, thr = _node_splits(x_ext, phi_ext, np.arange(m)[None, :], np.array([m]),
-                            np.zeros(dims.size, dtype=np.intp), dims, means, theta,
-                            np.array([solved]), cfg, spec)
+                            np.zeros(dims.size, dtype=np.intp), dims, center, vinv,
+                            np.array([solved]), cfg)
     return None if dim[0] < 0 else (int(dim[0]), float(thr[0]))
 
 
@@ -712,13 +737,13 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
     """Per-tree holdout basis means; empty leaves contribute zero rows.
 
     Tree ``t``'s members are ``leaf[t, :counts[t]]``, row indices of ``phi``;
-    the rest of the row is padding, summed as zeros.  With two or more basis
-    columns each mean is bit-identical to ``phi[members].mean(axis=0)``;
-    numpy sums a lone column pairwise, so at J = 1 only up to roundoff.
+    the rest of the row is padding, summed as zeros in member order, so each
+    mean is the same at any padded width, and for J >= 2 bit-identical to
+    ``phi[members].mean(axis=0)``.
     """
     rows = np.take(phi, leaf, axis=0, mode="clip")  # the padding is clipped, then zeroed
     rows[np.arange(leaf.shape[1]) >= counts[:, None]] = 0.0
-    return rows.sum(axis=1) / np.maximum(counts, 1)[:, None]
+    return _member_sums(rows) / np.maximum(counts, 1)[:, None]
 
 
 def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):

@@ -262,7 +262,6 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
         return theta[0], 0.0, 0, SOLVED, 0
     if start is not None:
         theta = np.array(start, dtype=float)[None, :]
-    outer = expfam._outer_products(spec)
     dens, mu, logz = expfam._row_states(theta, spec)
     dual = logz - (theta[:, None, :] @ target[None, :, None])[:, 0, 0]  # L = log Z - theta . target
     resid = target - mu
@@ -271,7 +270,7 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
     for it in range(1, max_iter + 1):
         if rnorm <= expfam.NEWTON_TOL:
             return theta[0], rnorm, it - 1, SOLVED, halvings
-        cov = expfam._row_covariances(dens, mu, spec, outer)
+        cov = expfam._row_covariances(dens, mu, spec)
         try:
             step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # collapsed family: no step is taken
@@ -456,6 +455,36 @@ class TestWarmStart:
         target[-1] = 1.001 * basis_range(j)[-1]
         res = expfam._solve_from(np.tile(target, (12, 1)), starts, spec, 100)
         assert np.all(res.status == BOUNDARY) and np.all(res.iterations == 0)
+
+
+class TestKeptState:
+    """Growth builds each solved node's pseudo-outcomes from the density and
+    moments the Newton solve kept at its root."""
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10),
+           st.integers(min_value=2, max_value=6), st.data(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_pseudo_outcomes_from_the_kept_state_are_row_pseudo_outcomes(
+            self, j, m, k, data, pyrandom):
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        spec = default_basis(j)
+        roots = [random_theta(rng, j, 4.0) for _ in range(2)]
+        targets = np.vstack([mixed_targets(rng, j, m), [moments(r, spec).mu for r in roots],
+                             np.zeros(j)])  # an exact zero target is solved without iterating
+        starts = np.vstack([mixed_starts(rng, j, m), roots, mixed_starts(rng, j, 1)])
+        cut = data.draw(st.integers(min_value=0, max_value=targets.shape[0]))
+        # the rows solved in two batches, split anywhere
+        parts = [expfam._solve_from(targets[sl], starts[sl], spec, 100, expfam.GROWTH_TOL)
+                 for sl in (slice(0, cut), slice(cut, None))]
+        theta, dens, mu, status = (np.concatenate([getattr(b, f) for b in parts])
+                                   for f in ("theta", "dens", "mu", "status"))
+        solved = np.flatnonzero(status == SOLVED)
+        assert solved.size >= 3
+        phi = basis_matrix(spec, rng.random(solved.size * k)).reshape(solved.size, k, j)
+        vinv = expfam._inverse_covariances(dens[solved], mu[solved], spec)
+        kept = (phi - mu[solved][:, None, :]) @ vinv.transpose(0, 2, 1)
+        expected = expfam.row_pseudo_outcomes(theta[solved], phi, spec)
+        assert kept.tobytes() == expected.tobytes()
 
 
 class TestPseudoOutcomes:

@@ -692,20 +692,51 @@ class TestGrowthRegression:
     def test_level_slices_do_not_change_weights(self, monkeypatch):
         rng = np.random.default_rng(28)
         data = random_dataset(rng, 150, 3)
-        cfg = ForestConfig(subsample_size=60, n_trees=20, basis_order=4,
-                           initial_parent=unit_box(3), min_child=3, scheme="theta", seed=3)
-        whole = weights(np.full(3, 0.5), data, cfg).weights
+        # J = 1 as well: there numpy would sum a lone padded column pairwise
+        cfgs = [ForestConfig(subsample_size=60, n_trees=20, basis_order=j,
+                             initial_parent=unit_box(3), min_child=3, scheme="theta", seed=3)
+                for j in (4, 1)]
+        whole = [weights(np.full(3, 0.5), data, cfg).weights for cfg in cfgs]
         monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one node per slice
-        np.testing.assert_array_equal(weights(np.full(3, 0.5), data, cfg).weights, whole)
+        for cfg, w in zip(cfgs, whole):
+            np.testing.assert_array_equal(weights(np.full(3, 0.5), data, cfg).weights, w)
 
 
-def largest_split_temporary(nodes, width, rows, j, n_grid):
-    """Bytes of the largest array the split search of one slice builds:
-    member basis values and pseudo-outcomes (nodes, width, J), per-row
-    pseudo-outcomes (rows, width, J), the threshold mask (rows, n_grid,
-    width) as floats, and the child sums (rows, n_grid, J)."""
-    return max(8 * nodes * width * j, 8 * rows * width * j, 8 * rows * n_grid * width,
-               8 * rows * n_grid * j)
+class TestGrowthTolerance:
+    def test_growth_solves_stop_at_growth_tol_and_the_fit_at_newton_tol(self, monkeypatch):
+        from forestdens import estimator
+        calls = []
+        solve = expfam._solve_from
+
+        def recording(*args):
+            calls.append((args, solve(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(expfam, "_solve_from", recording)
+        rng = np.random.default_rng(2024)
+        x = rng.random((300, 4))
+        data = Dataset(rng.beta(0.6 + 2 * x[:, 0], 0.8 + x[:, 1]), x)
+        cfg = ForestConfig(subsample_size=60, n_trees=16, basis_order=6,
+                           initial_parent=unit_box(4), min_child=3, scheme="theta", seed=11)
+        fitted = estimator.fit(data, np.full(4, 0.5), cfg)
+        *growth, (final_args, _) = calls
+        assert len(growth) >= 3 and len(final_args) == 4  # the fit's solve: the default tol
+        assert all(args[4] == expfam.GROWTH_TOL for args, _ in growth)
+        resid = np.concatenate([res.residual[res.status == expfam.SOLVED] for _, res in growth])
+        assert np.any((resid > expfam.NEWTON_TOL) & (resid <= expfam.GROWTH_TOL))
+        assert np.all(resid <= expfam.GROWTH_TOL)
+        assert fitted.theta_hat.converged
+        assert fitted.theta_hat.residual_inf_norm <= expfam.NEWTON_TOL
+
+
+def largest_split_temporary(nodes, width, rows, cols, n_grid):
+    """Bytes of the largest array the split search of one slice builds, with
+    ``cols`` = J + 1 (the pseudo-outcomes and the count column): member
+    pseudo-outcomes (nodes, width, cols), per-row pseudo-outcomes (rows,
+    width, cols), the threshold mask (rows, n_grid, width) as floats, and
+    the child sums and counts (rows, n_grid, cols)."""
+    return max(8 * nodes * width * cols, 8 * rows * width * cols, 8 * rows * n_grid * width,
+               8 * rows * n_grid * cols)
 
 
 class TestLevelSlices:
@@ -722,7 +753,7 @@ class TestLevelSlices:
         np.testing.assert_array_equal(covered, np.arange(counts.size))
         for a, b in slices:
             # every node of a slice is padded to the slice's first (widest) node
-            largest = largest_split_temporary(b - a, counts[a], d * (b - a), j, n_grid)
+            largest = largest_split_temporary(b - a, counts[a], d * (b - a), j + 1, n_grid)
             assert largest <= 8 * cap or b - a == 1
 
     @given(st.lists(st.integers(min_value=4, max_value=60), min_size=2, max_size=6),
@@ -749,8 +780,11 @@ class TestLevelSlices:
         theta = rng.normal(scale=0.5, size=means.shape)
         solved = rng.random(counts.size) < 0.5
         row_node = np.repeat(np.arange(counts.size), [a.size for a in dims])
+        dens, mu, _ = expfam._row_states(theta, spec)
+        center = np.where(solved[:, None], mu, means)
+        vinv = expfam._inverse_covariances(dens, mu, spec)
         dim, thr = forest_mod._node_splits(x_ext, phi_ext, members, counts, row_node,
-                                           np.concatenate(dims), means, theta, solved, cfg, spec)
+                                           np.concatenate(dims), center, vinv, solved, cfg)
         for k, (a, c) in enumerate(zip(starts, counts)):
             pivot = (expfam.ThetaSolution(theta[k], 0.0, 0, True) if solved[k]
                      else expfam.MomentVector(means[k]))
@@ -762,11 +796,11 @@ class TestLevelSlices:
         seen = []
         node_splits = forest_mod._node_splits
 
-        def recording(x_ext, phi_ext, members, counts, row_node, *args):
-            cfg, spec = args[-2:]
+        def recording(x_ext, phi_ext, members, counts, row_node, row_dim, center, *args):
+            cfg = args[-1]
             seen.append((members.shape[0], largest_split_temporary(
-                *members.shape, row_node.size, spec.order, cfg.n_grid)))
-            return node_splits(x_ext, phi_ext, members, counts, row_node, *args)
+                *members.shape, row_node.size, center.shape[1] + 1, cfg.n_grid)))
+            return node_splits(x_ext, phi_ext, members, counts, row_node, row_dim, center, *args)
 
         rng = np.random.default_rng(29)
         data = random_dataset(rng, 300, 4)
@@ -1043,3 +1077,21 @@ class TestPerTreeMeans:
         assert rows[0].tobytes() == phi[[0, 1]].mean(axis=0).tobytes()
         np.testing.assert_array_equal(rows[1], 0.0)
         assert rows[2].tobytes() == phi[3].tobytes()
+
+    @given(st.sampled_from([1, 2, 5]), st.lists(st.integers(min_value=0, max_value=40),
+                                                min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=40), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_wider_padding_keeps_the_bytes(self, j, sizes, extra, pyrandom):
+        # a tree's mean must not depend on how far its slice pads the leaf
+        # table, at one basis column too
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        n = 60
+        phi = basis_matrix(default_basis(j), rng.random(n))
+        counts = np.array(sizes)
+        leaf = np.full((counts.size, counts.max()), n)
+        for t, c in enumerate(counts):
+            leaf[t, :c] = rng.choice(n, c, replace=False)
+        rows = per_tree_means(leaf, counts, phi)
+        wide = np.hstack([leaf, np.full((counts.size, extra), n)])
+        assert per_tree_means(wide, counts, phi).tobytes() == rows.tobytes()
