@@ -22,9 +22,11 @@ its parent's solved coefficients, to :data:`~forestdens.expfam.GROWTH_TOL`),
 the pseudo-outcomes from the moments and density the solve kept at each root
 (one stacked inverse per level, as grf builds them from the parent's estimate
 and Jacobian), and the threshold scores, whose left-child sums and counts are
-one masked matmul over the slice's padded width.  Sums over members run in
-member order, so the padding adds exact zeros: growing one tree alone
-(:func:`grow_branch`) gives the same branch as growing it in a forest.
+one masked matmul over the slice's padded width.  Member tables are gathered
+from a basis table with a trailing count column (:func:`_with_sentinel`), so
+sums over members run in member order at any J and the padding adds exact
+zeros: growing one tree alone (:func:`grow_branch`) gives the same branch as
+growing it in a forest.
 A fit's trees stay arrays, one row per tree, from the subsample draw to the
 standard error; only the one-tree functions build :class:`BranchResult`,
 :class:`Box` and :class:`SplitRecord` objects.
@@ -113,8 +115,10 @@ class Box:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask for rows of ``points`` (shape ``(m, d)`` or ``(d,)``)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        above = np.where(self.lower_open, pts > self.lower, pts >= self.lower)
-        inside = above.all(axis=1) & (pts <= self.upper).all(axis=1)
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points of dimension {pts.shape[1]} for a {self.dim}-D box")
+        inside = _inside(pts, np.arange(pts.shape[0])[None], self.lower[None],
+                         self.upper[None], self.lower_open[None])[0]
         return inside if np.asarray(points).ndim > 1 else bool(inside[0])
 
 
@@ -421,29 +425,18 @@ def split_half(index_set, key) -> tuple[np.ndarray, np.ndarray]:
 _TIE_RTOL = 1e-12
 
 
-def _member_sums(rows: np.ndarray) -> np.ndarray:
-    """Sums of ``rows`` over its padded member axis 1, in member order at any width.
-
-    numpy adds a middle axis in order, but a lone column (J = 1) is contiguous
-    and numpy sums it pairwise, so there a running sum is taken; ``+ 0.0``
-    gives an all-zero sum the sign numpy's sum gives.
-    """
-    if rows.shape[2] > 1 or rows.shape[1] == 0:
-        return rows.sum(axis=1)
-    return rows.cumsum(axis=1)[:, -1] + 0.0
-
-
 def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
                  center, vinv, solved, cfg: ForestConfig):
     """Score the threshold grid of every node and pick each node's best split.
 
     ``members`` holds each node's deciding-half positions into ``x_ext`` /
     ``phi_ext`` in their original order, padded with the sentinel last row
-    (coordinates +inf, basis values 0).  Pseudo-outcomes are
+    (coordinates +inf, basis values and count 0).  Pseudo-outcomes are
     ``vinv (phi - center)`` on ``solved`` nodes, ``(mu(theta), V(theta)^{-1})``
-    at the root, and ``phi - center`` elsewhere, ``center`` the node's mean;
-    then a column of ones, and 0 in the padding, so a node's totals are sums
-    over the padded width.  There is one scoring row per (node, eligible
+    at the root, and ``phi - center`` elsewhere, ``center`` the node's mean,
+    and 0 in the padding; then comes ``phi_ext``'s count column
+    (:func:`_with_sentinel`), so a node's totals and count are one sum over
+    the padded width.  There is one scoring row per (node, eligible
     dimension) pair, ``row_node`` ascending and ``row_dim`` ascending within a
     node.  A row's left-child sums and count are its threshold mask, as
     floats, times its node's pseudo-outcomes; the right sums are the node
@@ -452,17 +445,14 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     among the near-best.  Returns ``(dim, threshold)`` arrays, ``dim = -1``
     where no candidate is feasible.
     """
-    phi = phi_ext[members]
-    j = phi.shape[2]
-    rho = np.empty(phi.shape[:2] + (j + 1,))
-    dev = phi - center[:, None, :]
-    rho[:, :, :j] = dev
+    rho = phi_ext[members]
+    j = rho.shape[2] - 1
+    rho[:, :, :j] -= center[:, None, :]
     if solved.any():
         # one (width, J) @ (J, J) product per node, on contiguous operands
-        rho[solved, :, :j] = dev[solved] @ vinv[solved].transpose(0, 2, 1)
-    rho[:, :, j] = 1.0
-    rho[np.arange(members.shape[1]) >= counts[:, None]] = 0.0
-    totals = rho.sum(axis=1)  # in member order: J + 1 >= 2 columns
+        rho[solved, :, :j] = rho[solved, :, :j] @ vinv[solved].transpose(0, 2, 1)
+    rho[np.arange(members.shape[1]) >= counts[:, None], :j] = 0.0
+    totals = rho.sum(axis=1)
 
     coords = x_ext[members[row_node], row_dim[:, None]]
     c = counts[row_node]
@@ -516,7 +506,8 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
                  cfg: ForestConfig, spec: BasisSpec):
     """Best split of every active node of one level (nodes by decreasing count).
 
-    The node targets are the deciding members' basis means; under the
+    The node targets are the deciding members' basis means, one sum over the
+    counted member table (:func:`_with_sentinel`) per slice; under the
     "theta" scheme they go through one batched Newton solve, each node's
     started from its row of ``start``, whose kept moments and density give
     every solved node's ``V(theta)^{-1}`` in one stacked inverse.  Nodes
@@ -528,7 +519,7 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
     slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))
     means = np.empty((counts.size, j))
     for a, b in slices:
-        means[a:b] = _member_sums(phi_ext[members[a:b, :counts[a]]]) / counts[a:b, None]
+        means[a:b] = phi_ext[members[a:b, :counts[a]]].sum(axis=1)[:, :j] / counts[a:b, None]
     theta = np.zeros_like(means)
     center = means
     vinv = np.zeros((counts.size, j, j))
@@ -550,10 +541,19 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
     return dim, thr, theta
 
 
+def _counted(phi: np.ndarray) -> np.ndarray:
+    """``phi`` with a trailing count column of ones, then the sentinel row of zeros."""
+    return np.vstack([np.hstack([phi, np.ones((phi.shape[0], 1))]), np.zeros(phi.shape[1] + 1)])
+
+
 def _with_sentinel(x: np.ndarray, phi: np.ndarray):
-    """Append the padding row: coordinates +inf (outside every box), basis 0."""
-    return (np.vstack([x, np.full((1, x.shape[1]), np.inf)]),
-            np.vstack([phi, np.zeros((1, phi.shape[1]))]))
+    """Append the padding row: coordinates +inf (outside every box), basis values and count 0.
+
+    With its count column (:func:`_counted`) every member table gathered from
+    ``phi_ext`` has at least two columns, so numpy sums its member axis in
+    member order at any J; a lone column would be summed pairwise.
+    """
+    return np.vstack([x, np.full((1, x.shape[1]), np.inf)]), _counted(phi)
 
 
 def _compact(members: np.ndarray, keep: np.ndarray, fill: int):
@@ -566,7 +566,7 @@ def _compact(members: np.ndarray, keep: np.ndarray, fill: int):
 
 
 def _inside(x_ext, members, lower, upper, lower_open) -> np.ndarray:
-    """Which padded members lie in their row's box, as :meth:`Box.contains`."""
+    """Which padded members lie in their row's box; :meth:`Box.contains` uses it too."""
     out = np.ones(members.shape, dtype=bool)
     for k in range(x_ext.shape[1]):
         pts = x_ext[members, k]
@@ -737,13 +737,12 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
     """Per-tree holdout basis means; empty leaves contribute zero rows.
 
     Tree ``t``'s members are ``leaf[t, :counts[t]]``, row indices of ``phi``;
-    the rest of the row is padding, summed as zeros in member order, so each
-    mean is the same at any padded width, and for J >= 2 bit-identical to
-    ``phi[members].mean(axis=0)``.
+    the rest of the row is padding, the sentinel index ``len(phi)``.  The rows
+    come from :func:`_counted`, whose count column makes any J sum in member
+    order, so each mean is the same at any padded width, and for J >= 2
+    bit-identical to ``phi[members].mean(axis=0)``.
     """
-    rows = np.take(phi, leaf, axis=0, mode="clip")  # the padding is clipped, then zeroed
-    rows[np.arange(leaf.shape[1]) >= counts[:, None]] = 0.0
-    return _member_sums(rows) / np.maximum(counts, 1)[:, None]
+    return _counted(phi)[leaf].sum(axis=1)[:, :-1] / np.maximum(counts, 1)[:, None]
 
 
 def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):

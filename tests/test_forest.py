@@ -57,6 +57,11 @@ class TestBox:
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
 
+    @pytest.mark.parametrize("points", [[0.7], [0.2, 0.2, 0.9], [[0.2, 0.2, 0.9]]])
+    def test_rejects_points_of_another_dimension(self, points):
+        with pytest.raises(ValueError, match="dimension"):
+            Box([0.0, 0.0], [1.0, 0.5]).contains(np.array(points))
+
 
 class TestPoissonDimLaw:
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
@@ -776,7 +781,7 @@ class TestLevelSlices:
             members[k, :c] = np.arange(a, a + c)
         dims = [np.sort(rng.choice(d, size=rng.integers(1, d + 1), replace=False))
                 for _ in counts]
-        means = np.array([phi_ext[a:a + c].mean(axis=0) for a, c in zip(starts, counts)])
+        means = np.array([phi_ext[a:a + c, :j].mean(axis=0) for a, c in zip(starts, counts)])
         theta = rng.normal(scale=0.5, size=means.shape)
         solved = rng.random(counts.size) < 0.5
         row_node = np.repeat(np.arange(counts.size), [a.size for a in dims])
@@ -1095,3 +1100,31 @@ class TestPerTreeMeans:
         rows = per_tree_means(leaf, counts, phi)
         wide = np.hstack([leaf, np.full((counts.size, extra), n)])
         assert per_tree_means(wide, counts, phi).tobytes() == rows.tobytes()
+
+
+class TestCountedTable:
+    @given(st.sampled_from([1, 2, 8]), st.lists(st.integers(min_value=0, max_value=30),
+                                                min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=30), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_padded_sums_run_in_member_order(self, j, sizes, extra, pyrandom):
+        # the sentinel table's count column gives every J, one basis column
+        # too, a member-order sum over the padded width, and the member counts
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        n = 50
+        # magnitudes over 16 decades, so a sum in any other order moves the bytes
+        phi = rng.normal(size=(n, j)) * 10.0 ** rng.integers(-8, 9, (n, j))
+        counts = np.array(sizes)
+        members = np.full((counts.size, counts.max() + extra), n)
+        for t, c in enumerate(counts):
+            members[t, :c] = rng.choice(n, c, replace=False)
+        _, phi_ext = forest_mod._with_sentinel(np.zeros((n, 1)), phi)
+        sums = phi_ext[members].sum(axis=1)
+        assert sums.shape == (counts.size, j + 1)
+        assert sums[:, j].tobytes() == counts.astype(float).tobytes()
+        for t, c in enumerate(counts):
+            for k in range(j):
+                acc = 0.0
+                for m in members[t, :c]:
+                    acc += float(phi[m, k])
+                assert sums[t, k].tobytes() == np.float64(acc).tobytes()
