@@ -39,15 +39,16 @@ def _check_unit_interval(y: np.ndarray) -> None:
 
 
 def _legendre_table(t: np.ndarray, ell_max: int) -> np.ndarray:
-    """Classical Legendre values P_0..P_ell_max at t in [-1, 1], shape (m, ell_max+1)."""
-    t = np.atleast_1d(t)
-    out = np.empty((t.size, ell_max + 1))
-    out[:, 0] = 1.0
-    if ell_max >= 1:
-        out[:, 1] = t
+    """Classical Legendre values P_0..P_ell_max at t in [-1, 1], shape (m, ell_max+1).
+
+    The recurrence runs on columns, Python floats for a lone point: they round
+    as float64 arrays do, so the bits are the same without numpy's per-call cost.
+    """
+    t = np.ravel(t)
+    cols = [1.0, float(t[0])] if t.size == 1 else [np.ones_like(t), t]
     for k in range(2, ell_max + 1):
-        out[:, k] = ((2 * k - 1) * t * out[:, k - 1] - (k - 1) * out[:, k - 2]) / k
-    return out
+        cols.append(((2 * k - 1) * cols[1] * cols[k - 1] - (k - 1) * cols[k - 2]) / k)
+    return np.atleast_2d(np.stack(cols[:ell_max + 1], axis=-1))
 
 
 def legendre_eval(ell: int, y):
@@ -88,7 +89,7 @@ def basis_matrix(spec: "BasisSpec", y) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     _check_unit_interval(arr)
     table = _legendre_table(2.0 * arr - 1.0, spec.order)
-    return table[:, 1:] * basis_range(spec.order)
+    return table[:, 1:] * spec.scale
 
 
 def make_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,26 +135,28 @@ class BasisSpec:
     ``max(64, 4*order + 16)`` nodes, enough for the smooth exponential
     integrands this package produces at the tolerances it verifies.
     Construction checks that it reproduces the basis orthonormality
-    relations to 1e-10.  The matrix of basis values at the nodes, and
-    their outer products ``phi(t) phi(t)^T`` flattened to ``(Q, J*J)``, are
-    precomputed, read-only, and shared by all downstream integrals;
+    relations to 1e-10.  The scale :func:`basis_range`, the basis values at
+    the nodes and their outer products ``phi(t) phi(t)^T`` flattened to
+    ``(Q, J*J)`` are built once, read-only, and shared by all evaluations;
     instances are immutable and safe to use concurrently.
     """
 
     order: int
     nodes: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
     phi_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     outer_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("basis order must be at least 1")
+        object.__setattr__(self, "scale", basis_range(self.order))  # basis_matrix reads it
         nodes, weights = make_quadrature(max(64, 4 * self.order + 16))
         phi = basis_matrix(self, nodes)
         outer = (phi[:, :, None] * phi[:, None, :]).reshape(phi.shape[0], -1)
-        for name, a in (("nodes", nodes), ("weights", weights), ("phi_nodes", phi),
-                        ("outer_nodes", outer)):
+        for name, a in (("scale", self.scale), ("nodes", nodes), ("weights", weights),
+                        ("phi_nodes", phi), ("outer_nodes", outer)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         gram = (phi * weights[:, None]).T @ phi

@@ -34,9 +34,9 @@ class FittedConditionalDensity:
     ``(n_trees, subsample_size)`` table of the trees' index sets, so that
     standard errors reuse the trees grown for the point estimate.  Instances are
     immutable; evaluation methods are safe for concurrent reads.  The first
-    :func:`std_error` builds the two ``(J, J)`` infinitesimal-jackknife
-    matrices of :func:`~forestdens.forest.infinitesimal_jackknife`, later
-    ones reuse them.
+    :func:`pdf` keeps log Z and mu at ``theta_hat``; the first :func:`std_error`
+    keeps ``V(theta_hat)^{-1}`` and the two ``(J, J)`` matrices of
+    :func:`~forestdens.forest.infinitesimal_jackknife`, so densities alone never invert V.
     """
 
     query_x: np.ndarray
@@ -47,6 +47,14 @@ class FittedConditionalDensity:
     config: ForestConfig
     basis: BasisSpec
     weights: WeightVector
+
+    @cached_property
+    def _family(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return expfam._one_row(self.theta_hat.theta, self.basis)
+
+    @cached_property
+    def _vinv(self) -> np.ndarray:
+        return expfam._inverse_covariances(*self._family[:2], self.basis)
 
     @cached_property
     def _ij_parts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +110,7 @@ def _from_trees(x, w: WeightVector, per_tree_h: np.ndarray, tree_subsamples,
 
 def pdf(fitted: FittedConditionalDensity, y):
     """Evaluate the fitted density at ``y`` (scalar or array); strictly positive."""
-    return expfam.density(y, fitted.theta_hat.theta, fitted.basis)
+    return expfam._density(y, fitted.theta_hat.theta, fitted._family[2], fitted.basis)
 
 
 def std_error(fitted: FittedConditionalDensity, y: float) -> float:
@@ -120,7 +128,7 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
     """
     if fitted.tree_subsamples is None:
         raise MissingPlan("fit was built without se_params; no tree subsamples stored")
-    t_row = expfam.t_functional(y, fitted.theta_hat, fitted.basis)
+    t_row = expfam._t_row(y, fitted.theta_hat.theta, fitted._family, fitted._vinv, fitted.basis)
     raw, corr = fitted._ij_parts
     # both forms are positive semidefinite; the clip only absorbs roundoff
     return math.sqrt(forest.debiased_variance(max(float(t_row @ raw @ t_row), 0.0),
@@ -130,13 +138,13 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
 
 def confidence_interval(fitted: FittedConditionalDensity, y: float,
                         level: float = 0.95) -> tuple[float, float]:
-    """Symmetric interval for the density at ``y``; the quantile is ``NormalDist().inv_cdf``."""
+    """Symmetric normal-quantile interval for the density at ``y``; ``level`` is checked first."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
     return _interval(pdf(fitted, y), std_error(fitted, y), level)
 
 
 def _interval(center: float, se: float, level: float) -> tuple[float, float]:
-    """``center`` -/+ the normal ``level`` quantile times ``se``, from values already computed."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    """``center`` -/+ the ``NormalDist().inv_cdf`` quantile of a checked ``level`` times ``se``."""
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * se
     return center - half, center + half

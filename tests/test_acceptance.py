@@ -302,6 +302,7 @@ def d1_benchmark():
     return fd.run_mc("D1", 1000, 100, cfg, (560, 50), workers=2)
 
 
+@pytest.mark.slow
 def test_criterion_7_d1_reproduction(d1_benchmark):
     rep = d1_benchmark
     i25 = int(np.flatnonzero(rep.design_points == 0.25)[0])
@@ -329,6 +330,7 @@ def test_criterion_7_d1_reproduction(d1_benchmark):
     assert smoke_ok
 
 
+@pytest.mark.slow
 def test_criterion_8_coverage_and_se(d1_benchmark):
     rep = d1_benchmark
     i25 = int(np.flatnonzero(rep.design_points == 0.25)[0])

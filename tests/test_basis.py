@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestdens.basis import (BasisSpec, basis_matrix, default_basis, integrate,
-                              legendre_eval, make_quadrature)
+from forestdens.basis import (BasisSpec, basis_matrix, basis_range, default_basis,
+                              integrate, legendre_eval, make_quadrature)
 
 
 def binomial_sum_oracle(ell: int, y: float) -> float:
@@ -80,12 +80,17 @@ class TestBasisVector:
         np.testing.assert_allclose(vec, [-np.sqrt(3), np.sqrt(5), -np.sqrt(7)],
                                    atol=1e-12)
 
-    def test_matrix_rows_match_vectors(self):
-        spec = default_basis(5)
-        ys = np.array([0.1, 0.53, 0.99])
-        mat = basis_matrix(spec, ys)
-        for i, y in enumerate(ys):
-            np.testing.assert_array_equal(mat[i], basis_matrix(spec, y)[0])
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=6),
+           st.integers(min_value=1, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_rows_match_vectors(self, ys, order):
+        # a lone point runs the recurrence on Python floats, an array on numpy
+        # columns: the two must give the same bits
+        spec = default_basis(order)
+        mat = basis_matrix(spec, np.array(ys + [0.0, 1.0]))
+        for i, y in enumerate(ys + [0.0, 1.0]):
+            assert mat[i].tobytes() == basis_matrix(spec, y)[0].tobytes()
+            assert mat[i].tobytes() == basis_matrix(spec, np.array([y]))[0].tobytes()
 
 
 class TestQuadrature:
@@ -131,6 +136,12 @@ class TestBasisSpec:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             BasisSpec(order=0)
+
+    def test_scale_is_the_read_only_basis_range(self):
+        spec = default_basis(8)
+        assert spec.scale.tobytes() == basis_range(8).tobytes()
+        with pytest.raises(ValueError):
+            spec.scale[0] = 1.0
 
 
 class TestOrthonormalityProperty:

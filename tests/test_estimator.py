@@ -1,6 +1,8 @@
 """End-to-end fits: reductions, moment matching, intervals, and hooks."""
 
+import math
 from dataclasses import replace
+from functools import lru_cache
 from hashlib import sha256
 from pathlib import Path
 
@@ -264,6 +266,23 @@ class TestStdError:
         assert np.isfinite(se) and se >= 0.0
 
 
+    def test_rejects_a_non_scalar_y(self):
+        rng = np.random.default_rng(15)
+        data = small_dataset(rng, n=60)
+        fitted = fit(data, np.array([0.5, 0.5]), small_config(seed=47), se_params="auto")
+        for y in (np.array([0.2, 0.4]), np.array([0.3]), [0.5]):
+            with pytest.raises(ValueError, match="y must be a scalar"):
+                std_error(fitted, y)
+            with pytest.raises(ValueError, match="y must be a scalar"):
+                confidence_interval(fitted, y)
+        se = std_error(fitted, 0.4)
+        assert std_error(fitted, np.float64(0.4)) == se
+        assert std_error(fitted, np.array(0.4)) == se
+        for y in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"y must lie in \[0, 1\]"):
+                std_error(fitted, y)
+
+
 class TestConfidenceInterval:
     def test_quantile_against_independent_approximation(self):
         from scipy.special import ndtri
@@ -295,6 +314,20 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(forced, 0.3, 0.95)
         assert lo == hi == pdf(fitted, 0.3)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_level_checked_before_anything_is_evaluated(self, level):
+        rng = np.random.default_rng(16)
+        data = small_dataset(rng, n=60)
+        cfg = small_config(subsample_size=20, n_trees=13, seed=53)
+        without_se = fit(data, np.array([0.5, 0.5]), cfg)
+        with pytest.raises(ValueError, match="level"):
+            confidence_interval(without_se, 0.5, level)  # not MissingPlan
+        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params="auto")
+        with pytest.raises(ValueError, match="level"):
+            confidence_interval(fitted, 0.5, level)
+        assert "_ij_parts" not in fitted.__dict__
+        assert "_family" not in fitted.__dict__
+
     def test_nested_levels(self):
         rng = np.random.default_rng(12)
         data = small_dataset(rng, n=60)
@@ -304,6 +337,72 @@ class TestConfidenceInterval:
         lo95, hi95 = confidence_interval(fitted, 0.5, 0.95)
         lo99, hi99 = confidence_interval(fitted, 0.5, 0.99)
         assert lo99 <= lo95 <= lo90 <= hi90 <= hi95 <= hi99
+
+
+@lru_cache(maxsize=None)
+def kept_state_fit():
+    rng = np.random.default_rng(17)
+    data = small_dataset(rng, n=80)
+    return fit(data, np.array([0.4, 0.6]), small_config(n_trees=20, scheme="theta", seed=59),
+               se_params="auto")
+
+
+class TestKeptFamilyState:
+    """The fitted density evaluates its family at theta_hat once, and its
+    queries give the bits of the public one-theta functions."""
+
+    grid = np.linspace(0.05, 0.95, 19)  # the fit command's default y_grid
+
+    def count_calls(self, monkeypatch):
+        calls = {"_one_row": 0, "_inverse_covariances": 0}
+        for name in calls:
+            original = getattr(expfam, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(expfam, name, counted)
+        return calls
+
+    def test_one_family_evaluation_and_one_inverse_per_fit(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        data = small_dataset(rng, n=80)
+        cfg = small_config(n_trees=20, scheme="theta", seed=61)
+        fits = [fit(data, np.array([0.5, 0.5]), cfg, se_params="auto") for _ in range(2)]
+        calls = self.count_calls(monkeypatch)
+        for k, fitted in enumerate(fits, start=1):
+            for y in self.grid:
+                pdf(fitted, float(y))
+                std_error(fitted, float(y))
+                confidence_interval(fitted, float(y))
+            assert calls == {"_one_row": k, "_inverse_covariances": k}
+
+    def test_densities_alone_never_invert_the_covariance(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        data = small_dataset(rng, n=80)
+        fitted = fit(data, np.array([0.5, 0.5]), small_config(seed=67))
+        calls = self.count_calls(monkeypatch)
+        for y in self.grid:
+            pdf(fitted, float(y))
+        pdf(fitted, self.grid)
+        assert calls == {"_one_row": 1, "_inverse_covariances": 0}
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+           st.sampled_from([0.0, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_queries_equal_the_public_functions_bit_for_bit(self, ys, end):
+        fitted = kept_state_fit()
+        theta, spec = fitted.theta_hat, fitted.basis
+        raw, corr = fitted._ij_parts
+        arr = np.array(ys + [end])
+        assert pdf(fitted, arr).tobytes() == expfam.density(arr, theta.theta, spec).tobytes()
+        for y in arr:
+            assert pdf(fitted, y) == expfam.density(y, theta.theta, spec)
+            t_row = expfam.t_functional(y, theta, spec)
+            expected = math.sqrt(forest.debiased_variance(
+                max(float(t_row @ raw @ t_row), 0.0), max(float(t_row @ corr @ t_row), 0.0),
+                fitted.per_tree_h.shape[0]))
+            assert std_error(fitted, y) == expected
 
 
 class TestPointEstimateRegression:
