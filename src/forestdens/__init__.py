@@ -12,8 +12,7 @@ from .basis import BasisSpec, basis_matrix, default_basis, integrate, legendre_e
 from .errors import (AllWeightsZero, BoundaryMoment, EstimationError,
                      MissingPlan, NoCleanTrees, NonConvergence, ZeroDenominator)
 from .expfam import (MomentVector, ThetaSolution, covariance, density,
-                     log_partition, moments, pseudo_outcomes_theta,
-                     solve_theta, t_functional)
+                     log_partition, moments, solve_theta, t_functional)
 from .forest import (Box, BranchResult, Dataset, ForestConfig, SESubsamplePlan,
                      WeightVector, best_split, draw_subsamples,
                      grow_branch, grow_from_halves, mu_hat, poisson_dim_law,

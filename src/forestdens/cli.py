@@ -46,7 +46,6 @@ _FIT_DEFAULTS = {
     "ci_level": 0.95,
     "se": "auto",
     "seed": 0,
-    "workers": 1,
     "forest": _FOREST_DEFAULTS,
 }
 
@@ -80,8 +79,8 @@ def _merge_config(defaults: dict, user: dict, context: str = "") -> dict:
     return out
 
 
-def _load_config(path: str, defaults: dict, seed=None, workers=None) -> dict:
-    """Read a JSON config over ``defaults``; the ``--seed``/``--workers`` flags win, as integers."""
+def _load_config(path: str, defaults: dict, **flags) -> dict:
+    """Read a JSON config over ``defaults``; each count named in ``flags`` is the flag unless None."""
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -92,12 +91,8 @@ def _load_config(path: str, defaults: dict, seed=None, workers=None) -> dict:
     if not isinstance(user, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     cfg = _merge_config(defaults, user)
-    if seed is not None:
-        cfg["seed"] = seed
-    if workers is not None:
-        cfg["workers"] = workers
-    for key in ("seed", "workers"):
-        cfg[key] = _count(cfg[key], key)
+    for key, flag in flags.items():
+        cfg[key] = _count(cfg[key] if flag is None else flag, key)
     return cfg
 
 
@@ -237,9 +232,9 @@ def _y_grid(spec) -> np.ndarray:
     return grid
 
 
-def cmd_fit(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int:
+def cmd_fit(config_path: str, seed=None, out_dir: str = ".") -> int:
     """Fit on a user CSV and write density, SE, and CI columns over a y grid."""
-    cfg = _load_config(config_path, _FIT_DEFAULTS, seed, workers)
+    cfg = _load_config(config_path, _FIT_DEFAULTS, seed=seed)
     if cfg["input"] is None:
         raise UsageError("config key 'input' is required for fit")
     if cfg["query_x"] is None:
@@ -279,7 +274,8 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     """Run the Monte Carlo benchmark and write the report CSV and JSON summary."""
     from . import simbench  # the harness loads scipy; only this command needs it
     cfg = _load_config(config_path, dict(
-        _MC_DEFAULTS, design_points=list(simbench.DEFAULT_DESIGN_POINTS)), seed, workers)
+        _MC_DEFAULTS, design_points=list(simbench.DEFAULT_DESIGN_POINTS)),
+        seed=seed, workers=workers)
     design = cfg["design"]
     if design not in simbench.DESIGNS:
         raise UsageError(f"config key 'design' must be one of {simbench.DESIGNS}")
@@ -317,7 +313,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None, help="worker processes for mc replications (fit ignores it)")
+        if name == "mc":
+            p.add_argument("--workers", type=int, default=None, help="override the config workers")
         p.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -326,7 +323,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "fit":
-            return cmd_fit(args.config, args.seed, args.workers, args.out)
+            return cmd_fit(args.config, args.seed, args.out)
         return cmd_mc(args.config, args.seed, args.workers, args.out)
     except UsageError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -20,15 +20,14 @@ class NonConvergence(EstimationError):
 class BoundaryMoment(EstimationError):
     """The moment target sits at or outside the attainable moment space.
 
-    Raised when the coefficient iterate escapes the solver's box bound, or
-    when a target component exceeds the range of the basis functions.
-    The offending target is available as ``target``.
+    Raised when a target component is at or beyond the range of the basis
+    functions, or when the coefficient iterate escapes the solver's box
+    bound.  The offending target is available as ``target``.
     """
 
-    def __init__(self, message, target=None, solution=None):
+    def __init__(self, message, target=None):
         super().__init__(message)
         self.target = target
-        self.solution = solution
 
 
 class AllWeightsZero(EstimationError):

@@ -15,17 +15,17 @@ handled by Newton's method with the exact Jacobian (the basis covariance
 under the current density) and a step-halving line search on L and the
 residual.  A batch of systems is solved in one pass: each round evaluates the
 full step of every row at once, then halves the step of the rows that reject
-it, one length per evaluation of the rows still pending.  The public solvers
-start from zero coefficients and stop at :data:`NEWTON_TOL`; forest growth
-starts each child node from its parent's root, stops at :data:`GROWTH_TOL`
-and keeps each root's density and moments for its pseudo-outcomes.
+it, one length per evaluation of the rows still pending.  :func:`solve_theta`
+starts its one row from zero coefficients and stops at :data:`NEWTON_TOL`;
+forest growth starts each child node from its parent's root, stops at
+:data:`GROWTH_TOL` and keeps each root's density and moments for its
+pseudo-outcomes.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
 a stack of coefficient vectors.  The Newton solver, the forest's
 pseudo-outcomes and the one-row functions all call it.  A :class:`ThetaSolution`
-still carries no state; the fitted density of :mod:`.estimator` keeps its own,
-as one 19-point query evaluated the family 76 times and inverted V 38 times.
+carries no state; the fitted density of :mod:`.estimator` keeps its own.
 """
 
 from __future__ import annotations
@@ -48,13 +48,7 @@ __all__ = [
     "moments",
     "covariance",
     "solve_theta",
-    "solve_theta_batch",
-    "NewtonBatch",
-    "SOLVED",
-    "BOUNDARY",
-    "NO_CONVERGENCE",
     "row_pseudo_outcomes",
-    "pseudo_outcomes_theta",
     "t_functional",
 ]
 
@@ -210,13 +204,7 @@ def covariance(theta, spec: BasisSpec) -> np.ndarray:
     return _row_covariances(dens, mu, spec)[0]
 
 
-def _as_moment_array(mu_target) -> np.ndarray:
-    if isinstance(mu_target, MomentVector):
-        return mu_target.mu
-    return np.atleast_1d(np.asarray(mu_target, dtype=float))
-
-
-#: Row status codes returned by :func:`solve_theta_batch`.
+#: Row status codes returned by :func:`_solve_from`.
 SOLVED, BOUNDARY, NO_CONVERGENCE = 0, 1, 2
 
 #: Elements allowed in any one batched temporary (not in their sum): larger
@@ -226,7 +214,7 @@ BATCH_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class NewtonBatch:
-    """Per-row outcome of :func:`solve_theta_batch`.
+    """Per-row outcome of :func:`_solve_from`.
 
     ``status`` holds :data:`SOLVED`, :data:`BOUNDARY` or
     :data:`NO_CONVERGENCE` for each row.  ``theta``, ``residual`` and
@@ -244,38 +232,27 @@ class NewtonBatch:
     mu: np.ndarray
 
 
-def solve_theta_batch(mu_targets, spec: BasisSpec, max_iter: int = 100) -> NewtonBatch:
-    """Solve the moment-matching system for every row of ``mu_targets``.
-
-    Each row runs the Newton iteration described in :func:`solve_theta`,
-    from zero coefficients, with its own line search, tolerance check and
-    box bound; rows leave the batch as soon as they converge or fail.  Rows
-    that reject the full step halve it, up to 30 times, in one evaluation
-    per length of the rows still pending, and take the first length that
-    passes the test of :func:`solve_theta`, so a row's result is
-    bit-identical to solving it alone.  Failures do not raise: they are
-    reported per row in :attr:`NewtonBatch.status`.  A row whose covariance is singular (the
-    family has collapsed onto one quadrature node) takes no step and stops
-    as :data:`NO_CONVERGENCE`.
-
-    Forest growth starts each child node's iteration from its parent's
-    solved coefficients instead, and stops it at :data:`GROWTH_TOL`,
-    through the private :func:`_solve_from`.
-    """
-    targets = np.atleast_2d(np.asarray(mu_targets, dtype=float))
-    return _solve_from(targets, np.zeros_like(targets), spec, max_iter)
-
-
 def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
                 max_iter: int, tol: float = NEWTON_TOL) -> NewtonBatch:
-    """:func:`solve_theta_batch` with row ``k``'s iteration started from ``start[k]``.
+    """Solve the moment-matching system for every row of ``targets``, row ``k`` from ``start[k]``.
 
-    The dual at the start is ``log Z(start) - start . target``; the
-    exact-zero-target shortcut, box bound, iteration cap, line search and
-    status codes are those of :func:`solve_theta_batch`, the tolerance is
-    ``tol``, and a row's result is bit-identical to solving it alone from its
-    start.  A start at the exact root returns it as SOLVED after 0
-    iterations.  Solved rows keep the state their last evaluation computed.
+    Each row runs the Newton iteration described in :func:`solve_theta`, with
+    its own line search, tolerance ``tol`` and box bound, and stops as
+    :data:`SOLVED`, :data:`BOUNDARY` or :data:`NO_CONVERGENCE`:
+
+    * rows are independent: a row's result is bit-identical to solving it
+      alone from its start, whatever the other rows are;
+    * a row with a component at or beyond the basis range is BOUNDARY after
+      0 iterations, before any step; a row whose iterate escapes the box
+      bound after a step is BOUNDARY at that iteration;
+    * an exact zero target has the exact root zero and is SOLVED after 0
+      iterations, as is a start at the exact root;
+    * a row whose covariance is singular (the family has collapsed onto one
+      quadrature node) takes no step and stops as NO_CONVERGENCE, as does a
+      row that no step length of the line search improves, and a row still
+      above ``tol`` after ``max_iter`` iterations.
+
+    Failures do not raise.  Solved rows keep the state their last evaluation computed.
     """
     if not np.all(np.isfinite(targets)):
         raise ValueError("moment target must be finite")
@@ -331,23 +308,26 @@ def _newton_rows(targets, start, rows, spec, max_iter, tol, out: NewtonBatch) ->
     """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``.
 
     The state arrays are copies, updated in place as each row accepts a length.
+    At the top of each round the rows that ended in the last round, or are now
+    within ``tol``, are written out and dropped; after ``max_iter`` rounds the
+    rest end as NO_CONVERGENCE.
     """
     target = targets[rows]
     theta = start[rows]
     dens, mu, resid, rnorm, dual = _dual_states(theta, target, spec)
-
-    def finish(sel, status, iterations):
-        done = rows[sel]
-        out.theta[done], out.dens[done], out.mu[done] = theta[sel], dens[sel], mu[sel]
-        out.residual[done] = rnorm[sel]
-        out.iterations[done] = iterations
-        out.status[done] = status
-        return ~sel
-
-    for it in range(1, max_iter + 1):
-        keep = finish(rnorm <= tol, SOLVED, it - 1)
-        rows, target, theta, dens, mu, resid, rnorm, dual = (
-            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual))
+    status = np.full(rows.size, -1, dtype=np.int8)  # -1: still running
+    for it in range(1, max_iter + 2):
+        status[(status < 0) & (rnorm <= tol)] = SOLVED
+        if it > max_iter:
+            status[status < 0] = NO_CONVERGENCE
+        ended = status >= 0
+        done = rows[ended]
+        out.theta[done], out.dens[done], out.mu[done] = theta[ended], dens[ended], mu[ended]
+        out.residual[done] = rnorm[ended]
+        out.iterations[done] = it - 1
+        out.status[done] = status[ended]
+        rows, target, theta, dens, mu, resid, rnorm, dual, status = (
+            a[~ended] for a in (rows, target, theta, dens, mu, resid, rnorm, dual, status))
         if rows.size == 0:
             return
         step, singular = _newton_steps(_row_covariances(dens, mu, spec), resid)
@@ -366,16 +346,9 @@ def _newton_rows(targets, start, rows, spec, max_iter, tol, out: NewtonBatch) ->
             for a, b in zip((theta, dens, mu, resid, rnorm, dual), (cand, *state)):
                 a[pending[hit]] = b[hit]
             pending = pending[~hit]
-        stalled = singular.copy()
-        stalled[pending] = True
-        keep = finish(stalled, NO_CONVERGENCE, it)
-        escaped = keep & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)
-        keep = finish(escaped, BOUNDARY, it) & keep
-        rows, target, theta, dens, mu, resid, rnorm, dual = (
-            a[keep] for a in (rows, target, theta, dens, mu, resid, rnorm, dual))
-    converged = rnorm <= tol
-    finish(converged, SOLVED, max_iter)
-    finish(~converged, NO_CONVERGENCE, max_iter)
+        status[singular] = NO_CONVERGENCE
+        status[pending] = NO_CONVERGENCE
+        status[(status < 0) & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)] = BOUNDARY
 
 
 def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolution:
@@ -388,7 +361,7 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     times) until L falls by the Armijo amount, 1e-4 lam |grad L . step|, or
     the residual sup-norm strictly falls, so every accepted step lowers one
     of the two (not always both).  This is the one-row case of
-    :func:`solve_theta_batch`.
+    :func:`_solve_from`.
 
     Parameters
     ----------
@@ -414,19 +387,16 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
         iterations, or the iteration stalls: no length passes the line
         search, or the covariance at the iterate is singular.
     """
-    mu_target = _as_moment_array(mu_target)
-    res = solve_theta_batch(mu_target[None, :], spec, max_iter)
+    mu_target = np.atleast_1d(np.asarray(
+        mu_target.mu if isinstance(mu_target, MomentVector) else mu_target, dtype=float))
+    res = _solve_from(mu_target[None, :], np.zeros((1, mu_target.size)), spec, max_iter)
     theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
     status = res.status[0]
     if status == SOLVED:
         return ThetaSolution(theta, rnorm, iters, True)
-    if status == BOUNDARY:
-        if np.any(np.abs(mu_target) >= basis_range(mu_target.size)):
-            raise BoundaryMoment(
-                "moment target at or outside the attainable range of the basis",
-                target=mu_target,
-            )
+    if status == BOUNDARY:  # the range test ends a row before any step; an escape takes one
         raise BoundaryMoment(
+            "moment target at or outside the attainable range of the basis" if iters == 0 else
             "coefficient iterate escaped the box bound; moment target is "
             "at or outside the moment-space boundary",
             target=mu_target,
@@ -436,20 +406,6 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     else:
         message = f"residual {rnorm:.3e} above tol {NEWTON_TOL:.1e} after {max_iter} iterations"
     raise NonConvergence(message, solution=ThetaSolution(theta, rnorm, iters, False))
-
-
-def pseudo_outcomes_theta(theta: ThetaSolution, y, spec: BasisSpec) -> np.ndarray:
-    """Influence-style residuals -V(theta)^{-1} (mu(theta) - phi(y)).
-
-    Accepts a scalar ``y`` (returns shape ``(J,)``) or an array of
-    outcomes (returns shape ``(m, J)``).  This is the one-row case of
-    :func:`row_pseudo_outcomes`.
-    """
-    if not theta.converged:
-        raise ValueError("pseudo-outcomes require a converged solution")
-    arr = np.asarray(y, dtype=float)
-    rho = row_pseudo_outcomes(theta.theta, basis_matrix(spec, arr)[None], spec)[0]
-    return rho[0] if arr.ndim == 0 else rho
 
 
 def t_functional(y: float, theta: ThetaSolution, spec: BasisSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ dimensions of the tree's node at that level.  So each draw is a pure function
 of (seed, tree index), drawn for all trees in one array call.  All
 branches grow together, one level at a time, and a level is processed as
 arrays: the nodes' target moments, one batched Newton solve (the iteration of
-:func:`~forestdens.expfam.solve_theta_batch`, each child node started from
+:func:`~forestdens.expfam.solve_theta`, each child node started from
 its parent's solved coefficients, to :data:`~forestdens.expfam.GROWTH_TOL`),
 the pseudo-outcomes from the moments and density the solve kept at each root
 (one stacked inverse per level, as grf builds them from the parent's estimate
@@ -326,7 +326,7 @@ class BranchResult:
     leaf_box: Box
     holdout_members: np.ndarray
     split_members: np.ndarray
-    splits: tuple[SplitRecord, ...] = ()
+    splits: tuple[SplitRecord, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "holdout_members",

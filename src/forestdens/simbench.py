@@ -235,7 +235,7 @@ class MCReport:
     mise_interval: tuple[float, float]
     mise_grid_points: int
     runtime_seconds: float
-    failures: tuple[str, ...] = ()
+    failures: tuple[str, ...]
 
     def __post_init__(self):
         if self.mise < 0.0:
@@ -245,8 +245,8 @@ class MCReport:
             raise ValueError("coverage must lie in [0, 1]")
 
 
-def _one_replication(design, n, cfg, se_params, points, grid, ci_level, x_query, rep_ss):
-    """One replication's estimates, SEs and interval hits, or its failure as a message."""
+def _one_replication(design, n, cfg, se_params, points, grid, truth, z, x_query, rep_ss):
+    """A replication's estimates, SEs and hits (``truth`` within ``z`` SEs), or its failure."""
     rng = np.random.default_rng(rep_ss)
     try:
         xmat = gen_covariates(n, rng)
@@ -258,8 +258,6 @@ def _one_replication(design, n, cfg, se_params, points, grid, ci_level, x_query,
         f_grid = estimator.pdf(fitted, grid)
         if se_params is not None:
             se = np.array([estimator.std_error(fitted, float(y)) for y in points])
-            z = float(ndtri(0.5 + ci_level / 2.0))
-            truth = true_density(design, points, x_query)
             hits = (np.abs(f_points - truth) <= z * se).astype(float)
         else:
             se = np.full(points.size, np.nan)
@@ -301,7 +299,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     truth_grid = true_density(design, grid, x_query)
     rep_streams = np.random.SeedSequence(cfg.seed).spawn(reps)
     replicate = partial(_one_replication, design, n, cfg, se_params, points, grid,
-                        ci_level, x_query)
+                        truth_points, float(ndtri(0.5 + ci_level / 2.0)), x_query)
 
     t0 = time.perf_counter()
     f_points = np.full((reps, points.size), np.nan)

@@ -1,36 +1,35 @@
-"""Census of the public API's optional settings and the command line's config keys.
+"""Census of the public names and optional settings, and of the command line's config keys.
 
 Every defaulted parameter of a public function and every defaulted init
 field of a public dataclass is a setting a caller may choose, and so is
 every leaf key of a command's config.  A setting belongs here only when a
 workload, the command line or a demo sets it, or when a test needs it to
-reach a behaviour it checks.  Adding one means adding its name below.
+reach a behaviour it checks.  Adding one means adding its name below, and
+so does adding a name to the ``__all__`` of the package or of a module.
 """
 
 import dataclasses
 import importlib
 import inspect
 
+import forestdens
 from forestdens import cli
 
 MODULES = ("basis", "expfam", "forest", "estimator", "simbench", "cli")
 
 OPTIONS = [
     "expfam.solve_theta.max_iter",
-    "expfam.solve_theta_batch.max_iter",
     "forest.Box.lower_open",
     "forest.ForestConfig.min_child",
     "forest.ForestConfig.min_fraction",
     "forest.ForestConfig.scheme",
     "forest.ForestConfig.n_grid",
     "forest.ForestConfig.seed",
-    "forest.BranchResult.splits",
     "forest.grow_branch.index",
     "forest.grow_from_halves.index",
     "estimator.fit.se_params",
     "estimator.fit.workers",
     "estimator.confidence_interval.level",
-    "simbench.MCReport.failures",
     "simbench.kernel_baseline.bandwidths",
     "simbench.run_mc.design_points",
     "simbench.run_mc.workers",
@@ -38,7 +37,6 @@ OPTIONS = [
     "simbench.run_mc.ci_level",
     "cli.main.argv",
     "cli.cmd_fit.seed",
-    "cli.cmd_fit.workers",
     "cli.cmd_fit.out_dir",
     "cli.cmd_mc.seed",
     "cli.cmd_mc.workers",
@@ -50,9 +48,39 @@ FOREST_KEYS = ["subsample_size", "n_trees", "basis_order", "min_child", "min_fra
 
 CONFIG_KEYS = {
     "fit": ["input", "query_x", "y_grid.start", "y_grid.stop", "y_grid.num", "ci_level",
-            "se", "seed", "workers", *(f"forest.{k}" for k in FOREST_KEYS)],
+            "se", "seed", *(f"forest.{k}" for k in FOREST_KEYS)],
     "mc": ["design", "n", "reps", "design_points", "ci_level", "mise_grid_points", "se",
            "seed", "workers", *(f"forest.{k}" for k in FOREST_KEYS)],
+}
+
+PUBLIC_NAMES = {
+    "forestdens": [
+        "AllWeightsZero", "BasisSpec", "BoundaryMoment", "Box", "BranchResult", "Dataset",
+        "EstimationError", "FittedConditionalDensity", "ForestConfig", "MCReport",
+        "MissingPlan", "MomentVector", "NoCleanTrees", "NonConvergence", "SESubsamplePlan",
+        "ThetaSolution", "WeightVector", "ZeroDenominator", "basis", "basis_matrix",
+        "best_split", "confidence_interval", "covariance", "default_basis", "density",
+        "draw_subsamples", "errors", "estimator", "expfam", "fit", "forest", "gen_covariates",
+        "gen_outcome", "grow_branch", "grow_from_halves", "integrate", "kernel_baseline",
+        "legendre_eval", "log_partition", "make_quadrature", "moments", "mu_hat", "pdf",
+        "poisson_dim_law", "run_mc", "se_subsample_plan", "sigma_fe", "simbench",
+        "solve_theta", "split_half", "std_error", "t_functional", "true_cdf", "true_density",
+        "weights"],
+    "basis": ["BasisSpec", "default_basis", "legendre_eval", "basis_matrix", "basis_range",
+              "make_quadrature", "integrate"],
+    "expfam": ["MomentVector", "ThetaSolution", "THETA_BOX_BOUND", "NEWTON_TOL", "GROWTH_TOL",
+               "log_partition", "density", "moments", "covariance", "solve_theta",
+               "row_pseudo_outcomes", "t_functional"],
+    "forest": ["Box", "Dataset", "ForestConfig", "SplitRecord", "BranchResult", "WeightVector",
+               "SESubsamplePlan", "poisson_dim_law", "draw_subsamples", "split_half",
+               "best_split", "grow_branch", "grow_from_halves", "grow_forest", "weights",
+               "mu_hat", "se_subsample_plan", "sigma_fe", "infinitesimal_jackknife",
+               "debiased_variance"],
+    "estimator": ["FittedConditionalDensity", "fit", "pdf", "std_error", "confidence_interval"],
+    "simbench": ["DESIGNS", "DEFAULT_DESIGN_POINTS", "MISE_INTERVAL", "MCReport",
+                 "gen_covariates", "gen_outcome", "true_density", "true_cdf", "kernel_baseline",
+                 "run_mc", "report_rows", "write_report_csv", "report_to_dict"],
+    "cli": ["main", "cmd_fit", "cmd_mc", "UsageError"],
 }
 
 
@@ -80,6 +108,12 @@ def defaulted_settings(module_name: str) -> list[str]:
 
 def test_public_options_are_the_recorded_ones():
     assert [s for m in MODULES for s in defaulted_settings(m)] == OPTIONS
+
+
+def test_public_names_are_the_recorded_ones():
+    found = {"forestdens": forestdens.__all__}
+    found |= {m: importlib.import_module(f"forestdens.{m}").__all__ for m in MODULES}
+    assert found == PUBLIC_NAMES
 
 
 def test_config_keys_are_the_recorded_ones():

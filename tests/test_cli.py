@@ -69,6 +69,15 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_workers_is_neither_a_config_key_nor_a_flag(self, tmp_path, capsys):
+        # a fit runs in the calling thread; only mc has worker processes
+        cfg = fit_config(tmp_path, workers=1)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "unknown config key 'workers'" in capsys.readouterr().err
+        assert main(["fit", "--config", fit_config(tmp_path), "--workers", "1",
+                     "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "fit.csv").exists()
+
     def test_query_outside_parent_is_input_error(self, tmp_path, capsys):
         cfg = fit_config(tmp_path, query_x=[2.0, 2.0, 2.0, 2.0])
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -236,15 +245,15 @@ class TestWrongTypedConfig:
             (tmp_path / "b" / "fit.csv").read_bytes()
 
     def test_integral_float_seed_and_workers_recorded_as_integers(self, tmp_path):
-        fit_cfg = fit_config(tmp_path, seed=7.0, workers=1.0)
+        fit_cfg = fit_config(tmp_path, seed=7.0)
         mc_cfg = mc_config(tmp_path, seed=3.0, workers=1.0)
         assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
         assert main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "mc")]) == 0
-        for path, seed in ((tmp_path / "fit" / "fit_provenance.json", 7),
-                           (tmp_path / "mc" / "mc_report.json", 3)):
-            config = json.loads(path.read_text())["config"]
-            assert [config["seed"], config["workers"]] == [seed, 1]
-            assert type(config["seed"]) is int and type(config["workers"]) is int
+        config = json.loads((tmp_path / "fit" / "fit_provenance.json").read_text())["config"]
+        assert config["seed"] == 7 and type(config["seed"]) is int
+        config = json.loads((tmp_path / "mc" / "mc_report.json").read_text())["config"]
+        assert [config["seed"], config["workers"]] == [3, 1]
+        assert type(config["seed"]) is int and type(config["workers"]) is int
 
 
 class TestMCCommand:

@@ -12,8 +12,14 @@ from forestdens.basis import basis_range
 from forestdens.errors import BoundaryMoment, NonConvergence
 from forestdens.expfam import (BOUNDARY, NO_CONVERGENCE, SOLVED, MomentVector,
                                ThetaSolution, covariance, density,
-                               log_partition, moments, pseudo_outcomes_theta,
-                               solve_theta, solve_theta_batch, t_functional)
+                               log_partition, moments, row_pseudo_outcomes,
+                               solve_theta, t_functional)
+
+
+def solve_from_zero(targets, spec, max_iter=100):
+    """The batched Newton solve of every row of ``targets``, each from zero coefficients."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    return expfam._solve_from(targets, np.zeros_like(targets), spec, max_iter)
 
 
 def closed_form_logz_first_component(c: float) -> float:
@@ -166,14 +172,16 @@ class TestSolveTheta:
     def test_boundary_target_raises(self):
         spec = default_basis(2)
         for bad in (np.array([np.sqrt(3.0), 0.0]), np.array([-1.9, 0.0])):
-            with pytest.raises(BoundaryMoment):
+            with pytest.raises(BoundaryMoment, match="attainable range") as excinfo:
                 solve_theta(bad, spec)
+            np.testing.assert_array_equal(excinfo.value.target, bad)
 
     def test_near_boundary_target_escapes_box(self):
         # inside the basis range but only attainable beyond the box bound
         spec = default_basis(1)
-        with pytest.raises(BoundaryMoment):
+        with pytest.raises(BoundaryMoment, match="escaped the box bound") as excinfo:
             solve_theta(np.array([1.72]), spec)
+        np.testing.assert_array_equal(excinfo.value.target, [1.72])
 
     def test_nonconvergence_payload(self):
         spec = default_basis(3)
@@ -206,10 +214,10 @@ class TestSolveThetaBatch:
         rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
         spec = default_basis(j)
         targets = mixed_targets(rng, j, m)
-        batch = solve_theta_batch(targets, spec)
+        batch = solve_from_zero(targets, spec)
         raises = {BOUNDARY: BoundaryMoment, NO_CONVERGENCE: NonConvergence}
         for i, target in enumerate(targets):
-            alone = solve_theta_batch(target[None, :], spec)
+            alone = solve_from_zero(target[None, :], spec)
             np.testing.assert_array_equal(batch.theta[i], alone.theta[0])
             assert batch.residual[i] == alone.residual[0]
             assert batch.iterations[i] == alone.iterations[0]
@@ -226,17 +234,17 @@ class TestSolveThetaBatch:
         rng = np.random.default_rng(9)
         spec = default_basis(4)
         targets = mixed_targets(rng, 4, 40)
-        whole = solve_theta_batch(targets, spec)
+        whole = solve_from_zero(targets, spec)
         assert {SOLVED, BOUNDARY} <= set(whole.status.tolist())
         monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per slice
-        sliced = solve_theta_batch(targets, spec)
+        sliced = solve_from_zero(targets, spec)
         for field in ("theta", "residual", "iterations", "status"):
             np.testing.assert_array_equal(getattr(sliced, field), getattr(whole, field))
 
     def test_nonconvergence_keeps_last_iterate(self):
         spec = default_basis(3)
         target = moments(np.array([2.0, -1.0, 0.5]), spec).mu
-        res = solve_theta_batch(np.stack([target, np.zeros(3)]), spec, max_iter=2)
+        res = solve_from_zero(np.stack([target, np.zeros(3)]), spec, max_iter=2)
         assert res.status.tolist() == [NO_CONVERGENCE, SOLVED]
         assert res.iterations.tolist() == [2, 0]
         assert res.residual[0] > 1e-10 and np.any(res.theta[0] != 0.0)
@@ -325,7 +333,7 @@ class TestBlockedLineSearch:
         spec = default_basis(j)
         far = [moments(random_theta(rng, j, 14.0), spec).mu for _ in range(m)]
         targets = np.vstack([mixed_targets(rng, j, m), far])
-        batch = solve_theta_batch(targets, spec, max_iter)
+        batch = solve_from_zero(targets, spec, max_iter)
         for i, target in enumerate(targets):
             assert_row_is(batch, i, *sequential_newton(target, spec, max_iter)[:4])
 
@@ -354,7 +362,7 @@ class TestBlockedLineSearch:
         # the row alone, and among other rows whose searches end elsewhere
         others = mixed_targets(np.random.default_rng(31), target.size, 30)
         for targets in (target[None, :], np.vstack([others, target])):
-            batch = solve_theta_batch(targets, spec, max_iter)
+            batch = solve_from_zero(targets, spec, max_iter)
             assert_row_is(batch, targets.shape[0] - 1, *ref[:4])
 
     @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
@@ -380,10 +388,10 @@ class TestBlockedLineSearch:
         rng = np.random.default_rng(47)
         spec = default_basis(8)
         targets = mixed_targets(rng, 8, 2304)
-        whole = solve_theta_batch(targets, spec)
+        whole = solve_from_zero(targets, spec)
         assert {SOLVED, BOUNDARY, NO_CONVERGENCE} <= set(whole.status.tolist())
         monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per pass and evaluation
-        sliced = solve_theta_batch(targets, spec)
+        sliced = solve_from_zero(targets, spec)
         for field in ("theta", "residual", "iterations", "status"):
             assert getattr(sliced, field).tobytes() == getattr(whole, field).tobytes()
 
@@ -509,15 +517,14 @@ class TestPseudoOutcomes:
         spec = default_basis(3)
         sol = solve_theta(np.zeros(3), spec)
         y = 0.77
-        from forestdens.basis import basis_matrix
-        np.testing.assert_allclose(pseudo_outcomes_theta(sol, y, spec),
-                                   basis_matrix(spec, y)[0], atol=1e-12)
+        rho = row_pseudo_outcomes(sol.theta, basis_matrix(spec, y)[None], spec)[0, 0]
+        np.testing.assert_allclose(rho, basis_matrix(spec, y)[0], atol=1e-12)
 
     def test_scalar_hand_case(self):
         spec = default_basis(1)
         sol = solve_theta(np.zeros(1), spec)
-        np.testing.assert_allclose(pseudo_outcomes_theta(sol, 1.0, spec),
-                                   [np.sqrt(3.0)], atol=1e-12)
+        rho = row_pseudo_outcomes(sol.theta, basis_matrix(spec, 1.0)[None], spec)[0, 0]
+        np.testing.assert_allclose(rho, [np.sqrt(3.0)], atol=1e-12)
 
     def test_mean_zero_at_matching_sample(self):
         # when the empirical basis mean equals the model moments, residuals
@@ -527,9 +534,8 @@ class TestPseudoOutcomes:
         theta_star = random_theta(rng, 4, 0.8)
         sol = solve_theta(moments(theta_star, spec), spec)
         ys = rng.random(200)
-        rho = pseudo_outcomes_theta(sol, ys, spec)
-        from forestdens.basis import basis_matrix
         phi = basis_matrix(spec, ys)
+        rho = row_pseudo_outcomes(sol.theta, phi[None], spec)[0]
         shift = phi.mean(axis=0) - moments(sol.theta, spec).mu
         expected_mean = np.linalg.solve(covariance(sol.theta, spec), shift)
         np.testing.assert_allclose(rho.mean(axis=0), expected_mean, atol=1e-10)
