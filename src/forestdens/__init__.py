@@ -25,8 +25,15 @@ from .estimator import (FittedConditionalDensity, confidence_interval, fit,
 _HARNESS = ("MCReport", "gen_covariates", "gen_outcome", "kernel_baseline",
             "run_mc", "true_cdf", "true_density")
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + ["simbench", *_HARNESS])
+__all__ = sorted([
+    "AllWeightsZero", "BasisSpec", "BoundaryMoment", "Box", "BranchResult", "Dataset",
+    "EstimationError", "FittedConditionalDensity", "ForestConfig", "MissingPlan",
+    "MomentVector", "NoCleanTrees", "NonConvergence", "SESubsamplePlan", "ThetaSolution",
+    "WeightVector", "ZeroDenominator", "basis_matrix", "best_split", "confidence_interval",
+    "covariance", "default_basis", "density", "draw_subsamples", "fit", "grow_branch",
+    "grow_from_halves", "integrate", "legendre_eval", "log_partition", "make_quadrature",
+    "moments", "mu_hat", "pdf", "poisson_dim_law", "se_subsample_plan", "sigma_fe",
+    "solve_theta", "split_half", "std_error", "t_functional", "weights", *_HARNESS])
 
 
 def __getattr__(name):

@@ -8,8 +8,9 @@ class EstimationError(Exception):
 class NonConvergence(EstimationError):
     """Newton iteration did not reach the residual tolerance.
 
-    Carries the last iterate as ``solution`` so callers can inspect the
-    residual and decide on a fallback.
+    Raised for the row codes ``SINGULAR``, ``STALLED`` and ``CAPPED`` of
+    :mod:`forestdens.expfam`.  Carries the last iterate as ``solution`` so
+    callers can inspect the residual and decide on a fallback.
     """
 
     def __init__(self, message, solution=None):
@@ -20,9 +21,9 @@ class NonConvergence(EstimationError):
 class BoundaryMoment(EstimationError):
     """The moment target sits at or outside the attainable moment space.
 
-    Raised when a target component is at or beyond the range of the basis
-    functions, or when the coefficient iterate escapes the solver's box
-    bound.  The offending target is available as ``target``.
+    Raised for the row codes ``RANGE`` (a target component at or beyond the
+    basis range) and ``ESCAPED`` (the iterate escaped the solver's box bound)
+    of :mod:`forestdens.expfam`.  The offending target is ``target``.
     """
 
     def __init__(self, message, target=None):

@@ -37,20 +37,9 @@ import numpy as np
 from .basis import BasisSpec, basis_matrix, basis_range
 from .errors import BoundaryMoment, NonConvergence
 
-__all__ = [
-    "MomentVector",
-    "ThetaSolution",
-    "THETA_BOX_BOUND",
-    "NEWTON_TOL",
-    "GROWTH_TOL",
-    "log_partition",
-    "density",
-    "moments",
-    "covariance",
-    "solve_theta",
-    "row_pseudo_outcomes",
-    "t_functional",
-]
+__all__ = ["MomentVector", "ThetaSolution", "THETA_BOX_BOUND", "NEWTON_TOL", "GROWTH_TOL",
+           "log_partition", "density", "moments", "covariance", "solve_theta",
+           "row_pseudo_outcomes", "t_functional"]
 
 #: Iterates with sup-norm beyond this bound signal a target at or outside
 #: the moment-space boundary.
@@ -204,8 +193,20 @@ def covariance(theta, spec: BasisSpec) -> np.ndarray:
     return _row_covariances(dens, mu, spec)[0]
 
 
-#: Row status codes returned by :func:`_solve_from`.
-SOLVED, BOUNDARY, NO_CONVERGENCE = 0, 1, 2
+#: Row status codes of :func:`_solve_from`, one per way a row ends.
+SOLVED, RANGE, ESCAPED, SINGULAR, STALLED, CAPPED = range(6)
+
+#: :func:`solve_theta`'s exception class and message format for each failure code.
+_FAILURES = {
+    RANGE: (BoundaryMoment, "moment target at or outside the attainable range of the basis"),
+    ESCAPED: (BoundaryMoment, "coefficient iterate escaped the box bound; moment target is "
+                              "at or outside the moment-space boundary"),
+    SINGULAR: (NonConvergence, "Newton iteration stopped at residual {rnorm:.3e}: the "
+                               "covariance at the iterate is singular"),
+    STALLED: (NonConvergence, "Newton iteration stalled at residual {rnorm:.3e}"),
+    CAPPED: (NonConvergence, "residual {rnorm:.3e} above tol {tol:.1e} after {iterations} "
+                             "iterations"),
+}
 
 #: Elements allowed in any one batched temporary (not in their sum): larger
 #: Newton batches, and the levels of forest growth, go in slices of rows.
@@ -214,14 +215,19 @@ BATCH_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class NewtonBatch:
-    """Per-row outcome of :func:`_solve_from`.
+    """Per-row outcome of :func:`_solve_from`; ``status`` holds each row's code:
 
-    ``status`` holds :data:`SOLVED`, :data:`BOUNDARY` or
-    :data:`NO_CONVERGENCE` for each row.  ``theta``, ``residual`` and
-    ``iterations`` are the root, its residual sup-norm and the Newton
-    iterations for solved rows, and the last accepted iterate for rows that
-    did not converge.  ``dens`` (at the quadrature nodes) and ``mu`` are the
-    family's state at a solved row's root, the bits :func:`_row_states` gives.
+    * :data:`SOLVED`: the residual sup-norm is within the tolerance;
+    * :data:`RANGE`: a target component is at or beyond the basis range;
+    * :data:`ESCAPED`: an accepted step left the box :data:`THETA_BOX_BOUND`;
+    * :data:`SINGULAR`: the covariance at the iterate is singular;
+    * :data:`STALLED`: the line search accepted no length;
+    * :data:`CAPPED`: the residual is above the tolerance after ``max_iter`` steps.
+
+    ``theta``, ``residual`` and ``iterations`` are the root, its residual
+    sup-norm and the Newton iterations for solved rows, and the last accepted
+    iterate for the others.  ``dens`` (at the quadrature nodes) and ``mu`` are
+    the family's state at a solved row's root, the bits :func:`_row_states` gives.
     """
 
     theta: np.ndarray
@@ -237,20 +243,18 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     """Solve the moment-matching system for every row of ``targets``, row ``k`` from ``start[k]``.
 
     Each row runs the Newton iteration described in :func:`solve_theta`, with
-    its own line search, tolerance ``tol`` and box bound, and stops as
-    :data:`SOLVED`, :data:`BOUNDARY` or :data:`NO_CONVERGENCE`:
+    its own line search, tolerance ``tol`` and box bound; its result is
+    bit-identical to solving it alone from its start, whatever the other rows
+    are.  Each code is written where its cause is decided:
 
-    * rows are independent: a row's result is bit-identical to solving it
-      alone from its start, whatever the other rows are;
-    * a row with a component at or beyond the basis range is BOUNDARY after
-      0 iterations, before any step; a row whose iterate escapes the box
-      bound after a step is BOUNDARY at that iteration;
-    * an exact zero target has the exact root zero and is SOLVED after 0
-      iterations, as is a start at the exact root;
-    * a row whose covariance is singular (the family has collapsed onto one
-      quadrature node) takes no step and stops as NO_CONVERGENCE, as does a
-      row that no step length of the line search improves, and a row still
-      above ``tol`` after ``max_iter`` iterations.
+    * RANGE by the range test here, after 0 iterations, before any step;
+    * SOLVED within ``tol``; after 0 iterations for an exact zero target
+      (whose root is zero) or a start at the exact root;
+    * SINGULAR at the round whose covariance is singular (the family has
+      collapsed onto one quadrature node), which takes no step;
+    * STALLED at the round whose line search accepts no length;
+    * ESCAPED at the round whose accepted step leaves the box bound;
+    * CAPPED if still above ``tol`` after ``max_iter`` rounds.
 
     Failures do not raise.  Solved rows keep the state their last evaluation computed.
     """
@@ -262,8 +266,7 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     out = NewtonBatch(np.zeros((m, j)), np.zeros(m), np.zeros(m, dtype=np.intp),
                       np.full(m, SOLVED, dtype=np.int8), np.zeros((m, spec.nodes.size)),
                       np.zeros((m, j)))
-    out.status[(np.abs(targets) >= spec.scale).any(axis=1)] = BOUNDARY
-    # an exact zero target has the exact root zero: no iteration
+    out.status[(np.abs(targets) >= spec.scale).any(axis=1)] = RANGE
     zero = (out.status == SOLVED) & ~targets.any(axis=1)
     if zero.any():
         out.dens[zero], out.mu[zero] = _row_states(np.zeros((1, j)), spec)[:2]
@@ -310,7 +313,7 @@ def _newton_rows(targets, start, rows, spec, max_iter, tol, out: NewtonBatch) ->
     The state arrays are copies, updated in place as each row accepts a length.
     At the top of each round the rows that ended in the last round, or are now
     within ``tol``, are written out and dropped; after ``max_iter`` rounds the
-    rest end as NO_CONVERGENCE.
+    rest end as CAPPED.
     """
     target = targets[rows]
     theta = start[rows]
@@ -319,7 +322,7 @@ def _newton_rows(targets, start, rows, spec, max_iter, tol, out: NewtonBatch) ->
     for it in range(1, max_iter + 2):
         status[(status < 0) & (rnorm <= tol)] = SOLVED
         if it > max_iter:
-            status[status < 0] = NO_CONVERGENCE
+            status[status < 0] = CAPPED
         ended = status >= 0
         done = rows[ended]
         out.theta[done], out.dens[done], out.mu[done] = theta[ended], dens[ended], mu[ended]
@@ -346,9 +349,9 @@ def _newton_rows(targets, start, rows, spec, max_iter, tol, out: NewtonBatch) ->
             for a, b in zip((theta, dens, mu, resid, rnorm, dual), (cand, *state)):
                 a[pending[hit]] = b[hit]
             pending = pending[~hit]
-        status[singular] = NO_CONVERGENCE
-        status[pending] = NO_CONVERGENCE
-        status[(status < 0) & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)] = BOUNDARY
+        status[singular] = SINGULAR
+        status[pending] = STALLED
+        status[(status < 0) & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)] = ESCAPED
 
 
 def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolution:
@@ -379,33 +382,23 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     Raises
     ------
     BoundaryMoment
-        If a target component exceeds the basis range, or the iterate
-        escapes the box bound ``THETA_BOX_BOUND`` (the target sits at or
-        outside the boundary of the attainable moment space).
+        For a :data:`RANGE` or :data:`ESCAPED` row: the target sits at or
+        outside the boundary of the attainable moment space.
     NonConvergence
-        If the residual is still above ``NEWTON_TOL`` after ``max_iter``
-        iterations, or the iteration stalls: no length passes the line
-        search, or the covariance at the iterate is singular.
+        For a :data:`SINGULAR`, :data:`STALLED` or :data:`CAPPED` row, with
+        the last iterate as ``solution``.
     """
     mu_target = np.atleast_1d(np.asarray(
         mu_target.mu if isinstance(mu_target, MomentVector) else mu_target, dtype=float))
     res = _solve_from(mu_target[None, :], np.zeros((1, mu_target.size)), spec, max_iter)
     theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
-    status = res.status[0]
-    if status == SOLVED:
+    if res.status[0] == SOLVED:
         return ThetaSolution(theta, rnorm, iters, True)
-    if status == BOUNDARY:  # the range test ends a row before any step; an escape takes one
-        raise BoundaryMoment(
-            "moment target at or outside the attainable range of the basis" if iters == 0 else
-            "coefficient iterate escaped the box bound; moment target is "
-            "at or outside the moment-space boundary",
-            target=mu_target,
-        )
-    if iters < max_iter:
-        message = f"Newton iteration stalled at residual {rnorm:.3e}"
-    else:
-        message = f"residual {rnorm:.3e} above tol {NEWTON_TOL:.1e} after {max_iter} iterations"
-    raise NonConvergence(message, solution=ThetaSolution(theta, rnorm, iters, False))
+    error, message = _FAILURES[res.status[0]]
+    message = message.format(rnorm=rnorm, iterations=iters, tol=NEWTON_TOL)
+    if error is BoundaryMoment:  # an escaped iterate is outside the box ThetaSolution allows
+        raise error(message, target=mu_target)
+    raise error(message, solution=ThetaSolution(theta, rnorm, iters, False))
 
 
 def t_functional(y: float, theta: ThetaSolution, spec: BasisSpec) -> np.ndarray:

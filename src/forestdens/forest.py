@@ -37,9 +37,8 @@ temporary, and its Newton solve, up to 4096 nodes at J = 8, in one pass.
 Two splitting schemes are supported:
 
 * ``"theta"``: pseudo-outcomes are the influence residuals of the
-  exponential-family coefficients solved at the current node; a node whose
-  solve fails (``BoundaryMoment`` or ``NonConvergence``) uses the centered
-  basis values instead,
+  exponential-family coefficients solved at the current node; any code but
+  SOLVED falls back to centred basis values,
 * ``"mu"``: pseudo-outcomes are centered basis values, a cheap alternative
   that skips the per-node solve.
 """
@@ -510,10 +509,10 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
     counted member table (:func:`_with_sentinel`) per slice; under the
     "theta" scheme they go through one batched Newton solve, each node's
     started from its row of ``start``, whose kept moments and density give
-    every solved node's ``V(theta)^{-1}`` in one stacked inverse.  Nodes
-    whose solve fails (``BoundaryMoment`` or ``NonConvergence``) are scored
-    with centered basis values instead.  Returns ``(dim, threshold, theta)``,
-    ``theta`` the solved coefficients, zero where no solve succeeded.
+    every solved node's ``V(theta)^{-1}`` in one stacked inverse; any code
+    but SOLVED falls back to centred basis values.  Returns ``(dim,
+    threshold, theta)``, ``theta`` the solved coefficients, zero where no
+    solve succeeded.
     """
     j = spec.order
     slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))

@@ -58,12 +58,12 @@ PUBLIC_NAMES = {
         "AllWeightsZero", "BasisSpec", "BoundaryMoment", "Box", "BranchResult", "Dataset",
         "EstimationError", "FittedConditionalDensity", "ForestConfig", "MCReport",
         "MissingPlan", "MomentVector", "NoCleanTrees", "NonConvergence", "SESubsamplePlan",
-        "ThetaSolution", "WeightVector", "ZeroDenominator", "basis", "basis_matrix",
+        "ThetaSolution", "WeightVector", "ZeroDenominator", "basis_matrix",
         "best_split", "confidence_interval", "covariance", "default_basis", "density",
-        "draw_subsamples", "errors", "estimator", "expfam", "fit", "forest", "gen_covariates",
+        "draw_subsamples", "fit", "gen_covariates",
         "gen_outcome", "grow_branch", "grow_from_halves", "integrate", "kernel_baseline",
         "legendre_eval", "log_partition", "make_quadrature", "moments", "mu_hat", "pdf",
-        "poisson_dim_law", "run_mc", "se_subsample_plan", "sigma_fe", "simbench",
+        "poisson_dim_law", "run_mc", "se_subsample_plan", "sigma_fe",
         "solve_theta", "split_half", "std_error", "t_functional", "true_cdf", "true_density",
         "weights"],
     "basis": ["BasisSpec", "default_basis", "legendre_eval", "basis_matrix", "basis_range",

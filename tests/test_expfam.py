@@ -10,8 +10,8 @@ from forestdens import expfam
 from forestdens.basis import basis_matrix, default_basis
 from forestdens.basis import basis_range
 from forestdens.errors import BoundaryMoment, NonConvergence
-from forestdens.expfam import (BOUNDARY, NO_CONVERGENCE, SOLVED, MomentVector,
-                               ThetaSolution, covariance, density,
+from forestdens.expfam import (CAPPED, ESCAPED, RANGE, SINGULAR, SOLVED, STALLED,
+                               MomentVector, ThetaSolution, covariance, density,
                                log_partition, moments, row_pseudo_outcomes,
                                solve_theta, t_functional)
 
@@ -191,6 +191,53 @@ class TestSolveTheta:
         assert sol is not None and not sol.converged
 
 
+#: At this J = 8 start the family sits on one quadrature node: its
+#: covariance is zero up to roundoff and LAPACK finds it singular.
+COLLAPSED = np.array([-34.25104516095402, -45.11528741850862, -45.295558477592614,
+                      45.635422988204745, -26.94538811548156, -41.60605340176012,
+                      -47.516226014044236, 49.5])
+
+
+class TestRowCodes:
+    """One constructed row per code: ``_solve_from`` writes the code where its
+    cause is decided, and ``solve_theta`` raises that code's exception with a
+    message naming the cause (a singular covariance is not reached from zero)."""
+
+    @pytest.mark.parametrize("code, max_iter, raises, match", [
+        (SOLVED, 100, None, None),
+        (RANGE, 100, BoundaryMoment, "attainable range of the basis"),
+        (ESCAPED, 100, BoundaryMoment, "escaped the box bound"),
+        (SINGULAR, 100, None, None),
+        (STALLED, 100, NonConvergence, "stalled at residual 1.274e-01"),
+        (STALLED, 2, NonConvergence, "stalled at residual 1.274e-01"),  # on the last round
+        (CAPPED, 2, NonConvergence, r"^residual .* above tol 1\.0e-10 after 2 iterations$"),
+    ], ids=["solved", "range", "escaped", "singular", "stalled", "stalled-at-cap", "capped"])
+    def test_solve_from_writes_the_code_solve_theta_raises_it(self, code, max_iter, raises,
+                                                               match):
+        spec3, spec8 = default_basis(3), default_basis(8)
+        solvable = moments(random_theta(np.random.default_rng(0), 8, 1.0), spec8).mu
+        target, spec = {
+            SOLVED: (solvable, spec8),
+            RANGE: (basis_range(8), spec8),
+            ESCAPED: (np.array([1.72]), default_basis(1)),
+            SINGULAR: (solvable, spec8),
+            STALLED: (0.95 * basis_range(8), spec8),
+            CAPPED: (moments(np.array([2.0, -1.0, 0.5]), spec3).mu, spec3),
+        }[code]
+        start = COLLAPSED if code == SINGULAR else np.zeros(target.size)
+        batch = expfam._solve_from(target[None, :], start[None, :], spec, max_iter)
+        assert batch.status[0] == code
+        if code == SOLVED:
+            assert solve_theta(target, spec, max_iter).converged
+        elif raises is not None:
+            with pytest.raises(raises, match=match) as excinfo:
+                solve_theta(target, spec, max_iter)
+            if raises is NonConvergence:
+                assert excinfo.value.solution.iterations == batch.iterations[0]
+        if code == STALLED:
+            assert batch.iterations[0] == 2
+
+
 def mixed_targets(rng, j, m):
     """Attainable targets, few-point sample means (often at or beyond the
     moment-space boundary) and targets on the basis range."""
@@ -215,7 +262,6 @@ class TestSolveThetaBatch:
         spec = default_basis(j)
         targets = mixed_targets(rng, j, m)
         batch = solve_from_zero(targets, spec)
-        raises = {BOUNDARY: BoundaryMoment, NO_CONVERGENCE: NonConvergence}
         for i, target in enumerate(targets):
             alone = solve_from_zero(target[None, :], spec)
             np.testing.assert_array_equal(batch.theta[i], alone.theta[0])
@@ -227,7 +273,7 @@ class TestSolveThetaBatch:
                 np.testing.assert_array_equal(sol.theta, batch.theta[i])
                 assert sol.iterations == batch.iterations[i]
             else:
-                with pytest.raises(raises[batch.status[i]]):
+                with pytest.raises(expfam._FAILURES[batch.status[i]][0]):
                     solve_theta(target, spec)
 
     def test_slices_do_not_change_rows(self, monkeypatch):
@@ -235,7 +281,7 @@ class TestSolveThetaBatch:
         spec = default_basis(4)
         targets = mixed_targets(rng, 4, 40)
         whole = solve_from_zero(targets, spec)
-        assert {SOLVED, BOUNDARY} <= set(whole.status.tolist())
+        assert {SOLVED, ESCAPED} <= set(whole.status.tolist())
         monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per slice
         sliced = solve_from_zero(targets, spec)
         for field in ("theta", "residual", "iterations", "status"):
@@ -245,7 +291,7 @@ class TestSolveThetaBatch:
         spec = default_basis(3)
         target = moments(np.array([2.0, -1.0, 0.5]), spec).mu
         res = solve_from_zero(np.stack([target, np.zeros(3)]), spec, max_iter=2)
-        assert res.status.tolist() == [NO_CONVERGENCE, SOLVED]
+        assert res.status.tolist() == [CAPPED, SOLVED]
         assert res.iterations.tolist() == [2, 0]
         assert res.residual[0] > 1e-10 and np.any(res.theta[0] != 0.0)
 
@@ -257,7 +303,7 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
     family kernels: a length is accepted when it lowers the dual
     L = log Z - theta . target by the Armijo amount or lowers the residual
     sup-norm.  The iteration starts from ``start`` (zero by default); a
-    singular covariance ends it as NO_CONVERGENCE without a step.
+    singular covariance ends it as SINGULAR without a step.
     Returns ``(theta, residual, iterations, status, halvings)`` with
     ``halvings`` the most halvings any accepted step needed.  When
     ``accepted`` is a list, each accepted step appends ``(theta, length, step)``.
@@ -265,7 +311,7 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
     j = target.size
     theta = np.zeros((1, j))
     if np.any(np.abs(target) >= basis_range(j)):
-        return theta[0], 0.0, 0, BOUNDARY, 0
+        return theta[0], 0.0, 0, RANGE, 0
     if not target.any():
         return theta[0], 0.0, 0, SOLVED, 0
     if start is not None:
@@ -282,7 +328,7 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
         try:
             step = np.linalg.solve(cov, resid[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # collapsed family: no step is taken
-            return theta[0], rnorm, it, NO_CONVERGENCE, halvings
+            return theta[0], rnorm, it, SINGULAR, halvings
         armijo = expfam._ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]
         lam = 1.0
         for tries in range(31):
@@ -295,15 +341,15 @@ def sequential_newton(target, spec, max_iter=100, accepted=None, start=None):
                 break
             lam *= 0.5
         else:
-            return theta[0], rnorm, it, NO_CONVERGENCE, halvings
+            return theta[0], rnorm, it, STALLED, halvings
         if accepted is not None:
             accepted.append((theta[0], lam, step[0]))
         halvings = max(halvings, tries)
         theta, dens, mu, resid, rnorm = cand, cand_dens, cand_mu, cand_resid, cand_rnorm
         dual = cand_dual
         if np.abs(theta).max() > expfam.THETA_BOX_BOUND:
-            return theta[0], rnorm, it, BOUNDARY, halvings
-    status = SOLVED if rnorm <= expfam.NEWTON_TOL else NO_CONVERGENCE
+            return theta[0], rnorm, it, ESCAPED, halvings
+    status = SOLVED if rnorm <= expfam.NEWTON_TOL else CAPPED
     return theta[0], rnorm, max_iter, status, halvings
 
 
@@ -345,10 +391,9 @@ class TestBlockedLineSearch:
             # whose full step is once taken on the Armijo test alone
             "solved": (moments(np.array([-1.0, 3.0, 2.0, 1.5, -0.3, -0.1, 1.5, 1.2]), spec8).mu,
                        spec8, 100, SOLVED),
-            "box escape": (np.array([1.72]), default_basis(1), 100, BOUNDARY),
-            "stall": (0.95 * basis_range(8), spec8, 100, NO_CONVERGENCE),
-            "iteration cap": (moments(np.array([2.0, -1.0, 0.5]), spec3).mu, spec3, 2,
-                              NO_CONVERGENCE),
+            "box escape": (np.array([1.72]), default_basis(1), 100, ESCAPED),
+            "stall": (0.95 * basis_range(8), spec8, 100, STALLED),
+            "iteration cap": (moments(np.array([2.0, -1.0, 0.5]), spec3).mu, spec3, 2, CAPPED),
         }[case]
         steps = []
         ref = sequential_newton(target, spec, max_iter, steps)
@@ -389,7 +434,7 @@ class TestBlockedLineSearch:
         spec = default_basis(8)
         targets = mixed_targets(rng, 8, 2304)
         whole = solve_from_zero(targets, spec)
-        assert {SOLVED, BOUNDARY, NO_CONVERGENCE} <= set(whole.status.tolist())
+        assert {SOLVED, ESCAPED, STALLED} <= set(whole.status.tolist())
         monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per pass and evaluation
         sliced = solve_from_zero(targets, spec)
         for field in ("theta", "residual", "iterations", "status"):
@@ -435,19 +480,14 @@ class TestWarmStart:
             assert batch.theta[i].tobytes() == starts[i].tobytes()
 
     def test_start_collapsed_onto_a_node_stops_without_a_step(self):
-        # at this start the family sits on one quadrature node: its
-        # covariance is zero up to roundoff and LAPACK finds it singular
         spec = default_basis(8)
-        collapsed = np.array([-34.25104516095402, -45.11528741850862, -45.295558477592614,
-                              45.635422988204745, -26.94538811548156, -41.60605340176012,
-                              -47.516226014044236, 49.5])
         target = moments(random_theta(np.random.default_rng(0), 8, 1.0), spec).mu
         targets = np.vstack([target, target])
-        starts = np.vstack([collapsed, np.zeros(8)])
+        starts = np.vstack([COLLAPSED, np.zeros(8)])
         batch = expfam._solve_from(targets, starts, spec, 100)
-        assert batch.status[0] == NO_CONVERGENCE and batch.iterations[0] == 1
-        assert batch.theta[0].tobytes() == collapsed.tobytes()
-        assert_row_is(batch, 0, *sequential_newton(target, spec, start=collapsed)[:4])
+        assert batch.status[0] == SINGULAR and batch.iterations[0] == 1
+        assert batch.theta[0].tobytes() == COLLAPSED.tobytes()
+        assert_row_is(batch, 0, *sequential_newton(target, spec, start=COLLAPSED)[:4])
         # the other row of the stack is solved as it is alone
         alone = expfam._solve_from(target[None, :], np.zeros((1, 8)), spec, 100)
         assert batch.status[1] == SOLVED
@@ -462,7 +502,7 @@ class TestWarmStart:
         target = np.zeros(j)
         target[-1] = 1.001 * basis_range(j)[-1]
         res = expfam._solve_from(np.tile(target, (12, 1)), starts, spec, 100)
-        assert np.all(res.status == BOUNDARY) and np.all(res.iterations == 0)
+        assert np.all(res.status == RANGE) and np.all(res.iterations == 0)
 
 
 class TestKeptState:

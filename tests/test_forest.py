@@ -604,10 +604,11 @@ class TestGrowthRegression:
                            initial_parent=unit_box(4), min_child=3, scheme="theta", seed=11)
         assert weights_digest(np.full(4, 0.5), data, cfg) == (
             "911dad623f6340a37a7dba4fbb41cbea44991ada6a7006aef635b0d0d8098bbd")
-        assert statuses.count(expfam.BOUNDARY) == 7 and len(statuses) == 71
+        assert statuses.count(expfam.ESCAPED) == 7 and statuses.count(expfam.RANGE) == 0
+        assert len(statuses) == 71
 
     def test_theta_node_solves_end_within_twenty_iterations(self, monkeypatch):
-        # the forest above; BOUNDARY rows once crept toward the box bound in
+        # the forest above; ESCAPED rows once crept toward the box bound in
         # up to 32 Newton iterations, and their slow rows held every level
         batches = []
         solve = expfam._solve_from
@@ -626,7 +627,7 @@ class TestGrowthRegression:
         status = np.concatenate([b.status for b in batches])
         iterations = np.concatenate([b.iterations for b in batches])
         assert "".join(map(str, status.tolist())) == (
-            "00000000000000000000000000000000000000000000000100000000110000001101010")
+            "00000000000000000000000000000000000000000000000200000000220000002202020")
         assert iterations.max() <= 20
 
     def test_mu_scheme(self):
