@@ -8,15 +8,15 @@ errors and confidence intervals.
 
 __version__ = "0.1.0"
 
-from .basis import BasisSpec, basis_matrix, default_basis, integrate, legendre_eval, make_quadrature
+from .basis import BasisSpec, basis_matrix, default_basis, legendre_eval, make_quadrature
 from .errors import (AllWeightsZero, BoundaryMoment, EstimationError,
                      MissingPlan, NoCleanTrees, NonConvergence, ZeroDenominator)
 from .expfam import (MomentVector, ThetaSolution, covariance, density,
                      log_partition, moments, solve_theta, t_functional)
 from .forest import (Box, BranchResult, Dataset, ForestConfig, SESubsamplePlan,
                      WeightVector, best_split, draw_subsamples,
-                     grow_branch, grow_from_halves, mu_hat, poisson_dim_law,
-                     se_subsample_plan, sigma_fe, split_half, weights)
+                     grow_branch, grow_from_halves, mu_hat, se_subsample_plan,
+                     sigma_fe, split_half, weights)
 from .estimator import (FittedConditionalDensity, confidence_interval, fit,
                         pdf, std_error)
 
@@ -31,9 +31,9 @@ __all__ = sorted([
     "MomentVector", "NoCleanTrees", "NonConvergence", "SESubsamplePlan", "ThetaSolution",
     "WeightVector", "ZeroDenominator", "basis_matrix", "best_split", "confidence_interval",
     "covariance", "default_basis", "density", "draw_subsamples", "fit", "grow_branch",
-    "grow_from_halves", "integrate", "legendre_eval", "log_partition", "make_quadrature",
-    "moments", "mu_hat", "pdf", "poisson_dim_law", "se_subsample_plan", "sigma_fe",
-    "solve_theta", "split_half", "std_error", "t_functional", "weights", *_HARNESS])
+    "grow_from_halves", "legendre_eval", "log_partition", "make_quadrature", "moments",
+    "mu_hat", "pdf", "se_subsample_plan", "sigma_fe", "solve_theta", "split_half",
+    "std_error", "t_functional", "weights", *_HARNESS])
 
 
 def __getattr__(name):

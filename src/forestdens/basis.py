@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "basis_matrix",
     "basis_range",
     "make_quadrature",
-    "integrate",
 ]
 
 
@@ -102,22 +100,6 @@ def make_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least 2 quadrature nodes")
     t, w = np.polynomial.legendre.leggauss(n_nodes)
     return 0.5 * (t + 1.0), 0.5 * w
-
-
-def integrate(f: Callable[[np.ndarray], np.ndarray], quad) -> float:
-    """Apply a fixed-node rule: sum of w_i * f(t_i).
-
-    ``quad`` is either a ``(nodes, weights)`` pair or a :class:`BasisSpec`.
-    Non-finite integrand values raise instead of propagating silently.
-    """
-    if isinstance(quad, BasisSpec):
-        nodes, weights = quad.nodes, quad.weights
-    else:
-        nodes, weights = quad
-    vals = np.asarray(f(np.asarray(nodes)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("integrand is not finite at a quadrature node")
-    return float(weights @ vals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -252,14 +252,12 @@ def cmd_fit(config_path: str, seed=None, out_dir: str = ".") -> int:
     with _input_errors("fit", ValueError):
         fitted = estimator.fit(data, query_x, fcfg, se_params=se_params)
         rows = []
-        for y in grid:
-            dens = estimator.pdf(fitted, float(y))
+        for y in map(float, grid):
+            row = [y, estimator.pdf(fitted, y)]
             if se_params is not None:
-                se = estimator.std_error(fitted, float(y))
-                rows.append([repr(float(y)), repr(dens), repr(se),
-                             *map(repr, estimator._interval(dens, se, level))])
-            else:
-                rows.append([repr(float(y)), repr(dens), "", "", ""])
+                row += [estimator.std_error(fitted, y),
+                        *estimator.confidence_interval(fitted, y, level)]
+            rows.append([repr(v) for v in row] + [""] * (5 - len(row)))
 
     out = _write_provenance(out_dir, "fit_provenance.json", "fit",
                             dict(cfg, y_grid=grid.tolist()), fcfg, se_params)

@@ -61,6 +61,19 @@ class FittedConditionalDensity:
         return forest.infinitesimal_jackknife(self.tree_subsamples, self.per_tree_h,
                                               self.weights.weights.size)
 
+    def _pdf(self, y):
+        return expfam._density(y, self.theta_hat.theta, self._family[2], self.basis)
+
+    def _std_error(self, y) -> float:
+        if self.tree_subsamples is None:
+            raise MissingPlan("fit was built without se_params; no tree subsamples stored")
+        t_row = expfam._t_row(y, self.theta_hat.theta, self._family, self._vinv, self.basis)
+        raw, corr = self._ij_parts
+        # both forms are positive semidefinite; the clip only absorbs roundoff
+        return math.sqrt(forest.debiased_variance(max(float(t_row @ raw @ t_row), 0.0),
+                                                  max(float(t_row @ corr @ t_row), 0.0),
+                                                  self.per_tree_h.shape[0]))
+
 
 def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         workers: int = 1) -> FittedConditionalDensity:
@@ -73,7 +86,7 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
     x : array_like
         Query point; must lie inside ``cfg.initial_parent``.
     cfg : ForestConfig
-        ``cfg.seed`` is the fit's only source of randomness.
+        ``cfg.seed`` is the fit's only source of randomness; ``cfg.basis_order`` sets its basis.
     se_params : None, "auto", or (n_sigma, d_sigma)
         Any value but None makes the fit keep its tree subsamples for
         ``std_error``.  The value is not otherwise read: the forest is the
@@ -88,21 +101,21 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         Propagated with diagnostic payloads when the pipeline fails.
     """
     x = np.asarray(x, dtype=float)
-    spec = default_basis(cfg.basis_order)
-    w, per_tree_h, subsamples = forest.grow_forest(x, data, cfg, spec)
-    return _from_trees(x, w, per_tree_h, None if se_params is None else subsamples, cfg, spec)
+    w, per_tree_h, subsamples = forest.grow_forest(x, data, cfg)
+    return _from_trees(x, w, per_tree_h, None if se_params is None else subsamples, cfg)
 
 
 def _from_trees(x, w: WeightVector, per_tree_h: np.ndarray, tree_subsamples,
-                cfg: ForestConfig, spec: BasisSpec) -> FittedConditionalDensity:
+                cfg: ForestConfig) -> FittedConditionalDensity:
     """The fit from its trees: the per-tree rows' mean is the moment vector, then one solve.
 
-    ``fit`` ends here.  One row is one leaf holding the weights' basis mean:
-    uniform weights give the unconditional series estimate through the
-    fit's own solve.
+    ``fit`` ends here, in the basis ``default_basis(cfg.basis_order)``.  One row is
+    one leaf holding the weights' basis mean: uniform weights give the
+    unconditional series estimate through the fit's own solve.
     """
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")
+    spec = default_basis(cfg.basis_order)
     mu = expfam.MomentVector(per_tree_h.mean(axis=0))
     theta = expfam.solve_theta(mu, spec)
     return FittedConditionalDensity(x, mu, theta, per_tree_h, tree_subsamples, cfg, spec, w)
@@ -110,7 +123,7 @@ def _from_trees(x, w: WeightVector, per_tree_h: np.ndarray, tree_subsamples,
 
 def pdf(fitted: FittedConditionalDensity, y):
     """Evaluate the fitted density at ``y`` (scalar or array); strictly positive."""
-    return expfam._density(y, fitted.theta_hat.theta, fitted._family[2], fitted.basis)
+    return fitted._pdf(y)
 
 
 def std_error(fitted: FittedConditionalDensity, y: float) -> float:
@@ -126,25 +139,17 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
     A fit without ``se_params`` raises :class:`~forestdens.errors.MissingPlan`;
     the paired delete-group formula stays as :func:`~forestdens.forest.sigma_fe`.
     """
-    if fitted.tree_subsamples is None:
-        raise MissingPlan("fit was built without se_params; no tree subsamples stored")
-    t_row = expfam._t_row(y, fitted.theta_hat.theta, fitted._family, fitted._vinv, fitted.basis)
-    raw, corr = fitted._ij_parts
-    # both forms are positive semidefinite; the clip only absorbs roundoff
-    return math.sqrt(forest.debiased_variance(max(float(t_row @ raw @ t_row), 0.0),
-                                              max(float(t_row @ corr @ t_row), 0.0),
-                                              fitted.per_tree_h.shape[0]))
+    return fitted._std_error(y)
 
 
 def confidence_interval(fitted: FittedConditionalDensity, y: float,
                         level: float = 0.95) -> tuple[float, float]:
-    """Symmetric normal-quantile interval for the density at ``y``; ``level`` is checked first."""
+    """Normal-quantile interval ``pdf -/+ z * std_error`` at ``y``; ``level`` is checked first.
+
+    It reads the fitted object itself, so it adds no call to :func:`pdf` or :func:`std_error`.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    return _interval(pdf(fitted, y), std_error(fitted, y), level)
-
-
-def _interval(center: float, se: float, level: float) -> tuple[float, float]:
-    """``center`` -/+ the ``NormalDist().inv_cdf`` quantile of a checked ``level`` times ``se``."""
-    half = NormalDist().inv_cdf(0.5 + level / 2.0) * se
+    center = fitted._pdf(y)
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * fitted._std_error(y)
     return center - half, center + half

@@ -67,8 +67,8 @@ class MomentVector:
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("moment vector must be finite")
+        if mu.ndim != 1 or not np.all(np.isfinite(mu)):
+            raise ValueError(f"moment vector of shape {mu.shape} is not 1-D and finite")
         if np.any(np.abs(mu) > basis_range(mu.size) + 1e-9):
             raise ValueError("moment component exceeds the basis range")
         mu.setflags(write=False)
@@ -95,8 +95,8 @@ class ThetaSolution:
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("coefficients must be finite")
+        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+            raise ValueError(f"coefficients of shape {theta.shape} are not 1-D and finite")
         if np.max(np.abs(theta), initial=0.0) > THETA_BOX_BOUND:
             raise ValueError("coefficients exceed the solver box bound")
         theta.setflags(write=False)
@@ -390,6 +390,8 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     """
     mu_target = np.atleast_1d(np.asarray(
         mu_target.mu if isinstance(mu_target, MomentVector) else mu_target, dtype=float))
+    if mu_target.ndim != 1:
+        raise ValueError(f"target moments must be 1-D, not shape {mu_target.shape}")
     res = _solve_from(mu_target[None, :], np.zeros((1, mu_target.size)), spec, max_iter)
     theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
     if res.status[0] == SOLVED:

@@ -64,7 +64,6 @@ __all__ = [
     "BranchResult",
     "WeightVector",
     "SESubsamplePlan",
-    "poisson_dim_law",
     "draw_subsamples",
     "split_half",
     "best_split",
@@ -99,10 +98,12 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-D arrays of equal length")
-        if np.any(lo > hi):
-            raise ValueError("box has empty extent")
+        if not np.all(lo <= hi):  # NaN fails too
+            raise ValueError("box bounds must be numbers with lower <= upper")
         open_ = (np.zeros(lo.size, dtype=bool) if self.lower_open is None
                  else np.asarray(self.lower_open, dtype=bool))
+        if open_.shape != lo.shape:
+            raise ValueError(f"lower_open of shape {open_.shape} for a {lo.size}-D box")
         object.__setattr__(self, "lower", _readonly(lo))
         object.__setattr__(self, "upper", _readonly(hi))
         object.__setattr__(self, "lower_open", _readonly(open_))
@@ -131,8 +132,9 @@ class Dataset:
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if y.ndim != 1 or x.shape[0] != y.size:
-            raise ValueError("outcomes and covariates must have matching length")
+        if y.ndim != 1 or x.ndim != 2 or x.shape[0] != y.size:
+            raise ValueError(f"outcomes of shape {y.shape} and covariates of shape {x.shape} "
+                             "are not 1-D and 2-D of matching length")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
             raise ValueError("dataset contains non-finite values")
         if np.any(y < 0.0) or np.any(y > 1.0):
@@ -211,22 +213,11 @@ def _half_masks(keys: np.ndarray, s: int) -> np.ndarray:
     return mask
 
 
-def poisson_dim_law(key, d: int) -> np.ndarray:
-    """Split-dimension law: min(max(Poisson(5), 1), d) distinct dims, ascending.
-
-    Every singleton has positive probability, so any direction can be split
-    regardless of the score function.  ``key`` is a tree key, or a
-    ``Generator`` that draws one; the set is the one that tree's root node
-    draws, the one-row case of a level's batched draw.
-    """
-    return np.flatnonzero(_dim_masks(np.array([_key(key)]), 0, d)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class ForestConfig:
     """Tuning parameters for branch growth and weighting.
 
-    The dimensions eligible at each split are drawn by :func:`poisson_dim_law`.
+    Each node's eligible split dimensions are a uniform k-subset, k = min(max(Poisson(5), 1), d).
 
     Parameters
     ----------
@@ -236,7 +227,7 @@ class ForestConfig:
     n_trees : int
         Number of subsamples / trees.
     basis_order : int
-        Number of non-constant basis functions used by the splitting scores.
+        Number of non-constant basis functions J of the fit's one basis, ``default_basis(J)``.
     initial_parent : Box or array_like
         The root node; the query point must lie inside it.  An array of
         shape ``(2, d)`` is read as (lower, upper).
@@ -501,8 +492,7 @@ def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
         a = b
 
 
-def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
-                 cfg: ForestConfig, spec: BasisSpec):
+def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg: ForestConfig):
     """Best split of every active node of one level (nodes by decreasing count).
 
     The node targets are the deciding members' basis means, one sum over the
@@ -514,6 +504,7 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start,
     threshold, theta)``, ``theta`` the solved coefficients, zero where no
     solve succeeded.
     """
+    spec = default_basis(cfg.basis_order)
     j = spec.order
     slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))
     means = np.empty((counts.size, j))
@@ -574,8 +565,7 @@ def _inside(x_ext, members, lower, upper, lower_open) -> np.ndarray:
     return out
 
 
-def _grow_branches(x, x_pts, phi, holdouts, decidings, keys,
-                   cfg: ForestConfig, spec: BasisSpec):
+def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
     """Grow the branch containing ``x`` in every tree, one level at a time.
 
     ``holdouts`` / ``decidings`` are ``(n_trees, .)`` tables of each tree's
@@ -606,7 +596,7 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys,
     upper = np.tile(root.upper, (n_trees, 1))
     lower_open = np.tile(root.lower_open, (n_trees, 1))
     levels = []
-    theta = np.zeros((n_trees, spec.order))  # each tree's last solved node, 0 if none
+    theta = np.zeros((n_trees, cfg.basis_order))  # each tree's last solved node, 0 if none
 
     members, counts = _compact(decidings, _inside(x_ext, decidings, lower, upper, lower_open), n)
     trees = np.arange(n_trees)
@@ -621,7 +611,7 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys,
         # node, then dimension, as _node_splits needs
         row_node, row_dim = np.nonzero(_dim_masks(keys[trees], level, d))
         dim, thr, theta[trees] = _split_level(x_ext, phi_ext, members, counts, row_node,
-                                              row_dim, theta[trees], cfg, spec)
+                                              row_dim, theta[trees], cfg)
 
         split = dim >= 0
         trees, members, counts, dim, thr = (a[split] for a in (trees, members, counts, dim, thr))
@@ -693,13 +683,12 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
     each level.  Exposed so the half-split device can be enumerated exactly;
     this is the one-tree case of forest growth.
     """
-    spec = default_basis(cfg.basis_order)
     x_sub = np.atleast_2d(np.asarray(x_sub, dtype=float))
-    phi_sub = basis_matrix(spec, np.asarray(y_sub, dtype=float))
+    phi_sub = basis_matrix(default_basis(cfg.basis_order), np.asarray(y_sub, dtype=float))
     deciding = np.asarray(deciding_pos, dtype=np.intp)
     leaf, count, lower, upper, lower_open, levels = _grow_branches(
         x, x_sub, phi_sub, np.asarray(holdout_pos, dtype=np.intp)[None], deciding[None],
-        np.array([_key(key)]), cfg, spec)
+        np.array([_key(key)]), cfg)
     splits = tuple(SplitRecord(d, t, m, k, m - k) for level in levels
                    for _, d, t, m, k in zip(*(a.tolist() for a in level)))
     index = np.arange(x_sub.shape[0]) if index is None else np.asarray(index, dtype=np.intp)
@@ -744,16 +733,17 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
     return _counted(phi)[leaf].sum(axis=1)[:, :-1] / np.maximum(counts, 1)[:, None]
 
 
-def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):
+def grow_forest(x, data: Dataset, cfg: ForestConfig):
     """Draw the subsamples and grow every tree's branch containing ``x``.
 
     ``x``, ``cfg.initial_parent`` and ``data`` must have one dimension ``d``
     (``ValueError`` otherwise).  ``cfg.seed`` is the only source of
-    randomness.  Returns ``(weights, per_tree_h, subsamples)``: the
-    similarity weights, each tree's holdout basis mean
-    (:func:`per_tree_means`) and the read-only ``(n_trees, subsample_size)``
-    subsample table of :func:`draw_subsamples`, in tree order.  Each weight
-    adds its trees' shares in tree order.
+    randomness, and ``default_basis(cfg.basis_order)`` the only basis.
+    Returns ``(weights, per_tree_h, subsamples)``: the similarity weights,
+    each tree's holdout basis mean (:func:`per_tree_means`) and the
+    read-only ``(n_trees, subsample_size)`` subsample table of
+    :func:`draw_subsamples`, in tree order.  Each weight adds its trees'
+    shares in tree order.
     """
     master, keys = _tree_streams(cfg.seed, cfg.n_trees)
     subsamples = draw_subsamples(data.n, cfg, master)
@@ -762,8 +752,8 @@ def grow_forest(x, data: Dataset, cfg: ForestConfig, spec: BasisSpec):
     deciding = _half_masks(keys, cfg.subsample_size)
     holdouts = subsamples[~deciding].reshape(cfg.n_trees, -1)
     decidings = subsamples[deciding].reshape(cfg.n_trees, -1)
-    phi = basis_matrix(spec, data.y)
-    leaf, counts, *_ = _grow_branches(x, data.x, phi, holdouts, decidings, keys, cfg, spec)
+    phi = basis_matrix(default_basis(cfg.basis_order), data.y)
+    leaf, counts, *_ = _grow_branches(x, data.x, phi, holdouts, decidings, keys, cfg)
     share = 1.0 / (cfg.n_trees * np.maximum(counts, 1))
     w = np.bincount(leaf[np.arange(leaf.shape[1]) < counts[:, None]],
                     weights=np.repeat(share, counts), minlength=data.n)
@@ -776,9 +766,9 @@ def weights(x, data: Dataset, cfg: ForestConfig) -> WeightVector:
     Each tree spreads mass ``1 / n_trees`` uniformly over its holdout
     members in the leaf containing ``x`` (zero if the leaf is empty), so
     the weights sum to one exactly when every leaf is nonempty.
-    Deterministic given ``cfg.seed``; growth runs in the calling thread.
+    Deterministic given ``cfg.seed``: the first result of :func:`grow_forest`.
     """
-    return grow_forest(x, data, cfg, default_basis(cfg.basis_order))[0]
+    return grow_forest(x, data, cfg)[0]
 
 
 def mu_hat(weight_vector: WeightVector, data: Dataset,

@@ -245,8 +245,8 @@ class MCReport:
             raise ValueError("coverage must lie in [0, 1]")
 
 
-def _one_replication(design, n, cfg, se_params, points, grid, truth, z, x_query, rep_ss):
-    """A replication's estimates, SEs and hits (``truth`` within ``z`` SEs), or its failure."""
+def _one_replication(design, n, cfg, se_params, points, grid, truth, level, x_query, rep_ss):
+    """A replication's estimates, SEs and ``level``-interval hits, or its failure."""
     rng = np.random.default_rng(rep_ss)
     try:
         xmat = gen_covariates(n, rng)
@@ -256,12 +256,12 @@ def _one_replication(design, n, cfg, se_params, points, grid, truth, z, x_query,
         fitted = estimator.fit(data, x_query, fit_cfg, se_params=se_params)
         f_points = estimator.pdf(fitted, points)
         f_grid = estimator.pdf(fitted, grid)
+        se = hits = np.full(points.size, np.nan)
         if se_params is not None:
             se = np.array([estimator.std_error(fitted, float(y)) for y in points])
-            hits = (np.abs(f_points - truth) <= z * se).astype(float)
-        else:
-            se = np.full(points.size, np.nan)
-            hits = np.full(points.size, np.nan)
+            lo, hi = np.array([estimator.confidence_interval(fitted, float(y), level)
+                               for y in points]).T
+            hits = ((lo <= truth) & (truth <= hi)).astype(float)
     except EstimationError as exc:
         return f"{type(exc).__name__}: {exc}"
     return f_points, f_grid, se, hits
@@ -299,7 +299,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     truth_grid = true_density(design, grid, x_query)
     rep_streams = np.random.SeedSequence(cfg.seed).spawn(reps)
     replicate = partial(_one_replication, design, n, cfg, se_params, points, grid,
-                        truth_points, float(ndtri(0.5 + ci_level / 2.0)), x_query)
+                        truth_points, ci_level, x_query)
 
     t0 = time.perf_counter()
     f_points = np.full((reps, points.size), np.nan)

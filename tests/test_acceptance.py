@@ -274,7 +274,7 @@ def test_criterion_6_uniform_weights_reduction():
     # the fit's solve step, given one leaf that holds the whole sample
     w = forest.WeightVector(uniform)
     fitted = estimator._from_trees(np.full(3, 0.5), w, forest.mu_hat(w, data, spec).mu[None, :],
-                                   None, cfg, spec)
+                                   None, cfg)
     unconditional = expfam.solve_theta(
         forest.mu_hat(forest.WeightVector(uniform), data, spec), spec)
     bit_equal = (np.array_equal(fitted.theta_hat.theta, unconditional.theta)

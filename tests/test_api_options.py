@@ -61,18 +61,18 @@ PUBLIC_NAMES = {
         "ThetaSolution", "WeightVector", "ZeroDenominator", "basis_matrix",
         "best_split", "confidence_interval", "covariance", "default_basis", "density",
         "draw_subsamples", "fit", "gen_covariates",
-        "gen_outcome", "grow_branch", "grow_from_halves", "integrate", "kernel_baseline",
+        "gen_outcome", "grow_branch", "grow_from_halves", "kernel_baseline",
         "legendre_eval", "log_partition", "make_quadrature", "moments", "mu_hat", "pdf",
-        "poisson_dim_law", "run_mc", "se_subsample_plan", "sigma_fe",
+        "run_mc", "se_subsample_plan", "sigma_fe",
         "solve_theta", "split_half", "std_error", "t_functional", "true_cdf", "true_density",
         "weights"],
     "basis": ["BasisSpec", "default_basis", "legendre_eval", "basis_matrix", "basis_range",
-              "make_quadrature", "integrate"],
+              "make_quadrature"],
     "expfam": ["MomentVector", "ThetaSolution", "THETA_BOX_BOUND", "NEWTON_TOL", "GROWTH_TOL",
                "log_partition", "density", "moments", "covariance", "solve_theta",
                "row_pseudo_outcomes", "t_functional"],
     "forest": ["Box", "Dataset", "ForestConfig", "SplitRecord", "BranchResult", "WeightVector",
-               "SESubsamplePlan", "poisson_dim_law", "draw_subsamples", "split_half",
+               "SESubsamplePlan", "draw_subsamples", "split_half",
                "best_split", "grow_branch", "grow_from_halves", "grow_forest", "weights",
                "mu_hat", "se_subsample_plan", "sigma_fe", "infinitesimal_jackknife",
                "debiased_variance"],

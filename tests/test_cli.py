@@ -82,6 +82,15 @@ class TestFitCommand:
         cfg = fit_config(tmp_path, query_x=[2.0, 2.0, 2.0, 2.0])
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    def test_nan_parent_bound_is_rejected_before_the_fit(self, tmp_path, capsys):
+        # json reads NaN; the bound is refused when the config is built
+        cfg = fit_config(tmp_path, forest={
+            "subsample_size": 40, "n_trees": 8, "basis_order": 4, "min_child": 4,
+            "initial_parent": [[0.0, 0.0, 0.0, float("nan")], [1.0] * 4]})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "lower <= upper" in err and "outside" not in err
+
     def test_golden_rerun_is_byte_identical(self, tmp_path):
         cfg = fit_config(tmp_path)
         out1 = tmp_path / "run1"

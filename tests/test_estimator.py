@@ -81,7 +81,7 @@ class TestFit:
         # the fit's solve step, given one leaf that holds the whole sample
         w = forest.WeightVector(uniform)
         fitted = estimator._from_trees(np.array([0.5, 0.5]), w,
-                                       forest.mu_hat(w, data, spec).mu[None, :], None, cfg, spec)
+                                       forest.mu_hat(w, data, spec).mu[None, :], None, cfg)
         expected = expfam.solve_theta(
             forest.mu_hat(forest.WeightVector(uniform), data, spec), spec)
         assert np.array_equal(fitted.theta_hat.theta, expected.theta)

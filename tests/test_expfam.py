@@ -625,6 +625,14 @@ class TestMomentVectorType:
         with pytest.raises(ValueError):
             MomentVector(np.array([np.nan]))
 
+    def test_rejects_a_table(self):
+        with pytest.raises(ValueError, match=r"moment vector of shape \(1, 4\) is not 1-D"):
+            MomentVector(np.zeros((1, 4)))
+
+    def test_solve_theta_rejects_a_table_target(self):
+        with pytest.raises(ValueError, match=r"target moments must be 1-D, not shape \(1, 4\)"):
+            solve_theta(np.zeros((1, 4)), default_basis(4))
+
 
 class TestThetaSolutionType:
     def test_rejects_nonfinite(self):
@@ -634,3 +642,7 @@ class TestThetaSolutionType:
     def test_rejects_escaped_box(self):
         with pytest.raises(ValueError):
             ThetaSolution(np.array([60.0]), 0.0, 0, True)
+
+    def test_rejects_a_table(self):
+        with pytest.raises(ValueError, match=r"coefficients of shape \(2, 3\) are not 1-D"):
+            ThetaSolution(np.zeros((2, 3)), 0.0, 0, True)

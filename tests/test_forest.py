@@ -62,6 +62,16 @@ class TestBox:
         with pytest.raises(ValueError, match="dimension"):
             Box([0.0, 0.0], [1.0, 0.5]).contains(np.array(points))
 
+    def test_rejects_lower_open_of_another_length(self):
+        with pytest.raises(ValueError, match=r"lower_open of shape \(1,\) for a 2-D box"):
+            Box([0.0, 0.0], [1.0, 1.0], lower_open=[True])
+
+    @pytest.mark.parametrize("lower, upper", [([np.nan, 0.0], [1.0, 1.0]),
+                                              ([0.0, 0.0], [1.0, np.nan])])
+    def test_rejects_nan_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            Box(lower, upper)
+
 
 class TestPoissonDimLaw:
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
@@ -70,7 +80,8 @@ class TestPoissonDimLaw:
         # growth turns these sets into its scoring rows without sorting or checking them
         rng = np.random.default_rng(seed)
         for _ in range(5):
-            dims = forest_mod.poisson_dim_law(rng, d)
+            key = rng.integers(2 ** 64, dtype=np.uint64)
+            dims = np.flatnonzero(forest_mod._dim_masks(np.array([key]), 0, d)[0])
             assert 1 <= dims.size <= d
             assert np.all(np.diff(dims) > 0)
             assert 0 <= dims[0] and dims[-1] < d
@@ -97,7 +108,7 @@ class TestKeyedDraws:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             forest_mod._tree_streams(2 ** 63, 3)
-            forest_mod.poisson_dim_law(top, 12)
+            forest_mod._dim_masks(np.array([top]), 0, 12)
             split_half(np.arange(9), top)
             forest_mod._dim_masks(np.array([top, 0], dtype=np.uint64), 7, 4)
 
@@ -143,30 +154,27 @@ class TestKeyedDraws:
 
     def test_one_row_api_is_a_row_of_the_batch(self):
         keys = self.keys[:50]
-        dims = forest_mod._dim_masks(keys, 0, 7)
         halves = forest_mod._half_masks(keys, 11)
         for i, key in enumerate(keys):
-            np.testing.assert_array_equal(forest_mod.poisson_dim_law(key, 7),
-                                          np.flatnonzero(dims[i]))
             holdout, deciding = split_half(np.arange(11), key)
             np.testing.assert_array_equal(deciding, np.flatnonzero(halves[i]))
             np.testing.assert_array_equal(holdout, np.flatnonzero(~halves[i]))
         # a Generator stands for the one key it draws
         key = np.random.default_rng(3).integers(2 ** 64, dtype=np.uint64)
-        np.testing.assert_array_equal(forest_mod.poisson_dim_law(np.random.default_rng(3), 12),
-                                      forest_mod.poisson_dim_law(key, 12))
+        for a, b in zip(split_half(np.arange(12), np.random.default_rng(3)),
+                        split_half(np.arange(12), key)):
+            np.testing.assert_array_equal(a, b)
         with pytest.raises(TypeError):
             split_half(np.arange(4), 1.5)
         with pytest.raises(OverflowError):
-            forest_mod.poisson_dim_law(-1, 4)
+            split_half(np.arange(4), -1)
 
     def test_tree_draws_depend_only_on_seed_and_index(self):
         rng = np.random.default_rng(41)
         data = random_dataset(rng, 150, 3)
-        spec = default_basis(4)
         grown = [forest_mod.grow_forest(np.full(3, 0.5), data, ForestConfig(
                      subsample_size=40, n_trees=n_trees, basis_order=4, initial_parent=unit_box(3),
-                     min_child=3, scheme="theta", seed=8), spec) for n_trees in (40, 20)]
+                     min_child=3, scheme="theta", seed=8)) for n_trees in (40, 20)]
         (_, h40, sub40), (_, h20, sub20) = grown
         assert h40[:20].tobytes() == h20.tobytes()
         np.testing.assert_array_equal(sub40[:20], sub20)
@@ -566,6 +574,14 @@ class TestShapeChecks:
     def test_config_rejects_non_integer_counts_and_seed(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             make_config(**{field: value})
+
+    def test_dataset_rejects_covariates_that_are_not_a_table(self):
+        with pytest.raises(ValueError, match=r"covariates of shape \(4, 2, 1\)"):
+            Dataset(np.full(4, 0.5), np.zeros((4, 2, 1)))
+
+    def test_config_rejects_nan_initial_parent(self):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            make_config(initial_parent=[[0.0, np.nan], [1.0, 1.0]])
 
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be non-negative"):
