@@ -255,8 +255,8 @@ def cmd_fit(config_path: str, seed=None, out_dir: str = ".") -> int:
         for y in map(float, grid):
             row = [y, estimator.pdf(fitted, y)]
             if se_params is not None:
-                row += [estimator.std_error(fitted, y),
-                        *estimator.confidence_interval(fitted, y, level)]
+                se = estimator.std_error(fitted, y)
+                row += [se, *estimator._interval(row[1], se, level)]
             rows.append([repr(v) for v in row] + [""] * (5 - len(row)))
 
     out = _write_provenance(out_dir, "fit_provenance.json", "fit",

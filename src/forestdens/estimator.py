@@ -61,19 +61,6 @@ class FittedConditionalDensity:
         return forest.infinitesimal_jackknife(self.tree_subsamples, self.per_tree_h,
                                               self.weights.weights.size)
 
-    def _pdf(self, y):
-        return expfam._density(y, self.theta_hat.theta, self._family[2], self.basis)
-
-    def _std_error(self, y) -> float:
-        if self.tree_subsamples is None:
-            raise MissingPlan("fit was built without se_params; no tree subsamples stored")
-        t_row = expfam._t_row(y, self.theta_hat.theta, self._family, self._vinv, self.basis)
-        raw, corr = self._ij_parts
-        # both forms are positive semidefinite; the clip only absorbs roundoff
-        return math.sqrt(forest.debiased_variance(max(float(t_row @ raw @ t_row), 0.0),
-                                                  max(float(t_row @ corr @ t_row), 0.0),
-                                                  self.per_tree_h.shape[0]))
-
 
 def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         workers: int = 1) -> FittedConditionalDensity:
@@ -123,7 +110,7 @@ def _from_trees(x, w: WeightVector, per_tree_h: np.ndarray, tree_subsamples,
 
 def pdf(fitted: FittedConditionalDensity, y):
     """Evaluate the fitted density at ``y`` (scalar or array); strictly positive."""
-    return fitted._pdf(y)
+    return expfam._density(y, fitted.theta_hat.theta, fitted._family[2], fitted.basis)
 
 
 def std_error(fitted: FittedConditionalDensity, y: float) -> float:
@@ -139,17 +126,28 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
     A fit without ``se_params`` raises :class:`~forestdens.errors.MissingPlan`;
     the paired delete-group formula stays as :func:`~forestdens.forest.sigma_fe`.
     """
-    return fitted._std_error(y)
+    if fitted.tree_subsamples is None:
+        raise MissingPlan("fit was built without se_params; no tree subsamples stored")
+    t_row = expfam._t_row(y, fitted.theta_hat.theta, fitted._family, fitted._vinv, fitted.basis)
+    raw, corr = fitted._ij_parts
+    # both forms are positive semidefinite; the clip only absorbs roundoff
+    return math.sqrt(forest.debiased_variance(max(float(t_row @ raw @ t_row), 0.0),
+                                              max(float(t_row @ corr @ t_row), 0.0),
+                                              fitted.per_tree_h.shape[0]))
 
 
 def confidence_interval(fitted: FittedConditionalDensity, y: float,
                         level: float = 0.95) -> tuple[float, float]:
-    """Normal-quantile interval ``pdf -/+ z * std_error`` at ``y``; ``level`` is checked first.
-
-    It reads the fitted object itself, so it adds no call to :func:`pdf` or :func:`std_error`.
-    """
+    """Normal-quantile interval ``pdf -/+ z * std_error`` at ``y``; ``level`` is checked first."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    center = fitted._pdf(y)
-    half = NormalDist().inv_cdf(0.5 + level / 2.0) * fitted._std_error(y)
+    return _interval(pdf(fitted, y), std_error(fitted, y), level)
+
+
+def _interval(center, se, level: float):
+    """``center`` -/+ the ``NormalDist().inv_cdf`` quantile of a checked ``level`` times ``se``.
+
+    Elementwise on arrays; callers that hold the density and SE call it directly.
+    """
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * se
     return center - half, center + half

@@ -259,8 +259,9 @@ def _one_replication(design, n, cfg, se_params, points, grid, truth, level, x_qu
         se = hits = np.full(points.size, np.nan)
         if se_params is not None:
             se = np.array([estimator.std_error(fitted, float(y)) for y in points])
-            lo, hi = np.array([estimator.confidence_interval(fitted, float(y), level)
-                               for y in points]).T
+            # confidence_interval's centre: a scalar pdf may differ from f_points in the last bit
+            centre = np.array([estimator.pdf(fitted, float(y)) for y in points])
+            lo, hi = estimator._interval(centre, se, level)
             hits = ((lo <= truth) & (truth <= hi)).astype(float)
     except EstimationError as exc:
         return f"{type(exc).__name__}: {exc}"

@@ -230,20 +230,20 @@ class TestRunMC:
         assert fine.mise == pytest.approx(coarse.mise, rel=0.02)
 
     def test_coverage_counts_the_intervals_of_confidence_interval(self, monkeypatch):
-        # a hit is exactly the returned interval covering the truth
-        original = estimator.confidence_interval
-        intervals = []
+        # a hit is exactly the interval confidence_interval returns covering the truth
+        original = estimator.fit
+        fits = []
 
-        def recorded(fitted, y, level):
-            assert level == 0.8
-            intervals.append(original(fitted, y, level))
-            return intervals[-1]
+        def recorded(*args, **kwargs):
+            fits.append(original(*args, **kwargs))
+            return fits[-1]
 
-        monkeypatch.setattr(estimator, "confidence_interval", recorded)
+        monkeypatch.setattr(estimator, "fit", recorded)
         pts = (0.25, 0.5, 0.75)
         report = run_mc("D1", 150, 3, small_mc_config(n_trees=21, seed=13), (4, 6),
                         design_points=pts, ci_level=0.8)
-        lo, hi = np.array(intervals).reshape(3, len(pts), 2).transpose(2, 0, 1)
+        lo, hi = np.array([[estimator.confidence_interval(f, y, 0.8) for y in pts]
+                           for f in fits]).transpose(2, 0, 1)
         truth = true_density("D1", np.array(pts), X_QUERY)
         np.testing.assert_array_equal(report.coverage,
                                       ((lo <= truth) & (truth <= hi)).mean(axis=0))
