@@ -16,10 +16,11 @@ under the current density) and a step-halving line search on L and the
 residual.  A batch of systems is solved in one pass: each round evaluates the
 full step of every row at once, then halves the step of the rows that reject
 it, one length per evaluation of the rows still pending.  :func:`solve_theta`
-starts its one row from zero coefficients and stops at :data:`NEWTON_TOL`;
-forest growth starts each child node from its parent's root, stops at
-:data:`GROWTH_TOL` and keeps each root's density and moments for its
-pseudo-outcomes.
+starts its one row from zero coefficients and stops at :data:`NEWTON_TOL`.
+Forest growth solves each root node to :data:`GROWTH_TOL`, gives each child
+node :data:`GROWTH_STEPS` Newton step from its parent's iterate (the
+one-step estimator), and keeps the density and moments at each row's last
+iterate for its pseudo-outcomes.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -51,6 +52,10 @@ NEWTON_TOL = 1e-10
 #: The threshold of forest growth's node solves, whose roots only feed split
 #: scores; a fit's final solve keeps :data:`NEWTON_TOL`.
 GROWTH_TOL = 1e-6
+
+#: The Newton steps of a growth node warm-started from its parent's
+#: iterate; it ends SOLVED within :data:`GROWTH_TOL` or CAPPED after them.
+GROWTH_STEPS = 1
 
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search's Armijo test
 
@@ -222,12 +227,13 @@ class NewtonBatch:
     * :data:`ESCAPED`: an accepted step left the box :data:`THETA_BOX_BOUND`;
     * :data:`SINGULAR`: the covariance at the iterate is singular;
     * :data:`STALLED`: the line search accepted no length;
-    * :data:`CAPPED`: the residual is above the tolerance after ``max_iter`` steps.
+    * :data:`CAPPED`: the residual is above the tolerance after the row's cap of steps.
 
     ``theta``, ``residual`` and ``iterations`` are the root, its residual
     sup-norm and the Newton iterations for solved rows, and the last accepted
     iterate for the others.  ``dens`` (at the quadrature nodes) and ``mu`` are
-    the family's state at a solved row's root, the bits :func:`_row_states` gives.
+    the family's state at a solved row's root and at a capped row's last
+    iterate, the bits :func:`_row_states` gives.
     """
 
     theta: np.ndarray
@@ -239,13 +245,15 @@ class NewtonBatch:
 
 
 def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
-                max_iter: int, tol: float = NEWTON_TOL) -> NewtonBatch:
+                max_iter, tol: float = NEWTON_TOL) -> NewtonBatch:
     """Solve the moment-matching system for every row of ``targets``, row ``k`` from ``start[k]``.
 
     Each row runs the Newton iteration described in :func:`solve_theta`, with
     its own line search, tolerance ``tol`` and box bound; its result is
     bit-identical to solving it alone from its start, whatever the other rows
-    are.  Each code is written where its cause is decided:
+    are.  ``max_iter`` caps the steps of every row (an int) or of each row
+    (an array of ``len(targets)`` ints).  Each code is written where its cause
+    is decided:
 
     * RANGE by the range test here, after 0 iterations, before any step;
     * SOLVED within ``tol``; after 0 iterations for an exact zero target
@@ -254,7 +262,7 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
       collapsed onto one quadrature node), which takes no step;
     * STALLED at the round whose line search accepts no length;
     * ESCAPED at the round whose accepted step leaves the box bound;
-    * CAPPED if still above ``tol`` after ``max_iter`` rounds.
+    * CAPPED if still above ``tol`` after the row's cap of rounds.
 
     Failures do not raise.  Solved rows keep the state their last evaluation computed.
     """
@@ -271,9 +279,10 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     if zero.any():
         out.dens[zero], out.mu[zero] = _row_states(np.zeros((1, j)), spec)[:2]
     rows = np.flatnonzero((out.status == SOLVED) & ~zero)
+    cap = np.broadcast_to(max_iter, (m,))
     chunk = max(1, BATCH_ELEMENTS // max(spec.nodes.size, j * j))
     for lo in range(0, rows.size, chunk):
-        _newton_rows(targets, start, rows[lo:lo + chunk], spec, max_iter, tol, out)
+        _newton_rows(targets, start, rows[lo:lo + chunk], spec, cap, tol, out)
     return out
 
 
@@ -307,30 +316,30 @@ def _dual_states(theta: np.ndarray, target: np.ndarray, spec: BasisSpec):
     return dens, mu, resid, np.abs(resid).max(axis=1), dual
 
 
-def _newton_rows(targets, start, rows, spec, max_iter, tol, out: NewtonBatch) -> None:
+def _newton_rows(targets, start, rows, spec, cap, tol, out: NewtonBatch) -> None:
     """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``.
 
     The state arrays are copies, updated in place as each row accepts a length.
     At the top of each round the rows that ended in the last round, or are now
-    within ``tol``, are written out and dropped; after ``max_iter`` rounds the
-    rest end as CAPPED.
+    within ``tol``, are written out and dropped; a row still running after
+    ``cap[row]`` rounds ends as CAPPED.
     """
     target = targets[rows]
     theta = start[rows]
+    cap = cap[rows]
     dens, mu, resid, rnorm, dual = _dual_states(theta, target, spec)
     status = np.full(rows.size, -1, dtype=np.int8)  # -1: still running
-    for it in range(1, max_iter + 2):
+    for it in range(1, cap.max() + 2):
         status[(status < 0) & (rnorm <= tol)] = SOLVED
-        if it > max_iter:
-            status[status < 0] = CAPPED
+        status[(status < 0) & (it > cap)] = CAPPED
         ended = status >= 0
         done = rows[ended]
         out.theta[done], out.dens[done], out.mu[done] = theta[ended], dens[ended], mu[ended]
         out.residual[done] = rnorm[ended]
         out.iterations[done] = it - 1
         out.status[done] = status[ended]
-        rows, target, theta, dens, mu, resid, rnorm, dual, status = (
-            a[~ended] for a in (rows, target, theta, dens, mu, resid, rnorm, dual, status))
+        rows, target, theta, dens, mu, resid, rnorm, dual, status, cap = (
+            a[~ended] for a in (rows, target, theta, dens, mu, resid, rnorm, dual, status, cap))
         if rows.size == 0:
             return
         step, singular = _newton_steps(_row_covariances(dens, mu, spec), resid)

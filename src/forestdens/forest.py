@@ -17,12 +17,14 @@ dimensions of the tree's node at that level.  So each draw is a pure function
 of (seed, tree index), drawn for all trees in one array call.  All
 branches grow together, one level at a time, and a level is processed as
 arrays: the nodes' target moments, one batched Newton solve (the iteration of
-:func:`~forestdens.expfam.solve_theta`, each child node started from
-its parent's solved coefficients, to :data:`~forestdens.expfam.GROWTH_TOL`),
-the pseudo-outcomes from the moments and density the solve kept at each root
-(one stacked inverse per level, as grf builds them from the parent's estimate
-and Jacobian), and the threshold scores, whose left-child sums and counts are
-one masked matmul over the slice's padded width.  Member tables are gathered
+:func:`~forestdens.expfam.solve_theta`: each root node solved to
+:data:`~forestdens.expfam.GROWTH_TOL`, each child node given
+:data:`~forestdens.expfam.GROWTH_STEPS` step from its parent's iterate), the
+pseudo-outcomes from the moments and density the solve kept at each node's
+last iterate (one stacked inverse per level, as grf builds them from the
+parent's estimate and Jacobian, with no exact re-solve per child), and the
+threshold scores, whose left-child sums and counts are one masked matmul
+over the slice's padded width.  Member tables are gathered
 from a basis table with a trailing count column (:func:`_with_sentinel`), so
 sums over members run in member order at any J and the padding adds exact
 zeros: growing one tree alone (:func:`grow_branch`) gives the same branch as
@@ -37,8 +39,8 @@ temporary, and its Newton solve, up to 4096 nodes at J = 8, in one pass.
 Two splitting schemes are supported:
 
 * ``"theta"``: pseudo-outcomes are the influence residuals of the
-  exponential-family coefficients solved at the current node; any code but
-  SOLVED falls back to centred basis values,
+  exponential-family coefficients at the current node's Newton iterate; any
+  code but SOLVED or CAPPED falls back to centred basis values,
 * ``"mu"``: pseudo-outcomes are centered basis values, a cheap alternative
   that skips the per-node solve.
 """
@@ -416,15 +418,15 @@ _TIE_RTOL = 1e-12
 
 
 def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
-                 center, vinv, solved, cfg: ForestConfig):
+                 center, vinv, usable, cfg: ForestConfig):
     """Score the threshold grid of every node and pick each node's best split.
 
     ``members`` holds each node's deciding-half positions into ``x_ext`` /
     ``phi_ext`` in their original order, padded with the sentinel last row
     (coordinates +inf, basis values and count 0).  Pseudo-outcomes are
-    ``vinv (phi - center)`` on ``solved`` nodes, ``(mu(theta), V(theta)^{-1})``
-    at the root, and ``phi - center`` elsewhere, ``center`` the node's mean,
-    and 0 in the padding; then comes ``phi_ext``'s count column
+    ``vinv (phi - center)`` on ``usable`` nodes, ``(mu(theta), V(theta)^{-1})``
+    at the node's Newton iterate, and ``phi - center`` elsewhere, ``center``
+    the node's mean, and 0 in the padding; then comes ``phi_ext``'s count column
     (:func:`_with_sentinel`), so a node's totals and count are one sum over
     the padded width.  There is one scoring row per (node, eligible
     dimension) pair, ``row_node`` ascending and ``row_dim`` ascending within a
@@ -438,9 +440,9 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     rho = phi_ext[members]
     j = rho.shape[2] - 1
     rho[:, :, :j] -= center[:, None, :]
-    if solved.any():
+    if usable.any():
         # one (width, J) @ (J, J) product per node, on contiguous operands
-        rho[solved, :, :j] = rho[solved, :, :j] @ vinv[solved].transpose(0, 2, 1)
+        rho[usable, :, :j] = rho[usable, :, :j] @ vinv[usable].transpose(0, 2, 1)
     rho[np.arange(members.shape[1]) >= counts[:, None], :j] = 0.0
     totals = rho.sum(axis=1)
 
@@ -498,11 +500,13 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     The node targets are the deciding members' basis means, one sum over the
     counted member table (:func:`_with_sentinel`) per slice; under the
     "theta" scheme they go through one batched Newton solve, each node's
-    started from its row of ``start``, whose kept moments and density give
-    every solved node's ``V(theta)^{-1}`` in one stacked inverse; any code
-    but SOLVED falls back to centred basis values.  Returns ``(dim,
-    threshold, theta)``, ``theta`` the solved coefficients, zero where no
-    solve succeeded.
+    started from its row of ``start``: a zero start (a root, or the child of
+    a failed node) is solved to ``GROWTH_TOL``, any other start takes at most
+    :data:`~forestdens.expfam.GROWTH_STEPS` steps.  The moments and density
+    kept at each usable (SOLVED or CAPPED) node's last iterate give its
+    ``V(theta)^{-1}`` in one stacked inverse; any other code falls back to
+    centred basis values.  Returns ``(dim, threshold, theta)``, ``theta``
+    the usable nodes' last iterates, zero elsewhere.
     """
     spec = default_basis(cfg.basis_order)
     j = spec.order
@@ -513,13 +517,14 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     theta = np.zeros_like(means)
     center = means
     vinv = np.zeros((counts.size, j, j))
-    solved = np.zeros(counts.size, dtype=bool)
+    usable = np.zeros(counts.size, dtype=bool)
     if cfg.scheme == "theta":
-        batch = expfam._solve_from(means, start, spec, 100, expfam.GROWTH_TOL)
-        solved = batch.status == expfam.SOLVED
-        theta[solved] = batch.theta[solved]
-        center = np.where(solved[:, None], batch.mu, means)
-        vinv[solved] = expfam._inverse_covariances(batch.dens[solved], batch.mu[solved], spec)
+        cap = np.where(start.any(axis=1), expfam.GROWTH_STEPS, 100)
+        batch = expfam._solve_from(means, start, spec, cap, expfam.GROWTH_TOL)
+        usable = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
+        theta[usable] = batch.theta[usable]
+        center = np.where(usable[:, None], batch.mu, means)
+        vinv[usable] = expfam._inverse_covariances(batch.dens[usable], batch.mu[usable], spec)
     dim = np.empty(counts.size, dtype=np.intp)
     thr = np.empty(counts.size)
     row_bounds = np.searchsorted(row_node, [a for a, _ in slices] + [counts.size])
@@ -527,7 +532,7 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
         dim[a:b], thr[a:b] = _node_splits(
             x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
             row_node[r0:r1] - a, row_dim[r0:r1], center[a:b], vinv[a:b],
-            solved[a:b], cfg)
+            usable[a:b], cfg)
     return dim, thr, theta
 
 
@@ -574,9 +579,10 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
     (:func:`_dim_masks`, keyed by its tree and the level), then splits all nodes
     together (:func:`_split_level`); a tree stops when fewer than
     ``2 * min_child`` deciding members remain in its node or no split is
-    feasible.  Each tree carries its node's solved coefficients to the next
-    level, where the child's Newton solve starts from them; the root, and
-    the child of a node whose solve failed, start from zero.
+    feasible.  Each tree carries its node's last Newton iterate to the next
+    level, where the child takes at most ``GROWTH_STEPS`` steps from it; the
+    root, and the child of a node whose solve failed, start from zero and
+    are solved to ``GROWTH_TOL``.
 
     Returns ``(leaf, counts, lower, upper, lower_open, levels)``: tree ``t``'s
     leaf holdout members ``leaf[t, :counts[t]]``, its leaf box in row ``t`` of
@@ -596,7 +602,7 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
     upper = np.tile(root.upper, (n_trees, 1))
     lower_open = np.tile(root.lower_open, (n_trees, 1))
     levels = []
-    theta = np.zeros((n_trees, cfg.basis_order))  # each tree's last solved node, 0 if none
+    theta = np.zeros((n_trees, cfg.basis_order))  # each tree's last usable iterate, 0 if none
 
     members, counts = _compact(decidings, _inside(x_ext, decidings, lower, upper, lower_open), n)
     trees = np.arange(n_trees)

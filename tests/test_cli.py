@@ -320,9 +320,9 @@ class TestGoldenBytes:
         assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
         assert main(["mc", "--config", mc_cfg, "--out", str(tmp_path / "mc")]) == 0
         assert sha256((tmp_path / "fit" / "fit.csv").read_bytes()).hexdigest() == (
-            "0fb1de50dc9ad034c63d9dda01d059309eaf75e25a907f2284b914889d3fb50d")
+            "e976fdd48db6e633a1045085ba1a6a67eda76aaa76681092f7dbd659b5166496")
         assert sha256((tmp_path / "mc" / "mc_report.csv").read_bytes()).hexdigest() == (
-            "30965701989ee1c7b7e0949236e8fb90bb2b8663e32c056a6d2642e51e1bf9db")
+            "b38601d4a3a9f5c78c50b0ea869b4d6ca6e16b645f2e9a04f08c07e38b7fc1e6")
 
 
 class TestSmokeProfileRuntime:

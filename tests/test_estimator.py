@@ -416,8 +416,10 @@ class TestPointEstimateRegression:
     splits had been decided by roundoff between two candidates that give the
     same partition.  Both cases were re-recorded when ``se_params`` stopped
     drawing the paired delete-group plan: a fit that requests standard errors
-    now grows the forest of the same fit without them, and again when each
-    tree's half split and dimension sets became keyed counter-based draws."""
+    now grows the forest of the same fit without them, again when each
+    tree's half split and dimension sets became keyed counter-based draws,
+    and again when each warm-started child node of growth took one Newton
+    step in place of a solve."""
 
     grid = np.linspace(0.05, 0.95, 19)  # the fit command's default y_grid
 
@@ -435,15 +437,15 @@ class TestPointEstimateRegression:
                  min_child=4), 41, data)
         self.check(
             fit(data, np.full(4, 0.5), cfg, se_params=(8, 9)),
-            "8c318dd05151c502c68c129ec0c6b9d6171d653db1219d137499fa06d7d3bb24",
-            "32d1adaca568aef0a091fa13344a2e6b98318a6eddc531158833ad72c2108475",
-            [0.5510341022788684, 0.5304535055251526, 0.5711795019198518,
-             0.5695079752103523, 0.5245383294332773, 0.48160314532135096,
-             0.4711955463995001, 0.4864780809710192, 0.5034169051914572,
-             0.5022661946407695, 0.4765017778616874, 0.43886905191283815,
-             0.42927332482526975, 0.4875065280111401, 0.5868015224077909,
-             0.6515840480889106, 0.6233305016228837, 0.5136308940933788,
-             0.4436367059754152])
+            "114e6eee864936df5f2ef8ebb0c9e79dbbd1be788eadac75ace17a6f00478a17",
+            "414fe49c92682c560f3ec297cd75900d16cc6dfbd12d1896def150974fae18bb",
+            [0.36000623373201796, 0.37537442535070253, 0.46343760581216875,
+             0.49552451745084886, 0.4845955091845499, 0.47534035986150935,
+             0.4802817866845346, 0.4843203272367152, 0.47146550483922955,
+             0.43492000390431534, 0.38153193276166714, 0.34503579011603147,
+             0.38831287131204756, 0.5232174966161781, 0.674224878228807,
+             0.7417976744061502, 0.6501192663528002, 0.4518115873363654,
+             0.5115634586557144])
 
     def test_theta_scheme_with_se_plan(self):
         rng = np.random.default_rng(2026)
@@ -454,15 +456,15 @@ class TestPointEstimateRegression:
                            scheme="theta", seed=19)
         self.check(
             fit(data, np.array([0.5, 0.4, 0.6]), cfg, se_params=(10, 12)),
-            "c3ef0daf05f6b7019e6566c0295f76e5b1444d8350e9517c14c9d9ce7c10cbf6",
-            "205d8c07fe86c70876c10339c6c2c464220d60da402ed1daf7e3c82102b308c3",
-            [0.7411702255949064, 0.9961871792682491, 0.636939226383341,
-             0.37794406555509086, 0.34588029831713873, 0.3698785758211637,
-             0.4224538741920255, 0.5329957377875959, 0.6698073761322368,
-             0.7105306762860439, 0.6600270058475523, 0.6309070028019784,
-             0.6200937261253424, 0.6200467803501128, 0.6748633748347672,
-             0.8367312039271577, 0.7790866489300464, 0.4499135194851851,
-             0.30661564154148513])
+            "64f8d7cce6af2339579a6112ced3cb2c9f76dcc601df8d096cadc5b5df12f535",
+            "a95862f1788f503377b6ca6564b4cc165fdc629b4401c8382e37940cc5e0a789",
+            [0.5084016354921526, 0.5888872410752022, 0.46357741599267016,
+             0.3420350842328012, 0.3046554096438189, 0.31829072182591295,
+             0.38385430032532036, 0.5129208122024338, 0.6517977663546235,
+             0.6888224593528516, 0.6018820981471268, 0.5053368595566279,
+             0.47649983415519015, 0.5228883922341327, 0.7213994523488197,
+             0.6597404915339368, 0.4120119141481422, 0.43565297094857514,
+             0.030006960290315087])
 
 
 OUTCOMES = {

@@ -457,7 +457,7 @@ def mixed_starts(rng, j, m):
 
 class TestWarmStart:
     """The private entry forest growth uses to start each child node's
-    Newton iteration from its parent's solved coefficients."""
+    Newton iteration from its parent's iterate, with a cap per row."""
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10),
            st.randoms(use_true_random=False))
@@ -505,9 +505,30 @@ class TestWarmStart:
         assert np.all(res.status == RANGE) and np.all(res.iterations == 0)
 
 
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10),
+           st.data(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_with_their_own_caps_equal_each_row_alone_at_its_cap(
+            self, j, m, data, pyrandom):
+        rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
+        spec = default_basis(j)
+        targets = mixed_targets(rng, j, m)
+        starts = mixed_starts(rng, j, m)
+        caps = np.array(data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 100]),
+                                           min_size=m, max_size=m)))
+        batch = expfam._solve_from(targets, starts, spec, caps, expfam.GROWTH_TOL)
+        for i in range(m):
+            alone = expfam._solve_from(targets[i:i + 1], starts[i:i + 1], spec, int(caps[i]),
+                                       expfam.GROWTH_TOL)
+            for field in ("theta", "residual", "iterations", "status", "dens", "mu"):
+                assert getattr(batch, field)[i].tobytes() == getattr(alone, field)[0].tobytes()
+            assert batch.iterations[i] <= caps[i]
+
+
 class TestKeptState:
-    """Growth builds each solved node's pseudo-outcomes from the density and
-    moments the Newton solve kept at its root."""
+    """Growth builds each usable node's pseudo-outcomes from the density and
+    moments the Newton solve kept at its last iterate: a SOLVED row's root, or
+    a CAPPED row's last step."""
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10),
            st.integers(min_value=2, max_value=6), st.data(), st.randoms(use_true_random=False))
@@ -517,21 +538,27 @@ class TestKeptState:
         rng = np.random.default_rng(pyrandom.randrange(2 ** 32))
         spec = default_basis(j)
         roots = [random_theta(rng, j, 4.0) for _ in range(2)]
+        v = rng.standard_normal(j)
+        far = 3.0 * v / np.linalg.norm(v)  # one step from zero leaves it above GROWTH_TOL
         targets = np.vstack([mixed_targets(rng, j, m), [moments(r, spec).mu for r in roots],
-                             np.zeros(j)])  # an exact zero target is solved without iterating
-        starts = np.vstack([mixed_starts(rng, j, m), roots, mixed_starts(rng, j, 1)])
+                             np.zeros(j),  # an exact zero target is solved without iterating
+                             moments(far, spec).mu])
+        starts = np.vstack([mixed_starts(rng, j, m), roots, mixed_starts(rng, j, 1),
+                            np.zeros(j)])
+        caps = np.r_[rng.choice([expfam.GROWTH_STEPS, 100], m), 100, 100, 100,
+                     expfam.GROWTH_STEPS]
         cut = data.draw(st.integers(min_value=0, max_value=targets.shape[0]))
         # the rows solved in two batches, split anywhere
-        parts = [expfam._solve_from(targets[sl], starts[sl], spec, 100, expfam.GROWTH_TOL)
+        parts = [expfam._solve_from(targets[sl], starts[sl], spec, caps[sl], expfam.GROWTH_TOL)
                  for sl in (slice(0, cut), slice(cut, None))]
         theta, dens, mu, status = (np.concatenate([getattr(b, f) for b in parts])
                                    for f in ("theta", "dens", "mu", "status"))
-        solved = np.flatnonzero(status == SOLVED)
-        assert solved.size >= 3
-        phi = basis_matrix(spec, rng.random(solved.size * k)).reshape(solved.size, k, j)
-        vinv = expfam._inverse_covariances(dens[solved], mu[solved], spec)
-        kept = (phi - mu[solved][:, None, :]) @ vinv.transpose(0, 2, 1)
-        expected = expfam.row_pseudo_outcomes(theta[solved], phi, spec)
+        assert np.count_nonzero(status == SOLVED) >= 3 and status[-1] == CAPPED
+        usable = np.flatnonzero((status == SOLVED) | (status == CAPPED))
+        phi = basis_matrix(spec, rng.random(usable.size * k)).reshape(usable.size, k, j)
+        vinv = expfam._inverse_covariances(dens[usable], mu[usable], spec)
+        kept = (phi - mu[usable][:, None, :]) @ vinv.transpose(0, 2, 1)
+        expected = expfam.row_pseudo_outcomes(theta[usable], phi, spec)
         assert kept.tobytes() == expected.tobytes()
 
 

@@ -601,7 +601,10 @@ class TestGrowthRegression:
     """Seeded weight digests, first recorded with per-node growth, before every
     level of a forest was grown as one batch; growth must reproduce them.
     They were re-recorded, with the solve statuses, when each tree's half
-    split and dimension sets became keyed counter-based draws."""
+    split and dimension sets became keyed counter-based draws, and the
+    ``theta`` ones again when each warm-started child node took one Newton
+    step in place of a solve: every child now ends CAPPED after that step,
+    and none of them escapes the box any more."""
 
     def test_theta_scheme_with_boundary_fallbacks(self, monkeypatch):
         statuses = []
@@ -619,18 +622,19 @@ class TestGrowthRegression:
         cfg = ForestConfig(subsample_size=60, n_trees=16, basis_order=6,
                            initial_parent=unit_box(4), min_child=3, scheme="theta", seed=11)
         assert weights_digest(np.full(4, 0.5), data, cfg) == (
-            "911dad623f6340a37a7dba4fbb41cbea44991ada6a7006aef635b0d0d8098bbd")
-        assert statuses.count(expfam.ESCAPED) == 7 and statuses.count(expfam.RANGE) == 0
-        assert len(statuses) == 71
+            "a98a64f0121d2ee3997485e0fb86d6914e5f9b8b3738721bdc7fb8c04bb5ebd1")
+        assert statuses.count(expfam.ESCAPED) == 0 and statuses.count(expfam.RANGE) == 0
+        assert len(statuses) == 74
 
     def test_theta_node_solves_end_within_twenty_iterations(self, monkeypatch):
         # the forest above; ESCAPED rows once crept toward the box bound in
         # up to 32 Newton iterations, and their slow rows held every level
-        batches = []
+        batches, warm = [], []
         solve = expfam._solve_from
 
         def recording(*args):
             batches.append(solve(*args))
+            warm.append(args[1].any(axis=1))  # a nonzero start: a child of a usable node
             return batches[-1]
 
         monkeypatch.setattr(expfam, "_solve_from", recording)
@@ -643,8 +647,15 @@ class TestGrowthRegression:
         status = np.concatenate([b.status for b in batches])
         iterations = np.concatenate([b.iterations for b in batches])
         assert "".join(map(str, status.tolist())) == (
-            "00000000000000000000000000000000000000000000000200000000220000002202020")
+            "00000000000000005555555555555555555555555555555555555555555555555555555555")
         assert iterations.max() <= 20
+        # each warm-started child takes at most GROWTH_STEPS steps; the roots solve
+        warm = np.concatenate(warm)
+        assert warm.sum() > 0 and np.all(iterations[warm] <= expfam.GROWTH_STEPS)
+        roots = batches[0].status.size  # the first level's nodes, all started from zero
+        assert not warm[:roots].any()
+        assert iterations.sum() <= (iterations[:roots].sum()
+                                    + expfam.GROWTH_STEPS * (iterations.size - roots))
 
     def test_mu_scheme(self):
         rng = np.random.default_rng(2025)
@@ -662,7 +673,7 @@ class TestGrowthRegression:
             dict(cli._FOREST_DEFAULTS, subsample_size=40, n_trees=40, basis_order=4,
                  min_child=4), 41, data)
         assert weights_digest(np.full(4, 0.5), data, cfg) == (
-            "d16f85ef098761dc48d4942366c1f0fc0f4287643e9cf9898556482b177fd0a5")
+            "ffa3da5222e35ac9fcae6ea9dec1c1e623b8a794b95e3d517d6ba5ba09c57774")
 
     def test_forest_equals_trees_grown_alone(self):
         # a node's solve and split do not depend on the batch it is in
