@@ -24,7 +24,8 @@ pseudo-outcomes from the moments and density the solve kept at each node's
 last iterate (one stacked inverse per level, as grf builds them from the
 parent's estimate and Jacobian, with no exact re-solve per child), and the
 threshold scores, whose left-child sums and counts are one masked matmul
-over the slice's padded width.  Member tables are gathered
+over the slice's padded width, scored as one dense (row, threshold) table
+with each infeasible candidate at -inf.  Member tables are gathered
 from a basis table with a trailing count column (:func:`_with_sentinel`), so
 sums over members run in member order at any J and the padding adds exact
 zeros: growing one tree alone (:func:`grow_branch`) gives the same branch as
@@ -391,7 +392,8 @@ def draw_subsamples(n: int, cfg: ForestConfig, rng: np.random.Generator) -> np.n
         raise ValueError("subsample_size must be smaller than the sample size")
     out = np.empty((cfg.n_trees, cfg.subsample_size), dtype=np.intp)
     for row in out:
-        row[:] = np.sort(rng.choice(n, size=cfg.subsample_size, replace=False))
+        row[:] = rng.choice(n, size=cfg.subsample_size, replace=False)
+    out.sort(axis=1)
     return out
 
 
@@ -432,10 +434,15 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     dimension) pair, ``row_node`` ascending and ``row_dim`` ascending within a
     node.  A row's left-child sums and count are its threshold mask, as
     floats, times its node's pseudo-outcomes; the right sums are the node
-    totals minus the left.  A node's first candidate within :data:`_TIE_RTOL`
-    of its best score is its lexicographically smallest (dimension, threshold)
-    among the near-best.  Returns ``(dim, threshold)`` arrays, ``dim = -1``
-    where no candidate is feasible.
+    totals minus the left.  Every (row, threshold) candidate is scored in one
+    dense table, the squared norm of each child's sums (an ``einsum``) over
+    its count, and each infeasible candidate, an empty child's 0/0 among
+    them, is then set to -inf.  A node's first candidate within
+    :data:`_TIE_RTOL` of its best score is its lexicographically smallest
+    (dimension, threshold) among the near-best: its first row with such a
+    score, found by comparing neighbours in the ascending nodes of those
+    rows.  Returns ``(dim, threshold)`` arrays, ``dim = -1`` where no
+    candidate is feasible.
     """
     rho = phi_ext[members]
     j = rho.shape[2] - 1
@@ -458,13 +465,12 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     n_left = sums[:, :, j]  # whole numbers, exact in floats
     n_right = c[:, None] - n_left
     bound = np.maximum(cfg.min_fraction * c, cfg.min_child)[:, None]
-    feasible = spread[:, None] & (n_left >= bound) & (n_right >= bound)
-    row, grid = np.nonzero(feasible)
-    nl, nr = n_left[row, grid], n_right[row, grid]
-    left = sums[row, grid, :j]
-    right = totals[row_node[row], :j] - left
-    score = np.full(n_left.shape, -np.inf)
-    score[row, grid] = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
+    left = sums[:, :, :j]
+    right = totals[row_node][:, None, :j] - left
+    with np.errstate(divide="ignore", invalid="ignore"):  # an empty child is 0/0
+        score = (np.einsum("rgj,rgj->rg", left, left) / n_left
+                 + np.einsum("rgj,rgj->rg", right, right) / n_right)
+    score[~(spread[:, None] & (n_left >= bound) & (n_right >= bound))] = -np.inf
 
     row_score = score.max(axis=1)
     best = np.maximum.reduceat(row_score, np.searchsorted(row_node, np.arange(counts.size)))
@@ -472,7 +478,8 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     # NaN, at a node where nothing is feasible, whose first candidate is then taken
     cutoff = best * (1.0 - _TIE_RTOL)
     hits = np.flatnonzero(row_score >= cutoff[row_node])
-    chosen = hits[np.unique(row_node[hits], return_index=True)[1]]
+    nodes = row_node[hits]  # ascending, and every node has a hit
+    chosen = hits[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
     first = (score[chosen] >= cutoff[:, None]).argmax(axis=1)
     dim = np.where(best > -np.inf, row_dim[chosen], -1)
     return dim, thresholds[chosen, first]
@@ -482,9 +489,10 @@ def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
     """Consecutive node ranges whose largest split-search temporary fits the batch cap.
 
     A node of ``c`` members has up to ``d`` scoring rows, each with ``(c, J + 1)``
-    pseudo-outcomes and counts, an ``(n_grid, c)`` threshold mask as floats and
-    ``(n_grid, J + 1)`` child sums; sizes are in float elements.  ``counts`` is
-    non-increasing, so a range's widest node is its first.
+    pseudo-outcomes and counts, an ``(n_grid, c)`` threshold mask as floats,
+    ``(n_grid, J + 1)`` left sums and counts and ``(n_grid, J)`` right sums;
+    sizes are in float elements.  ``counts`` is non-increasing, so a range's
+    widest node is its first.
     """
     a = 0
     while a < counts.size:

@@ -317,17 +317,28 @@ class TestBestSplit:
         expected, _ = brute_force_split(x, rho, cfg, [0, 1])
         assert got == expected
 
-    def test_matches_brute_force_on_random_instances(self):
+    @pytest.mark.parametrize("order", [2, 8])
+    @pytest.mark.parametrize("pivot_kind", ["mu", "theta"])
+    def test_matches_brute_force_on_random_instances(self, pivot_kind, order):
         rng = np.random.default_rng(5)
-        spec = default_basis(2)
-        cfg = make_config(basis_order=2, min_child=3, n_grid=8)
-        for _ in range(50):
-            m = rng.integers(8, 30)
+        spec = default_basis(order)
+        cfg = make_config(basis_order=order, min_child=3, n_grid=8)
+        for i in range(50):
+            # about 4 J members keep the solve of the mean clear of the box at J = 8
+            m = rng.integers(4 * order, 4 * order + 22)
             x = rng.random((m, 3))
             y = rng.random(m)
             dims = rng.choice(3, size=rng.integers(1, 4), replace=False)
-            pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
-            rho = basis_matrix(spec, y) - pivot.mu
+            if i % 5 == 0:
+                # no spread: each threshold leaves one child empty, a 0/0 score
+                x[:, dims[0]] = x[0, dims[0]]
+            phi = basis_matrix(spec, y)
+            if pivot_kind == "mu":
+                pivot = expfam.MomentVector(phi.mean(axis=0))
+                rho = phi - pivot.mu
+            else:
+                pivot = expfam.solve_theta(phi.mean(axis=0), spec)
+                rho = expfam.row_pseudo_outcomes(pivot.theta, phi[None], spec)[0]
             got = best_split(x, y, pivot, cfg, dims)
             expected, exp_score = brute_force_split(x, rho, cfg, dims)
             assert got == expected
