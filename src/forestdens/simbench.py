@@ -16,6 +16,11 @@ sampling inverts the truncated CDF.  The harness repeats: draw a sample,
 fit at x = (1/2, 1/2, 1/2, 1/2), and record pointwise errors, standard
 errors, interval coverage, and the integrated squared error over
 [0.15, 0.85].
+
+Of scipy, the module loads only ``scipy.special`` (the laws' CDFs, their
+inverses and the beta density's log terms) and ``scipy.integrate``
+(Simpson's rule for the ISE).  The normal and beta densities are written
+out, so ``scipy.stats`` is never imported.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy import stats
 from scipy.integrate import simpson
-from scipy.special import betainc, betaincinv, ndtr, ndtri
+from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri, xlog1py, xlogy
 
 from . import estimator
 from .basis import _check_unit_interval
@@ -81,9 +85,12 @@ def _check_design(design: str) -> str:
     return design
 
 
-def _design_params(design: str, x: np.ndarray):
-    """Per-row distribution parameters and the truncation window."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _design_params(design: str, x):
+    """Per-row distribution parameters and the truncation window of rows ``x``, (d,) or (n, d)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != _COV_DIM:
+        raise ValueError(f"covariate rows must have {_COV_DIM} coordinates, not shape {x.shape}")
+    x = np.atleast_2d(x)
     if design == "D1":
         return (1.0 + x[:, 0] / 4.0 + x[:, 1] / 4.0, 1.0 + x[:, 2] / 2.0), (0.1, 0.9)
     if design == "D2":
@@ -105,15 +112,21 @@ def _base_cdf(design: str, t, params):
     return 0.5 * (ndtr((t + m) / sd) + ndtr((t - m) / sd))
 
 
+def _norm_pdf(t, loc=0.0, scale=1.0):
+    """The normal density in ``scipy.stats.norm.pdf``'s own expression, so with the same bits."""
+    z = (t - loc) / scale
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / scale
+
+
 def _base_pdf(design: str, t, params):
     if design == "D1":
         a, b = params
-        return stats.beta.pdf(t, a, b)
+        return np.exp(xlogy(a - 1.0, t) + xlog1py(b - 1.0, -t) - betaln(a, b))
     if design == "D2":
         mu, sig = params
-        return stats.norm.pdf((np.log(t) - mu) / sig) / (sig * t)
+        return _norm_pdf((np.log(t) - mu) / sig) / (sig * t)
     m, sd = params
-    return 0.5 * (stats.norm.pdf(t, -m, sd) + stats.norm.pdf(t, m, sd))
+    return 0.5 * (_norm_pdf(t, -m, sd) + _norm_pdf(t, m, sd))
 
 
 def gen_outcome(design: str, x, rng: np.random.Generator):
@@ -125,9 +138,8 @@ def gen_outcome(design: str, x, rng: np.random.Generator):
     affinely onto [0, 1].
     """
     design = _check_design(design)
-    arr = np.atleast_2d(np.asarray(x, dtype=float))
-    params, (lo, hi) = _design_params(design, arr)
-    u = rng.random(arr.shape[0])
+    params, (lo, hi) = _design_params(design, x)
+    u = rng.random(params[0].size)  # one draw per row
     c_lo = _base_cdf(design, lo, params)
     c_hi = _base_cdf(design, hi, params)
     p = c_lo + u * (c_hi - c_lo)
@@ -155,12 +167,20 @@ def _bisect_cdf(cdf, p, lo, hi, iters: int = 90) -> np.ndarray:
     return 0.5 * (a + b)
 
 
+def _one_row(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (_COV_DIM,):
+        raise ValueError(f"x must be one covariate row of {_COV_DIM} coordinates, "
+                         f"not shape {x.shape}")
+    return x
+
+
 def true_density(design: str, y, x):
-    """Conditional density of the rescaled truncated law at ``y`` in [0, 1]."""
+    """Conditional density of the rescaled truncated law at ``y`` in [0, 1], given one row ``x``."""
     design = _check_design(design)
     arr = np.asarray(y, dtype=float)
     _check_unit_interval(arr)
-    params, (lo, hi) = _design_params(design, x)
+    params, (lo, hi) = _design_params(design, _one_row(x))
     mass = _base_cdf(design, hi, params) - _base_cdf(design, lo, params)
     t = lo + (hi - lo) * arr
     vals = (hi - lo) * _base_pdf(design, t, params) / mass
@@ -168,11 +188,11 @@ def true_density(design: str, y, x):
 
 
 def true_cdf(design: str, y, x):
-    """Conditional CDF matching :func:`true_density`, at ``y`` in [0, 1]."""
+    """Conditional CDF matching :func:`true_density`, at ``y`` in [0, 1], given one row ``x``."""
     design = _check_design(design)
     arr = np.asarray(y, dtype=float)
     _check_unit_interval(arr)
-    params, (lo, hi) = _design_params(design, x)
+    params, (lo, hi) = _design_params(design, _one_row(x))
     c_lo = _base_cdf(design, lo, params)
     c_hi = _base_cdf(design, hi, params)
     t = lo + (hi - lo) * arr
@@ -287,6 +307,8 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     design = _check_design(design)
     if reps < 2:
         raise ValueError("need at least 2 replications")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     if not 0.0 < ci_level < 1.0:  # NaN fails both
         raise ValueError("ci_level must lie in (0, 1)")
     if mise_grid_points < 2:  # Simpson's rule on one point integrates to 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forestdens import estimator
+from forestdens import estimator, simbench
 from forestdens.cli import main
 
 DATA = Path(__file__).parent / "data" / "sample200.csv"
@@ -280,6 +280,21 @@ class TestMCCommand:
         assert len(rows) == 1 + 3 + 1  # header, three points, mise row
         assert rows[-1][0] == "mise"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_flag_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                                      workers):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(simbench, "ProcessPoolExecutor", no_process)
+        monkeypatch.setattr(estimator, "fit", no_process)
+        assert main(["mc", "--config", mc_config(tmp_path), "--workers", workers,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert f"workers must be at least 1, not {workers}" in err
+        assert not (tmp_path / "mc_report.json").exists()
+
     def test_unknown_design_rejected(self, tmp_path, capsys):
         cfg = mc_config(tmp_path, design="D9")
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -322,7 +337,7 @@ class TestGoldenBytes:
         assert sha256((tmp_path / "fit" / "fit.csv").read_bytes()).hexdigest() == (
             "e976fdd48db6e633a1045085ba1a6a67eda76aaa76681092f7dbd659b5166496")
         assert sha256((tmp_path / "mc" / "mc_report.csv").read_bytes()).hexdigest() == (
-            "b38601d4a3a9f5c78c50b0ea869b4d6ca6e16b645f2e9a04f08c07e38b7fc1e6")
+            "b75f804019dd9e3f22b4e271cd763c77ca6ac5c2147b3fb38940c81977e4c223")
 
 
 class TestSmokeProfileRuntime:

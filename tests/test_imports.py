@@ -1,4 +1,5 @@
-"""The estimator core loads numpy only; scipy comes in with the Monte Carlo harness.
+"""The estimator core loads numpy only; the Monte Carlo harness adds scipy.special
+and scipy.integrate, never scipy.stats.
 
 Each check runs in a fresh interpreter, because the pytest process has
 already imported scipy.
@@ -55,3 +56,16 @@ def test_harness_names_resolve_on_access():
         == "forestdens.simbench"
     with pytest.raises(AttributeError):
         forestdens.no_such_name
+
+
+def test_monte_carlo_run_loads_no_scipy_stats():
+    code = """
+from forestdens.forest import ForestConfig
+from forestdens.simbench import run_mc
+cfg = ForestConfig(subsample_size=40, n_trees=8, basis_order=4,
+                   initial_parent=[[0.0] * 4, [1.0] * 4], min_child=4, seed=5)
+for se_params in (None, "auto"):
+    assert run_mc("D1", 120, 2, cfg, se_params, workers=1).completed == 2
+print("scipy.stats" in sys.modules)
+"""
+    assert run_fresh(code) == "False"

@@ -6,17 +6,19 @@ before freezing); generators are checked against the matching CDFs with
 DKW bands.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad, simpson
 
-from forestdens import estimator
+from forestdens import estimator, simbench
 from forestdens.errors import EstimationError, ZeroDenominator
 from forestdens.forest import Dataset, ForestConfig
-from forestdens.simbench import (DEFAULT_DESIGN_POINTS, DESIGNS, gen_covariates,
-                                 gen_outcome, kernel_baseline, report_rows,
-                                 run_mc, true_cdf, true_density)
+from forestdens.simbench import (DEFAULT_DESIGN_POINTS, DESIGNS, MISE_INTERVAL,
+                                 gen_covariates, gen_outcome, kernel_baseline,
+                                 report_rows, run_mc, true_cdf, true_density)
 
 X_QUERY = np.full(4, 0.5)
 
@@ -131,6 +133,72 @@ class TestTrueDensity:
             integral = simpson(dens[: k + 1], x=grid[: k + 1])
             assert integral == pytest.approx(cdf[k], abs=1e-8)
         assert true_cdf(design, 1.0, X_QUERY) == pytest.approx(1.0, abs=1e-12)
+
+
+def stats_base_pdf(design, t, params):
+    """The designs' base densities written with scipy.stats, as the truth once was."""
+    if design == "D1":
+        a, b = params
+        return stats.beta.pdf(t, a, b)
+    if design == "D2":
+        mu, sig = params
+        return stats.norm.pdf((np.log(t) - mu) / sig) / (sig * t)
+    m, sd = params
+    return 0.5 * (stats.norm.pdf(t, -m, sd) + stats.norm.pdf(t, m, sd))
+
+
+class TestTruthAgainstScipyStats:
+    """The truth on the MISE grid equals its scipy.stats form: the normal designs
+    bit for bit, D1 (log-gamma terms in place of scipy's beta density) to about 2 ulp."""
+
+    GRID = np.linspace(*MISE_INTERVAL, 141)
+    ROWS = np.vstack([X_QUERY, gen_covariates(5, np.random.default_rng(12))])
+
+    def stats_form(self, monkeypatch, design, x):
+        with monkeypatch.context() as patch:
+            patch.setattr(simbench, "_base_pdf", stats_base_pdf)
+            return true_density(design, self.GRID, x)
+
+    @pytest.mark.parametrize("design", ["D2", "D3"])
+    def test_normal_designs_are_bit_identical(self, monkeypatch, design):
+        for x in self.ROWS:
+            np.testing.assert_array_equal(true_density(design, self.GRID, x),
+                                          self.stats_form(monkeypatch, design, x))
+
+    def test_beta_design_within_roundoff(self, monkeypatch):
+        for x in self.ROWS:
+            np.testing.assert_allclose(true_density("D1", self.GRID, x),
+                                       self.stats_form(monkeypatch, "D1", x), rtol=1e-14, atol=0)
+
+
+class TestCovariateRowShape:
+    """A truth formula takes one row of four coordinates; the generator rows of four."""
+
+    @pytest.mark.parametrize("fn", [true_density, true_cdf])
+    @pytest.mark.parametrize("x, shape", [
+        ([0.5, 0.5], "(2,)"),
+        ([0.5] * 7, "(7,)"),
+        ([[0.5] * 4, [0.2] * 4], "(2, 4)"),
+    ])
+    def test_truth_rejects_anything_but_one_row(self, fn, x, shape):
+        for design in DESIGNS:
+            with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+                fn(design, 0.5, x)
+
+    @pytest.mark.parametrize("x, shape", [
+        (np.full(2, 0.5), "(2,)"),
+        (np.full(7, 0.5), "(7,)"),
+        (np.full((3, 5), 0.5), "(3, 5)"),
+        (np.full((2, 3, 4), 0.5), "(2, 3, 4)"),
+    ])
+    def test_generator_rejects_rows_without_four_coordinates(self, x, shape):
+        with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+            gen_outcome("D1", x, np.random.default_rng(0))
+
+    def test_generator_takes_a_row_or_a_table(self):
+        table = gen_outcome("D3", np.full((3, 4), 0.5), np.random.default_rng(0))
+        assert table.shape == (3,)
+        assert gen_outcome("D3", X_QUERY, np.random.default_rng(0)) == table[0]
 
 
 class TestTruthDomain:
@@ -295,12 +363,15 @@ class TestRunMC:
         (dict(mise_grid_points=0), "mise_grid_points"),
         (dict(design_points=[[0.25, 0.5]]), "design_points"),
         (dict(design_points=[]), "design_points"),
+        (dict(workers=0), "workers must be at least 1, not 0"),
+        (dict(workers=-3), "workers must be at least 1, not -3"),
     ])
     def test_rejects_bad_options_before_any_fit(self, kwargs, match, monkeypatch):
         def no_fit(*args, **kwargs):
-            raise AssertionError("fit before the options were checked")
+            raise AssertionError("fit or worker process before the options were checked")
 
         monkeypatch.setattr(estimator, "fit", no_fit)
+        monkeypatch.setattr(simbench, "ProcessPoolExecutor", no_fit)
         with pytest.raises(ValueError, match=match):
             run_mc("D1", 100, 2, small_mc_config(), None, **kwargs)
 
