@@ -31,22 +31,20 @@ __all__ = [
 ]
 
 
-def _check_unit_interval(y: np.ndarray) -> None:
-    if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both
+def _check_unit_interval(y) -> None:
+    inside = 0.0 <= y <= 1.0 if isinstance(y, float) else np.all((y >= 0.0) & (y <= 1.0))
+    if not inside:  # NaN fails both
         raise ValueError("evaluation points must lie in [0, 1]")
 
 
-def _legendre_table(t: np.ndarray, ell_max: int) -> np.ndarray:
-    """Classical Legendre values P_0..P_ell_max at t in [-1, 1], shape (m, ell_max+1).
+def _legendre_cols(one, t, ell_max: int) -> list:
+    """Legendre values ``[P_0 = one, ..., P_ell_max]`` at ``t`` in [-1, 1]: the recurrence.
 
-    The recurrence runs on columns, Python floats for a lone point: they round
-    as float64 arrays do, so the bits are the same without numpy's per-call cost.
-    """
-    t = np.ravel(t)
-    cols = [1.0, float(t[0])] if t.size == 1 else [np.ones_like(t), t]
+    ``t`` is a numpy column, or a Python float, which rounds as float64 arrays do."""
+    cols = [one, t]
     for k in range(2, ell_max + 1):
-        cols.append(((2 * k - 1) * cols[1] * cols[k - 1] - (k - 1) * cols[k - 2]) / k)
-    return np.atleast_2d(np.stack(cols[:ell_max + 1], axis=-1))
+        cols.append(((2 * k - 1) * t * cols[k - 1] - (k - 1) * cols[k - 2]) / k)
+    return cols[:ell_max + 1]
 
 
 def legendre_eval(ell: int, y):
@@ -69,7 +67,8 @@ def legendre_eval(ell: int, y):
         raise ValueError("degree must be nonnegative")
     arr = np.asarray(y, dtype=float)
     _check_unit_interval(arr)
-    vals = np.sqrt(2 * ell + 1) * _legendre_table(2.0 * arr - 1.0, ell)[:, ell]
+    t = 2.0 * np.ravel(arr) - 1.0
+    vals = np.sqrt(2 * ell + 1) * _legendre_cols(np.ones_like(t), t, ell)[ell]
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
@@ -82,12 +81,15 @@ def basis_matrix(spec: "BasisSpec", y) -> np.ndarray:
     """Stack the non-constant basis values phi_1..phi_J at each point.
 
     Returns an array of shape ``(len(y), J)``; row ``i`` is the basis vector
-    at ``y[i]``.
+    at ``y[i]``.  A Python float (``np.float64`` too) skips the array wrappers.
     """
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if isinstance(y, float):
+        _check_unit_interval(y)
+        return np.array([_legendre_cols(1.0, 2.0 * float(y) - 1.0, spec.order)[1:]]) * spec.scale
+    arr = np.asarray(y, dtype=float).ravel()
     _check_unit_interval(arr)
-    table = _legendre_table(2.0 * arr - 1.0, spec.order)
-    return table[:, 1:] * spec.scale
+    t = 2.0 * arr - 1.0
+    return np.stack(_legendre_cols(np.ones_like(t), t, spec.order)[1:], axis=-1) * spec.scale
 
 
 def make_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,6 +37,8 @@ class FittedConditionalDensity:
     :func:`pdf` keeps log Z and mu at ``theta_hat``; the first :func:`std_error`
     keeps ``V(theta_hat)^{-1}`` and the two ``(J, J)`` matrices of
     :func:`~forestdens.forest.infinitesimal_jackknife`, so densities alone never invert V.
+    Those have the single pass's bits while ``J * n_trees * subsample_size <=
+    expfam.BATCH_ELEMENTS`` (one block of trees), and differ by roundoff above.
     """
 
     query_x: np.ndarray

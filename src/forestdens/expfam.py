@@ -177,9 +177,9 @@ def density(y, theta, spec: BasisSpec):
 
 def _density(y, theta: np.ndarray, logz: float, spec: BasisSpec):
     """dens(y; theta) from ``log Z(theta)``: a float for scalar ``y``, else ``y``'s shape."""
-    arr = np.asarray(y, dtype=float)
+    arr = y if isinstance(y, float) else np.asarray(y, dtype=float)  # floats: one-row path
     vals = np.exp(basis_matrix(spec, arr) @ theta - logz)
-    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+    return float(vals[0]) if isinstance(arr, float) or arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 def moments(theta, spec: BasisSpec) -> MomentVector:
@@ -214,7 +214,8 @@ _FAILURES = {
 }
 
 #: Elements allowed in any one batched temporary (not in their sum): larger
-#: Newton batches, and the levels of forest growth, go in slices of rows.
+#: Newton batches, the levels of forest growth and the infinitesimal
+#: jackknife's walk over the trees' subsamples go in slices of rows.
 BATCH_ELEMENTS = 1 << 18
 
 

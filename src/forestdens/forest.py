@@ -35,7 +35,8 @@ standard error; only the one-tree functions build :class:`BranchResult`,
 :class:`Box` and :class:`SplitRecord` objects.
 Each batched temporary is capped by :data:`forestdens.expfam.BATCH_ELEMENTS`:
 a level's split search runs in slices of nodes sized by their largest
-temporary, and its Newton solve, up to 4096 nodes at J = 8, in one pass.
+temporary, its Newton solve, up to 4096 nodes at J = 8, in one pass, and the
+infinitesimal jackknife in blocks of trees.
 
 Two splitting schemes are supported:
 
@@ -871,8 +872,8 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     With ``dev_t = h_t - mean_t h_t`` tree ``t``'s centred holdout mean and
     ``tree_subsamples`` the ``(B, s)`` table of the trees' index sets, the
     covariance of observation ``i``'s inclusion with the tree means is
-    ``C_i = (1/B) sum_t 1{i in subsample t} dev_t`` (one ``bincount`` per
-    basis column), and the returned ``(raw, corr)`` are
+    ``C_i = (1/B) sum_t 1{i in subsample t} dev_t``, and the returned
+    ``(raw, corr)`` are
 
         raw  = (n - 1)/n * (n/(n - s))^2 * C^T C,
         corr = (n - 1) s / ((n - s) B) * dev^T dev / B,
@@ -881,18 +882,27 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     (Wager, Hastie & Efron 2014; Wager & Athey 2018).  For a delta-method
     row ``t`` the variance estimate is ``t.raw.t - t.corr.t``; see
     :func:`debiased_variance`.
+
+    Blocks of ``BATCH_ELEMENTS // (J s)`` trees share one index and one weight buffer,
+    small enough to stay in cache, not ``(B, s)`` ones.  Each block adds one ``bincount``
+    per basis column to ``C``, so ``C_i`` is a sum of per-block sums: the single pass's
+    bits while ``J B s <= BATCH_ELEMENTS``, equal up to roundoff above.
     """
     h = np.asarray(per_tree_h, dtype=float)
-    members = np.array(tree_subsamples, dtype=np.intp)  # writable: bincount copies read-only input
-    b, s = h.shape[0], members.shape[1]
+    b, s = h.shape[0], len(tree_subsamples[0])
     # shifting by the first row first makes equal rows centre to exact zeros
     dev = h - h[0]
     dev -= dev.mean(axis=0)
-    spread = np.empty(members.shape)  # one buffer: row t holds tree t's deviation
-    c = np.empty((n, h.shape[1]))
-    for j in range(h.shape[1]):
-        spread[:] = dev[:, j, None]
-        c[:, j] = np.bincount(members.ravel(), weights=spread.ravel(), minlength=n)
+    step = max(1, expfam.BATCH_ELEMENTS // (h.shape[1] * s))
+    members = np.empty((min(b, step), s), dtype=np.intp)  # writable: bincount copies read-only input
+    spread = np.empty(members.shape)  # row t holds tree t's deviation
+    c = np.zeros((n, h.shape[1]))  # bincount sums are never -0.0, so 0.0 + sum keeps their bits
+    for lo in range(0, b, step):
+        k = min(step, b - lo)
+        members[:k] = tree_subsamples[lo:lo + k]
+        for j in range(h.shape[1]):
+            spread[:k] = dev[lo:lo + k, j, None]
+            c[:, j] += np.bincount(members[:k].ravel(), weights=spread[:k].ravel(), minlength=n)
     c /= b
     raw = (n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)
     corr = (n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b

@@ -85,12 +85,24 @@ class TestBasisVector:
     @settings(max_examples=100, deadline=None)
     def test_matrix_rows_match_vectors(self, ys, order):
         # a lone point runs the recurrence on Python floats, an array on numpy
-        # columns: the two must give the same bits
+        # columns: the two must give the same bits, whatever wraps the point
         spec = default_basis(order)
         mat = basis_matrix(spec, np.array(ys + [0.0, 1.0]))
         for i, y in enumerate(ys + [0.0, 1.0]):
-            assert mat[i].tobytes() == basis_matrix(spec, y)[0].tobytes()
-            assert mat[i].tobytes() == basis_matrix(spec, np.array([y]))[0].tobytes()
+            for point in (y, np.float64(y), np.array(y), np.array([y])):
+                row = basis_matrix(spec, point)
+                assert row.shape == (1, order)
+                assert mat[i].tobytes() == row[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan, np.inf, -np.inf])
+    def test_scalar_and_array_paths_reject_alike(self, bad):
+        spec = default_basis(4)
+        messages = set()
+        for point in (bad, np.float64(bad), np.array(bad), np.array([bad]), np.array([0.5, bad])):
+            with pytest.raises(ValueError) as err:
+                basis_matrix(spec, point)
+            messages.add(str(err.value))
+        assert messages == {"evaluation points must lie in [0, 1]"}
 
 
 class TestQuadrature:

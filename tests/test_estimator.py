@@ -404,6 +404,18 @@ class TestKeptFamilyState:
                 fitted.per_tree_h.shape[0]))
             assert std_error(fitted, y) == expected
 
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_python_and_numpy_floats_give_the_same_bits(self, y):
+        # a Python float takes basis_matrix's one-row path, as np.float64 (a
+        # float subclass) does; a 0-d array takes the array path
+        fitted = kept_state_fit()
+        for query in (pdf, std_error, confidence_interval):
+            got = {np.array(query(fitted, point)).tobytes()
+                   for point in (y, np.float64(y), np.array(y))}
+            assert len(got) == 1
+        assert np.array(pdf(fitted, y)).tobytes() == pdf(fitted, np.array([y])).tobytes()
+
 
 class TestPointEstimateRegression:
     """Seeded point estimates recorded before the exponential-family state

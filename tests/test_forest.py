@@ -6,6 +6,7 @@ key derivation and applying the leaf-mass formula by hand.
 """
 
 import math
+import tracemalloc
 import warnings
 from hashlib import sha256
 from pathlib import Path
@@ -1061,7 +1062,8 @@ def hand_ij_se(fitted, y, n, s):
 
 
 class TestInfinitesimalJackknife:
-    def test_bincount_matches_double_loop(self):
+    def check_double_loop(self):
+        """The 9-tree, s = 6 table's jackknife parts against loops over observations and trees."""
         cfg = ForestConfig(subsample_size=6, n_trees=9, basis_order=2,
                            initial_parent=unit_box(1), min_child=2, seed=0)
         n, s = 15, 6
@@ -1079,6 +1081,58 @@ class TestInfinitesimalJackknife:
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(corr, (n - 1) * s / ((n - s) * 9) * (dev.T @ dev) / 9,
                                    rtol=1e-12, atol=1e-15)
+
+    def test_bincount_matches_double_loop(self):
+        self.check_double_loop()
+
+    @pytest.mark.parametrize("batch, trees_per_block", [(12, 1), (24, 2), (48, 4)])
+    def test_blocks_match_double_loop(self, monkeypatch, batch, trees_per_block):
+        # BATCH_ELEMENTS // (J s) trees per block, J = 2 and s = 6; 9 trees end
+        # in a ragged block (2 and 4 trees per block) or in full ones (1 tree)
+        assert max(1, batch // (2 * 6)) == trees_per_block
+        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", batch)
+        self.check_double_loop()
+
+    @pytest.mark.parametrize("b, s, n, batch", [(9, 6, 15, None), (9, 6, 15, 3 * 9 * 6),
+                                                (300, 50, 400, None)])
+    def test_one_block_is_the_single_pass_bit_for_bit(self, monkeypatch, b, s, n, batch):
+        # with J B s <= BATCH_ELEMENTS (J = 3 here) the walk is one block: the
+        # single-pass formula below, one bincount over the whole table per column
+        if batch is not None:
+            monkeypatch.setattr(expfam, "BATCH_ELEMENTS", batch)
+        assert 3 * b * s <= expfam.BATCH_ELEMENTS
+        rng = np.random.default_rng(b + s)
+        trees = np.stack([rng.choice(n, s, replace=False) for _ in range(b)])
+        trees.setflags(write=False)
+        h = rng.standard_normal((b, 3))
+        raw, corr = forest_mod.infinitesimal_jackknife(trees, h, n)
+        dev = h - h[0]
+        dev -= dev.mean(axis=0)
+        c = np.empty((n, 3))
+        for j in range(3):
+            spread = np.broadcast_to(dev[:, j, None], trees.shape).ravel()
+            c[:, j] = np.bincount(trees.ravel(), weights=spread, minlength=n)
+        c /= b
+        assert raw.tobytes() == ((n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)).tobytes()
+        assert corr.tobytes() == ((n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b).tobytes()
+
+    def test_no_allocation_grows_with_the_table(self):
+        # the reference fit's table is 2240 x 200; a whole-table index copy or
+        # weight buffer would be 6.4 MB each here
+        b, s, n, j = 4000, 200, 1000, 8
+        rng = np.random.default_rng(41)
+        trees = rng.integers(0, n, (b, s))
+        trees.setflags(write=False)
+        h = rng.standard_normal((b, j))
+        tracemalloc.start()
+        try:
+            forest_mod.infinitesimal_jackknife(trees, h, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's index and weight buffers, BATCH_ELEMENTS // J entries each,
+        # plus the (B, J) deviations and a few (n, J) arrays
+        assert peak < 2 * 8 * expfam.BATCH_ELEMENTS // j + 8 * j * (b + 4 * n)
 
     def test_debias_zero_only_at_zero(self):
         assert forest_mod.debiased_variance(0.0, 0.0, 40) == 0.0
