@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .basis import BasisSpec, basis_matrix, default_basis, legendre_eval, make_quadrature
 from .errors import (AllWeightsZero, BoundaryMoment, EstimationError,
-                     MissingPlan, NoCleanTrees, NonConvergence, ZeroDenominator)
+                     MissingPlan, NonConvergence, ZeroDenominator)
 from .expfam import (MomentVector, ThetaSolution, covariance, density,
                      log_partition, moments, solve_theta, t_functional)
-from .forest import (Box, BranchResult, Dataset, ForestConfig, SESubsamplePlan,
-                     WeightVector, best_split, draw_subsamples,
-                     grow_branch, grow_from_halves, mu_hat, se_subsample_plan,
-                     sigma_fe, split_half, weights)
+from .forest import (Box, BranchResult, Dataset, ForestConfig, WeightVector,
+                     best_split, draw_subsamples, grow_branch, grow_from_halves,
+                     mu_hat, split_half, weights)
 from .estimator import (FittedConditionalDensity, confidence_interval, fit,
                         pdf, std_error)
 
@@ -28,12 +27,11 @@ _HARNESS = ("MCReport", "gen_covariates", "gen_outcome", "kernel_baseline",
 __all__ = sorted([
     "AllWeightsZero", "BasisSpec", "BoundaryMoment", "Box", "BranchResult", "Dataset",
     "EstimationError", "FittedConditionalDensity", "ForestConfig", "MissingPlan",
-    "MomentVector", "NoCleanTrees", "NonConvergence", "SESubsamplePlan", "ThetaSolution",
-    "WeightVector", "ZeroDenominator", "basis_matrix", "best_split", "confidence_interval",
-    "covariance", "default_basis", "density", "draw_subsamples", "fit", "grow_branch",
-    "grow_from_halves", "legendre_eval", "log_partition", "make_quadrature", "moments",
-    "mu_hat", "pdf", "se_subsample_plan", "sigma_fe", "solve_theta", "split_half",
-    "std_error", "t_functional", "weights", *_HARNESS])
+    "MomentVector", "NonConvergence", "ThetaSolution", "WeightVector", "ZeroDenominator",
+    "basis_matrix", "best_split", "confidence_interval", "covariance", "default_basis",
+    "density", "draw_subsamples", "fit", "grow_branch", "grow_from_halves", "legendre_eval",
+    "log_partition", "make_quadrature", "moments", "mu_hat", "pdf", "solve_theta",
+    "split_half", "std_error", "t_functional", "weights", *_HARNESS])
 
 
 def __getattr__(name):

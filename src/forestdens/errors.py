@@ -35,10 +35,6 @@ class AllWeightsZero(EstimationError):
     """Every tree produced an empty leaf, so all similarity weights are zero."""
 
 
-class NoCleanTrees(EstimationError):
-    """Some delete-group has no tree subsample disjoint from it."""
-
-
 class MissingPlan(EstimationError):
     """A standard error was requested from a fit built without ``se_params``."""
 

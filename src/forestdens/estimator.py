@@ -79,7 +79,7 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
     se_params : None, "auto", or (n_sigma, d_sigma)
         Any value but None makes the fit keep its tree subsamples for
         ``std_error``.  The value is not otherwise read: the forest is the
-        same either way, and a pair draws no delete groups.
+        same either way.
     workers : int
         Has no effect: all trees grow together in the calling thread, one
         level at a time.  Kept because ``bench/worker.py`` passes it.
@@ -125,8 +125,11 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
     positive by :func:`~forestdens.forest.debiased_variance` with the tree
     count as its noise count.  The result is finite and non-negative, and
     0 only when every tree's holdout mean maps to the same value at ``y``.
-    A fit without ``se_params`` raises :class:`~forestdens.errors.MissingPlan`;
-    the paired delete-group formula stays as :func:`~forestdens.forest.sigma_fe`.
+    A fit without ``se_params`` raises :class:`~forestdens.errors.MissingPlan`.
+    The paper's delete-group jackknife over ``L`` groups of ``d`` observations,
+    ``sqrt((n - d) / (d L) sum_l [t_row . (mu_minus_l - mean_l mu_minus_l)]^2)``,
+    is not implemented: each leave-group-out mean ``mu_minus_l`` is guaranteed
+    only two trees, whose noise made it an order of magnitude too large.
     """
     if fitted.tree_subsamples is None:
         raise MissingPlan("fit was built without se_params; no tree subsamples stored")

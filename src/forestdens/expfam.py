@@ -382,7 +382,7 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
         Target moments, one per basis function.
     spec : BasisSpec
     max_iter : int
-        Iteration cap.
+        Iteration cap, a non-negative integer (not a boolean).
 
     Returns
     -------
@@ -402,6 +402,8 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
         mu_target.mu if isinstance(mu_target, MomentVector) else mu_target, dtype=float))
     if mu_target.ndim != 1:
         raise ValueError(f"target moments must be 1-D, not shape {mu_target.shape}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, not {max_iter!r}")
     res = _solve_from(mu_target[None, :], np.zeros((1, mu_target.size)), spec, max_iter)
     theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
     if res.status[0] == SOLVED:

@@ -1,4 +1,4 @@
-"""Honest forest branch growth, similarity weights, and the variance subsample plan.
+"""Honest forest branch growth, similarity weights, and the jackknife variance parts.
 
 A tree here is grown only along the branch containing the query point: each
 subsample is split into a holdout half and a split-deciding half, splits are
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import expfam
 from .basis import BasisSpec, basis_matrix, default_basis
-from .errors import AllWeightsZero, NoCleanTrees
+from .errors import AllWeightsZero
 
 __all__ = [
     "Box",
@@ -67,7 +67,6 @@ __all__ = [
     "SplitRecord",
     "BranchResult",
     "WeightVector",
-    "SESubsamplePlan",
     "draw_subsamples",
     "split_half",
     "best_split",
@@ -76,8 +75,6 @@ __all__ = [
     "grow_forest",
     "weights",
     "mu_hat",
-    "se_subsample_plan",
-    "sigma_fe",
     "infinitesimal_jackknife",
     "debiased_variance",
 ]
@@ -337,6 +334,10 @@ class WeightVector:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(f"weights of shape {w.shape} are not 1-D")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights contain non-finite values")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
         if w.sum() > 1.0 + 1e-12:
@@ -346,45 +347,6 @@ class WeightVector:
     @property
     def total(self) -> float:
         return float(self.weights.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class SESubsamplePlan:
-    """Paired delete-groups and tree subsamples for the jackknife variance.
-
-    For each delete-group ``l``, trees ``2l`` and ``2l + 1`` (0-based) are
-    drawn from the complement of the group, guaranteeing at least two clean
-    trees per group; the remaining trees are drawn from the full index set.
-    Indices are non-negative; :func:`_overlaps` checks the pairing.  Only
-    :func:`sigma_fe` reads a plan; no fit draws one.
-    """
-
-    delete_groups: tuple[np.ndarray, ...]
-    tree_subsamples: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        groups = tuple(_readonly(np.asarray(g, dtype=np.intp)) for g in self.delete_groups)
-        trees = tuple(_readonly(np.asarray(t, dtype=np.intp)) for t in self.tree_subsamples)
-        if 2 * len(groups) >= len(trees) - 1:
-            raise ValueError("need 2 * n_sigma < n_trees - 1")
-        flat = np.concatenate(groups + trees)
-        if flat.min(initial=0) < 0:
-            raise ValueError("plan indices must be non-negative")
-        pairs = np.arange(2 * len(groups))
-        overlap = _overlaps(groups, trees[:pairs.size], int(flat.max(initial=-1)) + 1)
-        hits = np.flatnonzero(overlap[pairs // 2, pairs])
-        if hits.size:
-            raise ValueError(f"tree {hits[0]} overlaps delete group {hits[0] // 2}")
-        object.__setattr__(self, "delete_groups", groups)
-        object.__setattr__(self, "tree_subsamples", trees)
-
-    @property
-    def n_sigma(self) -> int:
-        return len(self.delete_groups)
-
-    @property
-    def d_sigma(self) -> int:
-        return self.delete_groups[0].size if self.delete_groups else 0
 
 
 def draw_subsamples(n: int, cfg: ForestConfig, rng: np.random.Generator) -> np.ndarray:
@@ -795,74 +757,13 @@ def mu_hat(weight_vector: WeightVector, data: Dataset,
     return expfam.MomentVector(basis_matrix(spec, data.y).T @ w)
 
 
-def se_subsample_plan(n: int, cfg: ForestConfig, n_sigma: int, d_sigma: int,
-                      rng: np.random.Generator) -> SESubsamplePlan:
-    """Draw delete-groups and tree subsamples with the pairing guarantee.
-
-    Group ``l`` has ``d_sigma`` indices; trees ``2l`` and ``2l + 1`` are
-    drawn from its complement, the remaining trees from the full index set.
-    The group count is checked before any group is drawn, the pairing by the plan.
-    """
-    s = cfg.subsample_size
-    if s >= n:
-        raise ValueError("subsample_size must be smaller than the sample size")
-    if not d_sigma < n - s:
-        raise ValueError("d_sigma must be below n - subsample_size")
-    if not 2 * n_sigma < cfg.n_trees - 1:
-        raise ValueError("need 2 * n_sigma < n_trees - 1")
-    if n_sigma < 1 or d_sigma < 1:
-        raise ValueError("n_sigma and d_sigma must be positive")
-    groups = []
-    trees: list[np.ndarray] = []
-    everyone = np.arange(n)
-    for _ in range(n_sigma):
-        g = np.sort(rng.choice(n, size=d_sigma, replace=False))
-        rest = np.delete(everyone, g)
-        trees.append(np.sort(rng.choice(rest, size=s, replace=False)))
-        trees.append(np.sort(rng.choice(rest, size=s, replace=False)))
-        groups.append(g)
-    for _ in range(cfg.n_trees - 2 * n_sigma):
-        trees.append(np.sort(rng.choice(n, size=s, replace=False)))
-    return SESubsamplePlan(tuple(groups), tuple(trees))
+def _retired(*args, **kwargs):
+    """The paper's delete-group jackknife, retired: every fit's SE comes from ``std_error``."""
+    raise NotImplementedError("the delete-group jackknife is retired; use std_error")
 
 
-def _overlaps(groups, trees, n: int) -> np.ndarray:
-    """``(len(groups), len(trees))`` bools: group ``l`` and tree ``t`` share an index.
-
-    The one ``(n, len(trees))`` membership table, packed to bits along the
-    trees, is OR-ed over each (ragged or empty) group's rows.
-    """
-    member = np.zeros((n, len(trees)), dtype=bool)
-    member[np.concatenate([np.empty(0, np.intp), *trees]),
-           np.repeat(np.arange(len(trees)), [len(t) for t in trees])] = True
-    packed = np.packbits(member, axis=1)
-    hit = np.empty((len(groups), packed.shape[1]), dtype=np.uint8)
-    for l, g in enumerate(groups):
-        hit[l] = np.bitwise_or.reduce(packed[g], axis=0)
-    return np.unpackbits(hit, axis=1, count=len(trees)).astype(bool)
-
-
-def sigma_fe(plan: SESubsamplePlan, per_tree_h: np.ndarray, t_row: np.ndarray,
-             n: int, d_sigma: int, n_sigma: int) -> float:
-    """Feasible jackknife standard error from the paired subsample plan.
-
-    For each delete-group the leave-group-out moment estimate ``mu_minus_l``
-    averages the per-tree holdout means over trees disjoint from the group
-    (:class:`~forestdens.errors.NoCleanTrees` if there is none); the
-    returned value is
-
-        sqrt( (n - d_sigma) / (d_sigma * n_sigma)
-              * sum_l [ t_row . (mu_minus_l - mean_l mu_minus_l) ]^2 ).
-    """
-    per_tree_h = np.atleast_2d(np.asarray(per_tree_h, dtype=float))
-    clean = ~_overlaps(plan.delete_groups, plan.tree_subsamples, n)
-    counts = clean.sum(axis=1)
-    if np.any(counts == 0):
-        bad = int(np.flatnonzero(counts == 0)[0])
-        raise NoCleanTrees(f"delete group {bad} has no disjoint tree subsample")
-    mu_minus = (clean @ per_tree_h) / counts[:, None]
-    dev = np.asarray(t_row, dtype=float) @ (mu_minus - mu_minus.mean(axis=0)).T
-    return float(np.sqrt((n - d_sigma) / (d_sigma * n_sigma) * (dev @ dev)))
+# held only because the traced benchmark wraps both names; they are in no __all__
+se_subsample_plan = sigma_fe = _retired
 
 
 def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,

@@ -11,11 +11,20 @@ so does adding a name to the ``__all__`` of the package or of a module.
 import dataclasses
 import importlib
 import inspect
+import sys
+from pathlib import Path
+
+import pytest
 
 import forestdens
 from forestdens import cli
 
 MODULES = ("basis", "expfam", "forest", "estimator", "simbench", "cli")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+#: Module attributes kept only because the traced benchmark wraps them by
+#: name; each goes when ``bench/worker.py`` stops naming it.
+BENCH_HELD = ["forest.se_subsample_plan", "forest.sigma_fe", "estimator.basis_matrix"]
 
 OPTIONS = [
     "expfam.solve_theta.max_iter",
@@ -57,25 +66,22 @@ PUBLIC_NAMES = {
     "forestdens": [
         "AllWeightsZero", "BasisSpec", "BoundaryMoment", "Box", "BranchResult", "Dataset",
         "EstimationError", "FittedConditionalDensity", "ForestConfig", "MCReport",
-        "MissingPlan", "MomentVector", "NoCleanTrees", "NonConvergence", "SESubsamplePlan",
-        "ThetaSolution", "WeightVector", "ZeroDenominator", "basis_matrix",
-        "best_split", "confidence_interval", "covariance", "default_basis", "density",
-        "draw_subsamples", "fit", "gen_covariates",
+        "MissingPlan", "MomentVector", "NonConvergence", "ThetaSolution", "WeightVector",
+        "ZeroDenominator", "basis_matrix", "best_split", "confidence_interval", "covariance",
+        "default_basis", "density", "draw_subsamples", "fit", "gen_covariates",
         "gen_outcome", "grow_branch", "grow_from_halves", "kernel_baseline",
         "legendre_eval", "log_partition", "make_quadrature", "moments", "mu_hat", "pdf",
-        "run_mc", "se_subsample_plan", "sigma_fe",
-        "solve_theta", "split_half", "std_error", "t_functional", "true_cdf", "true_density",
-        "weights"],
+        "run_mc", "solve_theta", "split_half", "std_error", "t_functional", "true_cdf",
+        "true_density", "weights"],
     "basis": ["BasisSpec", "default_basis", "legendre_eval", "basis_matrix", "basis_range",
               "make_quadrature"],
     "expfam": ["MomentVector", "ThetaSolution", "THETA_BOX_BOUND", "NEWTON_TOL", "GROWTH_TOL",
                "log_partition", "density", "moments", "covariance", "solve_theta",
                "row_pseudo_outcomes", "t_functional"],
     "forest": ["Box", "Dataset", "ForestConfig", "SplitRecord", "BranchResult", "WeightVector",
-               "SESubsamplePlan", "draw_subsamples", "split_half",
-               "best_split", "grow_branch", "grow_from_halves", "grow_forest", "weights",
-               "mu_hat", "se_subsample_plan", "sigma_fe", "infinitesimal_jackknife",
-               "debiased_variance"],
+               "draw_subsamples", "split_half", "best_split", "grow_branch",
+               "grow_from_halves", "grow_forest", "weights", "mu_hat",
+               "infinitesimal_jackknife", "debiased_variance"],
     "estimator": ["FittedConditionalDensity", "fit", "pdf", "std_error", "confidence_interval"],
     "simbench": ["DESIGNS", "DEFAULT_DESIGN_POINTS", "MISE_INTERVAL", "MCReport",
                  "gen_covariates", "gen_outcome", "true_density", "true_cdf", "kernel_baseline",
@@ -119,3 +125,26 @@ def test_public_names_are_the_recorded_ones():
 def test_config_keys_are_the_recorded_ones():
     found = {"fit": leaf_keys(cli._FIT_DEFAULTS), "mc": leaf_keys(cli._MC_DEFAULTS)}
     assert found == CONFIG_KEYS
+
+
+def test_bench_held_names_stay_only_while_the_bench_wraps_them(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        tracer = importlib.import_module("worker").install_tracer(lambda: 0.0)
+        wrapped = {f"{m.__name__.rsplit('.', 1)[1]}.{attr}" for m, attr, _ in tracer._installed}
+        tracer.uninstall()
+    finally:
+        for name in ("worker", "speed", "tracer"):
+            sys.modules.pop(name, None)
+    for held in BENCH_HELD:
+        module_name, attr = held.split(".")
+        module = importlib.import_module(f"forestdens.{module_name}")
+        assert hasattr(module, attr) and attr not in module.__all__, held
+        assert held in wrapped, (
+            f"bench/worker.py no longer wraps {held}: delete it and its BENCH_HELD entry")
+
+
+@pytest.mark.parametrize("name", ["sigma_fe", "SESubsamplePlan", "NoCleanTrees"])
+def test_retired_names_leave_the_package(name):
+    with pytest.raises(AttributeError):
+        getattr(forestdens, name)

@@ -183,6 +183,19 @@ class TestSolveTheta:
             solve_theta(np.array([1.72]), spec)
         np.testing.assert_array_equal(excinfo.value.target, [1.72])
 
+    @pytest.mark.parametrize("max_iter", [-1, np.int64(-3), 2.5, True, "10"])
+    def test_rejects_a_cap_that_is_not_a_non_negative_integer(self, max_iter):
+        # a negative cap runs no Newton round, so the row would keep its initial SOLVED code
+        spec = default_basis(3)
+        with pytest.raises(ValueError, match="^max_iter must be a non-negative integer"):
+            solve_theta(moments(np.array([1.0, -0.5, 0.3]), spec), spec, max_iter=max_iter)
+
+    def test_zero_cap_takes_no_step(self):
+        spec = default_basis(3)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_theta(moments(np.array([1.0, -0.5, 0.3]), spec), spec, max_iter=np.int64(0))
+        assert excinfo.value.solution.iterations == 0
+
     def test_nonconvergence_payload(self):
         spec = default_basis(3)
         with pytest.raises(NonConvergence) as excinfo:

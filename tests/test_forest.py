@@ -1,4 +1,4 @@
-"""Forest growth, splitting, weighting, and the variance subsample plan.
+"""Forest growth, splitting, weighting, and the jackknife variance parts.
 
 The split search is checked against a from-scratch exhaustive scan; the
 weight combination rule is checked by replaying the documented per-tree
@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from forestdens import cli, expfam
 from forestdens.basis import basis_matrix, default_basis
-from forestdens.errors import AllWeightsZero, NoCleanTrees
-from forestdens.forest import (Box, Dataset, ForestConfig, SESubsamplePlan,
-                               WeightVector, best_split, draw_subsamples,
-                               grow_branch, grow_from_halves, mu_hat,
-                               per_tree_means, se_subsample_plan, sigma_fe,
+from forestdens.errors import AllWeightsZero
+from forestdens.forest import (Box, Dataset, ForestConfig, WeightVector,
+                               best_split, draw_subsamples, grow_branch,
+                               grow_from_halves, mu_hat, per_tree_means,
                                split_half, weights)
 from forestdens import forest as forest_mod
 
@@ -862,6 +861,13 @@ class TestLevelSlices:
             assert largest <= 8 * cap or nodes == 1
 
 
+class TestWeightVector:
+    @pytest.mark.parametrize("w", [[np.nan, 0.5], np.full((2, 2), 0.25)], ids=["nan", "2-d"])
+    def test_rejects_non_finite_or_non_vector_weights(self, w):
+        with pytest.raises(ValueError, match="non-finite|not 1-D"):
+            WeightVector(w)
+
+
 class TestMuHat:
     def test_uniform_weights_give_sample_mean(self):
         rng = np.random.default_rng(18)
@@ -898,146 +904,11 @@ class TestMuHat:
             mu_hat(WeightVector(np.zeros(5)), data, default_basis(2))
 
 
-class TestSESubsamplePlan:
-    def test_paired_trees_avoid_their_group(self):
-        cfg = ForestConfig(subsample_size=4, n_trees=9, basis_order=2,
-                           initial_parent=unit_box(1), min_child=2, seed=0)
-        rng = np.random.default_rng(22)
-        for _ in range(1000):
-            plan = se_subsample_plan(12, cfg, n_sigma=2, d_sigma=3, rng=rng)
-            assert len(plan.tree_subsamples) == 9
-            assert all(t.size == 4 for t in plan.tree_subsamples)
-            for l, g in enumerate(plan.delete_groups):
-                for t in (2 * l, 2 * l + 1):
-                    assert not set(g) & set(plan.tree_subsamples[t])
-
-    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=100, deadline=None)
-    def test_overlap_check_names_first_offender(self, n_sigma, seed):
-        # reference: the per-pair set intersection, in tree order
-        rng = np.random.default_rng(seed)
-        groups = [rng.choice(12, size=rng.integers(0, 4), replace=False) for _ in range(n_sigma)]
-        trees = [rng.choice(12, size=rng.integers(0, 5), replace=False)
-                 for _ in range(2 * n_sigma + 2)]
-        expected = next((f"tree {t} overlaps delete group {t // 2}"
-                         for t in range(2 * n_sigma) if set(groups[t // 2]) & set(trees[t])),
-                        None)
-        if expected is None:
-            SESubsamplePlan(tuple(groups), tuple(trees))
-        else:
-            with pytest.raises(ValueError, match=f"^{expected}$"):
-                SESubsamplePlan(tuple(groups), tuple(trees))
-
-    def test_precondition_errors(self):
-        cfg = ForestConfig(subsample_size=6, n_trees=9, basis_order=2,
-                           initial_parent=unit_box(1), min_child=2, seed=0)
-        rng = np.random.default_rng(23)
-        with pytest.raises(ValueError):
-            se_subsample_plan(10, cfg, n_sigma=2, d_sigma=4, rng=rng)  # d >= n - s
-        with pytest.raises(ValueError):
-            se_subsample_plan(20, cfg, n_sigma=4, d_sigma=2, rng=rng)  # 2n_sigma >= N-1
-
-    def test_group_count_rejected_before_drawing(self):
-        # a huge n_sigma must fail at once, not after drawing n_sigma groups
-        class NoDraws:
-            def choice(self, *args, **kwargs):
-                raise AssertionError("drew a subsample before checking n_sigma")
-        cfg = ForestConfig(subsample_size=6, n_trees=9, basis_order=2,
-                           initial_parent=unit_box(1), min_child=2, seed=0)
-        with pytest.raises(ValueError, match="n_sigma < n_trees"):
-            se_subsample_plan(20, cfg, n_sigma=10**9, d_sigma=2, rng=NoDraws())
-
-    def test_rejects_negative_indices(self):
-        trees = (np.array([0, 1]), np.array([2, 3]), np.array([-1, 2]), np.array([0]))
-        with pytest.raises(ValueError, match="non-negative"):
-            SESubsamplePlan((np.array([4]),), trees)
-
-
-class TestCleanTreeMask:
-    @given(st.data(), st.integers(min_value=1, max_value=40),
-           st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=7))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_set_intersection(self, data, n, blocks, extra):
-        # tree counts on and off a multiple of 8 cover the packbits padding
-        index = st.integers(0, n - 1)
-        groups = data.draw(st.lists(st.lists(index, max_size=4), max_size=6))
-        trees = data.draw(st.lists(st.lists(index, max_size=6),
-                                   min_size=8 * blocks + extra, max_size=8 * blocks + extra))
-
-        clean = ~forest_mod._overlaps([np.array(g, dtype=np.intp) for g in groups],
-                                      [np.array(t, dtype=np.intp) for t in trees], n)
-        assert clean.shape == (len(groups), len(trees)) and clean.dtype == bool
-        for l, g in enumerate(groups):
-            for t, tree in enumerate(trees):
-                assert clean[l, t] == (not set(g) & set(tree))
-
-
-class TestSigmaFe:
-    def _plan(self, n_sigma, n, d_sigma, n_trees, s, seed=0):
-        cfg = ForestConfig(subsample_size=s, n_trees=n_trees, basis_order=1,
-                           initial_parent=unit_box(1), min_child=2, seed=0)
-        return se_subsample_plan(n, cfg, n_sigma, d_sigma, np.random.default_rng(seed))
-
-    def test_identical_tree_outputs_give_zero(self):
-        plan = self._plan(n_sigma=3, n=20, d_sigma=2, n_trees=9, s=5)
-        h = np.ones((9, 1))
-        assert sigma_fe(plan, h, np.array([2.0]), 20, 2, 3) == 0.0
-
-    def test_single_group_gives_zero(self):
-        plan = self._plan(n_sigma=1, n=20, d_sigma=2, n_trees=4, s=5)
-        h = np.arange(4, dtype=float).reshape(-1, 1)
-        assert sigma_fe(plan, h, np.array([1.0]), 20, 2, 1) == pytest.approx(0.0, abs=1e-15)
-
-    def test_two_group_hand_case(self):
-        n, d_sigma, s = 40, 2, 5
-        plan = self._plan(n_sigma=2, n=n, d_sigma=d_sigma, n_trees=20, s=s, seed=4)
-        clean = ~forest_mod._overlaps(plan.delete_groups, plan.tree_subsamples, n)
-        h = np.random.default_rng(24).standard_normal((20, 1))
-        a = h[clean[0], 0].mean()
-        b = h[clean[1], 0].mean()
-        m = 0.5 * (a + b)
-        expected = np.sqrt((n - d_sigma) / (d_sigma * 2) * ((a - m) ** 2 + (b - m) ** 2))
-        got = sigma_fe(plan, h, np.array([1.0]), n, d_sigma, 2)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_scales_linearly_in_t_row(self):
-        plan = self._plan(n_sigma=3, n=30, d_sigma=2, n_trees=12, s=5, seed=5)
-        h = np.random.default_rng(25).standard_normal((12, 2))
-        t_row = np.array([0.7, -0.4])
-        base = sigma_fe(plan, h, t_row, 30, 2, 3)
-        assert sigma_fe(plan, h, 3.0 * t_row, 30, 2, 3) == pytest.approx(3.0 * base, rel=1e-12)
-
-    def test_mask_built_once_per_fit(self, monkeypatch):
-        # std_error's per-fit part (the infinitesimal-jackknife matrices) is
-        # built once per fit and reused by every later call on that fit
-        from forestdens import estimator
-        rng = np.random.default_rng(26)
-        n = 60
-        data = Dataset(rng.random(n), rng.random((n, 2)))
-        cfg = ForestConfig(subsample_size=20, n_trees=12, basis_order=3,
-                           initial_parent=unit_box(2), min_child=3, scheme="mu", seed=6)
-        ys = (0.2, 0.5, 0.8)
-        fits = [estimator.fit(data, [0.5, 0.5], cfg, se_params=(3, 4)) for _ in range(2)]
-        reference = [hand_ij_se(fits[0], y, n, 20) for y in ys]
-        built = []
-        build = forest_mod.infinitesimal_jackknife
-        monkeypatch.setattr(forest_mod, "infinitesimal_jackknife",
-                            lambda *args: built.append(1) or build(*args))
-        for fitted in fits:
-            for _ in range(2):
-                np.testing.assert_allclose([estimator.std_error(fitted, y) for y in ys],
-                                           reference, rtol=1e-10, atol=0.0)
-        assert len(built) == 2
-
-    def test_no_clean_trees_raises(self):
-        # forge a plan-like object whose single group touches every tree
-        class Fake:
-            tree_subsamples = (np.array([0, 1]), np.array([2, 3]), np.array([0, 2]))
-            delete_groups = (np.array([1, 2]),)
-            n_sigma = 1
-            d_sigma = 2
-        with pytest.raises(NoCleanTrees):
-            sigma_fe(Fake(), np.zeros((3, 1)), np.array([1.0]), 4, 2, 1)
+class TestRetiredDeleteGroupJackknife:
+    @pytest.mark.parametrize("name", ["se_subsample_plan", "sigma_fe"])
+    def test_stub_points_to_std_error(self, name):
+        with pytest.raises(NotImplementedError, match="std_error"):
+            getattr(forest_mod, name)(100, make_config(), 2, 3, np.random.default_rng(0))
 
 
 def hand_ij_se(fitted, y, n, s):
@@ -1067,13 +938,13 @@ class TestInfinitesimalJackknife:
         cfg = ForestConfig(subsample_size=6, n_trees=9, basis_order=2,
                            initial_parent=unit_box(1), min_child=2, seed=0)
         n, s = 15, 6
-        plan = se_subsample_plan(n, cfg, 2, 3, np.random.default_rng(3))
+        trees = draw_subsamples(n, cfg, np.random.default_rng(3))
         h = np.random.default_rng(31).standard_normal((9, 2))
-        raw, corr = forest_mod.infinitesimal_jackknife(plan.tree_subsamples, h, n)
+        raw, corr = forest_mod.infinitesimal_jackknife(trees, h, n)
         dev = h - h.mean(axis=0)
         c = np.zeros((n, 2))
         for i in range(n):
-            for t, idx in enumerate(plan.tree_subsamples):
+            for t, idx in enumerate(trees):
                 if i in idx:
                     c[i] += dev[t]
         c /= 9
@@ -1084,6 +955,28 @@ class TestInfinitesimalJackknife:
 
     def test_bincount_matches_double_loop(self):
         self.check_double_loop()
+
+    def test_built_once_per_fit(self, monkeypatch):
+        # std_error's per-fit part (the infinitesimal-jackknife matrices) is
+        # built once per fit and reused by every later call on that fit
+        from forestdens import estimator
+        rng = np.random.default_rng(26)
+        n = 60
+        data = Dataset(rng.random(n), rng.random((n, 2)))
+        cfg = ForestConfig(subsample_size=20, n_trees=12, basis_order=3,
+                           initial_parent=unit_box(2), min_child=3, scheme="mu", seed=6)
+        ys = (0.2, 0.5, 0.8)
+        fits = [estimator.fit(data, [0.5, 0.5], cfg, se_params=(3, 4)) for _ in range(2)]
+        reference = [hand_ij_se(fits[0], y, n, 20) for y in ys]
+        built = []
+        build = forest_mod.infinitesimal_jackknife
+        monkeypatch.setattr(forest_mod, "infinitesimal_jackknife",
+                            lambda *args: built.append(1) or build(*args))
+        for fitted in fits:
+            for _ in range(2):
+                np.testing.assert_allclose([estimator.std_error(fitted, y) for y in ys],
+                                           reference, rtol=1e-10, atol=0.0)
+        assert len(built) == 2
 
     @pytest.mark.parametrize("batch, trees_per_block", [(12, 1), (24, 2), (48, 4)])
     def test_blocks_match_double_loop(self, monkeypatch, batch, trees_per_block):
