@@ -26,8 +26,7 @@ cfg = ForestConfig(subsample_size=80, n_trees=6, basis_order=3,
 master, tree_keys = forest._tree_streams(cfg.seed, cfg.n_trees)
 subsamples = forest.draw_subsamples(n, cfg, master)
 for t, idx in enumerate(subsamples):
-    res = forest.grow_branch(x_query, data.y[idx], data.x[idx], cfg,
-                             tree_keys[t], index=idx)
+    res = forest.grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_keys[t])
     lo = np.round(res.leaf_box.lower, 3)
     hi = np.round(res.leaf_box.upper, 3)
     print(f"tree {t}: {len(res.splits)} splits, leaf box {lo}..{hi}, "

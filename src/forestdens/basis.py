@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` for a boolean or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _check_unit_interval(y) -> None:
     inside = 0.0 <= y <= 1.0 if isinstance(y, float) else np.all((y >= 0.0) & (y <= 1.0))
     if not inside:  # NaN fails both
@@ -53,7 +60,7 @@ def legendre_eval(ell: int, y):
     Parameters
     ----------
     ell : int
-        Degree, ``ell >= 0``.  Degree 0 is the constant 1.
+        Degree, an integer (not a boolean) ``>= 0``.  Degree 0 is the constant 1.
     y : float or array_like
         Points in [0, 1].
 
@@ -63,7 +70,7 @@ def legendre_eval(ell: int, y):
         ``sqrt(2*ell + 1) * P_ell(2*y - 1)``, computed by the three-term
         recurrence.
     """
-    if ell < 0:
+    if _integer(ell, "degree") < 0:
         raise ValueError("degree must be nonnegative")
     arr = np.asarray(y, dtype=float)
     _check_unit_interval(arr)

@@ -32,10 +32,8 @@ _FOREST_DEFAULTS = {
     "subsample_size": 200,
     "n_trees": 2240,
     "basis_order": 8,
-    "min_child": 10,
-    "min_fraction": 0.05,
-    "scheme": "theta",
-    "n_grid": 32,
+    **{key: getattr(ForestConfig, key)  # ForestConfig's own defaults
+       for key in ("min_child", "min_fraction", "scheme", "n_grid")},
     "initial_parent": None,
 }
 

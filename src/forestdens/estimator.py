@@ -47,8 +47,12 @@ class FittedConditionalDensity:
     per_tree_h: np.ndarray
     tree_subsamples: np.ndarray | None
     config: ForestConfig
-    basis: BasisSpec
     weights: WeightVector
+
+    @cached_property
+    def basis(self) -> BasisSpec:
+        """The fit's one basis, ``default_basis(config.basis_order)``."""
+        return default_basis(self.config.basis_order)
 
     @cached_property
     def _family(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -76,7 +80,7 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         Query point; must lie inside ``cfg.initial_parent``.
     cfg : ForestConfig
         ``cfg.seed`` is the fit's only source of randomness; ``cfg.basis_order`` sets its basis.
-    se_params : None, "auto", or (n_sigma, d_sigma)
+    se_params : None, or any other value to keep the subsamples
         Any value but None makes the fit keep its tree subsamples for
         ``std_error``.  The value is not otherwise read: the forest is the
         same either way.
@@ -104,10 +108,9 @@ def _from_trees(x, w: WeightVector, per_tree_h: np.ndarray, tree_subsamples,
     """
     if w.total <= 0.0:
         raise AllWeightsZero("every tree produced an empty leaf at this query point")
-    spec = default_basis(cfg.basis_order)
     mu = expfam.MomentVector(per_tree_h.mean(axis=0))
-    theta = expfam.solve_theta(mu, spec)
-    return FittedConditionalDensity(x, mu, theta, per_tree_h, tree_subsamples, cfg, spec, w)
+    theta = expfam.solve_theta(mu, default_basis(cfg.basis_order))
+    return FittedConditionalDensity(x, mu, theta, per_tree_h, tree_subsamples, cfg, w)
 
 
 def pdf(fitted: FittedConditionalDensity, y):

@@ -16,11 +16,12 @@ under the current density) and a step-halving line search on L and the
 residual.  A batch of systems is solved in one pass: each round evaluates the
 full step of every row at once, then halves the step of the rows that reject
 it, one length per evaluation of the rows still pending.  :func:`solve_theta`
-starts its one row from zero coefficients and stops at :data:`NEWTON_TOL`.
-Forest growth solves each root node to :data:`GROWTH_TOL`, gives each child
-node :data:`GROWTH_STEPS` Newton step from its parent's iterate (the
-one-step estimator), and keeps the density and moments at each row's last
-iterate for its pseudo-outcomes.
+starts its one row from zero coefficients and stops at :data:`NEWTON_TOL`,
+or after :data:`NEWTON_MAX_ITER` steps.  Forest growth solves each root node
+to :data:`GROWTH_TOL` within the same cap, gives each child node
+:data:`GROWTH_STEPS` Newton step from its parent's iterate (the one-step
+estimator), and keeps the density and moments at each row's last iterate for
+its pseudo-outcomes.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -48,6 +49,10 @@ THETA_BOX_BOUND = 50.0
 
 #: Newton's convergence threshold on the moment residual sup-norm.
 NEWTON_TOL = 1e-10
+
+#: The Newton steps of a solve from zero coefficients: :func:`solve_theta`'s
+#: and each growth root's; a row still above its tolerance after them is CAPPED.
+NEWTON_MAX_ITER = 100
 
 #: The threshold of forest growth's node solves, whose roots only feed split
 #: scores; a fit's final solve keeps :data:`NEWTON_TOL`.
@@ -364,7 +369,7 @@ def _newton_rows(targets, start, rows, spec, cap, tol, out: NewtonBatch) -> None
         status[(status < 0) & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)] = ESCAPED
 
 
-def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolution:
+def solve_theta(mu_target, spec: BasisSpec) -> ThetaSolution:
     """Solve the moment-matching system by Newton's method.
 
     Starts from zero coefficients and iterates
@@ -373,16 +378,14 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
     whose gradient is minus the residual.  ``lam`` is halved from 1 (up to 30
     times) until L falls by the Armijo amount, 1e-4 lam |grad L . step|, or
     the residual sup-norm strictly falls, so every accepted step lowers one
-    of the two (not always both).  This is the one-row case of
-    :func:`_solve_from`.
+    of the two (not always both), for at most :data:`NEWTON_MAX_ITER` steps.
+    This is the one-row case of :func:`_solve_from`.
 
     Parameters
     ----------
     mu_target : MomentVector or array_like
         Target moments, one per basis function.
     spec : BasisSpec
-    max_iter : int
-        Iteration cap, a non-negative integer (not a boolean).
 
     Returns
     -------
@@ -402,9 +405,7 @@ def solve_theta(mu_target, spec: BasisSpec, max_iter: int = 100) -> ThetaSolutio
         mu_target.mu if isinstance(mu_target, MomentVector) else mu_target, dtype=float))
     if mu_target.ndim != 1:
         raise ValueError(f"target moments must be 1-D, not shape {mu_target.shape}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise ValueError(f"max_iter must be a non-negative integer, not {max_iter!r}")
-    res = _solve_from(mu_target[None, :], np.zeros((1, mu_target.size)), spec, max_iter)
+    res = _solve_from(mu_target[None, :], np.zeros((1, mu_target.size)), spec, NEWTON_MAX_ITER)
     theta, rnorm, iters = res.theta[0], float(res.residual[0]), int(res.iterations[0])
     if res.status[0] == SOLVED:
         return ThetaSolution(theta, rnorm, iters, True)

@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expfam
-from .basis import BasisSpec, basis_matrix, default_basis
+from .basis import BasisSpec, _integer, basis_matrix, default_basis
 from .errors import AllWeightsZero
 
 __all__ = [
@@ -188,7 +187,7 @@ def _key(key) -> np.uint64:
     """A tree key, an integer in [0, 2^64), as given, or one key drawn from a ``Generator``."""
     if isinstance(key, np.random.Generator):
         return key.integers(2 ** 64, dtype=np.uint64)
-    return np.uint64(operator.index(key))
+    return np.uint64(_integer(key, "key"))
 
 
 def _dim_masks(keys: np.ndarray, level: int, d: int) -> np.ndarray:
@@ -267,10 +266,7 @@ class ForestConfig:
                 raise ValueError(f"initial_parent bounds have shape {bounds.shape}, not (2, d)")
             object.__setattr__(self, "initial_parent", Box(bounds[0], bounds[1]))
         for name in ("subsample_size", "n_trees", "basis_order", "min_child", "n_grid", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.min_child < 2:
@@ -308,10 +304,11 @@ class SplitRecord:
 class BranchResult:
     """Leaf of the branch containing the query point.
 
-    ``holdout_members`` are the holdout-half indices whose covariates fall
-    in ``leaf_box``; ``split_members`` are the deciding-half indices whose
-    outcomes were visible to the split search.  Honesty requires the two
-    sets to be disjoint.
+    ``holdout_members`` are the holdout-half subsample positions whose
+    covariates fall in ``leaf_box``; ``split_members`` are the deciding-half
+    subsample positions whose outcomes were visible to the split search.
+    Honesty requires the two sets to be disjoint.  A caller holding the
+    subsample's row indices ``idx`` maps them with ``idx[holdout_members]``.
     """
 
     leaf_box: Box
@@ -472,7 +469,8 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     counted member table (:func:`_with_sentinel`) per slice; under the
     "theta" scheme they go through one batched Newton solve, each node's
     started from its row of ``start``: a zero start (a root, or the child of
-    a failed node) is solved to ``GROWTH_TOL``, any other start takes at most
+    a failed node) is solved to ``GROWTH_TOL`` in at most
+    :data:`~forestdens.expfam.NEWTON_MAX_ITER` steps, any other start takes at most
     :data:`~forestdens.expfam.GROWTH_STEPS` steps.  The moments and density
     kept at each usable (SOLVED or CAPPED) node's last iterate give its
     ``V(theta)^{-1}`` in one stacked inverse; any other code falls back to
@@ -490,7 +488,7 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     vinv = np.zeros((counts.size, j, j))
     usable = np.zeros(counts.size, dtype=bool)
     if cfg.scheme == "theta":
-        cap = np.where(start.any(axis=1), expfam.GROWTH_STEPS, 100)
+        cap = np.where(start.any(axis=1), expfam.GROWTH_STEPS, expfam.NEWTON_MAX_ITER)
         batch = expfam._solve_from(means, start, spec, cap, expfam.GROWTH_TOL)
         usable = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
         theta[usable] = batch.theta[usable]
@@ -607,6 +605,16 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
     return leaf, leaf_counts, lower, upper, lower_open, levels
 
 
+def _positions(values, size: int, name: str) -> np.ndarray:
+    """``values`` as a 1-D intp array of integers in ``[0, size)``; ``ValueError`` otherwise."""
+    pos = np.asarray(values)
+    if pos.ndim != 1 or pos.size and not np.issubdtype(pos.dtype, np.integer):
+        raise ValueError(f"{name} must be a flat sequence of integers, not {values!r}")
+    if pos.size and (pos.min() < 0 or pos.max() >= size):
+        raise ValueError(f"{name} must lie in [0, {size}), not {pos.min()}..{pos.max()}")
+    return pos.astype(np.intp)
+
+
 def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
                cfg: ForestConfig, allowed_dims):
     """Search the threshold grid for the feasible split with the highest score.
@@ -626,9 +634,12 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
 
     Returns ``(dim, threshold)`` or ``None`` when no candidate is feasible.
     This is the one-node case of the split search used by branch growth.
+    ``ValueError`` if the outcomes and covariate rows differ in number or an
+    allowed dimension is not an integer in ``[0, d)``.
     """
-    x_members = np.atleast_2d(np.asarray(x_members, dtype=float))
-    m = x_members.shape[0]
+    members = Dataset(y_members, x_members)
+    m = members.n
+    dims = np.unique(_positions(allowed_dims, members.dim, "allowed_dims"))
     spec = default_basis(cfg.basis_order)
     if isinstance(pivot, expfam.ThetaSolution):
         dens, center, _ = expfam._row_states(pivot.theta[None, :], spec)
@@ -637,9 +648,7 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
         center, vinv, solved = pivot.mu[None, :], np.zeros((1, spec.order, spec.order)), False
     else:
         raise TypeError("pivot must be a ThetaSolution or a MomentVector")
-    x_ext, phi_ext = _with_sentinel(
-        x_members, basis_matrix(spec, np.asarray(y_members, dtype=float)))
-    dims = np.unique(np.asarray(allowed_dims, dtype=np.intp))
+    x_ext, phi_ext = _with_sentinel(members.x, basis_matrix(spec, members.y))
     if dims.size == 0:
         return None
     dim, thr = _node_splits(x_ext, phi_ext, np.arange(m)[None, :], np.array([m]),
@@ -649,41 +658,48 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
 
 
 def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
-                     holdout_pos, deciding_pos, key, index=None) -> BranchResult:
+                     holdout_pos, deciding_pos, key) -> BranchResult:
     """Grow the branch containing ``x`` from an explicit half split.
 
     ``holdout_pos`` / ``deciding_pos`` are positions into the subsample
-    arrays.  Splits consult only deciding-half members inside the current
-    node; growth stops when fewer than ``2 * min_child`` of them remain
-    or no feasible split exists.  ``key`` is the tree key, or a
-    ``Generator`` that draws one, and keys the eligible dimensions drawn at
-    each level.  Exposed so the half-split device can be enumerated exactly;
-    this is the one-tree case of forest growth.
+    arrays, and the result's members are such positions too.  Splits consult
+    only deciding-half members inside the current node; growth stops when
+    fewer than ``2 * min_child`` of them remain or no feasible split exists.
+    ``key`` is the tree key, or a ``Generator`` that draws one, and keys the
+    eligible dimensions drawn at each level.  Exposed so the half-split device
+    can be enumerated exactly; this is the one-tree case of forest growth.
+    ``ValueError`` if ``y_sub`` and ``x_sub`` differ in length, or a half
+    holds a position outside the subsample, repeats one, or shares one with
+    the other half.
     """
-    x_sub = np.atleast_2d(np.asarray(x_sub, dtype=float))
-    phi_sub = basis_matrix(default_basis(cfg.basis_order), np.asarray(y_sub, dtype=float))
-    deciding = np.asarray(deciding_pos, dtype=np.intp)
+    sub = Dataset(y_sub, x_sub)
+    holdout = _positions(holdout_pos, sub.n, "holdout_pos")
+    deciding = _positions(deciding_pos, sub.n, "deciding_pos")
+    for name, pos in (("holdout_pos", holdout), ("deciding_pos", deciding)):
+        if np.unique(pos).size != pos.size:
+            raise ValueError(f"{name} repeats a position")
+    if np.intersect1d(holdout, deciding).size:
+        raise ValueError("the halves share a position, which breaks honesty")
+    phi_sub = basis_matrix(default_basis(cfg.basis_order), sub.y)
     leaf, count, lower, upper, lower_open, levels = _grow_branches(
-        x, x_sub, phi_sub, np.asarray(holdout_pos, dtype=np.intp)[None], deciding[None],
-        np.array([_key(key)]), cfg)
+        x, sub.x, phi_sub, holdout[None], deciding[None], np.array([_key(key)]), cfg)
     splits = tuple(SplitRecord(d, t, m, k, m - k) for level in levels
                    for _, d, t, m, k in zip(*(a.tolist() for a in level)))
-    index = np.arange(x_sub.shape[0]) if index is None else np.asarray(index, dtype=np.intp)
-    return BranchResult(Box(lower[0], upper[0], lower_open[0]), index[leaf[0, :count[0]]],
-                        index[deciding], splits)
+    return BranchResult(Box(lower[0], upper[0], lower_open[0]), leaf[0, :count[0]],
+                        deciding, splits)
 
 
 def grow_branch(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
-                key, index=None) -> BranchResult:
+                key) -> BranchResult:
     """Draw the half-split device, then grow the branch containing ``x``.
 
     ``key`` is the tree key, or a ``Generator`` that draws one; the key
-    decides the half split and every level's eligible dimensions.
+    decides the half split and every level's eligible dimensions.  The
+    result's members are positions into ``y_sub`` / ``x_sub``.
     """
     key = _key(key)
     holdout_pos, deciding_pos = split_half(np.arange(np.asarray(y_sub).size), key)
-    return grow_from_halves(x, y_sub, x_sub, cfg, holdout_pos, deciding_pos,
-                            key, index=index)
+    return grow_from_halves(x, y_sub, x_sub, cfg, holdout_pos, deciding_pos, key)
 
 
 def _tree_streams(seed: int, n_trees: int):

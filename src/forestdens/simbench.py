@@ -207,26 +207,26 @@ def _triweight(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_baseline(data: Dataset, y: float, x, bandwidths=None) -> float:
+def kernel_baseline(data: Dataset, y: float, x) -> float:
     """Oracle kernel ratio estimate of the conditional density.
 
     Product tri-weight kernels over the outcome and the first three
     covariates only (the irrelevant fourth is ignored by construction).
-    Default bandwidths are 1.06 times the sample standard deviation scaled
-    by ``n^(-1/8)`` in the numerator and ``n^(-1/7)`` for the covariates in
-    the denominator; ``bandwidths=(h_y, h_x_num, h_x_den)`` overrides them.
+    The bandwidths are 1.06 times the sample standard deviation scaled by
+    ``n^(-1/8)`` in the numerator and ``n^(-1/7)`` for the covariates in the
+    denominator.  ``ValueError`` names the first of these columns that is
+    constant, whose bandwidth would be zero.
     """
+    flat = np.ptp(np.column_stack([data.y, data.x[:, :3]]), axis=0) == 0.0
+    if flat.any():
+        name = ("outcome", "covariate 1", "covariate 2", "covariate 3")[np.argmax(flat)]
+        raise ValueError(f"{name} is constant, so its kernel bandwidth is zero")
     x = np.asarray(x, dtype=float)
     n = data.n
-    if bandwidths is None:
-        h_y = 1.06 * np.std(data.y, ddof=1) * n ** (-1.0 / 8.0)
-        sx = np.std(data.x[:, :3], axis=0, ddof=1)
-        h_num = 1.06 * sx * n ** (-1.0 / 8.0)
-        h_den = 1.06 * sx * n ** (-1.0 / 7.0)
-    else:
-        h_y, h_num, h_den = bandwidths
-        h_num = np.broadcast_to(np.asarray(h_num, dtype=float), (3,))
-        h_den = np.broadcast_to(np.asarray(h_den, dtype=float), (3,))
+    h_y = 1.06 * np.std(data.y, ddof=1) * n ** (-1.0 / 8.0)
+    sx = np.std(data.x[:, :3], axis=0, ddof=1)
+    h_num = 1.06 * sx * n ** (-1.0 / 8.0)
+    h_den = 1.06 * sx * n ** (-1.0 / 7.0)
     ky = _triweight((y - data.y) / h_y) / h_y
     kx_num = np.prod(_triweight((x[:3] - data.x[:, :3]) / h_num) / h_num, axis=1)
     kx_den = np.prod(_triweight((x[:3] - data.x[:, :3]) / h_den) / h_den, axis=1)

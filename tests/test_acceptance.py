@@ -180,8 +180,7 @@ def test_criterion_4_forest_structure():
         total_mass = 0.0
         alone = np.zeros(data.n)
         for t, idx in enumerate(subsamples):
-            res = forest.grow_branch(x_query, data.y[idx], data.x[idx], cfg,
-                                     tree_rngs[t], index=idx)
+            res = forest.grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_rngs[t])
             # honesty: holdout indices never seen by the split search
             assert not set(res.holdout_members) & set(res.split_members)
             # query containment and parent nesting
@@ -196,7 +195,7 @@ def test_criterion_4_forest_structure():
             if res.holdout_members.size:
                 nonempty += 1
                 total_mass += 1.0 / cfg.n_trees
-                alone[res.holdout_members] += 1.0 / (cfg.n_trees * res.holdout_members.size)
+                alone[idx[res.holdout_members]] += 1.0 / (cfg.n_trees * res.holdout_members.size)
         # the forest, all trees grown together, has the weights of its trees
         # grown one at a time, shares added in tree order
         assert np.array_equal(w.weights, alone), "forest equals its trees grown alone"

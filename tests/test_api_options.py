@@ -3,9 +3,11 @@
 Every defaulted parameter of a public function and every defaulted init
 field of a public dataclass is a setting a caller may choose, and so is
 every leaf key of a command's config.  A setting belongs here only when a
-workload, the command line or a demo sets it, or when a test needs it to
-reach a behaviour it checks.  Adding one means adding its name below, and
-so does adding a name to the ``__all__`` of the package or of a module.
+benchmark workload, the command line, a demo or library code sets it; a
+setting that only tests set is a test hook, and a test that needs another
+value monkeypatches the module constant instead.  Adding one means adding
+its name below, and so does adding a name to the ``__all__`` of the package
+or of a module.
 """
 
 import dataclasses
@@ -27,19 +29,15 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_HELD = ["forest.se_subsample_plan", "forest.sigma_fe", "estimator.basis_matrix"]
 
 OPTIONS = [
-    "expfam.solve_theta.max_iter",
     "forest.Box.lower_open",
     "forest.ForestConfig.min_child",
     "forest.ForestConfig.min_fraction",
     "forest.ForestConfig.scheme",
     "forest.ForestConfig.n_grid",
     "forest.ForestConfig.seed",
-    "forest.grow_branch.index",
-    "forest.grow_from_halves.index",
     "estimator.fit.se_params",
     "estimator.fit.workers",
     "estimator.confidence_interval.level",
-    "simbench.kernel_baseline.bandwidths",
     "simbench.run_mc.design_points",
     "simbench.run_mc.workers",
     "simbench.run_mc.mise_grid_points",

@@ -56,6 +56,12 @@ class TestLegendreEval:
         with pytest.raises(ValueError):
             basis_matrix(default_basis(2), [0.5, bad])
 
+    @pytest.mark.parametrize("ell", [True, False, 2.5, np.float64(2.0), "2"])
+    def test_rejects_a_degree_that_is_not_an_integer(self, ell):
+        # True once passed as degree 1, and 2.5 raised a TypeError
+        with pytest.raises(ValueError, match="^degree must be an integer"):
+            legendre_eval(ell, 0.5)
+
     @given(st.integers(min_value=0, max_value=12),
            st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)

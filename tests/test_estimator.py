@@ -99,9 +99,9 @@ class TestFit:
         means = []
         for t, idx in enumerate(subsamples):
             res = forest.grow_branch(np.array([0.5, 0.5]), data.y[idx],
-                                     data.x[idx], cfg, tree_rngs[t], index=idx)
+                                     data.x[idx], cfg, tree_rngs[t])
             assert res.splits == ()
-            means.append(phi[res.holdout_members].mean(axis=0))
+            means.append(phi[idx[res.holdout_members]].mean(axis=0))
         np.testing.assert_allclose(fitted.mu_hat.mu, np.mean(means, axis=0),
                                    atol=1e-15)
 

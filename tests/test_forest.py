@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from forestdens import cli, expfam
 from forestdens.basis import basis_matrix, default_basis
-from forestdens.errors import AllWeightsZero
+from forestdens.errors import AllWeightsZero, NonConvergence
 from forestdens.forest import (Box, Dataset, ForestConfig, WeightVector,
                                best_split, draw_subsamples, grow_branch,
                                grow_from_halves, mu_hat, per_tree_means,
@@ -164,7 +164,7 @@ class TestKeyedDraws:
         for a, b in zip(split_half(np.arange(12), np.random.default_rng(3)),
                         split_half(np.arange(12), key)):
             np.testing.assert_array_equal(a, b)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             split_half(np.arange(4), 1.5)
         with pytest.raises(OverflowError):
             split_half(np.arange(4), -1)
@@ -470,6 +470,63 @@ class TestGrowBranch:
         np.testing.assert_array_equal(res.leaf_box.upper, hi)
 
 
+class TestOneTreeInputs:
+    """The one-tree functions reject input that growth would misread."""
+
+    S = 12
+    rng = np.random.default_rng(41)
+    y = rng.random(S)
+    x = rng.random((S, 2))
+    cfg = make_config(subsample_size=S, min_child=2)
+
+    @pytest.mark.parametrize("holdout, deciding, match", [
+        (range(0, 8), range(4, 12), "halves share a position"),  # once kept deciding member 6
+        (range(0, 6), [6, 7, 8, 9, 10, 12], r"deciding_pos must lie in \[0, 12\)"),
+        ([-1, 0, 1, 2, 3, 4], range(6, 12), r"holdout_pos must lie in \[0, 12\)"),
+        ([0, 0, 1, 2, 3, 4], range(6, 12), "holdout_pos repeats a position"),
+        (range(0, 6), [6, 7, 8, 9, 11, 11], "deciding_pos repeats a position"),
+        ([0.0, 1.0, 2.0], range(6, 12), "holdout_pos must be a flat sequence of integers"),
+        ([[0, 1, 2]], range(6, 12), "holdout_pos must be a flat sequence of integers"),
+    ])
+    def test_grow_from_halves_rejects_bad_positions(self, holdout, deciding, match):
+        with pytest.raises(ValueError, match=match):
+            grow_from_halves(np.array([0.5, 0.5]), self.y, self.x, self.cfg,
+                             np.array(holdout), np.array(deciding), 0)
+
+    @pytest.mark.parametrize("grow", ["halves", "branch"])
+    @pytest.mark.parametrize("n_y, n_x", [(10, 12), (12, 10)])
+    def test_outcomes_and_covariates_must_match_in_length(self, grow, n_y, n_x):
+        # a shorter y_sub once grew on the first rows alone, a shorter x_sub hit an IndexError
+        y, x = self.y[:n_y], self.x[:n_x]
+        with pytest.raises(ValueError, match="not 1-D and 2-D of matching length"):
+            if grow == "halves":
+                grow_from_halves(np.array([0.5, 0.5]), y, x, self.cfg,
+                                 np.arange(5), np.arange(5, 10), 0)
+            else:
+                grow_branch(np.array([0.5, 0.5]), y, x, self.cfg, 0)
+
+    @pytest.mark.parametrize("dims", [[5], [-1], [0, 2], [True], [0.0]])
+    def test_best_split_rejects_dimensions_outside_the_covariates(self, dims):
+        spec = default_basis(self.cfg.basis_order)
+        pivot = expfam.MomentVector(basis_matrix(spec, self.y).mean(axis=0))
+        with pytest.raises(ValueError, match="^allowed_dims must"):
+            best_split(self.x, self.y, pivot, self.cfg, dims)
+
+    def test_best_split_rejects_unmatched_members(self):
+        spec = default_basis(self.cfg.basis_order)
+        pivot = expfam.MomentVector(basis_matrix(spec, self.y).mean(axis=0))
+        with pytest.raises(ValueError, match="not 1-D and 2-D of matching length"):
+            best_split(self.x, self.y[:-1], pivot, self.cfg, [0, 1])
+
+    @pytest.mark.parametrize("key", [True, np.bool_(False), 2.5, "3"])
+    def test_tree_keys_are_integers_in_range(self, key):
+        # True once passed as key 1
+        with pytest.raises(ValueError, match="^key must be an integer"):
+            split_half(np.arange(self.S), key)
+        with pytest.raises(ValueError, match="^key must be an integer"):
+            grow_branch(np.array([0.5, 0.5]), self.y, self.x, self.cfg, key)
+
+
 class TestDegenerateKernel:
     def test_enumerated_half_splits_average_to_plain_mean(self):
         # no-split configuration: enumerate every deciding-half choice
@@ -530,10 +587,9 @@ class TestWeights:
         expected = np.zeros(data.n)
         for t in range(2):
             idx = subsamples[t]
-            res = grow_branch(x_query, data.y[idx], data.x[idx], cfg,
-                              tree_rngs[t], index=idx)
+            res = grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_rngs[t])
             if res.holdout_members.size:
-                expected[res.holdout_members] += 1.0 / (2 * res.holdout_members.size)
+                expected[idx[res.holdout_members]] += 1.0 / (2 * res.holdout_members.size)
         np.testing.assert_array_equal(w, expected)
         assert set(np.round(w[w > 0], 10)) <= {0.25, 0.5}
 
@@ -700,10 +756,10 @@ class TestGrowthRegression:
         expected = np.zeros(data.n)
         depth = []
         for t, idx in enumerate(draw_subsamples(data.n, cfg, master)):
-            res = grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_rngs[t], index=idx)
+            res = grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_rngs[t])
             depth.append(len(res.splits))
             if res.holdout_members.size:
-                expected[res.holdout_members] += 1.0 / (cfg.n_trees * res.holdout_members.size)
+                expected[idx[res.holdout_members]] += 1.0 / (cfg.n_trees * res.holdout_members.size)
         np.testing.assert_array_equal(w, expected)
         assert max(depth) >= 5
 
@@ -723,8 +779,8 @@ class TestGrowthRegression:
         per_tree_h = np.zeros((cfg.n_trees, cfg.basis_order))
         sizes = []
         for t, idx in enumerate(draw_subsamples(data.n, cfg, master)):
-            h = grow_branch(x_query, data.y[idx], data.x[idx], cfg, tree_rngs[t],
-                            index=idx).holdout_members
+            h = idx[grow_branch(x_query, data.y[idx], data.x[idx], cfg,
+                                tree_rngs[t]).holdout_members]
             sizes.append(h.size)
             if h.size:
                 w[h] += 1.0 / (cfg.n_trees * h.size)
@@ -771,6 +827,34 @@ class TestGrowthTolerance:
         assert np.all(resid <= expfam.GROWTH_TOL)
         assert fitted.theta_hat.converged
         assert fitted.theta_hat.residual_inf_norm <= expfam.NEWTON_TOL
+
+
+    def test_one_newton_cap_bounds_solve_theta_and_the_growth_roots(self, monkeypatch):
+        roots = []
+        solve = expfam._solve_from
+
+        def recording(targets, start, spec, max_iter, tol=expfam.NEWTON_TOL):
+            res = solve(targets, start, spec, max_iter, tol)
+            zero = ~start.any(axis=1)  # started from zero: solve_theta's row or a growth root
+            roots.append((np.broadcast_to(max_iter, zero.shape)[zero], res.iterations[zero]))
+            return res
+
+        monkeypatch.setattr(expfam, "_solve_from", recording)
+        monkeypatch.setattr(expfam, "NEWTON_MAX_ITER", 2)
+        spec = default_basis(3)
+        with pytest.raises(NonConvergence) as excinfo:
+            expfam.solve_theta(expfam.moments(np.array([2.0, -1.0, 0.5]), spec), spec)
+        assert excinfo.value.solution.iterations == 2
+        rng = np.random.default_rng(2024)
+        x = rng.random((300, 4))
+        data = Dataset(rng.beta(0.6 + 2 * x[:, 0], 0.8 + x[:, 1]), x)
+        cfg = ForestConfig(subsample_size=60, n_trees=16, basis_order=6,
+                           initial_parent=unit_box(4), min_child=3, scheme="theta", seed=11)
+        weights(np.full(4, 0.5), data, cfg)
+        caps = np.concatenate([cap for cap, _ in roots])
+        iterations = np.concatenate([it for _, it in roots])
+        assert caps.size == 17 and np.all(caps == 2)  # solve_theta's row and 16 tree roots
+        assert iterations.max() == 2
 
 
 def largest_split_temporary(nodes, width, rows, cols, n_grid):

@@ -6,6 +6,7 @@ before freezing); generators are checked against the matching CDFs with
 DKW bands.
 """
 
+import math
 import re
 
 import numpy as np
@@ -213,26 +214,32 @@ class TestTruthDomain:
 
 
 class TestKernelBaseline:
-    def test_single_point_with_explicit_bandwidths(self):
-        data = Dataset(np.array([0.4]), np.array([[0.5, 0.5, 0.5, 0.5]]))
-        h_y, h_num, h_den = 0.1, np.full(3, 0.2), np.full(3, 0.3)
-        got = kernel_baseline(data, 0.4, X_QUERY, bandwidths=(h_y, h_num, h_den))
-        k0 = 35 / 32
-        expected = (k0 / h_y) * np.prod(np.full(3, k0 / 0.2)) / np.prod(np.full(3, k0 / 0.3))
-        assert got == pytest.approx(expected, rel=1e-12)
-
     def test_default_bandwidth_formula(self):
-        rng = np.random.default_rng(7)
-        x = gen_covariates(1000, rng)
-        y = gen_outcome("D1", x, rng)
-        data = Dataset(y, x)
-        h_y = 1.06 * np.std(y, ddof=1) * 1000 ** (-1 / 8)
-        # reproducing the estimate with explicit bandwidths must agree
-        hx_num = 1.06 * np.std(x[:, :3], axis=0, ddof=1) * 1000 ** (-1 / 8)
-        hx_den = 1.06 * np.std(x[:, :3], axis=0, ddof=1) * 1000 ** (-1 / 7)
-        assert kernel_baseline(data, 0.5, X_QUERY) == pytest.approx(
-            kernel_baseline(data, 0.5, X_QUERY, bandwidths=(h_y, hx_num, hx_den)),
-            rel=1e-12)
+        # two points placed symmetrically about the query in each covariate;
+        # only the first lies within the outcome bandwidth of y = 0.45
+        y = [0.4, 0.6]
+        x = [[0.45, 0.52, 0.47, 0.0], [0.55, 0.48, 0.53, 1.0]]
+        data = Dataset(np.array(y), np.array(x))
+
+        def triweight(u):
+            return 35 / 32 * (1 - u * u) ** 3 if abs(u) <= 1 else 0.0
+
+        def sample_sd(a, b):  # ddof = 1 with two points
+            return abs(a - b) / math.sqrt(2)
+
+        h_y = 1.06 * sample_sd(*y) * 2 ** (-1 / 8)
+        sx = [sample_sd(x[0][d], x[1][d]) for d in range(3)]
+        num = den = 0.0
+        for yi, xi in zip(y, x):
+            k_num = k_den = 1.0
+            for d in range(3):
+                h_num, h_den = 1.06 * sx[d] * 2 ** (-1 / 8), 1.06 * sx[d] * 2 ** (-1 / 7)
+                k_num *= triweight((0.5 - xi[d]) / h_num) / h_num
+                k_den *= triweight((0.5 - xi[d]) / h_den) / h_den
+            num += triweight((0.45 - yi) / h_y) / h_y * k_num / 2
+            den += k_den / 2
+        assert num > 0.0 and triweight((0.45 - y[1]) / h_y) == 0.0
+        assert kernel_baseline(data, 0.45, X_QUERY) == pytest.approx(num / den, rel=1e-12)
 
     def test_integrates_to_about_one(self):
         rng = np.random.default_rng(8)
@@ -244,10 +251,27 @@ class TestKernelBaseline:
         assert simpson(vals, x=grid) == pytest.approx(1.0, abs=0.05)
 
     def test_zero_denominator(self):
-        data = Dataset(np.array([0.4, 0.6]), np.full((2, 4), 0.1))
+        # the first three covariates spread over [0, 0.2], far from the query
+        x = np.column_stack([np.linspace(0.0, 0.2, 5)] * 4)
+        data = Dataset(np.linspace(0.3, 0.7, 5), x)
         with pytest.raises(ZeroDenominator):
-            kernel_baseline(data, 0.5, np.array([0.9, 0.9, 0.9, 0.9]),
-                            bandwidths=(0.1, np.full(3, 0.05), np.full(3, 0.05)))
+            kernel_baseline(data, 0.5, np.full(4, 0.9))
+
+    @pytest.mark.parametrize("column, name", [(0, "outcome"), (1, "covariate 1"),
+                                              (3, "covariate 3")])
+    def test_constant_column_is_an_error_not_nan(self, column, name):
+        rng = np.random.default_rng(9)
+        table = rng.random((50, 5))
+        table[:, column] = 0.5
+        data = Dataset(table[:, 0], table[:, 1:])
+        with pytest.raises(ValueError, match=f"^{name} is constant"):
+            kernel_baseline(data, 0.5, X_QUERY)
+
+    def test_constant_fourth_covariate_is_ignored(self):
+        rng = np.random.default_rng(9)
+        x = rng.random((50, 4))
+        x[:, 3] = 0.5
+        assert kernel_baseline(Dataset(rng.random(50), x), 0.5, X_QUERY) > 0.0
 
 
 def small_mc_config(**kw):
