@@ -31,8 +31,9 @@ class FittedConditionalDensity:
 
     ``per_tree_h`` holds each tree's holdout basis mean, and
     ``tree_subsamples`` (None without ``se_params``) is the read-only
-    ``(n_trees, subsample_size)`` table of the trees' index sets, so that
-    standard errors reuse the trees grown for the point estimate.  Instances are
+    ``(n_trees, subsample_size)`` table of the trees' index sets (each row the tree's
+    deciding half, then its holdout half, each sorted), so that standard errors
+    reuse the trees grown for the point estimate.  Instances are
     immutable; evaluation methods are safe for concurrent reads.  The first
     :func:`pdf` keeps log Z and mu at ``theta_hat``; the first :func:`std_error`
     keeps ``V(theta_hat)^{-1}`` and the two ``(J, J)`` matrices of

@@ -13,15 +13,11 @@ coefficient vector matching a moment target ``mu`` solves
 the gradient system of the convex dual L(theta) = log Z(theta) - theta . mu,
 handled by Newton's method with the exact Jacobian (the basis covariance
 under the current density) and a step-halving line search on L and the
-residual.  A batch of systems is solved in one pass: each round evaluates the
-full step of every row at once, then halves the step of the rows that reject
-it, one length per evaluation of the rows still pending.  :func:`solve_theta`
-starts its one row from zero coefficients and stops at :data:`NEWTON_TOL`,
-or after :data:`NEWTON_MAX_ITER` steps.  Forest growth solves each root node
-to :data:`GROWTH_TOL` within the same cap, gives each child node
-:data:`GROWTH_STEPS` Newton step from its parent's iterate (the one-step
-estimator), and keeps the density and moments at each row's last iterate for
-its pseudo-outcomes.
+residual (:func:`solve_theta`), for a batch of rows at once, chunk by chunk
+(:func:`_solve_from`).  Forest growth solves each root node to
+:data:`GROWTH_TOL`, gives each child node :data:`GROWTH_STEPS` Newton step
+from its parent's iterate (the one-step estimator), and keeps the density
+and moments at each row's last iterate for its pseudo-outcomes.
 
 One batched row kernel evaluates the family: the density at the quadrature
 nodes, mu(theta), log Z(theta) and the covariance V(theta), for each row of
@@ -218,20 +214,24 @@ _FAILURES = {
                              "iterations"),
 }
 
-#: Elements allowed in any one batched temporary (not in their sum): larger
-#: Newton batches, the levels of forest growth and the infinitesimal
-#: jackknife's walk over the trees' subsamples go in slices of rows.
+#: Elements allowed in any one batched temporary.  Row chunks keep to it: Newton
+#: batches (:func:`_row_chunks`), V^-1 and the Newton state of a growth level, the
+#: split search's node slices, the tree half split, the per-tree means, and the
+#: infinitesimal jackknife's blocks of trees.
 BATCH_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
 class NewtonBatch:
-    """Per-row outcome of :func:`_solve_from`; ``status`` holds each row's code:
+    """Per-row outcome of :func:`_solve_from`; ``status`` holds each row's code,
+    written in the round that decides it:
 
-    * :data:`SOLVED`: the residual sup-norm is within the tolerance;
-    * :data:`RANGE`: a target component is at or beyond the basis range;
+    * :data:`SOLVED`: the residual sup-norm is within the tolerance; after 0
+      iterations for an exact zero target (whose root is zero) or a start at the root;
+    * :data:`RANGE`: a target component is at or beyond the basis range (0 iterations);
     * :data:`ESCAPED`: an accepted step left the box :data:`THETA_BOX_BOUND`;
-    * :data:`SINGULAR`: the covariance at the iterate is singular;
+    * :data:`SINGULAR`: the covariance at the iterate is singular (the family
+      has collapsed onto one quadrature node), and the round takes no step;
     * :data:`STALLED`: the line search accepted no length;
     * :data:`CAPPED`: the residual is above the tolerance after the row's cap of steps.
 
@@ -258,19 +258,9 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     its own line search, tolerance ``tol`` and box bound; its result is
     bit-identical to solving it alone from its start, whatever the other rows
     are.  ``max_iter`` caps the steps of every row (an int) or of each row
-    (an array of ``len(targets)`` ints).  Each code is written where its cause
-    is decided:
-
-    * RANGE by the range test here, after 0 iterations, before any step;
-    * SOLVED within ``tol``; after 0 iterations for an exact zero target
-      (whose root is zero) or a start at the exact root;
-    * SINGULAR at the round whose covariance is singular (the family has
-      collapsed onto one quadrature node), which takes no step;
-    * STALLED at the round whose line search accepts no length;
-    * ESCAPED at the round whose accepted step leaves the box bound;
-    * CAPPED if still above ``tol`` after the row's cap of rounds.
-
-    Failures do not raise.  Solved rows keep the state their last evaluation computed.
+    (an array of ``len(targets)`` ints).  Each row ends with one code of
+    :class:`NewtonBatch`; failures do not raise.  Rows run in
+    :func:`_row_chunks`; solved rows keep the state their last evaluation computed.
     """
     if not np.all(np.isfinite(targets)):
         raise ValueError("moment target must be finite")
@@ -286,10 +276,16 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
         out.dens[zero], out.mu[zero] = _row_states(np.zeros((1, j)), spec)[:2]
     rows = np.flatnonzero((out.status == SOLVED) & ~zero)
     cap = np.broadcast_to(max_iter, (m,))
-    chunk = max(1, BATCH_ELEMENTS // max(spec.nodes.size, j * j))
-    for lo in range(0, rows.size, chunk):
-        _newton_rows(targets, start, rows[lo:lo + chunk], spec, cap, tol, out)
+    for lo, hi in _row_chunks(rows.size, max(spec.nodes.size, j * j)):
+        _newton_rows(targets, start, rows[lo:hi], spec, cap, tol, out)
     return out
+
+
+def _row_chunks(m: int, width: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges covering ``m`` rows of ``width`` elements, a quarter of
+    :data:`BATCH_ELEMENTS` per chunk, since several such arrays are alive at once."""
+    step = max(1, BATCH_ELEMENTS // (4 * max(width, 1)))
+    return [(lo, min(m, lo + step)) for lo in range(0, m, step)]
 
 
 def _newton_steps(cov: np.ndarray, resid: np.ndarray):

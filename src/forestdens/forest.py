@@ -14,37 +14,31 @@ draw is a counter-based hash of (tree key, domain, slot), the SplitMix64
 finaliser on uint64 arrays (Salmon et al. 2011; Steele, Lea & Flood 2014):
 one domain for the tree's half split and one per tree level for the eligible
 dimensions of the tree's node at that level.  So each draw is a pure function
-of (seed, tree index), drawn for all trees in one array call.  All
-branches grow together, one level at a time, and a level is processed as
-arrays: the nodes' target moments, one batched Newton solve (the iteration of
-:func:`~forestdens.expfam.solve_theta`: each root node solved to
-:data:`~forestdens.expfam.GROWTH_TOL`, each child node given
-:data:`~forestdens.expfam.GROWTH_STEPS` step from its parent's iterate), the
-pseudo-outcomes from the moments and density the solve kept at each node's
-last iterate (one stacked inverse per level, as grf builds them from the
-parent's estimate and Jacobian, with no exact re-solve per child), and the
-threshold scores, whose left-child sums and counts are one masked matmul
-over the slice's padded width, scored as one dense (row, threshold) table
-with each infeasible candidate at -inf.  Member tables are gathered
+of (seed, tree index), drawn for all trees in one array call.  All branches
+grow together, one level at a time, each level as arrays: batched Newton
+solves (each root node solved to :data:`~forestdens.expfam.GROWTH_TOL`, each
+child given :data:`~forestdens.expfam.GROWTH_STEPS` step from its parent's
+iterate, as grf splits on the parent's estimate and Jacobian), then every
+node's threshold scores (:func:`_split_level`).  Member tables are gathered
 from a basis table with a trailing count column (:func:`_with_sentinel`), so
 sums over members run in member order at any J and the padding adds exact
 zeros: growing one tree alone (:func:`grow_branch`) gives the same branch as
-growing it in a forest.
-A fit's trees stay arrays, one row per tree, from the subsample draw to the
-standard error; only the one-tree functions build :class:`BranchResult`,
-:class:`Box` and :class:`SplitRecord` objects.
-Each batched temporary is capped by :data:`forestdens.expfam.BATCH_ELEMENTS`:
-a level's split search runs in slices of nodes sized by their largest
-temporary, its Newton solve, up to 4096 nodes at J = 8, in one pass, and the
-infinitesimal jackknife in blocks of trees.
+growing it in a forest.  A fit's trees stay arrays, one row per tree, from
+the subsample draw to the standard error; only the one-tree functions build
+:class:`BranchResult`, :class:`Box` and :class:`SplitRecord` objects.
 
-Two splitting schemes are supported:
+The ``(B, s)`` subsample table is held once: each row is reordered in place
+into the tree's deciding half, then its holdout half, and growth reads the
+halves as column views.  Every other batched temporary is capped by
+:data:`forestdens.expfam.BATCH_ELEMENTS`, in row chunks: the half split and
+the per-tree means in chunks of trees, a level's Newton solves and V^-1 in
+chunks of nodes (1024 at J = 8), its split search in slices of nodes sized
+by their largest temporary, and the infinitesimal jackknife in blocks of trees.
 
-* ``"theta"``: pseudo-outcomes are the influence residuals of the
-  exponential-family coefficients at the current node's Newton iterate; any
-  code but SOLVED or CAPPED falls back to centred basis values,
-* ``"mu"``: pseudo-outcomes are centered basis values, a cheap alternative
-  that skips the per-node solve.
+Two splitting schemes are supported: under ``"theta"`` the pseudo-outcomes
+are the influence residuals of the exponential-family coefficients at the
+node's Newton iterate (any code but SOLVED or CAPPED falls back to centred
+basis values); under ``"mu"`` they are centred basis values, with no node solve.
 """
 
 from __future__ import annotations
@@ -386,8 +380,8 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     ``members`` holds each node's deciding-half positions into ``x_ext`` /
     ``phi_ext`` in their original order, padded with the sentinel last row
     (coordinates +inf, basis values and count 0).  Pseudo-outcomes are
-    ``vinv (phi - center)`` on ``usable`` nodes, ``(mu(theta), V(theta)^{-1})``
-    at the node's Newton iterate, and ``phi - center`` elsewhere, ``center``
+    ``vinv (phi - center)`` on ``usable`` nodes (both None under "mu"), ``(mu(theta),
+    V(theta)^{-1})`` at the node's Newton iterate, and ``phi - center`` elsewhere, ``center``
     the node's mean, and 0 in the padding; then comes ``phi_ext``'s count column
     (:func:`_with_sentinel`), so a node's totals and count are one sum over
     the padded width.  There is one scoring row per (node, eligible
@@ -407,7 +401,7 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     rho = phi_ext[members]
     j = rho.shape[2] - 1
     rho[:, :, :j] -= center[:, None, :]
-    if usable.any():
+    if vinv is not None and usable.any():
         # one (width, J) @ (J, J) product per node, on contiguous operands
         rho[usable, :, :j] = rho[usable, :, :j] @ vinv[usable].transpose(0, 2, 1)
     rho[np.arange(members.shape[1]) >= counts[:, None], :j] = 0.0
@@ -466,16 +460,16 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     """Best split of every active node of one level (nodes by decreasing count).
 
     The node targets are the deciding members' basis means, one sum over the
-    counted member table (:func:`_with_sentinel`) per slice; under the
-    "theta" scheme they go through one batched Newton solve, each node's
-    started from its row of ``start``: a zero start (a root, or the child of
-    a failed node) is solved to ``GROWTH_TOL`` in at most
-    :data:`~forestdens.expfam.NEWTON_MAX_ITER` steps, any other start takes at most
-    :data:`~forestdens.expfam.GROWTH_STEPS` steps.  The moments and density
-    kept at each usable (SOLVED or CAPPED) node's last iterate give its
-    ``V(theta)^{-1}`` in one stacked inverse; any other code falls back to
-    centred basis values.  Returns ``(dim, threshold, theta)``, ``theta``
-    the usable nodes' last iterates, zero elsewhere.
+    counted member table (:func:`_with_sentinel`) per slice.  Under "theta"
+    they go through one batched Newton solve per chunk of
+    :func:`~forestdens.expfam._row_chunks`, each node from its row of ``start``:
+    a zero start (a root, or the child of a failed node) is solved to
+    ``GROWTH_TOL`` within ``NEWTON_MAX_ITER`` steps, any other takes at most
+    ``GROWTH_STEPS``.  The moments and density kept at each usable (SOLVED or
+    CAPPED) node's last iterate give its ``V(theta)^{-1}``, one stacked inverse
+    per chunk, so no Newton state spans the level; other codes, and "mu", use
+    centred basis values.  Returns ``(dim, threshold, theta)``, ``theta`` the
+    usable nodes' last iterates, zero elsewhere.
     """
     spec = default_basis(cfg.basis_order)
     j = spec.order
@@ -483,25 +477,23 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     means = np.empty((counts.size, j))
     for a, b in slices:
         means[a:b] = phi_ext[members[a:b, :counts[a]]].sum(axis=1)[:, :j] / counts[a:b, None]
-    theta = np.zeros_like(means)
-    center = means
-    vinv = np.zeros((counts.size, j, j))
-    usable = np.zeros(counts.size, dtype=bool)
+    theta, center, vinv, usable = np.zeros_like(means), means, None, None
     if cfg.scheme == "theta":
         cap = np.where(start.any(axis=1), expfam.GROWTH_STEPS, expfam.NEWTON_MAX_ITER)
-        batch = expfam._solve_from(means, start, spec, cap, expfam.GROWTH_TOL)
-        usable = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
-        theta[usable] = batch.theta[usable]
-        center = np.where(usable[:, None], batch.mu, means)
-        vinv[usable] = expfam._inverse_covariances(batch.dens[usable], batch.mu[usable], spec)
-    dim = np.empty(counts.size, dtype=np.intp)
-    thr = np.empty(counts.size)
+        center, vinv = means.copy(), np.empty((counts.size, j, j))
+        usable = np.empty(counts.size, dtype=bool)
+        for a, b in expfam._row_chunks(counts.size, max(spec.nodes.size, j * j)):
+            batch = expfam._solve_from(means[a:b], start[a:b], spec, cap[a:b], expfam.GROWTH_TOL)
+            ok = usable[a:b] = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
+            theta[a:b][ok], center[a:b][ok] = batch.theta[ok], batch.mu[ok]
+            vinv[a:b][ok] = expfam._inverse_covariances(batch.dens[ok], batch.mu[ok], spec)
+    dim, thr = np.empty(counts.size, dtype=np.intp), np.empty(counts.size)
     row_bounds = np.searchsorted(row_node, [a for a, _ in slices] + [counts.size])
     for (a, b), r0, r1 in zip(slices, row_bounds[:-1], row_bounds[1:]):
-        dim[a:b], thr[a:b] = _node_splits(
-            x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
-            row_node[r0:r1] - a, row_dim[r0:r1], center[a:b], vinv[a:b],
-            usable[a:b], cfg)
+        pivots = (None, None) if vinv is None else (vinv[a:b], usable[a:b])
+        dim[a:b], thr[a:b] = _node_splits(x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
+                                          row_node[r0:r1] - a, row_dim[r0:r1], center[a:b],
+                                          *pivots, cfg)
     return dim, thr, theta
 
 
@@ -544,6 +536,8 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
 
     ``holdouts`` / ``decidings`` are ``(n_trees, .)`` tables of each tree's
     half positions into ``x_pts`` / ``phi``, ``keys`` the trees' uint64 keys.
+    When every point lies in the root box, ``decidings`` is the root's member
+    table as given (a view of the subsample table), not a compacted copy.
     Each level draws every active node's eligible dimensions in one call
     (:func:`_dim_masks`, keyed by its tree and the level), then splits all nodes
     together (:func:`_split_level`); a tree stops when fewer than
@@ -567,18 +561,21 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
     n_trees = len(decidings)
     x_ext, phi_ext = _with_sentinel(x_pts, phi)
     root = cfg.initial_parent
-    lower = np.tile(root.lower, (n_trees, 1))
-    upper = np.tile(root.upper, (n_trees, 1))
-    lower_open = np.tile(root.lower_open, (n_trees, 1))
+    lower, upper, lower_open = (np.tile(a, (n_trees, 1))
+                                for a in (root.lower, root.upper, root.lower_open))
     levels = []
     theta = np.zeros((n_trees, cfg.basis_order))  # each tree's last usable iterate, 0 if none
 
-    members, counts = _compact(decidings, _inside(x_ext, decidings, lower, upper, lower_open), n)
+    # when every point lies in the root box, the deciding half is its member table, uncopied
+    members, counts = decidings, np.full(n_trees, decidings.shape[1])
+    if not root.contains(x_pts).all():
+        members, counts = _compact(members, _inside(x_ext, members, lower, upper, lower_open), n)
     trees = np.arange(n_trees)
     for level in itertools.count():
         live = np.flatnonzero(counts >= 2 * cfg.min_child)
         live = live[np.argsort(-counts[live], kind="stable")]
-        trees, members, counts = trees[live], members[live], counts[live]
+        if not np.array_equal(live, np.arange(trees.size)):  # else keep the arrays, uncopied
+            trees, members, counts = trees[live], members[live], counts[live]
         if trees.size == 0:
             break
         members = members[:, :counts[0]]
@@ -588,11 +585,11 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
         dim, thr, theta[trees] = _split_level(x_ext, phi_ext, members, counts, row_node,
                                               row_dim, theta[trees], cfg)
 
-        split = dim >= 0
-        trees, members, counts, dim, thr = (a[split] for a in (trees, members, counts, dim, thr))
-        coords = x_ext[members, dim[:, None]]
+        if not (split := dim >= 0).all():  # else keep the arrays, uncopied
+            trees, members, counts, dim, thr = (
+                a[split] for a in (trees, members, counts, dim, thr))
         go_left = x[dim] <= thr
-        keep = np.where(go_left[:, None], coords <= thr[:, None], coords > thr[:, None])
+        keep = (x_ext[members, dim[:, None]] <= thr[:, None]) == go_left[:, None]
         keep &= np.arange(members.shape[1]) < counts[:, None]
         n_keep = keep.sum(axis=1)
         levels.append((trees, dim, thr, counts, np.where(go_left, n_keep, counts - n_keep)))
@@ -643,17 +640,16 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     spec = default_basis(cfg.basis_order)
     if isinstance(pivot, expfam.ThetaSolution):
         dens, center, _ = expfam._row_states(pivot.theta[None, :], spec)
-        vinv, solved = expfam._inverse_covariances(dens, center, spec), True
+        vinv, usable = expfam._inverse_covariances(dens, center, spec), np.array([True])
     elif isinstance(pivot, expfam.MomentVector):
-        center, vinv, solved = pivot.mu[None, :], np.zeros((1, spec.order, spec.order)), False
+        center, vinv, usable = pivot.mu[None, :], None, None
     else:
         raise TypeError("pivot must be a ThetaSolution or a MomentVector")
     x_ext, phi_ext = _with_sentinel(members.x, basis_matrix(spec, members.y))
     if dims.size == 0:
         return None
     dim, thr = _node_splits(x_ext, phi_ext, np.arange(m)[None, :], np.array([m]),
-                            np.zeros(dims.size, dtype=np.intp), dims, center, vinv,
-                            np.array([solved]), cfg)
+                            np.zeros(dims.size, dtype=np.intp), dims, center, vinv, usable, cfg)
     return None if dim[0] < 0 else (int(dim[0]), float(thr[0]))
 
 
@@ -723,7 +719,10 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
     order, so each mean is the same at any padded width, and for J >= 2
     bit-identical to ``phi[members].mean(axis=0)``.
     """
-    return _counted(phi)[leaf].sum(axis=1)[:, :-1] / np.maximum(counts, 1)[:, None]
+    ext, sums = _counted(phi), np.empty((leaf.shape[0], phi.shape[1]))
+    for lo, hi in expfam._row_chunks(leaf.shape[0], leaf.shape[1] * ext.shape[1]):
+        sums[lo:hi] = ext[leaf[lo:hi]].sum(axis=1)[:, :-1]
+    return sums / np.maximum(counts, 1)[:, None]
 
 
 def grow_forest(x, data: Dataset, cfg: ForestConfig):
@@ -734,19 +733,21 @@ def grow_forest(x, data: Dataset, cfg: ForestConfig):
     randomness, and ``default_basis(cfg.basis_order)`` the only basis.
     Returns ``(weights, per_tree_h, subsamples)``: the similarity weights,
     each tree's holdout basis mean (:func:`per_tree_means`) and the
-    read-only ``(n_trees, subsample_size)`` subsample table of
-    :func:`draw_subsamples`, in tree order.  Each weight adds its trees'
-    shares in tree order.
+    read-only ``(n_trees, subsample_size)`` subsample table, in tree order.
+    Row ``t`` holds row ``t`` of :func:`draw_subsamples`' table as
+    :func:`split_half` divides it under tree ``t``'s key: the deciding half,
+    then the holdout half, each sorted.  Each weight adds its trees' shares in tree order.
     """
     master, keys = _tree_streams(cfg.seed, cfg.n_trees)
-    subsamples = draw_subsamples(data.n, cfg, master)
+    subsamples, s = draw_subsamples(data.n, cfg, master), cfg.subsample_size
+    for lo, hi in expfam._row_chunks(cfg.n_trees, s):
+        # a stable sort of a sorted row's holdout flags: its deciding half first, both sorted
+        order = np.argsort(~_half_masks(keys[lo:hi], s), axis=1, kind="stable")
+        subsamples[lo:hi] = np.take_along_axis(subsamples[lo:hi], order, axis=1)
     subsamples.setflags(write=False)
-    # the rows are sorted, so both halves come out sorted, as split_half gives them
-    deciding = _half_masks(keys, cfg.subsample_size)
-    holdouts = subsamples[~deciding].reshape(cfg.n_trees, -1)
-    decidings = subsamples[deciding].reshape(cfg.n_trees, -1)
     phi = basis_matrix(default_basis(cfg.basis_order), data.y)
-    leaf, counts, *_ = _grow_branches(x, data.x, phi, holdouts, decidings, keys, cfg)
+    leaf, counts, *_ = _grow_branches(x, data.x, phi, subsamples[:, s // 2:],
+                                      subsamples[:, :s // 2], keys, cfg)
     share = 1.0 / (cfg.n_trees * np.maximum(counts, 1))
     w = np.bincount(leaf[np.arange(leaf.shape[1]) < counts[:, None]],
                     weights=np.repeat(share, counts), minlength=data.n)

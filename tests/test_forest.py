@@ -236,6 +236,68 @@ class TestSplitHalf:
             assert abs(freq / 10_000 - 1 / 6) <= 3 * se
 
 
+class TestSubsampleTable:
+    """``grow_forest``'s table holds each tree's deciding half, then its holdout
+    half, and growth holds no second copy of it."""
+
+    @pytest.mark.parametrize("batch", [None, 100])  # 100: one tree per reordered chunk
+    def test_row_is_the_drawn_rows_deciding_then_holdout_half(self, monkeypatch, batch):
+        if batch is not None:
+            monkeypatch.setattr(expfam, "BATCH_ELEMENTS", batch)
+        rng = np.random.default_rng(44)
+        data = random_dataset(rng, 150, 3)
+        cfg = ForestConfig(subsample_size=41, n_trees=30, basis_order=3,
+                           initial_parent=unit_box(3), min_child=3, scheme="theta", seed=9)
+        table = forest_mod.grow_forest(np.full(3, 0.5), data, cfg)[2]
+        master, keys = forest_mod._tree_streams(cfg.seed, cfg.n_trees)
+        drawn = draw_subsamples(data.n, cfg, master)
+        assert table.shape == drawn.shape and not table.flags.writeable
+        for t in range(cfg.n_trees):
+            holdout, deciding = split_half(drawn[t], keys[t])
+            assert deciding.size == 20  # floor(41 / 2)
+            np.testing.assert_array_equal(table[t], np.concatenate([deciding, holdout]))
+            np.testing.assert_array_equal(np.sort(table[t]), drawn[t])
+
+    @pytest.mark.parametrize("batch", [None, 2 * 2 * 60])  # one pass, or blocks of 2 trees
+    def test_jackknife_bytes_do_not_depend_on_the_row_order(self, monkeypatch, batch):
+        # each tree adds its deviation to each of its members once, in tree order
+        if batch is not None:
+            monkeypatch.setattr(expfam, "BATCH_ELEMENTS", batch)
+        rng = np.random.default_rng(45)
+        data = random_dataset(rng, 200, 2)
+        cfg = ForestConfig(subsample_size=60, n_trees=25, basis_order=2,
+                           initial_parent=unit_box(2), min_child=4, seed=12)
+        _, h, table = forest_mod.grow_forest(np.full(2, 0.5), data, cfg)
+        ordered = np.sort(table, axis=1)
+        assert not np.array_equal(ordered, table)
+        for a, b in zip(forest_mod.infinitesimal_jackknife(table, h, data.n),
+                        forest_mod.infinitesimal_jackknife(ordered, h, data.n)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_growth_holds_the_table_once(self):
+        # B = 4000 trees of s = 200 (the reference fit has 2240): the table's two
+        # halves gathered apart would be 6.4 MB, and one (B, Q) array of Newton
+        # state, Q = 64 quadrature nodes, 2 MB.  J = 4 keeps the level's
+        # (B, J, J) inverse covariances at a quarter of that.
+        b, s, n, j = 4000, 200, 1000, 4
+        rng = np.random.default_rng(43)
+        x = rng.random((n, 4))
+        data = Dataset(rng.beta(0.6 + 2 * x[:, 0], 0.8 + x[:, 1]), x)
+        cfg = ForestConfig(subsample_size=s, n_trees=b, basis_order=j,
+                           initial_parent=unit_box(4), min_child=10, scheme="theta", seed=5)
+        tracemalloc.start()
+        try:
+            table = forest_mod.grow_forest(np.full(4, 0.5), data, cfg)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (b, s)
+        # beyond the table: a level's (B, s / 2) member positions and its
+        # compacted children, and chunks of BATCH_ELEMENTS-capped temporaries
+        members = 8 * b * (s // 2)
+        assert peak < table.nbytes + 2 * members + 3 * 8 * expfam.BATCH_ELEMENTS
+
+
 def delta_tilde(rho_by_child) -> float:
     """Heterogeneity score of a candidate split, the brute-force reference.
 
@@ -743,12 +805,20 @@ class TestGrowthRegression:
             "ffa3da5222e35ac9fcae6ea9dec1c1e623b8a794b95e3d517d6ba5ba09c57774")
 
     def test_forest_equals_trees_grown_alone(self):
-        # a node's solve and split do not depend on the batch it is in
+        # a node's solve and split do not depend on the batch it is in; every
+        # point lies in the root, so growth starts from the deciding half uncopied
+        self.check_trees_grown_alone(unit_box(3))
+
+    def test_forest_equals_trees_grown_alone_with_points_outside_the_root(self):
+        # the root's members are those of the deciding half inside it
+        self.check_trees_grown_alone([[0.1] * 3, [0.9] * 3])
+
+    def check_trees_grown_alone(self, root):
         rng = np.random.default_rng(27)
         x = rng.random((400, 3))
         data = Dataset(rng.beta(0.5 + 2 * x[:, 0], 1.0 + x[:, 2]), x)
         cfg = ForestConfig(subsample_size=120, n_trees=72, basis_order=5,
-                           initial_parent=unit_box(3), min_child=3, scheme="theta", seed=5)
+                           initial_parent=root, min_child=3, scheme="theta", seed=5)
         x_query = np.array([0.4, 0.55, 0.6])
         w = weights(x_query, data, cfg).weights
 
@@ -1170,6 +1240,17 @@ class TestPerTreeMeans:
         rows = per_tree_means(leaf, counts, phi)
         wide = np.hstack([leaf, np.full((counts.size, extra), n)])
         assert per_tree_means(wide, counts, phi).tobytes() == rows.tobytes()
+
+    def test_chunks_keep_the_bytes(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        n, counts = 40, np.array([5, 0, 12, 7, 1])
+        phi = basis_matrix(default_basis(3), rng.random(n))
+        leaf = np.full((counts.size, counts.max()), n)
+        for t, c in enumerate(counts):
+            leaf[t, :c] = rng.choice(n, c, replace=False)
+        whole = per_tree_means(leaf, counts, phi)
+        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one tree per chunk
+        assert per_tree_means(leaf, counts, phi).tobytes() == whole.tobytes()
 
 
 class TestCountedTable:
