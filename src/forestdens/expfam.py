@@ -148,8 +148,10 @@ def _inverse_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec) -> n
 
 
 def _pseudo_outcomes(mu: np.ndarray, vinv: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """:func:`row_pseudo_outcomes` from the rows' moments and :func:`_inverse_covariances`:
-    one stacked matmul, whose core is a row's ``(k, J) @ (J, J)`` product, maps all members."""
+    """``V^-1 (phi - mu)`` for each row, the formula's one home: growth's split search,
+    :func:`row_pseudo_outcomes` and :func:`_t_row` call it.  ``phi - mu`` is a fresh contiguous
+    array, so the stacked matmul, one ``(k, J) @ (J, J)`` product per row, has the same bits
+    whatever ``phi``'s strides."""
     return (phi - mu[:, None, :]) @ vinv.transpose(0, 2, 1)
 
 

@@ -36,9 +36,11 @@ chunks of nodes (1024 at J = 8), its split search in slices of nodes sized
 by their largest temporary, and the infinitesimal jackknife in blocks of trees.
 
 Two splitting schemes are supported: under ``"theta"`` the pseudo-outcomes
-are the influence residuals of the exponential-family coefficients at the
-node's Newton iterate (any code but SOLVED or CAPPED falls back to centred
-basis values); under ``"mu"`` they are centred basis values, with no node solve.
+are the influence residuals V^-1 (phi - mu) at the node's Newton iterate; a
+node whose solve ends in a code other than SOLVED or CAPPED takes its basis
+mean and the identity as (mu, V^-1).  Under ``"mu"`` they are centred basis
+values, with no node solve.  Boxes are closed: a right child, x > t, stores
+``np.nextafter(t, inf)``, the next double above t, as its lower bound.
 """
 
 from __future__ import annotations
@@ -81,11 +83,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box; lower faces opened by splits are tracked per dimension."""
+    """Closed axis-aligned box; a right child's lower bound is the next double above its split."""
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_open: np.ndarray = None
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -94,13 +95,8 @@ class Box:
             raise ValueError("box bounds must be 1-D arrays of equal length")
         if not np.all(lo <= hi):  # NaN fails too
             raise ValueError("box bounds must be numbers with lower <= upper")
-        open_ = (np.zeros(lo.size, dtype=bool) if self.lower_open is None
-                 else np.asarray(self.lower_open, dtype=bool))
-        if open_.shape != lo.shape:
-            raise ValueError(f"lower_open of shape {open_.shape} for a {lo.size}-D box")
         object.__setattr__(self, "lower", _readonly(lo))
         object.__setattr__(self, "upper", _readonly(hi))
-        object.__setattr__(self, "lower_open", _readonly(open_))
 
     @property
     def dim(self) -> int:
@@ -111,8 +107,7 @@ class Box:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points of dimension {pts.shape[1]} for a {self.dim}-D box")
-        inside = _inside(pts, np.arange(pts.shape[0])[None], self.lower[None],
-                         self.upper[None], self.lower_open[None])[0]
+        inside = _inside(pts, np.arange(pts.shape[0])[None], self.lower[None], self.upper[None])[0]
         return inside if np.asarray(points).ndim > 1 else bool(inside[0])
 
 
@@ -223,7 +218,7 @@ class ForestConfig:
     basis_order : int
         Number of non-constant basis functions J of the fit's one basis, ``default_basis(J)``.
     initial_parent : Box or array_like
-        The root node; the query point must lie inside it.  An array of
+        The root node, a closed box; the query point must lie inside it.  An array of
         shape ``(2, d)`` is read as (lower, upper).
     min_child : int
         Minimum deciding-half count per child.
@@ -374,15 +369,15 @@ _TIE_RTOL = 1e-12
 
 
 def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
-                 center, vinv, usable, cfg: ForestConfig):
+                 center, vinv, cfg: ForestConfig):
     """Score the threshold grid of every node and pick each node's best split.
 
     ``members`` holds each node's deciding-half positions into ``x_ext`` /
     ``phi_ext`` in their original order, padded with the sentinel last row
     (coordinates +inf, basis values and count 0).  Pseudo-outcomes are
-    ``vinv (phi - center)`` on ``usable`` nodes (both None under "mu"), ``(mu(theta),
-    V(theta)^{-1})`` at the node's Newton iterate, and ``phi - center`` elsewhere, ``center``
-    the node's mean, and 0 in the padding; then comes ``phi_ext``'s count column
+    ``vinv (phi - center)`` (:func:`~forestdens.expfam._pseudo_outcomes`), one
+    ``(center, vinv)`` pair per node; under "mu" ``vinv`` is None and they are
+    ``phi - center``.  They are 0 in the padding; then comes ``phi_ext``'s count column
     (:func:`_with_sentinel`), so a node's totals and count are one sum over
     the padded width.  There is one scoring row per (node, eligible
     dimension) pair, ``row_node`` ascending and ``row_dim`` ascending within a
@@ -400,10 +395,10 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     """
     rho = phi_ext[members]
     j = rho.shape[2] - 1
-    rho[:, :, :j] -= center[:, None, :]
-    if vinv is not None and usable.any():
-        # one (width, J) @ (J, J) product per node, on contiguous operands
-        rho[usable, :, :j] = rho[usable, :, :j] @ vinv[usable].transpose(0, 2, 1)
+    if vinv is None:
+        rho[:, :, :j] -= center[:, None, :]
+    else:
+        rho[:, :, :j] = expfam._pseudo_outcomes(center, vinv, rho[:, :, :j])
     rho[np.arange(members.shape[1]) >= counts[:, None], :j] = 0.0
     totals = rho.sum(axis=1)
 
@@ -465,11 +460,12 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     :func:`~forestdens.expfam._row_chunks`, each node from its row of ``start``:
     a zero start (a root, or the child of a failed node) is solved to
     ``GROWTH_TOL`` within ``NEWTON_MAX_ITER`` steps, any other takes at most
-    ``GROWTH_STEPS``.  The moments and density kept at each usable (SOLVED or
-    CAPPED) node's last iterate give its ``V(theta)^{-1}``, one stacked inverse
-    per chunk, so no Newton state spans the level; other codes, and "mu", use
-    centred basis values.  Returns ``(dim, threshold, theta)``, ``theta`` the
-    usable nodes' last iterates, zero elsewhere.
+    ``GROWTH_STEPS``.  The moments and density kept at a SOLVED or CAPPED node's
+    last iterate give its ``(mu(theta), V(theta)^{-1})``, one stacked inverse per
+    chunk, so no Newton state spans the level; a node with any other code keeps
+    its mean and the identity.  Under "mu" every node keeps its mean, with no
+    V^-1.  Returns ``(dim, threshold, theta)``, ``theta`` the SOLVED or CAPPED
+    nodes' last iterates, zero elsewhere.
     """
     spec = default_basis(cfg.basis_order)
     j = spec.order
@@ -477,23 +473,21 @@ def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg:
     means = np.empty((counts.size, j))
     for a, b in slices:
         means[a:b] = phi_ext[members[a:b, :counts[a]]].sum(axis=1)[:, :j] / counts[a:b, None]
-    theta, center, vinv, usable = np.zeros_like(means), means, None, None
+    theta, center, vinv = np.zeros_like(means), means, None
     if cfg.scheme == "theta":
         cap = np.where(start.any(axis=1), expfam.GROWTH_STEPS, expfam.NEWTON_MAX_ITER)
-        center, vinv = means.copy(), np.empty((counts.size, j, j))
-        usable = np.empty(counts.size, dtype=bool)
+        center, vinv = means.copy(), np.tile(np.eye(j), (counts.size, 1, 1))
         for a, b in expfam._row_chunks(counts.size, max(spec.nodes.size, j * j)):
             batch = expfam._solve_from(means[a:b], start[a:b], spec, cap[a:b], expfam.GROWTH_TOL)
-            ok = usable[a:b] = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
+            ok = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
             theta[a:b][ok], center[a:b][ok] = batch.theta[ok], batch.mu[ok]
             vinv[a:b][ok] = expfam._inverse_covariances(batch.dens[ok], batch.mu[ok], spec)
     dim, thr = np.empty(counts.size, dtype=np.intp), np.empty(counts.size)
     row_bounds = np.searchsorted(row_node, [a for a, _ in slices] + [counts.size])
     for (a, b), r0, r1 in zip(slices, row_bounds[:-1], row_bounds[1:]):
-        pivots = (None, None) if vinv is None else (vinv[a:b], usable[a:b])
         dim[a:b], thr[a:b] = _node_splits(x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
                                           row_node[r0:r1] - a, row_dim[r0:r1], center[a:b],
-                                          *pivots, cfg)
+                                          None if vinv is None else vinv[a:b], cfg)
     return dim, thr, theta
 
 
@@ -521,13 +515,12 @@ def _compact(members: np.ndarray, keep: np.ndarray, fill: int):
     return members, counts
 
 
-def _inside(x_ext, members, lower, upper, lower_open) -> np.ndarray:
-    """Which padded members lie in their row's box; :meth:`Box.contains` uses it too."""
+def _inside(x_ext, members, lower, upper) -> np.ndarray:
+    """Which padded members lie in their row's closed box; :meth:`Box.contains` uses it too."""
     out = np.ones(members.shape, dtype=bool)
     for k in range(x_ext.shape[1]):
         pts = x_ext[members, k]
-        lo = lower[:, k, None]
-        out &= np.where(lower_open[:, k, None], pts > lo, pts >= lo) & (pts <= upper[:, k, None])
+        out &= (pts >= lower[:, k, None]) & (pts <= upper[:, k, None])
     return out
 
 
@@ -547,7 +540,7 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
     root, and the child of a node whose solve failed, start from zero and
     are solved to ``GROWTH_TOL``.
 
-    Returns ``(leaf, counts, lower, upper, lower_open, levels)``: tree ``t``'s
+    Returns ``(leaf, counts, lower, upper, levels)``: tree ``t``'s
     leaf holdout members ``leaf[t, :counts[t]]``, its leaf box in row ``t`` of
     the bounds, and per level the split arrays (tree, dim, threshold, n_parent, n_left).
     """
@@ -561,15 +554,14 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
     n_trees = len(decidings)
     x_ext, phi_ext = _with_sentinel(x_pts, phi)
     root = cfg.initial_parent
-    lower, upper, lower_open = (np.tile(a, (n_trees, 1))
-                                for a in (root.lower, root.upper, root.lower_open))
+    lower, upper = np.tile(root.lower, (n_trees, 1)), np.tile(root.upper, (n_trees, 1))
     levels = []
-    theta = np.zeros((n_trees, cfg.basis_order))  # each tree's last usable iterate, 0 if none
+    theta = np.zeros((n_trees, cfg.basis_order))  # each tree's last SOLVED or CAPPED iterate, or 0
 
     # when every point lies in the root box, the deciding half is its member table, uncopied
     members, counts = decidings, np.full(n_trees, decidings.shape[1])
     if not root.contains(x_pts).all():
-        members, counts = _compact(members, _inside(x_ext, members, lower, upper, lower_open), n)
+        members, counts = _compact(members, _inside(x_ext, members, lower, upper), n)
     trees = np.arange(n_trees)
     for level in itertools.count():
         live = np.flatnonzero(counts >= 2 * cfg.min_child)
@@ -594,12 +586,11 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
         n_keep = keep.sum(axis=1)
         levels.append((trees, dim, thr, counts, np.where(go_left, n_keep, counts - n_keep)))
         upper[trees[go_left], dim[go_left]] = thr[go_left]
-        lower[trees[~go_left], dim[~go_left]] = thr[~go_left]
-        lower_open[trees[~go_left], dim[~go_left]] = True
+        lower[trees[~go_left], dim[~go_left]] = np.nextafter(thr[~go_left], np.inf)
         members, counts = _compact(members, keep, n)
 
-    leaf, leaf_counts = _compact(holdouts, _inside(x_ext, holdouts, lower, upper, lower_open), n)
-    return leaf, leaf_counts, lower, upper, lower_open, levels
+    leaf, leaf_counts = _compact(holdouts, _inside(x_ext, holdouts, lower, upper), n)
+    return leaf, leaf_counts, lower, upper, levels
 
 
 def _positions(values, size: int, name: str) -> np.ndarray:
@@ -640,16 +631,16 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     spec = default_basis(cfg.basis_order)
     if isinstance(pivot, expfam.ThetaSolution):
         dens, center, _ = expfam._row_states(pivot.theta[None, :], spec)
-        vinv, usable = expfam._inverse_covariances(dens, center, spec), np.array([True])
+        vinv = expfam._inverse_covariances(dens, center, spec)
     elif isinstance(pivot, expfam.MomentVector):
-        center, vinv, usable = pivot.mu[None, :], None, None
+        center, vinv = pivot.mu[None, :], None
     else:
         raise TypeError("pivot must be a ThetaSolution or a MomentVector")
     x_ext, phi_ext = _with_sentinel(members.x, basis_matrix(spec, members.y))
     if dims.size == 0:
         return None
     dim, thr = _node_splits(x_ext, phi_ext, np.arange(m)[None, :], np.array([m]),
-                            np.zeros(dims.size, dtype=np.intp), dims, center, vinv, usable, cfg)
+                            np.zeros(dims.size, dtype=np.intp), dims, center, vinv, cfg)
     return None if dim[0] < 0 else (int(dim[0]), float(thr[0]))
 
 
@@ -677,12 +668,11 @@ def grow_from_halves(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,
     if np.intersect1d(holdout, deciding).size:
         raise ValueError("the halves share a position, which breaks honesty")
     phi_sub = basis_matrix(default_basis(cfg.basis_order), sub.y)
-    leaf, count, lower, upper, lower_open, levels = _grow_branches(
+    leaf, count, lower, upper, levels = _grow_branches(
         x, sub.x, phi_sub, holdout[None], deciding[None], np.array([_key(key)]), cfg)
     splits = tuple(SplitRecord(d, t, m, k, m - k) for level in levels
                    for _, d, t, m, k in zip(*(a.tolist() for a in level)))
-    return BranchResult(Box(lower[0], upper[0], lower_open[0]), leaf[0, :count[0]],
-                        deciding, splits)
+    return BranchResult(Box(lower[0], upper[0]), leaf[0, :count[0]], deciding, splits)
 
 
 def grow_branch(x, y_sub: np.ndarray, x_sub: np.ndarray, cfg: ForestConfig,

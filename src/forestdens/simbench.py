@@ -214,14 +214,18 @@ def kernel_baseline(data: Dataset, y: float, x) -> float:
     covariates only (the irrelevant fourth is ignored by construction).
     The bandwidths are 1.06 times the sample standard deviation scaled by
     ``n^(-1/8)`` in the numerator and ``n^(-1/7)`` for the covariates in the
-    denominator.  ``ValueError`` names the first of these columns that is
-    constant, whose bandwidth would be zero.
+    denominator.  ``ValueError`` for data without 4 covariates, a query row
+    ``x`` of another shape, a ``y`` outside [0, 1], or one of these columns
+    constant, whose bandwidth would be zero; the message names that column.
     """
+    if data.dim != _COV_DIM:
+        raise ValueError(f"data of {data.dim} covariates, not {_COV_DIM}")
+    x = _one_row(x)
+    _check_unit_interval(y)
     flat = np.ptp(np.column_stack([data.y, data.x[:, :3]]), axis=0) == 0.0
     if flat.any():
         name = ("outcome", "covariate 1", "covariate 2", "covariate 3")[np.argmax(flat)]
         raise ValueError(f"{name} is constant, so its kernel bandwidth is zero")
-    x = np.asarray(x, dtype=float)
     n = data.n
     h_y = 1.06 * np.std(data.y, ddof=1) * n ** (-1.0 / 8.0)
     sx = np.std(data.x[:, :3], axis=0, ddof=1)

@@ -29,7 +29,6 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_HELD = ["forest.se_subsample_plan", "forest.sigma_fe", "estimator.basis_matrix"]
 
 OPTIONS = [
-    "forest.Box.lower_open",
     "forest.ForestConfig.min_child",
     "forest.ForestConfig.min_fraction",
     "forest.ForestConfig.scheme",

@@ -535,9 +535,9 @@ class TestWarmStart:
 
 
 class TestKeptState:
-    """Growth builds each usable node's pseudo-outcomes from the density and
-    moments the Newton solve kept at its last iterate: a SOLVED row's root, or
-    a CAPPED row's last step."""
+    """Growth builds each SOLVED or CAPPED node's pseudo-outcomes from the
+    density and moments the Newton solve kept at its last iterate: a SOLVED
+    row's root, or a CAPPED row's last step."""
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10),
            st.integers(min_value=2, max_value=6), st.data(), st.randoms(use_true_random=False))
@@ -563,11 +563,11 @@ class TestKeptState:
         theta, dens, mu, status = (np.concatenate([getattr(b, f) for b in parts])
                                    for f in ("theta", "dens", "mu", "status"))
         assert np.count_nonzero(status == SOLVED) >= 3 and status[-1] == CAPPED
-        usable = np.flatnonzero((status == SOLVED) | (status == CAPPED))
-        phi = basis_matrix(spec, rng.random(usable.size * k)).reshape(usable.size, k, j)
-        vinv = expfam._inverse_covariances(dens[usable], mu[usable], spec)
-        kept = (phi - mu[usable][:, None, :]) @ vinv.transpose(0, 2, 1)
-        expected = expfam.row_pseudo_outcomes(theta[usable], phi, spec)
+        ok = np.flatnonzero((status == SOLVED) | (status == CAPPED))
+        phi = basis_matrix(spec, rng.random(ok.size * k)).reshape(ok.size, k, j)
+        vinv = expfam._inverse_covariances(dens[ok], mu[ok], spec)
+        kept = expfam._pseudo_outcomes(mu[ok], vinv, phi)  # as growth maps a node's members
+        expected = expfam.row_pseudo_outcomes(theta[ok], phi, spec)
         assert kept.tobytes() == expected.tobytes()
 
 

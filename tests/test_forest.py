@@ -48,11 +48,6 @@ class TestBox:
         assert box.contains(np.array([0.0, 0.5]))
         assert not box.contains(np.array([0.0, 0.51]))
 
-    def test_open_lower_face(self):
-        box = Box([0.2, 0.0], [1.0, 1.0], lower_open=[True, False])
-        assert not box.contains(np.array([0.2, 0.3]))
-        assert box.contains(np.array([0.2000001, 0.3]))
-
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
@@ -61,10 +56,6 @@ class TestBox:
     def test_rejects_points_of_another_dimension(self, points):
         with pytest.raises(ValueError, match="dimension"):
             Box([0.0, 0.0], [1.0, 0.5]).contains(np.array(points))
-
-    def test_rejects_lower_open_of_another_length(self):
-        with pytest.raises(ValueError, match=r"lower_open of shape \(1,\) for a 2-D box"):
-            Box([0.0, 0.0], [1.0, 1.0], lower_open=[True])
 
     @pytest.mark.parametrize("lower, upper", [([np.nan, 0.0], [1.0, 1.0]),
                                               ([0.0, 0.0], [1.0, np.nan])])
@@ -524,12 +515,40 @@ class TestGrowBranch:
             if 0.5 <= rec.threshold:
                 assert rec.threshold <= hi[rec.dim]
                 hi[rec.dim] = min(hi[rec.dim], rec.threshold)
-            else:
+            else:  # x > t: the closed box starts at the next double above t
                 assert rec.threshold >= lo[rec.dim]
-                lo[rec.dim] = max(lo[rec.dim], rec.threshold)
+                lo[rec.dim] = max(lo[rec.dim], np.nextafter(rec.threshold, np.inf))
             assert lo[rec.dim] < hi[rec.dim]
         np.testing.assert_array_equal(res.leaf_box.lower, lo)
         np.testing.assert_array_equal(res.leaf_box.upper, hi)
+
+    def test_points_on_a_threshold_follow_its_split(self):
+        # with n_grid = 7 a node spanning [0, 1] has the thresholds k/8, so on
+        # coordinates k/8 holdout points lie exactly on split thresholds.  On
+        # a face of the leaf, a point on a right child's threshold (x > t) is
+        # outside the leaf, and one on a left child's threshold (x <= t) inside
+        rng = np.random.default_rng(33)
+        data = Dataset(rng.random(400), rng.integers(0, 9, (400, 2)) / 8)
+        cfg = make_config(subsample_size=200, n_trees=1, min_child=10, n_grid=7, seed=3)
+        x_query = np.array([0.55, 0.45])
+        w = weights(x_query, data, cfg).weights
+        master, keys = forest_mod._tree_streams(cfg.seed, cfg.n_trees)
+        idx = draw_subsamples(data.n, cfg, master)[0]
+        res = grow_branch(x_query, data.y[idx], data.x[idx], cfg, keys[0])
+        holdout = idx[np.setdiff1d(np.arange(idx.size), res.split_members)]
+        # the last split on each side of each dimension is the leaf's face there
+        faces = {(rec.dim, bool(x_query[rec.dim] <= rec.threshold)): rec.threshold
+                 for rec in res.splits}
+        seams = {True: 0, False: 0}
+        for (dim, left), t in faces.items():
+            for i in holdout[data.x[holdout, dim] == t]:
+                elsewhere = data.x[i].copy()
+                elsewhere[dim] = x_query[dim]
+                if res.leaf_box.contains(elsewhere):  # the point is outside no other face
+                    assert res.leaf_box.contains(data.x[i]) == left
+                    assert (w[i] > 0.0) == left
+                    seams[left] += 1
+        assert seams == {True: 5, False: 9}
 
 
 class TestOneTreeInputs:
@@ -807,19 +826,44 @@ class TestGrowthRegression:
     def test_forest_equals_trees_grown_alone(self):
         # a node's solve and split do not depend on the batch it is in; every
         # point lies in the root, so growth starts from the deciding half uncopied
-        self.check_trees_grown_alone(unit_box(3))
+        assert max(self.check_trees_grown_alone(*self.beta_case(unit_box(3)))) >= 5
 
     def test_forest_equals_trees_grown_alone_with_points_outside_the_root(self):
         # the root's members are those of the deciding half inside it
-        self.check_trees_grown_alone([[0.1] * 3, [0.9] * 3])
+        assert max(self.check_trees_grown_alone(*self.beta_case([[0.1] * 3, [0.9] * 3]))) >= 5
 
-    def check_trees_grown_alone(self, root):
+    def test_forest_equals_trees_grown_alone_with_failed_node_solves(self, monkeypatch):
+        # y = 1 wherever x0 > 0.6, so a pure node's target is at the basis
+        # range: its solve ends RANGE, and its V^-1 is the identity
+        statuses = []
+        solve = expfam._solve_from
+
+        def recording(*args):
+            res = solve(*args)
+            statuses.extend(res.status.tolist())
+            return res
+
+        monkeypatch.setattr(expfam, "_solve_from", recording)
+        rng = np.random.default_rng(5)
+        x = rng.random((300, 3))
+        data = Dataset(np.where(x[:, 0] > 0.6, 1.0, rng.random(300)), x)
+        cfg = ForestConfig(subsample_size=80, n_trees=40, basis_order=3,
+                           initial_parent=unit_box(3), min_child=3, scheme="theta", seed=2)
+        self.check_trees_grown_alone(data, np.array([0.8, 0.5, 0.5]), cfg)
+        assert set(statuses) - {expfam.SOLVED, expfam.CAPPED} == {expfam.RANGE}
+
+    @staticmethod
+    def beta_case(root):
         rng = np.random.default_rng(27)
         x = rng.random((400, 3))
         data = Dataset(rng.beta(0.5 + 2 * x[:, 0], 1.0 + x[:, 2]), x)
         cfg = ForestConfig(subsample_size=120, n_trees=72, basis_order=5,
                            initial_parent=root, min_child=3, scheme="theta", seed=5)
-        x_query = np.array([0.4, 0.55, 0.6])
+        return data, np.array([0.4, 0.55, 0.6]), cfg
+
+    @staticmethod
+    def check_trees_grown_alone(data, x_query, cfg):
+        """Each tree's depth, after checking the forest's weights against its trees grown alone."""
         w = weights(x_query, data, cfg).weights
 
         master, tree_rngs = forest_mod._tree_streams(cfg.seed, cfg.n_trees)
@@ -831,7 +875,7 @@ class TestGrowthRegression:
             if res.holdout_members.size:
                 expected[idx[res.holdout_members]] += 1.0 / (cfg.n_trees * res.holdout_members.size)
         np.testing.assert_array_equal(w, expected)
-        assert max(depth) >= 5
+        return depth
 
     def test_fit_equals_one_tree_loop_with_an_empty_leaf(self):
         # the fit's array path gives the bits of a loop over the one-tree API
@@ -981,8 +1025,9 @@ class TestLevelSlices:
         dens, mu, _ = expfam._row_states(theta, spec)
         center = np.where(solved[:, None], mu, means)
         vinv = expfam._inverse_covariances(dens, mu, spec)
+        vinv[~solved] = np.eye(j)  # a failed node's V^-1, as growth gives it
         dim, thr = forest_mod._node_splits(x_ext, phi_ext, members, counts, row_node,
-                                           np.concatenate(dims), center, vinv, solved, cfg)
+                                           np.concatenate(dims), center, vinv, cfg)
         for k, (a, c) in enumerate(zip(starts, counts)):
             pivot = (expfam.ThetaSolution(theta[k], 0.0, 0, True) if solved[k]
                      else expfam.MomentVector(means[k]))

@@ -273,6 +273,26 @@ class TestKernelBaseline:
         x[:, 3] = 0.5
         assert kernel_baseline(Dataset(rng.random(50), x), 0.5, X_QUERY) > 0.0
 
+    @pytest.mark.parametrize("x", [np.full(3, 0.5), np.full(5, 0.5), np.full((1, 4), 0.5)])
+    def test_rejects_a_query_row_of_another_shape(self, x):
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.random(50), rng.random((50, 4)))
+        with pytest.raises(ValueError, match="one covariate row of 4 coordinates"):
+            kernel_baseline(data, 0.5, x)
+
+    @pytest.mark.parametrize("y", [np.nan, 1.5, -0.2])
+    def test_rejects_an_outcome_outside_the_unit_interval(self, y):
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.random(50), rng.random((50, 4)))
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+            kernel_baseline(data, y, X_QUERY)
+
+    def test_rejects_data_without_four_covariates(self):
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.random(50), rng.random((50, 2)))
+        with pytest.raises(ValueError, match="data of 2 covariates, not 4"):
+            kernel_baseline(data, 0.5, np.full(2, 0.5))
+
 
 def small_mc_config(**kw):
     defaults = dict(subsample_size=50, n_trees=64, basis_order=4,
