@@ -216,9 +216,9 @@ _FAILURES = {
                              "iterations"),
 }
 
-#: Elements allowed in any one batched temporary.  Row chunks keep to it: Newton
-#: batches (:func:`_row_chunks`), V^-1 and the Newton state of a growth level, the
-#: split search's node slices, the tree half split, the per-tree means, and the
+#: Elements allowed in any one batched temporary.  The row chunks of
+#: :func:`_row_chunks` keep to it: Newton batches, a growth level's Newton state,
+#: V^-1 and split slices, the tree half split, the per-tree means, and the
 #: infinitesimal jackknife's blocks of trees.
 BATCH_ELEMENTS = 1 << 18
 
@@ -278,16 +278,21 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
         out.dens[zero], out.mu[zero] = _row_states(np.zeros((1, j)), spec)[:2]
     rows = np.flatnonzero((out.status == SOLVED) & ~zero)
     cap = np.broadcast_to(max_iter, (m,))
-    for lo, hi in _row_chunks(rows.size, max(spec.nodes.size, j * j)):
+    for lo, hi in _row_chunks(rows.size, 4 * max(spec.nodes.size, j * j)):
         _newton_rows(targets, start, rows[lo:hi], spec, cap, tol, out)
     return out
 
 
-def _row_chunks(m: int, width: int) -> list[tuple[int, int]]:
-    """``(lo, hi)`` ranges covering ``m`` rows of ``width`` elements, a quarter of
-    :data:`BATCH_ELEMENTS` per chunk, since several such arrays are alive at once."""
-    step = max(1, BATCH_ELEMENTS // (4 * max(width, 1)))
-    return [(lo, min(m, lo + step)) for lo in range(0, m, step)]
+def _row_chunks(m: int, width) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges covering ``m`` rows in order, the one batch sizer: a chunk's row
+    count times its first row's ``width`` stays within :data:`BATCH_ELEMENTS`, or it holds
+    one row.  ``width`` is one number or a non-increasing array, one per row, so a chunk's
+    first row is its widest; a caller with k such arrays alive at once passes k widths."""
+    widths, chunks, lo = np.broadcast_to(width, (m,)), [], 0
+    while lo < m:
+        chunks.append((lo, min(m, lo + max(1, BATCH_ELEMENTS // max(int(widths[lo]), 1)))))
+        lo = chunks[-1][1]
+    return chunks
 
 
 def _newton_steps(cov: np.ndarray, resid: np.ndarray):

@@ -30,10 +30,10 @@ the subsample draw to the standard error; only the one-tree functions build
 The ``(B, s)`` subsample table is held once: each row is reordered in place
 into the tree's deciding half, then its holdout half, and growth reads the
 halves as column views.  Every other batched temporary is capped by
-:data:`forestdens.expfam.BATCH_ELEMENTS`, in row chunks: the half split and
-the per-tree means in chunks of trees, a level's Newton solves and V^-1 in
-chunks of nodes (1024 at J = 8), its split search in slices of nodes sized
-by their largest temporary, and the infinitesimal jackknife in blocks of trees.
+:data:`forestdens.expfam.BATCH_ELEMENTS` in the row chunks of one sizer,
+:func:`forestdens.expfam._row_chunks`: trees for the half split, the per-tree
+means and the infinitesimal jackknife; nodes for a level's Newton solves and V^-1
+(1024 at J = 8), each chunk cut into split slices by their largest temporary.
 
 Two splitting schemes are supported: under ``"theta"`` the pseudo-outcomes
 are the influence residuals V^-1 (phi - mu) at the node's Newton iterate; a
@@ -368,30 +368,27 @@ def split_half(index_set, key) -> tuple[np.ndarray, np.ndarray]:
 _TIE_RTOL = 1e-12
 
 
-def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
-                 center, vinv, cfg: ForestConfig):
+def _node_splits(x_ext, phi_ext, members, counts, masks, center, vinv, cfg: ForestConfig):
     """Score the threshold grid of every node and pick each node's best split.
 
-    ``members`` holds each node's deciding-half positions into ``x_ext`` /
-    ``phi_ext`` in their original order, padded with the sentinel last row
-    (coordinates +inf, basis values and count 0).  Pseudo-outcomes are
-    ``vinv (phi - center)`` (:func:`~forestdens.expfam._pseudo_outcomes`), one
-    ``(center, vinv)`` pair per node; under "mu" ``vinv`` is None and they are
-    ``phi - center``.  They are 0 in the padding; then comes ``phi_ext``'s count column
-    (:func:`_with_sentinel`), so a node's totals and count are one sum over
-    the padded width.  There is one scoring row per (node, eligible
-    dimension) pair, ``row_node`` ascending and ``row_dim`` ascending within a
-    node.  A row's left-child sums and count are its threshold mask, as
-    floats, times its node's pseudo-outcomes; the right sums are the node
-    totals minus the left.  Every (row, threshold) candidate is scored in one
-    dense table, the squared norm of each child's sums (an ``einsum``) over
-    its count, and each infeasible candidate, an empty child's 0/0 among
-    them, is then set to -inf.  A node's first candidate within
-    :data:`_TIE_RTOL` of its best score is its lexicographically smallest
-    (dimension, threshold) among the near-best: its first row with such a
-    score, found by comparing neighbours in the ascending nodes of those
-    rows.  Returns ``(dim, threshold)`` arrays, ``dim = -1`` where no
-    candidate is feasible.
+    ``members`` holds each node's deciding-half positions into ``x_ext`` / ``phi_ext``
+    in their original order, padded with the sentinel last row (coordinates +inf,
+    basis values and count 0).  Pseudo-outcomes are ``vinv (phi - center)``
+    (:func:`~forestdens.expfam._pseudo_outcomes`), one ``(center, vinv)`` pair per node;
+    under "mu" ``vinv`` is None and they are ``phi - center``.  They are 0 in the
+    padding; then comes ``phi_ext``'s count column (:func:`_with_sentinel`), so a node's
+    totals and count are one sum over the padded width.  ``masks`` holds each node's
+    eligible dimensions, at least one, as a ``(nodes, d)`` row; its ``np.nonzero`` is one
+    scoring row per (node, eligible dimension), by node, then dimension.  A row's
+    left-child sums and count are its threshold mask, as floats, times its node's
+    pseudo-outcomes; the right sums are the node totals minus the left.  Every (row,
+    threshold) candidate is scored in one dense table, the squared norm of each child's
+    sums (an ``einsum``) over its count, and each infeasible candidate, an empty child's
+    0/0 among them, is then set to -inf.  A node's first candidate within
+    :data:`_TIE_RTOL` of its best score is its lexicographically smallest (dimension,
+    threshold) among the near-best: its first row with such a score, found by comparing
+    neighbours in the ascending nodes of those rows.  Returns ``(dim, threshold)``
+    arrays, ``dim = -1`` where no candidate is feasible.
     """
     rho = phi_ext[members]
     j = rho.shape[2] - 1
@@ -401,6 +398,7 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
         rho[:, :, :j] = expfam._pseudo_outcomes(center, vinv, rho[:, :, :j])
     rho[np.arange(members.shape[1]) >= counts[:, None], :j] = 0.0
     totals = rho.sum(axis=1)
+    row_node, row_dim = np.nonzero(masks)
 
     coords = x_ext[members[row_node], row_dim[:, None]]
     c = counts[row_node]
@@ -434,60 +432,45 @@ def _node_splits(x_ext, phi_ext, members, counts, row_node, row_dim,
     return dim, thresholds[chosen, first]
 
 
-def _level_slices(counts: np.ndarray, j: int, d: int, n_grid: int):
-    """Consecutive node ranges whose largest split-search temporary fits the batch cap.
-
-    A node of ``c`` members has up to ``d`` scoring rows, each with ``(c, J + 1)``
-    pseudo-outcomes and counts, an ``(n_grid, c)`` threshold mask as floats,
-    ``(n_grid, J + 1)`` left sums and counts and ``(n_grid, J)`` right sums;
-    sizes are in float elements.  ``counts`` is non-increasing, so a range's
-    widest node is its first.
-    """
-    a = 0
-    while a < counts.size:
-        per_node = d * max(int(counts[a]) * max(j + 1, n_grid), n_grid * (j + 1))
-        b = min(counts.size, a + max(1, expfam.BATCH_ELEMENTS // per_node))
-        yield a, b
-        a = b
-
-
-def _split_level(x_ext, phi_ext, members, counts, row_node, row_dim, start, cfg: ForestConfig):
+def _split_level(x_ext, phi_ext, members, counts, masks, start, cfg: ForestConfig):
     """Best split of every active node of one level (nodes by decreasing count).
 
-    The node targets are the deciding members' basis means, one sum over the
-    counted member table (:func:`_with_sentinel`) per slice.  Under "theta"
-    they go through one batched Newton solve per chunk of
-    :func:`~forestdens.expfam._row_chunks`, each node from its row of ``start``:
-    a zero start (a root, or the child of a failed node) is solved to
+    The one batch sizer, :func:`~forestdens.expfam._row_chunks`, cuts the level into
+    Newton chunks, and each chunk into split slices, a node of ``c`` members weighing
+    ``d`` rows of its largest split temporary, in floats: ``(c, J + 1)`` pseudo-outcomes,
+    an ``(n_grid, c)`` mask or ``(n_grid, J + 1)`` child sums.  Per chunk, the node targets
+    are the deciding members' basis means, one counted sum (:func:`_with_sentinel`) per
+    slice.  Under "theta" they go through one batched Newton solve, each node from its
+    row of ``start``: a zero start (a root, or the child of a failed node) is solved to
     ``GROWTH_TOL`` within ``NEWTON_MAX_ITER`` steps, any other takes at most
-    ``GROWTH_STEPS``.  The moments and density kept at a SOLVED or CAPPED node's
-    last iterate give its ``(mu(theta), V(theta)^{-1})``, one stacked inverse per
-    chunk, so no Newton state spans the level; a node with any other code keeps
-    its mean and the identity.  Under "mu" every node keeps its mean, with no
-    V^-1.  Returns ``(dim, threshold, theta)``, ``theta`` the SOLVED or CAPPED
-    nodes' last iterates, zero elsewhere.
+    ``GROWTH_STEPS``.  The moments and density kept at a SOLVED or CAPPED node's last
+    iterate give its ``(mu(theta), V(theta)^{-1})``, one stacked inverse for the chunk
+    alone; a node with any other code keeps its mean and the identity.  Under "mu"
+    every node keeps its mean, with no V^-1.  Then the chunk's slices are split
+    (:func:`_node_splits`).  Returns ``(dim, threshold, theta)``, ``theta`` the SOLVED
+    or CAPPED nodes' last iterates, zero elsewhere: the one Newton table spanning the level.
     """
     spec = default_basis(cfg.basis_order)
     j = spec.order
-    slices = list(_level_slices(counts, j, x_ext.shape[1], cfg.n_grid))
-    means = np.empty((counts.size, j))
-    for a, b in slices:
-        means[a:b] = phi_ext[members[a:b, :counts[a]]].sum(axis=1)[:, :j] / counts[a:b, None]
-    theta, center, vinv = np.zeros_like(means), means, None
-    if cfg.scheme == "theta":
-        cap = np.where(start.any(axis=1), expfam.GROWTH_STEPS, expfam.NEWTON_MAX_ITER)
-        center, vinv = means.copy(), np.tile(np.eye(j), (counts.size, 1, 1))
-        for a, b in expfam._row_chunks(counts.size, max(spec.nodes.size, j * j)):
-            batch = expfam._solve_from(means[a:b], start[a:b], spec, cap[a:b], expfam.GROWTH_TOL)
-            ok = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
-            theta[a:b][ok], center[a:b][ok] = batch.theta[ok], batch.mu[ok]
-            vinv[a:b][ok] = expfam._inverse_covariances(batch.dens[ok], batch.mu[ok], spec)
+    per_node = masks.shape[1] * np.maximum(counts * max(j + 1, cfg.n_grid), cfg.n_grid * (j + 1))
     dim, thr = np.empty(counts.size, dtype=np.intp), np.empty(counts.size)
-    row_bounds = np.searchsorted(row_node, [a for a, _ in slices] + [counts.size])
-    for (a, b), r0, r1 in zip(slices, row_bounds[:-1], row_bounds[1:]):
-        dim[a:b], thr[a:b] = _node_splits(x_ext, phi_ext, members[a:b, :counts[a]], counts[a:b],
-                                          row_node[r0:r1] - a, row_dim[r0:r1], center[a:b],
-                                          None if vinv is None else vinv[a:b], cfg)
+    theta = np.zeros_like(start)
+    for a, b in expfam._row_chunks(counts.size, 4 * max(spec.nodes.size, j * j)):
+        slices = [(a + p, a + q) for p, q in expfam._row_chunks(b - a, per_node[a:b])]
+        center = np.vstack([phi_ext[members[p:q, :counts[p]]].sum(axis=1)[:, :j]
+                            / counts[p:q, None] for p, q in slices])
+        vinv = None
+        if cfg.scheme == "theta":
+            cap = np.where(start[a:b].any(axis=1), expfam.GROWTH_STEPS, expfam.NEWTON_MAX_ITER)
+            batch = expfam._solve_from(center, start[a:b], spec, cap, expfam.GROWTH_TOL)
+            ok = (batch.status == expfam.SOLVED) | (batch.status == expfam.CAPPED)
+            theta[a:b][ok], center[ok] = batch.theta[ok], batch.mu[ok]
+            vinv = np.tile(np.eye(j), (b - a, 1, 1))
+            vinv[ok] = expfam._inverse_covariances(batch.dens[ok], batch.mu[ok], spec)
+        for p, q in slices:
+            dim[p:q], thr[p:q] = _node_splits(
+                x_ext, phi_ext, members[p:q, :counts[p]], counts[p:q], masks[p:q],
+                center[p - a:q - a], None if vinv is None else vinv[p - a:q - a], cfg)
     return dim, thr, theta
 
 
@@ -507,12 +490,11 @@ def _with_sentinel(x: np.ndarray, phi: np.ndarray):
 
 
 def _compact(members: np.ndarray, keep: np.ndarray, fill: int):
-    """Move each row's kept members to the front, in order, and re-pad."""
+    """Each row's kept members in order, padded with ``fill``, and each row's count."""
     counts = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :counts.max(initial=0)]
-    members = np.take_along_axis(members, order, axis=1)
-    members[np.arange(members.shape[1]) >= counts[:, None]] = fill
-    return members, counts
+    out = np.full((members.shape[0], counts.max(initial=0)), fill, dtype=members.dtype)
+    out[np.arange(out.shape[1]) < counts[:, None]] = members[keep]
+    return out, counts
 
 
 def _inside(x_ext, members, lower, upper) -> np.ndarray:
@@ -571,11 +553,8 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
         if trees.size == 0:
             break
         members = members[:, :counts[0]]
-        # every node has a dimension, and nonzero gives the rows sorted by
-        # node, then dimension, as _node_splits needs
-        row_node, row_dim = np.nonzero(_dim_masks(keys[trees], level, d))
-        dim, thr, theta[trees] = _split_level(x_ext, phi_ext, members, counts, row_node,
-                                              row_dim, theta[trees], cfg)
+        dim, thr, theta[trees] = _split_level(x_ext, phi_ext, members, counts,
+                                              _dim_masks(keys[trees], level, d), theta[trees], cfg)
 
         if not (split := dim >= 0).all():  # else keep the arrays, uncopied
             trees, members, counts, dim, thr = (
@@ -583,11 +562,11 @@ def _grow_branches(x, x_pts, phi, holdouts, decidings, keys, cfg: ForestConfig):
         go_left = x[dim] <= thr
         keep = (x_ext[members, dim[:, None]] <= thr[:, None]) == go_left[:, None]
         keep &= np.arange(members.shape[1]) < counts[:, None]
-        n_keep = keep.sum(axis=1)
-        levels.append((trees, dim, thr, counts, np.where(go_left, n_keep, counts - n_keep)))
         upper[trees[go_left], dim[go_left]] = thr[go_left]
         lower[trees[~go_left], dim[~go_left]] = np.nextafter(thr[~go_left], np.inf)
+        parent = counts
         members, counts = _compact(members, keep, n)
+        levels.append((trees, dim, thr, parent, np.where(go_left, counts, parent - counts)))
 
     leaf, leaf_counts = _compact(holdouts, _inside(x_ext, holdouts, lower, upper), n)
     return leaf, leaf_counts, lower, upper, levels
@@ -626,8 +605,8 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     allowed dimension is not an integer in ``[0, d)``.
     """
     members = Dataset(y_members, x_members)
-    m = members.n
-    dims = np.unique(_positions(allowed_dims, members.dim, "allowed_dims"))
+    mask = np.zeros((1, members.dim), dtype=bool)
+    mask[0, _positions(allowed_dims, members.dim, "allowed_dims")] = True
     spec = default_basis(cfg.basis_order)
     if isinstance(pivot, expfam.ThetaSolution):
         dens, center, _ = expfam._row_states(pivot.theta[None, :], spec)
@@ -637,10 +616,10 @@ def best_split(x_members: np.ndarray, y_members: np.ndarray, pivot,
     else:
         raise TypeError("pivot must be a ThetaSolution or a MomentVector")
     x_ext, phi_ext = _with_sentinel(members.x, basis_matrix(spec, members.y))
-    if dims.size == 0:
+    if not mask.any():
         return None
-    dim, thr = _node_splits(x_ext, phi_ext, np.arange(m)[None, :], np.array([m]),
-                            np.zeros(dims.size, dtype=np.intp), dims, center, vinv, cfg)
+    dim, thr = _node_splits(x_ext, phi_ext, np.arange(members.n)[None, :],
+                            np.array([members.n]), mask, center, vinv, cfg)
     return None if dim[0] < 0 else (int(dim[0]), float(thr[0]))
 
 
@@ -710,7 +689,7 @@ def per_tree_means(leaf: np.ndarray, counts: np.ndarray, phi: np.ndarray) -> np.
     bit-identical to ``phi[members].mean(axis=0)``.
     """
     ext, sums = _counted(phi), np.empty((leaf.shape[0], phi.shape[1]))
-    for lo, hi in expfam._row_chunks(leaf.shape[0], leaf.shape[1] * ext.shape[1]):
+    for lo, hi in expfam._row_chunks(leaf.shape[0], 4 * leaf.shape[1] * ext.shape[1]):
         sums[lo:hi] = ext[leaf[lo:hi]].sum(axis=1)[:, :-1]
     return sums / np.maximum(counts, 1)[:, None]
 
@@ -730,7 +709,7 @@ def grow_forest(x, data: Dataset, cfg: ForestConfig):
     """
     master, keys = _tree_streams(cfg.seed, cfg.n_trees)
     subsamples, s = draw_subsamples(data.n, cfg, master), cfg.subsample_size
-    for lo, hi in expfam._row_chunks(cfg.n_trees, s):
+    for lo, hi in expfam._row_chunks(cfg.n_trees, 4 * s):
         # a stable sort of a sorted row's holdout flags: its deciding half first, both sorted
         order = np.argsort(~_half_masks(keys[lo:hi], s), axis=1, kind="stable")
         subsamples[lo:hi] = np.take_along_axis(subsamples[lo:hi], order, axis=1)
@@ -791,7 +770,8 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     row ``t`` the variance estimate is ``t.raw.t - t.corr.t``; see
     :func:`debiased_variance`.
 
-    Blocks of ``BATCH_ELEMENTS // (J s)`` trees share one index and one weight buffer,
+    Blocks of trees, ``J s`` elements each to the one batch sizer
+    (:func:`~forestdens.expfam._row_chunks`), share one index and one weight buffer,
     small enough to stay in cache, not ``(B, s)`` ones.  Each block adds one ``bincount``
     per basis column to ``C``, so ``C_i`` is a sum of per-block sums: the single pass's
     bits while ``J B s <= BATCH_ELEMENTS``, equal up to roundoff above.
@@ -801,15 +781,15 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     # shifting by the first row first makes equal rows centre to exact zeros
     dev = h - h[0]
     dev -= dev.mean(axis=0)
-    step = max(1, expfam.BATCH_ELEMENTS // (h.shape[1] * s))
-    members = np.empty((min(b, step), s), dtype=np.intp)  # writable: bincount copies read-only input
+    blocks = expfam._row_chunks(b, h.shape[1] * s)
+    members = np.empty((blocks[0][1], s), dtype=np.intp)  # writable: bincount copies read-only
     spread = np.empty(members.shape)  # row t holds tree t's deviation
     c = np.zeros((n, h.shape[1]))  # bincount sums are never -0.0, so 0.0 + sum keeps their bits
-    for lo in range(0, b, step):
-        k = min(step, b - lo)
-        members[:k] = tree_subsamples[lo:lo + k]
+    for lo, hi in blocks:
+        k = hi - lo
+        members[:k] = tree_subsamples[lo:hi]
         for j in range(h.shape[1]):
-            spread[:k] = dev[lo:lo + k, j, None]
+            spread[:k] = dev[lo:hi, j, None]
             c[:, j] += np.bincount(members[:k].ravel(), weights=spread[:k].ravel(), minlength=n)
     c /= b
     raw = (n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)

@@ -215,12 +215,14 @@ def kernel_baseline(data: Dataset, y: float, x) -> float:
     The bandwidths are 1.06 times the sample standard deviation scaled by
     ``n^(-1/8)`` in the numerator and ``n^(-1/7)`` for the covariates in the
     denominator.  ``ValueError`` for data without 4 covariates, a query row
-    ``x`` of another shape, a ``y`` outside [0, 1], or one of these columns
-    constant, whose bandwidth would be zero; the message names that column.
+    ``x`` of another shape, a ``y`` that is not a scalar in [0, 1], or one of these
+    columns constant, whose bandwidth would be zero; the message names that column.
     """
     if data.dim != _COV_DIM:
         raise ValueError(f"data of {data.dim} covariates, not {_COV_DIM}")
     x = _one_row(x)
+    if np.ndim(y) != 0:
+        raise ValueError(f"y must be a scalar, not an array of shape {np.shape(y)}")
     _check_unit_interval(y)
     flat = np.ptp(np.column_stack([data.y, data.x[:, :3]]), axis=0) == 0.0
     if flat.any():

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from forestdens import cli, expfam
 from forestdens.basis import basis_matrix, default_basis
@@ -982,21 +983,26 @@ def largest_split_temporary(nodes, width, rows, cols, n_grid):
 
 
 class TestLevelSlices:
-    @given(st.lists(st.integers(min_value=1, max_value=600), max_size=80),
-           st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8),
-           st.integers(min_value=1, max_value=40), st.sampled_from([1, 500, 20_000, 1 << 18]))
+    @given(st.lists(st.integers(min_value=0, max_value=20_000), max_size=80), st.booleans(),
+           st.sampled_from([1, 500, 20_000, 1 << 18]))
     @settings(max_examples=100, deadline=None)
-    def test_cover_every_node_once_within_the_cap(self, counts, d, j, n_grid, cap):
-        counts = np.array(sorted(counts, reverse=True), dtype=np.intp)
+    def test_cover_every_node_once_within_the_cap(self, widths, per_row, cap):
+        # the one batch sizer, with one width for every row or a non-increasing
+        # width per row: each row once, in order, and each chunk as many rows as
+        # fit, within the cap at its first (widest) row's width, or a single row
+        widths = np.array(sorted(widths, reverse=True), dtype=np.intp)
+        width = widths if per_row else int(widths[0]) if widths.size else 9
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(expfam, "BATCH_ELEMENTS", cap)
-            slices = list(forest_mod._level_slices(counts, j, d, n_grid))
-        covered = np.concatenate([np.arange(a, b) for a, b in slices] + [np.zeros(0, int)])
-        np.testing.assert_array_equal(covered, np.arange(counts.size))
-        for a, b in slices:
-            # every node of a slice is padded to the slice's first (widest) node
-            largest = largest_split_temporary(b - a, counts[a], d * (b - a), j + 1, n_grid)
-            assert largest <= 8 * cap or b - a == 1
+            chunks = expfam._row_chunks(widths.size, width)
+        covered = np.concatenate([np.arange(a, b) for a, b in chunks] + [np.zeros(0, int)])
+        np.testing.assert_array_equal(covered, np.arange(widths.size))
+        each = np.broadcast_to(width, widths.shape)
+        for a, b in chunks:
+            assert b > a
+            assert (b - a) * each[a:b].max() <= cap or b - a == 1
+            # as many rows as fit: the next row would not
+            assert b == widths.size or (b - a + 1) * max(each[a], 1) > cap
 
     @given(st.lists(st.integers(min_value=4, max_value=60), min_size=2, max_size=6),
            st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
@@ -1021,13 +1027,15 @@ class TestLevelSlices:
         means = np.array([phi_ext[a:a + c, :j].mean(axis=0) for a, c in zip(starts, counts)])
         theta = rng.normal(scale=0.5, size=means.shape)
         solved = rng.random(counts.size) < 0.5
-        row_node = np.repeat(np.arange(counts.size), [a.size for a in dims])
+        masks = np.zeros((counts.size, d), dtype=bool)
+        for k, eligible in enumerate(dims):
+            masks[k, eligible] = True
         dens, mu, _ = expfam._row_states(theta, spec)
         center = np.where(solved[:, None], mu, means)
         vinv = expfam._inverse_covariances(dens, mu, spec)
         vinv[~solved] = np.eye(j)  # a failed node's V^-1, as growth gives it
-        dim, thr = forest_mod._node_splits(x_ext, phi_ext, members, counts, row_node,
-                                           np.concatenate(dims), center, vinv, cfg)
+        dim, thr = forest_mod._node_splits(x_ext, phi_ext, members, counts, masks, center,
+                                           vinv, cfg)
         for k, (a, c) in enumerate(zip(starts, counts)):
             pivot = (expfam.ThetaSolution(theta[k], 0.0, 0, True) if solved[k]
                      else expfam.MomentVector(means[k]))
@@ -1039,11 +1047,11 @@ class TestLevelSlices:
         seen = []
         node_splits = forest_mod._node_splits
 
-        def recording(x_ext, phi_ext, members, counts, row_node, row_dim, center, *args):
+        def recording(x_ext, phi_ext, members, counts, masks, center, *args):
             cfg = args[-1]
             seen.append((members.shape[0], largest_split_temporary(
-                *members.shape, row_node.size, center.shape[1] + 1, cfg.n_grid)))
-            return node_splits(x_ext, phi_ext, members, counts, row_node, row_dim, center, *args)
+                *members.shape, int(masks.sum()), center.shape[1] + 1, cfg.n_grid)))
+            return node_splits(x_ext, phi_ext, members, counts, masks, center, *args)
 
         rng = np.random.default_rng(29)
         data = random_dataset(rng, 300, 4)
@@ -1058,6 +1066,49 @@ class TestLevelSlices:
         assert len(seen) > levels and max(n for n, _ in seen) > 1
         for nodes, largest in seen:
             assert largest <= 8 * cap or nodes == 1
+
+    def test_newton_chunks_and_split_slices_break_mid_level(self, monkeypatch):
+        # at this cap the 60 roots solve in Newton chunks of 10_000 // (4 * 64) = 39
+        # nodes, and each chunk splits in slices of 2 (a root weighs 4 * 30 * 32
+        # floats), so a slice ends at node 39, inside the whole level's 38..40 pair
+        rng = np.random.default_rng(31)
+        data = random_dataset(rng, 300, 4)
+        cfg = ForestConfig(subsample_size=60, n_trees=60, basis_order=3,
+                           initial_parent=unit_box(4), min_child=3, scheme="theta", seed=8)
+        whole = weights(np.full(4, 0.5), data, cfg).weights
+        calls = []
+        for module, name in ((expfam, "_solve_from"), (forest_mod, "_node_splits"),
+                             (forest_mod, "_split_level")):
+            def recording(*args, _name=name, _call=getattr(module, name)):
+                calls.append((_name, len(args[0] if _name == "_solve_from" else args[3])))
+                return _call(*args)
+            monkeypatch.setattr(module, name, recording)
+        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 10_000)
+        np.testing.assert_array_equal(weights(np.full(4, 0.5), data, cfg).weights, whole)
+        roots = calls[1:[name for name, _ in calls].index("_split_level", 1)]
+        assert calls[0] == ("_split_level", 60)
+        assert [size for name, size in roots if name == "_solve_from"] == [39, 21]
+        slices = [size for name, size in roots if name == "_node_splits"]
+        assert slices == [2] * 19 + [1] + [2] * 10 + [1]
+
+
+class TestCompact:
+    @given(st.tuples(st.integers(0, 6), st.integers(0, 8)).flatmap(
+        lambda shape: st.tuples(hnp.arrays(np.intp, shape, elements=st.integers(0, 99)),
+                                hnp.arrays(bool, shape))))
+    @example((np.array([[4, 5, 6], [7, 8, 9]]), np.array([[0, 0, 0], [1, 0, 1]], dtype=bool)))
+    @example((np.arange(6).reshape(2, 3), np.zeros((2, 3), dtype=bool)))  # every member dropped
+    @example((np.zeros((3, 0), dtype=np.intp), np.zeros((3, 0), dtype=bool)))  # width 0
+    @settings(max_examples=100, deadline=None)
+    def test_kept_members_in_order_then_the_fill(self, table):
+        members, keep = table
+        kept = [[m for m, k in zip(row, flags) if k]
+                for row, flags in zip(members.tolist(), keep.tolist())]
+        width = max(map(len, kept), default=0)
+        out, counts = forest_mod._compact(members, keep, 100)
+        assert counts.tolist() == [len(row) for row in kept]
+        assert out.dtype == members.dtype and out.shape == (len(kept), width)
+        assert out.tolist() == [row + [100] * (width - len(row)) for row in kept]
 
 
 class TestWeightVector:

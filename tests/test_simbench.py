@@ -287,6 +287,22 @@ class TestKernelBaseline:
         with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
             kernel_baseline(data, y, X_QUERY)
 
+    @pytest.mark.parametrize("y", [np.full(50, 0.5), [0.3], np.array([[0.5]])],
+                             ids=["vector", "list", "2-d"])
+    def test_rejects_a_y_that_is_not_a_scalar(self, y):
+        # an array broadcast against the outcomes once gave a silent number
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.random(50), rng.random((50, 4)))
+        with pytest.raises(ValueError, match="y must be a scalar"):
+            kernel_baseline(data, y, X_QUERY)
+
+    def test_accepts_numpy_scalars(self):
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.random(50), rng.random((50, 4)))
+        ref = kernel_baseline(data, 0.5, X_QUERY)
+        assert kernel_baseline(data, np.float64(0.5), X_QUERY) == ref
+        assert kernel_baseline(data, np.array(0.5), X_QUERY) == ref
+
     def test_rejects_data_without_four_covariates(self):
         rng = np.random.default_rng(9)
         data = Dataset(rng.random(50), rng.random((50, 2)))
