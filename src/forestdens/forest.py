@@ -32,8 +32,9 @@ into the tree's deciding half, then its holdout half, and growth reads the
 halves as column views.  Every other batched temporary is capped by
 :data:`forestdens.expfam.BATCH_ELEMENTS` in the row chunks of one sizer,
 :func:`forestdens.expfam._row_chunks`: trees for the half split, the per-tree
-means and the infinitesimal jackknife; nodes for a level's Newton solves and V^-1
-(1024 at J = 8), each chunk cut into split slices by their largest temporary.
+means and the infinitesimal jackknife (one ``(trees, n)`` incidence and one GEMM
+a block); nodes for a level's Newton solves and V^-1 (1024 at J = 8), each chunk
+cut into split slices by their largest temporary.
 
 Two splitting schemes are supported: under ``"theta"`` the pseudo-outcomes
 are the influence residuals V^-1 (phi - mu) at the node's Newton iterate; a
@@ -768,30 +769,49 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     the subsampling infinitesimal jackknife and its Monte Carlo bias
     (Wager, Hastie & Efron 2014; Wager & Athey 2018).  For a delta-method
     row ``t`` the variance estimate is ``t.raw.t - t.corr.t``; see
-    :func:`debiased_variance`.
+    :func:`debiased_variance`.  ``ValueError`` names the argument unless the
+    table is a nonempty 2-D integer array of ``len(per_tree_h)`` rows, its
+    indices lie in ``[0, n)`` and ``s < n``.
 
-    Blocks of trees, ``J s`` elements each to the one batch sizer
-    (:func:`~forestdens.expfam._row_chunks`), share one index and one weight buffer,
-    small enough to stay in cache, not ``(B, s)`` ones.  Each block adds one ``bincount``
-    per basis column to ``C``, so ``C_i`` is a sum of per-block sums: the single pass's
-    bits while ``J B s <= BATCH_ELEMENTS``, equal up to roundoff above.
+    The trees go in blocks of the one batch sizer
+    (:func:`~forestdens.expfam._row_chunks`), ``max(J s, n)`` elements a tree.  A
+    block of ``k`` trees builds its ``(k, n)`` incidence, entry ``(t, i)`` the count
+    of ``i`` in row ``t``, with one ``bincount``, and adds one GEMM,
+    ``dev_block^T @ incidence``, to ``C^T``: no temporary grows with ``B``
+    beyond the deviations.  OpenBLAS's GEMM sums a block's trees in order, in one
+    pass, while they fit its K panel: 384 trees on its SkylakeX kernel, 256 on
+    its Haswell and SandyBridge ones.  On SkylakeX, with ``J >= 2`` (numpy takes
+    GEMV at ``J = 1``), each block's sum has the bits of a ``bincount`` walk over
+    its trees, and ``C_i`` is a sum of per-block sums: the single pass's bits
+    while ``B max(J s, n) <= BATCH_ELEMENTS``, equal up to roundoff above.
     """
-    h = np.asarray(per_tree_h, dtype=float)
-    b, s = h.shape[0], len(tree_subsamples[0])
+    table, h = np.asarray(tree_subsamples), np.asarray(per_tree_h, dtype=float)
+    if table.ndim != 2 or 0 in table.shape:
+        raise ValueError(f"tree_subsamples must be a nonempty 2-D table, not shape {table.shape}")
+    if h.ndim != 2 or h.shape[0] != table.shape[0]:
+        raise ValueError(f"per_tree_h of shape {h.shape} must have one row per "
+                         f"tree_subsamples row ({table.shape[0]})")
+    b, s = table.shape
+    if s >= n:
+        raise ValueError(f"tree_subsamples rows hold s = {s} indices, not fewer than n = {n}")
+    # read as unsigned, a negative index is above every valid one: one max pass checks both ends
+    if table.dtype.kind not in "iu" or table.view(f"u{table.itemsize}").max() >= n:
+        raise ValueError(f"tree_subsamples must hold integer indices in [0, {n})")
     # shifting by the first row first makes equal rows centre to exact zeros
     dev = h - h[0]
     dev -= dev.mean(axis=0)
-    blocks = expfam._row_chunks(b, h.shape[1] * s)
-    members = np.empty((blocks[0][1], s), dtype=np.intp)  # writable: bincount copies read-only
-    spread = np.empty(members.shape)  # row t holds tree t's deviation
-    c = np.zeros((n, h.shape[1]))  # bincount sums are never -0.0, so 0.0 + sum keeps their bits
+    blocks = expfam._row_chunks(b, max(h.shape[1] * s, n))
+    offsets = np.arange(blocks[0][1])[:, None] * n  # row t's entries count in row t of the block
+    index = np.empty((blocks[0][1], s), dtype=np.intp)
+    ones = np.ones(index.size)
+    ct = np.zeros((h.shape[1], n))  # C^T; BLAS sums start at +0.0, so 0.0 + sum keeps their bits
     for lo, hi in blocks:
         k = hi - lo
-        members[:k] = tree_subsamples[lo:hi]
-        for j in range(h.shape[1]):
-            spread[:k] = dev[lo:hi, j, None]
-            c[:, j] += np.bincount(members[:k].ravel(), weights=spread[:k].ravel(), minlength=n)
-    c /= b
+        # the indices were checked to lie in [0, n), so the cast to intp keeps them
+        np.add(table[lo:hi], offsets[:k], out=index[:k], dtype=np.intp, casting="unsafe")
+        ct += dev[lo:hi].T @ np.bincount(index[:k].ravel(), weights=ones[:k * s],
+                                         minlength=k * n).reshape(k, n)
+    c = ct.T / b
     raw = (n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)
     corr = (n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b
     return raw, corr

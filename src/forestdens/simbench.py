@@ -18,9 +18,10 @@ errors, interval coverage, and the integrated squared error over
 [0.15, 0.85].
 
 Of scipy, the module loads only ``scipy.special`` (the laws' CDFs, their
-inverses and the beta density's log terms) and ``scipy.integrate``
-(Simpson's rule for the ISE).  The normal and beta densities are written
-out, so ``scipy.stats`` is never imported.
+inverses and the beta density's log terms).  The normal and beta densities
+are written out, so ``scipy.stats`` is never imported, and so is Simpson's
+rule for the ISE (:func:`_simpson`, with the bits of
+``scipy.integrate.simpson``), so ``scipy.integrate`` is never imported either.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri, xlog1py, xlogy
 
 from . import estimator
@@ -294,6 +294,33 @@ def _one_replication(design, n, cfg, se_params, points, grid, truth, level, x_qu
     return f_points, f_grid, se, hits
 
 
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson's rule of ``y`` at the increasing points ``x`` (1-D, N >= 2).
+
+    Operation for operation ``scipy.integrate.simpson(y, x=x)`` of scipy 1.17.1, so
+    with its bits, without loading ``scipy.integrate``.  Odd N: the rule for unequal
+    spacings over each pair of intervals.  Even N: the trapezoid at N = 2, else that
+    rule over the first N - 1 points plus Cartwright's correction for the last
+    interval.  scipy's guards against zero spacings are left out: ``x`` increases.
+    """
+    h = np.diff(x)
+    if y.size == 2:
+        return 0.0 + 0.5 * h[-1] * (y[-1] + y[-2])  # scipy's running sum starts at 0.0
+    stop = y.size - 3 + y.size % 2  # pairs start at 0, 2, ..., below stop: all points if N is odd
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    if y.size % 2:
+        return result
+    h0, h1 = h[-2, ...], h[-1, ...]  # 0-d arrays, as scipy's
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = 1 * h1 ** 3 / (6 * h0 * (h0 + h1))
+    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0  # scipy adds its 0.0 last
+
+
 def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
            design_points=DEFAULT_DESIGN_POINTS, workers: int = 1,
            mise_grid_points: int = 141, ci_level: float = 0.95) -> MCReport:
@@ -343,7 +370,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
                 failures.append(f"replication {r}: {outcome}")
                 continue
             f_points[r], fg, se_all[r], hits[r] = outcome
-            ise[r] = simpson((fg - truth_grid) ** 2, x=grid)
+            ise[r] = _simpson((fg - truth_grid) ** 2, grid)
 
     ok = ~np.isnan(f_points[:, 0])
     completed = int(ok.sum())

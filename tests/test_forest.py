@@ -1228,11 +1228,11 @@ class TestInfinitesimalJackknife:
                                            reference, rtol=1e-10, atol=0.0)
         assert len(built) == 2
 
-    @pytest.mark.parametrize("batch, trees_per_block", [(12, 1), (24, 2), (48, 4)])
+    @pytest.mark.parametrize("batch, trees_per_block", [(12, 1), (30, 2), (60, 4)])
     def test_blocks_match_double_loop(self, monkeypatch, batch, trees_per_block):
-        # BATCH_ELEMENTS // (J s) trees per block, J = 2 and s = 6; 9 trees end
-        # in a ragged block (2 and 4 trees per block) or in full ones (1 tree)
-        assert max(1, batch // (2 * 6)) == trees_per_block
+        # BATCH_ELEMENTS // max(J s, n) trees per block, J = 2, s = 6 and n = 15; 9 trees
+        # end in a ragged block (2 and 4 trees per block) or in full ones (1 tree)
+        assert max(1, batch // max(2 * 6, 15)) == trees_per_block
         monkeypatch.setattr(expfam, "BATCH_ELEMENTS", batch)
         self.check_double_loop()
 
@@ -1259,10 +1259,59 @@ class TestInfinitesimalJackknife:
         assert raw.tobytes() == ((n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)).tobytes()
         assert corr.tobytes() == ((n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b).tobytes()
 
-    def test_no_allocation_grows_with_the_table(self):
-        # the reference fit's table is 2240 x 200; a whole-table index copy or
-        # weight buffer would be 6.4 MB each here
-        b, s, n, j = 4000, 200, 1000, 8
+    @given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 10), st.integers(1, 4),
+           st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    @example(9, 6, 9, 2, 3)  # full blocks
+    @example(9, 6, 9, 2, 4)  # ragged
+    @example(9, 6, 9, 1, 1)  # one tree a block, J = 1
+    def test_any_blocks_match_double_loop(self, b, s, extra, j, k):
+        # k trees a block for any k: one-tree blocks, full and ragged ones, one block
+        n, k = s + extra, min(k, b)
+        rng = np.random.default_rng([b, s, n, j, k])
+        trees = np.stack([rng.choice(n, s, replace=False) for _ in range(b)])
+        h = rng.standard_normal((b, j))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expfam, "BATCH_ELEMENTS", k * max(j * s, n))
+            assert expfam._row_chunks(b, max(j * s, n))[0] == (0, k)
+            raw, corr = forest_mod.infinitesimal_jackknife(trees, h, n)
+        dev = h - h.mean(axis=0)
+        c = np.zeros((n, j))
+        for i in range(n):
+            for t in range(b):
+                if i in trees[t]:
+                    c[i] += dev[t]
+        c /= b
+        # both parts are within n (n / (n - s))^2 max|dev|^2; roundoff is relative to that
+        scale = n * (n / (n - s)) ** 2 * np.abs(dev).max() ** 2
+        for got, want in [(raw, (n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)),
+                          (corr, (n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_reference_shape_is_the_bincount_walk_bit_for_bit(self):
+        # the reference fit's 2240 x 200 table at n = 1000, J = 8: blocks of
+        # BATCH_ELEMENTS // max(J s, n) = 163 trees, each block's GEMM summing its
+        # trees in order, as one bincount per basis column over the block does
+        b, s, n, j = 2240, 200, 1000, 8
+        rng = np.random.default_rng(47)
+        trees = np.stack([rng.choice(n, s, replace=False) for _ in range(b)])
+        h = rng.standard_normal((b, j))
+        raw, corr = forest_mod.infinitesimal_jackknife(trees, h, n)
+        step = expfam.BATCH_ELEMENTS // max(j * s, n)
+        assert step == 163
+        dev = h - h[0]
+        dev -= dev.mean(axis=0)
+        c = np.zeros((n, j))
+        for lo in range(0, b, step):
+            for col in range(j):
+                c[:, col] += np.bincount(trees[lo:lo + step].ravel(), minlength=n,
+                                         weights=np.repeat(dev[lo:lo + step, col], s))
+        c /= b
+        assert raw.tobytes() == ((n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)).tobytes()
+        assert corr.tobytes() == ((n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b).tobytes()
+
+    @staticmethod
+    def traced_peak(b, s, n, j):
         rng = np.random.default_rng(41)
         trees = rng.integers(0, n, (b, s))
         trees.setflags(write=False)
@@ -1270,12 +1319,61 @@ class TestInfinitesimalJackknife:
         tracemalloc.start()
         try:
             forest_mod.infinitesimal_jackknife(trees, h, n)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a block's index and weight buffers, BATCH_ELEMENTS // J entries each,
-        # plus the (B, J) deviations and a few (n, J) arrays
-        assert peak < 2 * 8 * expfam.BATCH_ELEMENTS // j + 8 * j * (b + 4 * n)
+
+    def test_no_allocation_grows_with_the_table(self):
+        # the reference fit's table is 2240 x 200; a whole-table index copy or
+        # weight buffer would be 6.4 MB each here
+        b, s, n, j = 4000, 200, 1000, 8
+        # one (k, n) incidence of at most BATCH_ELEMENTS floats; the block's index
+        # and unit weights, k s <= BATCH_ELEMENTS // J entries each; the (B, J)
+        # deviations and a few (n, J) arrays
+        bound = 8 * expfam.BATCH_ELEMENTS + 2 * 8 * (expfam.BATCH_ELEMENTS // j) \
+            + 8 * j * (b + 4 * n)
+        assert bound < 8 * b * s  # one whole-table buffer alone is over it
+        assert self.traced_peak(b, s, n, j) < bound
+
+    def test_peak_grows_only_by_the_deviations(self):
+        # twice the trees: only the (B, J) deviation table is larger
+        s, n, j = 200, 1000, 8
+        grown = self.traced_peak(8000, s, n, j) - self.traced_peak(4000, s, n, j)
+        assert grown <= 8 * j * 4000 + 4096
+
+    def reference_inputs(self):
+        rng = np.random.default_rng(48)
+        return np.stack([rng.choice(15, 6, replace=False) for _ in range(10)]), \
+            rng.standard_normal((10, 2))
+
+    @pytest.mark.parametrize("shape", [(60,), (10, 6, 1)])
+    def test_rejects_a_table_that_is_not_2d(self, shape):
+        trees, h = self.reference_inputs()
+        with pytest.raises(ValueError, match="tree_subsamples"):
+            forest_mod.infinitesimal_jackknife(trees.reshape(shape), h, 15)
+
+    @pytest.mark.parametrize("rows", [8, 12])
+    def test_rejects_a_row_count_other_than_the_tree_means(self, rows):
+        # 12 rows used to give the result of their first 10
+        trees, h = self.reference_inputs()
+        with pytest.raises(ValueError, match="per_tree_h"):
+            forest_mod.infinitesimal_jackknife(np.resize(trees, (rows, 6)), h, 15)
+
+    @pytest.mark.parametrize("bad", ["float", "n", "negative"])
+    def test_rejects_indices_that_are_not_observations(self, bad):
+        # an index n in row 0 would count in row 1's incidence
+        trees, h = self.reference_inputs()
+        table = trees.astype(float) if bad == "float" else trees.copy()
+        if bad != "float":
+            table[0, 0] = 15 if bad == "n" else -1
+        with pytest.raises(ValueError, match="tree_subsamples"):
+            forest_mod.infinitesimal_jackknife(table, h, 15)
+
+    @pytest.mark.parametrize("n", [6, 5])
+    def test_rejects_subsamples_of_n_or_more(self, n):
+        trees, h = self.reference_inputs()
+        with pytest.raises(ValueError, match="tree_subsamples"):
+            forest_mod.infinitesimal_jackknife(trees % n, h, n)
 
     def test_debias_zero_only_at_zero(self):
         assert forest_mod.debiased_variance(0.0, 0.0, 40) == 0.0

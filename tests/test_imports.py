@@ -1,10 +1,11 @@
-"""The estimator core loads numpy only; the Monte Carlo harness adds scipy.special
-and scipy.integrate, never scipy.stats.
+"""The estimator core loads numpy only; the Monte Carlo harness adds scipy.special,
+the one scipy subpackage it uses, and never scipy.integrate or scipy.stats.
 
 Each check runs in a fresh interpreter, because the pytest process has
 already imported scipy.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -58,7 +59,9 @@ def test_harness_names_resolve_on_access():
         forestdens.no_such_name
 
 
-def test_monte_carlo_run_loads_no_scipy_stats():
+@pytest.fixture(scope="module")
+def monte_carlo_scipy():
+    """The scipy subpackages loaded by Monte Carlo runs with and without SEs."""
     code = """
 from forestdens.forest import ForestConfig
 from forestdens.simbench import run_mc
@@ -66,6 +69,14 @@ cfg = ForestConfig(subsample_size=40, n_trees=8, basis_order=4,
                    initial_parent=[[0.0] * 4, [1.0] * 4], min_child=4, seed=5)
 for se_params in (None, "auto"):
     assert run_mc("D1", 120, 2, cfg, se_params, workers=1).completed == 2
-print("scipy.stats" in sys.modules)
+print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))
 """
-    assert run_fresh(code) == "False"
+    return ast.literal_eval(run_fresh(code))
+
+
+def test_monte_carlo_run_loads_no_scipy_stats(monte_carlo_scipy):
+    assert "special" in monte_carlo_scipy and "stats" not in monte_carlo_scipy
+
+
+def test_monte_carlo_run_loads_no_scipy_integrate(monte_carlo_scipy):
+    assert "integrate" not in monte_carlo_scipy

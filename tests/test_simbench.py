@@ -318,6 +318,40 @@ def small_mc_config(**kw):
     return ForestConfig(**defaults)
 
 
+class TestSimpson:
+    """``simbench._simpson`` is ``scipy.integrate.simpson(y, x=x)``, bit for bit: odd
+    counts take the pair rule alone, 2 the trapezoid, 4 and more Cartwright's last
+    interval."""
+
+    N_POINTS = [2, 3, 4, 140, 141, 281]
+
+    @staticmethod
+    def assert_scipy_bits(y, x):
+        ours, theirs = simbench._simpson(y, x), simpson(y, x=x)
+        assert type(ours) is type(theirs) and np.float64(ours).tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("n_points", N_POINTS)
+    def test_random_integrands(self, n_points):
+        rng = np.random.default_rng(n_points)
+        for _ in range(40):
+            y = rng.standard_normal(n_points)
+            self.assert_scipy_bits(y, np.linspace(*MISE_INTERVAL, n_points))
+            self.assert_scipy_bits(y, np.cumsum(rng.exponential(size=n_points)))
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(52)
+        x = gen_covariates(300, rng)
+        return estimator.fit(Dataset(gen_outcome("D1", x, rng), x), X_QUERY, small_mc_config())
+
+    @pytest.mark.parametrize("n_points", N_POINTS)
+    def test_squared_errors_of_a_fit(self, fitted, n_points):
+        # run_mc's integrand: a fit's squared error on the ISE grid
+        grid = np.linspace(*MISE_INTERVAL, n_points)
+        self.assert_scipy_bits((estimator.pdf(fitted, grid) - true_density("D1", grid, X_QUERY))
+                               ** 2, grid)
+
+
 class TestRunMC:
     def test_identical_rep_seeds_give_zero_dispersion(self, monkeypatch):
         seed_sequence = np.random.SeedSequence
