@@ -38,9 +38,10 @@ class FittedConditionalDensity:
     :func:`pdf` keeps log Z and mu at ``theta_hat``; the first :func:`std_error`
     keeps ``V(theta_hat)^{-1}`` and the two ``(J, J)`` matrices of
     :func:`~forestdens.forest.infinitesimal_jackknife`, so densities alone never invert V.
-    Those are built with one incidence and one GEMM per block of trees, and have the
-    single pass's bits while ``n_trees * max(J * subsample_size, n) <= expfam.BATCH_ELEMENTS``
-    for the sample size ``n`` (one block), and differ by roundoff above.
+    Those are built in blocks of trees, one incidence and one GEMM a block while the
+    sample size is at most ``J * subsample_size``, and have the single pass's bits while
+    ``J * n_trees * subsample_size <= expfam.BATCH_ELEMENTS`` (one block) and the block
+    fits the BLAS kernel's K panel (on OpenBLAS 256 or 384 trees), and differ by roundoff otherwise.
     """
 
     query_x: np.ndarray

@@ -33,8 +33,9 @@ halves as column views.  Every other batched temporary is capped by
 :data:`forestdens.expfam.BATCH_ELEMENTS` in the row chunks of one sizer,
 :func:`forestdens.expfam._row_chunks`: trees for the half split, the per-tree
 means and the infinitesimal jackknife (one ``(trees, n)`` incidence and one GEMM
-a block); nodes for a level's Newton solves and V^-1 (1024 at J = 8), each chunk
-cut into split slices by their largest temporary.
+a block while ``n <= J s``, one ``bincount`` a basis column above); nodes for a
+level's Newton solves and V^-1 (1024 at J = 8), each chunk cut into split slices
+by their largest temporary.
 
 Two splitting schemes are supported: under ``"theta"`` the pseudo-outcomes
 are the influence residuals V^-1 (phi - mu) at the node's Newton iterate; a
@@ -774,16 +775,25 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     indices lie in ``[0, n)`` and ``s < n``.
 
     The trees go in blocks of the one batch sizer
-    (:func:`~forestdens.expfam._row_chunks`), ``max(J s, n)`` elements a tree.  A
-    block of ``k`` trees builds its ``(k, n)`` incidence, entry ``(t, i)`` the count
-    of ``i`` in row ``t``, with one ``bincount``, and adds one GEMM,
-    ``dev_block^T @ incidence``, to ``C^T``: no temporary grows with ``B``
-    beyond the deviations.  OpenBLAS's GEMM sums a block's trees in order, in one
-    pass, while they fit its K panel: 384 trees on its SkylakeX kernel, 256 on
-    its Haswell and SandyBridge ones.  On SkylakeX, with ``J >= 2`` (numpy takes
-    GEMV at ``J = 1``), each block's sum has the bits of a ``bincount`` walk over
-    its trees, and ``C_i`` is a sum of per-block sums: the single pass's bits
-    while ``B max(J s, n) <= BATCH_ELEMENTS``, equal up to roundoff above.
+    (:func:`~forestdens.expfam._row_chunks`), ``J s`` elements a tree, and each
+    block adds its trees' sums to ``C`` in one of two ways, both exact tree by
+    tree.  While ``n <= J s``, a block of ``k`` trees builds its ``(k, n)``
+    incidence, entry ``(t, i)`` the count of ``i`` in row ``t``, with one
+    ``bincount`` (``k n <= k J s`` entries, the block's share of the sizer)
+    and adds one GEMM, ``dev_block^T @ incidence``.  That costs ``J k n``
+    multiply-adds, so above ``n = J s`` each block adds one weighted
+    ``bincount`` per basis column (``J k s`` scatter-adds) instead; the two
+    cost the same near ``n = J s`` (the README gives the timings).  No
+    temporary grows with ``B`` beyond the deviations.
+
+    Bits: a ``bincount`` sums a block's trees in order, and so does OpenBLAS's
+    GEMM while the block fits its K panel: 384 trees on its SkylakeX kernel,
+    256 on its Haswell and SandyBridge ones (OpenBLAS 0.3.31; the GEMM path
+    needs ``J >= 2``, as ``s < n``).  Within the panel a block's sum has the
+    same bits on either path, and ``C_i`` is a sum of per-block sums: the
+    single pass's bits while ``J B s <= BATCH_ELEMENTS`` (one block) and the
+    block fits the panel, equal up to roundoff otherwise.  Blocks hold
+    ``BATCH_ELEMENTS // (J s)`` trees, over 256 when ``J s < 1024``.
     """
     table, h = np.asarray(tree_subsamples), np.asarray(per_tree_h, dtype=float)
     if table.ndim != 2 or 0 in table.shape:
@@ -800,17 +810,24 @@ def infinitesimal_jackknife(tree_subsamples, per_tree_h: np.ndarray,
     # shifting by the first row first makes equal rows centre to exact zeros
     dev = h - h[0]
     dev -= dev.mean(axis=0)
-    blocks = expfam._row_chunks(b, max(h.shape[1] * s, n))
-    offsets = np.arange(blocks[0][1])[:, None] * n  # row t's entries count in row t of the block
-    index = np.empty((blocks[0][1], s), dtype=np.intp)
-    ones = np.ones(index.size)
-    ct = np.zeros((h.shape[1], n))  # C^T; BLAS sums start at +0.0, so 0.0 + sum keeps their bits
+    j = h.shape[1]
+    blocks = expfam._row_chunks(b, j * s)
+    index = np.empty((blocks[0][1], s), dtype=np.intp)  # writable: bincount copies read-only
+    weights = np.ones(index.shape)
+    offsets = np.arange(len(index))[:, None] * n  # row t's entries count in row t of the block
+    ct = np.zeros((j, n))  # C^T; BLAS and bincount sums start at +0.0, so 0.0 + sum keeps their bits
     for lo, hi in blocks:
         k = hi - lo
-        # the indices were checked to lie in [0, n), so the cast to intp keeps them
-        np.add(table[lo:hi], offsets[:k], out=index[:k], dtype=np.intp, casting="unsafe")
-        ct += dev[lo:hi].T @ np.bincount(index[:k].ravel(), weights=ones[:k * s],
-                                         minlength=k * n).reshape(k, n)
+        if n <= j * s:
+            # the indices were checked to lie in [0, n), so the cast to intp keeps them
+            np.add(table[lo:hi], offsets[:k], out=index[:k], dtype=np.intp, casting="unsafe")
+            ct += dev[lo:hi].T @ np.bincount(index[:k].ravel(), weights=weights[:k].ravel(),
+                                             minlength=k * n).reshape(k, n)
+            continue
+        index[:k] = table[lo:hi]
+        for col in range(j):
+            weights[:k] = dev[lo:hi, col, None]
+            ct[col] += np.bincount(index[:k].ravel(), weights=weights[:k].ravel(), minlength=n)
     c = ct.T / b
     raw = (n - 1) / n * (n / (n - s)) ** 2 * (c.T @ c)
     corr = (n - 1) * s / ((n - s) * b) * (dev.T @ dev) / b

@@ -1228,11 +1228,11 @@ class TestInfinitesimalJackknife:
                                            reference, rtol=1e-10, atol=0.0)
         assert len(built) == 2
 
-    @pytest.mark.parametrize("batch, trees_per_block", [(12, 1), (30, 2), (60, 4)])
+    @pytest.mark.parametrize("batch, trees_per_block", [(12, 1), (24, 2), (48, 4)])
     def test_blocks_match_double_loop(self, monkeypatch, batch, trees_per_block):
-        # BATCH_ELEMENTS // max(J s, n) trees per block, J = 2, s = 6 and n = 15; 9 trees
-        # end in a ragged block (2 and 4 trees per block) or in full ones (1 tree)
-        assert max(1, batch // max(2 * 6, 15)) == trees_per_block
+        # BATCH_ELEMENTS // (J s) trees per block, J = 2 and s = 6; 9 trees end
+        # in a ragged block (2 and 4 trees per block) or in full ones (1 tree)
+        assert max(1, batch // (2 * 6)) == trees_per_block
         monkeypatch.setattr(expfam, "BATCH_ELEMENTS", batch)
         self.check_double_loop()
 
@@ -1262,18 +1262,21 @@ class TestInfinitesimalJackknife:
     @given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 10), st.integers(1, 4),
            st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
-    @example(9, 6, 9, 2, 3)  # full blocks
+    @example(9, 6, 9, 2, 3)  # full blocks; n > J s, one bincount a column
     @example(9, 6, 9, 2, 4)  # ragged
     @example(9, 6, 9, 1, 1)  # one tree a block, J = 1
+    @example(9, 6, 6, 2, 3)  # n = J s: one incidence and one GEMM a block
+    @example(9, 6, 1, 3, 4)  # n < J s, ragged
     def test_any_blocks_match_double_loop(self, b, s, extra, j, k):
-        # k trees a block for any k: one-tree blocks, full and ragged ones, one block
+        # k trees a block for any k: one-tree blocks, full and ragged ones, one
+        # block; n on either side of J s, so both ways of summing a block
         n, k = s + extra, min(k, b)
         rng = np.random.default_rng([b, s, n, j, k])
         trees = np.stack([rng.choice(n, s, replace=False) for _ in range(b)])
         h = rng.standard_normal((b, j))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(expfam, "BATCH_ELEMENTS", k * max(j * s, n))
-            assert expfam._row_chunks(b, max(j * s, n))[0] == (0, k)
+            mp.setattr(expfam, "BATCH_ELEMENTS", k * j * s)
+            assert expfam._row_chunks(b, j * s)[0] == (0, k)
             raw, corr = forest_mod.infinitesimal_jackknife(trees, h, n)
         dev = h - h.mean(axis=0)
         c = np.zeros((n, j))
@@ -1290,14 +1293,14 @@ class TestInfinitesimalJackknife:
 
     def test_reference_shape_is_the_bincount_walk_bit_for_bit(self):
         # the reference fit's 2240 x 200 table at n = 1000, J = 8: blocks of
-        # BATCH_ELEMENTS // max(J s, n) = 163 trees, each block's GEMM summing its
+        # BATCH_ELEMENTS // (J s) = 163 trees, each block's GEMM summing its
         # trees in order, as one bincount per basis column over the block does
         b, s, n, j = 2240, 200, 1000, 8
         rng = np.random.default_rng(47)
         trees = np.stack([rng.choice(n, s, replace=False) for _ in range(b)])
         h = rng.standard_normal((b, j))
         raw, corr = forest_mod.infinitesimal_jackknife(trees, h, n)
-        step = expfam.BATCH_ELEMENTS // max(j * s, n)
+        step = expfam.BATCH_ELEMENTS // (j * s)
         assert step == 163
         dev = h - h[0]
         dev -= dev.mean(axis=0)
@@ -1327,7 +1330,7 @@ class TestInfinitesimalJackknife:
         # the reference fit's table is 2240 x 200; a whole-table index copy or
         # weight buffer would be 6.4 MB each here
         b, s, n, j = 4000, 200, 1000, 8
-        # one (k, n) incidence of at most BATCH_ELEMENTS floats; the block's index
+        # one (k, n) incidence, k n <= BATCH_ELEMENTS floats as n <= J s; the block's index
         # and unit weights, k s <= BATCH_ELEMENTS // J entries each; the (B, J)
         # deviations and a few (n, J) arrays
         bound = 8 * expfam.BATCH_ELEMENTS + 2 * 8 * (expfam.BATCH_ELEMENTS // j) \
@@ -1340,6 +1343,14 @@ class TestInfinitesimalJackknife:
         s, n, j = 200, 1000, 8
         grown = self.traced_peak(8000, s, n, j) - self.traced_peak(4000, s, n, j)
         assert grown <= 8 * j * 4000 + 4096
+
+    def test_no_incidence_above_j_s(self):
+        # at n = 20000 > J s = 1600 a block's (163, n) incidence would be 26 MB;
+        # each block adds one bincount per basis column, and the peak is the
+        # block's index and weights, the (B, J) deviations and a few (n, J) arrays
+        b, s, n, j = 2240, 200, 20000, 8
+        assert 8 * (expfam.BATCH_ELEMENTS // (j * s)) * n > 26e6
+        assert self.traced_peak(b, s, n, j) < 2 * 8 * expfam.BATCH_ELEMENTS // j + 8 * j * (b + 4 * n)
 
     def reference_inputs(self):
         rng = np.random.default_rng(48)
