@@ -24,10 +24,9 @@ cfg = ForestConfig(subsample_size=200, n_trees=560, basis_order=8,
                    min_child=10, min_fraction=0.05, scheme="theta",
                    initial_parent=[[0.0] * 4, [1.0] * 4], seed=11)
 
-# se_params requests standard errors: the fit keeps its tree subsamples, and
-# the bias-corrected infinitesimal jackknife reuses every tree grown for the
-# point estimate.
-fitted = fit(data, x_query, cfg, se_params="auto")
+# The fit keeps its tree subsamples, so the bias-corrected infinitesimal
+# jackknife reuses every tree grown for the point estimate.
+fitted = fit(data, x_query, cfg)
 print(f"solved coefficients: {np.round(fitted.theta_hat.theta, 3)}")
 
 print("\ny      estimate  truth    se      95% interval")

@@ -9,8 +9,8 @@ errors and confidence intervals.
 __version__ = "0.1.0"
 
 from .basis import BasisSpec, basis_matrix, default_basis, legendre_eval, make_quadrature
-from .errors import (AllWeightsZero, BoundaryMoment, EstimationError,
-                     MissingPlan, NonConvergence, ZeroDenominator)
+from .errors import (AllWeightsZero, BoundaryMoment, EstimationError, NonConvergence,
+                     ZeroDenominator)
 from .expfam import (MomentVector, ThetaSolution, covariance, density,
                      log_partition, moments, solve_theta, t_functional)
 from .forest import (Box, BranchResult, Dataset, ForestConfig, WeightVector,
@@ -26,8 +26,8 @@ _HARNESS = ("MCReport", "gen_covariates", "gen_outcome", "kernel_baseline",
 
 __all__ = sorted([
     "AllWeightsZero", "BasisSpec", "BoundaryMoment", "Box", "BranchResult", "Dataset",
-    "EstimationError", "FittedConditionalDensity", "ForestConfig", "MissingPlan",
-    "MomentVector", "NonConvergence", "ThetaSolution", "WeightVector", "ZeroDenominator",
+    "EstimationError", "FittedConditionalDensity", "ForestConfig", "MomentVector",
+    "NonConvergence", "ThetaSolution", "WeightVector", "ZeroDenominator",
     "basis_matrix", "best_split", "confidence_interval", "covariance", "default_basis",
     "density", "draw_subsamples", "fit", "grow_branch", "grow_from_halves", "legendre_eval",
     "log_partition", "make_quadrature", "moments", "mu_hat", "pdf", "solve_theta",

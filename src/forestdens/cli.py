@@ -162,7 +162,7 @@ def _resolved_forest_dict(cfg: ForestConfig) -> dict:
 
 
 def _write_provenance(out_dir: str, name: str, command: str, cfg: dict,
-                      fcfg: ForestConfig, se_params, **extra) -> Path:
+                      fcfg: ForestConfig, se: bool, **extra) -> Path:
     """Create the output directory and write the provenance block as ``name`` in it.
 
     The block holds the command, ``cfg`` with the resolved forest settings and
@@ -173,7 +173,7 @@ def _write_provenance(out_dir: str, name: str, command: str, cfg: dict,
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "command": command,
-        "config": dict(cfg, forest=_resolved_forest_dict(fcfg), se=se_params is not None),
+        "config": dict(cfg, forest=_resolved_forest_dict(fcfg), se=se),
         "versions": {
             "forestdens": __version__,
             "numpy": np.__version__,
@@ -201,13 +201,11 @@ def _input_errors(command: str, errors=(TypeError, ValueError, OverflowError)):
         raise UsageError(f"invalid {command} configuration: {exc}") from exc
 
 
-def _se_arg(se):
-    """The ``se_params`` of a config's ``se``; a recorded true/false reads as "auto"/None."""
-    if se is None or se is False:
-        return None
-    if se is True or se == "auto":
-        return "auto"
-    raise UsageError(f"se must be null, \"auto\" or a boolean, not {se!r}")
+def _se_arg(se) -> bool:
+    """Whether a config's ``se`` asks for SE columns: true or "auto" do, false or null do not."""
+    if not (se is None or isinstance(se, bool) or se == "auto"):
+        raise UsageError(f"se must be null, \"auto\" or a boolean, not {se!r}")
+    return se is True or se == "auto"
 
 
 def _ci_level(value) -> float:
@@ -242,23 +240,23 @@ def cmd_fit(config_path: str, seed=None, out_dir: str = ".") -> int:
         query_x = np.asarray(cfg["query_x"], dtype=float)
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"], data)
         grid = _y_grid(cfg["y_grid"])
-        se_params = _se_arg(cfg["se"])
+        se = _se_arg(cfg["se"])
         level = _ci_level(cfg["ci_level"])
     if query_x.shape != (data.dim,):
         raise UsageError(f"query_x must be {data.dim} coordinates, not shape {query_x.shape}")
 
     with _input_errors("fit", ValueError):
-        fitted = estimator.fit(data, query_x, fcfg, se_params=se_params)
+        fitted = estimator.fit(data, query_x, fcfg)
         rows = []
         for y in map(float, grid):
             row = [y, estimator.pdf(fitted, y)]
-            if se_params is not None:
-                se = estimator.std_error(fitted, y)
-                row += [se, *estimator._interval(row[1], se, level)]
+            if se:
+                se_y = estimator.std_error(fitted, y)
+                row += [se_y, *estimator._interval(row[1], se_y, level)]
             rows.append([repr(v) for v in row] + [""] * (5 - len(row)))
 
     out = _write_provenance(out_dir, "fit_provenance.json", "fit",
-                            dict(cfg, y_grid=grid.tolist()), fcfg, se_params)
+                            dict(cfg, y_grid=grid.tolist()), fcfg, se)
     with open(out / "fit.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "pdf", "se", "ci_lo", "ci_hi"])
@@ -278,16 +276,16 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     with _input_errors("mc"):
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"])
         n, reps = _count(cfg["n"], "n"), _count(cfg["reps"], "reps")
-        se_params = _se_arg(cfg["se"])
+        se = _se_arg(cfg["se"])
         options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
                        workers=cfg["workers"],
                        mise_grid_points=_count(cfg["mise_grid_points"], "mise_grid_points"),
                        ci_level=_ci_level(cfg["ci_level"]))
 
     with _input_errors("mc", ValueError):
-        report = simbench.run_mc(design, n, reps, fcfg, se_params, **options)
+        report = simbench.run_mc(design, n, reps, fcfg, se, **options)
 
-    out = _write_provenance(out_dir, "mc_report.json", "mc", cfg, fcfg, se_params,
+    out = _write_provenance(out_dir, "mc_report.json", "mc", cfg, fcfg, se,
                             report=simbench.report_to_dict(report))
     simbench.write_report_csv(report, out / "mc_report.csv")
     print(f"mc completed: {report.completed}/{report.reps} replications in "

@@ -35,9 +35,5 @@ class AllWeightsZero(EstimationError):
     """Every tree produced an empty leaf, so all similarity weights are zero."""
 
 
-class MissingPlan(EstimationError):
-    """A standard error was requested from a fit built without ``se_params``."""
-
-
 class ZeroDenominator(EstimationError):
     """The kernel denominator vanished: no sample mass near the query point."""

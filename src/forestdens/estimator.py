@@ -18,7 +18,7 @@ import numpy as np
 from . import expfam, forest
 # basis_matrix stays a module attribute here: the traced benchmark wraps it
 from .basis import BasisSpec, basis_matrix, default_basis  # noqa: F401
-from .errors import AllWeightsZero, MissingPlan
+from .errors import AllWeightsZero
 from .forest import Dataset, ForestConfig, WeightVector
 
 __all__ = ["FittedConditionalDensity", "fit", "pdf", "std_error",
@@ -30,25 +30,22 @@ class FittedConditionalDensity:
     """Everything needed to evaluate the estimate at one query point.
 
     ``per_tree_h`` holds each tree's holdout basis mean, and
-    ``tree_subsamples`` (None without ``se_params``) is the read-only
-    ``(n_trees, subsample_size)`` table of the trees' index sets (each row the tree's
-    deciding half, then its holdout half, each sorted), so that standard errors
-    reuse the trees grown for the point estimate.  Instances are
-    immutable; evaluation methods are safe for concurrent reads.  The first
-    :func:`pdf` keeps log Z and mu at ``theta_hat``; the first :func:`std_error`
-    keeps ``V(theta_hat)^{-1}`` and the two ``(J, J)`` matrices of
-    :func:`~forestdens.forest.infinitesimal_jackknife`, so densities alone never invert V.
-    Those are built in blocks of trees, one incidence and one GEMM a block while the
-    sample size is at most ``J * subsample_size``, and have the single pass's bits while
-    ``J * n_trees * subsample_size <= expfam.BATCH_ELEMENTS`` (one block) and the block
-    fits the BLAS kernel's K panel (on OpenBLAS 256 or 384 trees), and differ by roundoff otherwise.
+    ``tree_subsamples`` is the read-only ``(n_trees, subsample_size)`` table of
+    the trees' index sets (each row the tree's deciding half, then its holdout
+    half, each sorted), so that standard errors reuse the trees grown for the
+    point estimate.  Instances are immutable; evaluation methods are safe for
+    concurrent reads.  The first :func:`pdf` keeps log Z and mu at
+    ``theta_hat``; the first :func:`std_error` keeps ``V(theta_hat)^{-1}`` and
+    the two ``(J, J)`` matrices of :func:`~forestdens.forest.infinitesimal_jackknife`
+    (whose docstring says when they keep the single pass's bits), so densities
+    alone never invert V.
     """
 
     query_x: np.ndarray
     mu_hat: expfam.MomentVector
     theta_hat: expfam.ThetaSolution
     per_tree_h: np.ndarray
-    tree_subsamples: np.ndarray | None
+    tree_subsamples: np.ndarray
     config: ForestConfig
     weights: WeightVector
 
@@ -83,13 +80,10 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         Query point; must lie inside ``cfg.initial_parent``.
     cfg : ForestConfig
         ``cfg.seed`` is the fit's only source of randomness; ``cfg.basis_order`` sets its basis.
-    se_params : None, or any other value to keep the subsamples
-        Any value but None makes the fit keep its tree subsamples for
-        ``std_error``.  The value is not otherwise read: the forest is the
-        same either way.
-    workers : int
-        Has no effect: all trees grow together in the calling thread, one
-        level at a time.  Kept because ``bench/worker.py`` passes it.
+    se_params, workers
+        Have no effect: every fit keeps its tree subsamples for ``std_error``,
+        and all trees grow together in the calling thread, one level at a
+        time.  Kept because ``bench/worker.py`` passes both.
 
     Raises
     ------
@@ -97,8 +91,7 @@ def fit(data: Dataset, x, cfg: ForestConfig, se_params=None,
         Propagated with diagnostic payloads when the pipeline fails.
     """
     x = np.asarray(x, dtype=float)
-    w, per_tree_h, subsamples = forest.grow_forest(x, data, cfg)
-    return _from_trees(x, w, per_tree_h, None if se_params is None else subsamples, cfg)
+    return _from_trees(x, *forest.grow_forest(x, data, cfg), cfg)
 
 
 def _from_trees(x, w: WeightVector, per_tree_h: np.ndarray, tree_subsamples,
@@ -131,14 +124,7 @@ def std_error(fitted: FittedConditionalDensity, y: float) -> float:
     positive by :func:`~forestdens.forest.debiased_variance` with the tree
     count as its noise count.  The result is finite and non-negative, and
     0 only when every tree's holdout mean maps to the same value at ``y``.
-    A fit without ``se_params`` raises :class:`~forestdens.errors.MissingPlan`.
-    The paper's delete-group jackknife over ``L`` groups of ``d`` observations,
-    ``sqrt((n - d) / (d L) sum_l [t_row . (mu_minus_l - mean_l mu_minus_l)]^2)``,
-    is not implemented: each leave-group-out mean ``mu_minus_l`` is guaranteed
-    only two trees, whose noise made it an order of magnitude too large.
     """
-    if fitted.tree_subsamples is None:
-        raise MissingPlan("fit was built without se_params; no tree subsamples stored")
     t_row = expfam._t_row(y, fitted.theta_hat.theta, fitted._family, fitted._vinv, fitted.basis)
     raw, corr = fitted._ij_parts
     # both forms are positive semidefinite; the clip only absorbs roundoff
@@ -155,10 +141,11 @@ def confidence_interval(fitted: FittedConditionalDensity, y: float,
     return _interval(pdf(fitted, y), std_error(fitted, y), level)
 
 
-def _interval(center, se, level: float):
+def _interval(center: float, se: float, level: float) -> tuple[float, float]:
     """``center`` -/+ the ``NormalDist().inv_cdf`` quantile of a checked ``level`` times ``se``.
 
-    Elementwise on arrays; callers that hold the density and SE call it directly.
+    ``cli.cmd_fit``, which writes the density and SE columns too, calls it with
+    the values it already holds, so each grid point evaluates them once.
     """
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * se
     return center - half, center + half

@@ -80,9 +80,6 @@ class MomentVector:
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
-    def __len__(self) -> int:
-        return self.mu.size
-
 
 @dataclass(frozen=True, eq=False)
 class ThetaSolution:

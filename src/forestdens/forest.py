@@ -32,10 +32,10 @@ into the tree's deciding half, then its holdout half, and growth reads the
 halves as column views.  Every other batched temporary is capped by
 :data:`forestdens.expfam.BATCH_ELEMENTS` in the row chunks of one sizer,
 :func:`forestdens.expfam._row_chunks`: trees for the half split, the per-tree
-means and the infinitesimal jackknife (one ``(trees, n)`` incidence and one GEMM
-a block while ``n <= J s``, one ``bincount`` a basis column above); nodes for a
-level's Newton solves and V^-1 (1024 at J = 8), each chunk cut into split slices
-by their largest temporary.
+means and the infinitesimal jackknife (:func:`infinitesimal_jackknife` gives its
+blocks and when they keep the single pass's bits); nodes for a level's Newton
+solves and V^-1 (1024 at J = 8), each chunk cut into split slices by their
+largest temporary.
 
 Two splitting schemes are supported: under ``"theta"`` the pseudo-outcomes
 are the influence residuals V^-1 (phi - mu) at the node's Newton iterate; a

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -129,6 +129,12 @@ def _base_pdf(design: str, t, params):
     return 0.5 * (_norm_pdf(t, -m, sd) + _norm_pdf(t, m, sd))
 
 
+def _window(design: str, x):
+    """Parameters of rows ``x`` under ``design``, its window ``lo, hi`` and the base CDF at both."""
+    params, (lo, hi) = _design_params(design, x)
+    return params, lo, hi, _base_cdf(design, lo, params), _base_cdf(design, hi, params)
+
+
 def gen_outcome(design: str, x, rng: np.random.Generator):
     """Draw outcomes at covariate rows ``x`` ((d,) or (n, d)); values in [0, 1].
 
@@ -138,10 +144,8 @@ def gen_outcome(design: str, x, rng: np.random.Generator):
     affinely onto [0, 1].
     """
     design = _check_design(design)
-    params, (lo, hi) = _design_params(design, x)
+    params, lo, hi, c_lo, c_hi = _window(design, x)
     u = rng.random(params[0].size)  # one draw per row
-    c_lo = _base_cdf(design, lo, params)
-    c_hi = _base_cdf(design, hi, params)
     p = c_lo + u * (c_hi - c_lo)
     if design == "D1":
         a, b = params
@@ -175,29 +179,29 @@ def _one_row(x) -> np.ndarray:
     return x
 
 
-def true_density(design: str, y, x):
-    """Conditional density of the rescaled truncated law at ``y`` in [0, 1], given one row ``x``."""
+def _truth(design: str, y, x, cdf: bool):
+    """The rescaled truncated law's CDF if ``cdf``, else its density, at ``y`` given one row ``x``.
+
+    Checks ``design``, then ``y`` (in [0, 1]), then ``x``; a float for a scalar ``y``.
+    """
     design = _check_design(design)
     arr = np.asarray(y, dtype=float)
     _check_unit_interval(arr)
-    params, (lo, hi) = _design_params(design, _one_row(x))
-    mass = _base_cdf(design, hi, params) - _base_cdf(design, lo, params)
+    params, lo, hi, c_lo, c_hi = _window(design, _one_row(x))
     t = lo + (hi - lo) * arr
-    vals = (hi - lo) * _base_pdf(design, t, params) / mass
+    vals = ((_base_cdf(design, t, params) - c_lo) / (c_hi - c_lo) if cdf
+            else (hi - lo) * _base_pdf(design, t, params) / (c_hi - c_lo))
     return float(np.squeeze(vals)) if arr.ndim == 0 else np.asarray(vals).reshape(arr.shape)
+
+
+def true_density(design: str, y, x):
+    """Conditional density of the rescaled truncated law at ``y`` in [0, 1], given one row ``x``."""
+    return _truth(design, y, x, cdf=False)
 
 
 def true_cdf(design: str, y, x):
     """Conditional CDF matching :func:`true_density`, at ``y`` in [0, 1], given one row ``x``."""
-    design = _check_design(design)
-    arr = np.asarray(y, dtype=float)
-    _check_unit_interval(arr)
-    params, (lo, hi) = _design_params(design, _one_row(x))
-    c_lo = _base_cdf(design, lo, params)
-    c_hi = _base_cdf(design, hi, params)
-    t = lo + (hi - lo) * arr
-    vals = (_base_cdf(design, t, params) - c_lo) / (c_hi - c_lo)
-    return float(np.squeeze(vals)) if arr.ndim == 0 else np.asarray(vals).reshape(arr.shape)
+    return _truth(design, y, x, cdf=True)
 
 
 def _triweight(u: np.ndarray) -> np.ndarray:
@@ -271,27 +275,27 @@ class MCReport:
             raise ValueError("coverage must lie in [0, 1]")
 
 
-def _one_replication(design, n, cfg, se_params, points, grid, truth, level, x_query, rep_ss):
-    """A replication's estimates, SEs and ``level``-interval hits, or its failure."""
+def _one_replication(design, n, cfg, se, points, grid, truth, level, x_query, rep_ss):
+    """A replication's estimates, SEs and ``level``-interval hits (NaN unless ``se``), or its failure.
+    """
     rng = np.random.default_rng(rep_ss)
     try:
         xmat = gen_covariates(n, rng)
         yvec = gen_outcome(design, xmat, rng)
         data = Dataset(yvec, xmat)
         fit_cfg = replace(cfg, seed=int(rng.integers(np.iinfo(np.int64).max)))
-        fitted = estimator.fit(data, x_query, fit_cfg, se_params=se_params)
+        fitted = estimator.fit(data, x_query, fit_cfg)
         f_points = estimator.pdf(fitted, points)
         f_grid = estimator.pdf(fitted, grid)
-        se = hits = np.full(points.size, np.nan)
-        if se_params is not None:
-            se = np.array([estimator.std_error(fitted, float(y)) for y in points])
-            # confidence_interval's centre: a scalar pdf may differ from f_points in the last bit
-            centre = np.array([estimator.pdf(fitted, float(y)) for y in points])
-            lo, hi = estimator._interval(centre, se, level)
+        se_points = hits = np.full(points.size, np.nan)
+        if se:
+            se_points = np.array([estimator.std_error(fitted, float(y)) for y in points])
+            lo, hi = np.array([estimator.confidence_interval(fitted, float(y), level)
+                               for y in points]).T
             hits = ((lo <= truth) & (truth <= hi)).astype(float)
     except EstimationError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return f_points, f_grid, se, hits
+    return f_points, f_grid, se_points, hits
 
 
 def _simpson(y: np.ndarray, x: np.ndarray):
@@ -321,7 +325,7 @@ def _simpson(y: np.ndarray, x: np.ndarray):
     return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0  # scipy adds its 0.0 last
 
 
-def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
+def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se,
            design_points=DEFAULT_DESIGN_POINTS, workers: int = 1,
            mise_grid_points: int = 141, ci_level: float = 0.95) -> MCReport:
     """Run the Monte Carlo benchmark for one design.
@@ -329,13 +333,13 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     Each replication generates a fresh sample, fits at the fixed query
     point x = (1/2, 1/2, 1/2, 1/2), and records the estimate at the design
     points and on the integrated-squared-error grid of ``mise_grid_points``
-    (at least 2) points over :data:`MISE_INTERVAL`.  ``se_params`` is passed to
-    :func:`~forestdens.estimator.fit`; without it the SE and coverage
-    columns are NaN.  ``cfg.seed`` is the master seed: each replication's
-    stream is spawned from it by index and seeds that replication's data and
-    forest, so the report does not depend on ``workers``, the number of
-    worker processes.  Failures are collected in replication order and
-    reported without aborting the run.
+    (at least 2) points over :data:`MISE_INTERVAL`.  ``se`` is read as a
+    truth value: when it is false the SE and coverage columns are NaN.
+    ``cfg.seed`` is the master seed: each replication's stream is spawned
+    from it by index and seeds that replication's data and forest, so the
+    report does not depend on ``workers``, the number of worker processes.
+    Failures are collected in replication order and reported without
+    aborting the run.
     """
     design = _check_design(design)
     if reps < 2:
@@ -354,7 +358,7 @@ def run_mc(design: str, n: int, reps: int, cfg: ForestConfig, se_params,
     truth_points = true_density(design, points, x_query)
     truth_grid = true_density(design, grid, x_query)
     rep_streams = np.random.SeedSequence(cfg.seed).spawn(reps)
-    replicate = partial(_one_replication, design, n, cfg, se_params, points, grid,
+    replicate = partial(_one_replication, design, n, cfg, se, points, grid,
                         truth_points, ci_level, x_query)
 
     t0 = time.perf_counter()
@@ -416,21 +420,14 @@ def write_report_csv(report: MCReport, path) -> None:
 
 
 def report_to_dict(report: MCReport) -> dict:
-    """JSON-ready summary; excludes wall-clock runtime so outputs are reproducible."""
-    return {
-        "design": report.design,
-        "n": report.n,
-        "reps": report.reps,
-        "completed": report.completed,
-        "ci_level": report.ci_level,
-        "design_points": report.design_points.tolist(),
-        "truth": report.truth.tolist(),
-        "bias": report.bias.tolist(),
-        "sd": report.sd.tolist(),
-        "avg_se": [None if np.isnan(v) else v for v in report.avg_se.tolist()],
-        "coverage": [None if np.isnan(v) else v for v in report.coverage.tolist()],
-        "mise": report.mise,
-        "mise_interval": list(report.mise_interval),
-        "mise_grid_points": report.mise_grid_points,
-        "failures": list(report.failures),
-    }
+    """JSON-ready summary of every field but the wall-clock runtime, so outputs are reproducible.
+
+    Arrays and tuples become lists, and NaN (the SE columns of a run without SE) becomes null.
+    """
+    def plain(v):
+        if isinstance(v, (np.ndarray, tuple)):
+            return [plain(e) for e in (v.tolist() if isinstance(v, np.ndarray) else v)]
+        return None if isinstance(v, float) and np.isnan(v) else v
+
+    return {f.name: plain(getattr(report, f.name)) for f in fields(MCReport)
+            if f.name != "runtime_seconds"}

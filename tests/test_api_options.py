@@ -10,6 +10,7 @@ its name below, and so does adding a name to the ``__all__`` of the package
 or of a module.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -27,6 +28,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 #: Module attributes kept only because the traced benchmark wraps them by
 #: name; each goes when ``bench/worker.py`` stops naming it.
 BENCH_HELD = ["forest.se_subsample_plan", "forest.sigma_fe", "estimator.basis_matrix"]
+
+#: Parameters of ``estimator.fit`` that have no effect and stay only because an
+#: ``estimator.fit(...)`` call in ``bench/worker.py`` passes them by keyword.
+BENCH_PASSED = ["estimator.fit.se_params", "estimator.fit.workers"]
 
 OPTIONS = [
     "forest.ForestConfig.min_child",
@@ -63,11 +68,10 @@ PUBLIC_NAMES = {
     "forestdens": [
         "AllWeightsZero", "BasisSpec", "BoundaryMoment", "Box", "BranchResult", "Dataset",
         "EstimationError", "FittedConditionalDensity", "ForestConfig", "MCReport",
-        "MissingPlan", "MomentVector", "NonConvergence", "ThetaSolution", "WeightVector",
-        "ZeroDenominator", "basis_matrix", "best_split", "confidence_interval", "covariance",
-        "default_basis", "density", "draw_subsamples", "fit", "gen_covariates",
-        "gen_outcome", "grow_branch", "grow_from_halves", "kernel_baseline",
-        "legendre_eval", "log_partition", "make_quadrature", "moments", "mu_hat", "pdf",
+        "MomentVector", "NonConvergence", "ThetaSolution", "WeightVector", "ZeroDenominator",
+        "basis_matrix", "best_split", "confidence_interval", "covariance", "default_basis",
+        "density", "draw_subsamples", "fit", "gen_covariates", "gen_outcome", "grow_branch",
+        "grow_from_halves", "kernel_baseline", "legendre_eval", "log_partition", "make_quadrature", "moments", "mu_hat", "pdf",
         "run_mc", "solve_theta", "split_half", "std_error", "t_functional", "true_cdf",
         "true_density", "weights"],
     "basis": ["BasisSpec", "default_basis", "legendre_eval", "basis_matrix", "basis_range",
@@ -141,7 +145,19 @@ def test_bench_held_names_stay_only_while_the_bench_wraps_them(monkeypatch):
             f"bench/worker.py no longer wraps {held}: delete it and its BENCH_HELD entry")
 
 
-@pytest.mark.parametrize("name", ["sigma_fe", "SESubsamplePlan", "NoCleanTrees"])
+def test_bench_passed_parameters_stay_only_while_the_bench_passes_them():
+    tree = ast.parse((BENCH / "worker.py").read_text())
+    passed = {f"estimator.fit.{kw.arg}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "estimator.fit"
+              for kw in node.keywords}
+    for held in BENCH_PASSED:
+        assert held in OPTIONS, held
+        assert held in passed, (
+            f"no estimator.fit call in bench/worker.py passes {held}: "
+            f"delete the parameter and its BENCH_PASSED and OPTIONS entries")
+
+
+@pytest.mark.parametrize("name", ["sigma_fe", "SESubsamplePlan", "NoCleanTrees", "MissingPlan"])
 def test_retired_names_leave_the_package(name):
     with pytest.raises(AttributeError):
         getattr(forestdens, name)

@@ -62,6 +62,11 @@ class TestLegendreEval:
         with pytest.raises(ValueError, match="^degree must be an integer"):
             legendre_eval(ell, 0.5)
 
+    @pytest.mark.parametrize("ell", [-1, np.int64(-3)])
+    def test_rejects_a_negative_degree(self, ell):
+        with pytest.raises(ValueError, match="^degree must be nonnegative"):
+            legendre_eval(ell, 0.5)
+
     @given(st.integers(min_value=0, max_value=12),
            st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)

@@ -148,6 +148,38 @@ class TestFitCommand:
         assert f"input {bad_csv} row 4: non-finite value" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["fit", "mc"])
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("{\"seed\": 1", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+    ])
+    def test_config_file_errors_exit_one(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"config {path}" in err and message in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "is empty"),
+        ("y\n0.5\n", "needs an outcome and at least one covariate column"),
+        ("y,x1\n0.5,0.1\n0.5\n", "row 3: expected 2 fields"),
+        ("y,x1\n0.5,0.1,0.2\n", "row 2: expected 2 fields"),
+        ("y,x1\n0.5,abc\n", "row 2: non-numeric value"),
+        ("y,x1\n", "has no data rows"),
+    ])
+    def test_malformed_input_csv_exits_one(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        cfg = fit_config(tmp_path, input=str(bad))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: input {bad}") and message in err
+        assert "Traceback" not in err and not (tmp_path / "fit.csv").exists()
+
     def test_density_and_se_evaluated_once_per_grid_point(self, tmp_path, monkeypatch):
         calls = []
 
@@ -213,6 +245,8 @@ class TestWrongTypedConfig:
                     "initial_parent": [[0.0], [1.0]]}},
         {"forest": {"subsample_size": 40, "n_trees": 40, "basis_order": 4, "min_child": 4,
                     "initial_parent": [[0.0] * 4]}},
+        {"se": 1},
+        {"se": 0},
     ])
     def test_fit(self, tmp_path, capsys, override):
         cfg = fit_config(tmp_path, **override)
@@ -243,6 +277,19 @@ class TestWrongTypedConfig:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "Traceback" not in err
         assert not (tmp_path / "mc_report.csv").exists()
+
+    @pytest.mark.parametrize("command, override, message", [
+        ("fit", {"input": None}, "config key 'input' is required for fit"),
+        ("fit", {"query_x": None}, "config key 'query_x' is required for fit"),
+        ("mc", {"forest": {"subsample_size": 30, "n_trees": 24, "basis_order": 4,
+                           "min_child": 3, "initial_parent": None}},
+         "initial_parent must be given when no data bounds exist"),
+    ])
+    def test_missing_required_value(self, tmp_path, capsys, command, override, message):
+        cfg = (fit_config if command == "fit" else mc_config)(tmp_path, **override)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_counts_accepted(self, tmp_path):
         assert main(["fit", "--config", fit_config(tmp_path), "--out", str(tmp_path / "a")]) == 0

@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 
 from forestdens import cli, estimator, expfam, forest
 from forestdens.basis import basis_matrix, default_basis
-from forestdens.errors import EstimationError, MissingPlan
+from forestdens.errors import EstimationError
 from forestdens.estimator import confidence_interval, fit, pdf, std_error
 from forestdens.forest import Dataset, ForestConfig
 
@@ -158,18 +158,11 @@ class TestFit:
 
 
 class TestStdError:
-    def test_missing_plan_raises(self):
-        rng = np.random.default_rng(6)
-        data = small_dataset(rng)
-        fitted = fit(data, np.array([0.5, 0.5]), small_config())
-        with pytest.raises(MissingPlan):
-            std_error(fitted, 0.5)
-
     def test_identical_tree_outputs_give_zero(self):
         rng = np.random.default_rng(7)
         data = small_dataset(rng, n=50)
         cfg = small_config(subsample_size=20, n_trees=10, seed=23)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 4))
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         forced = object.__new__(type(fitted))
         for name in fitted.__dataclass_fields__:
             object.__setattr__(forced, name, getattr(fitted, name))
@@ -182,7 +175,7 @@ class TestStdError:
         rng = np.random.default_rng(8)
         data = small_dataset(rng, n=50)
         cfg = small_config(subsample_size=20, n_trees=10, seed=23)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 4))
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         row = np.array([0.1, 1.0 / 3.0, -0.7, np.pi])[:fitted.per_tree_h.shape[1]]
         forced = replace(fitted, per_tree_h=np.tile(row, (10, 1)))
         assert [std_error(forced, y) for y in (0.1, 0.5, 0.9)] == [0.0] * 3
@@ -191,7 +184,7 @@ class TestStdError:
         rng = np.random.default_rng(13)
         data = small_dataset(rng, n=80)
         cfg = small_config(subsample_size=25, n_trees=30, seed=29)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params=(4, 5))
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         scaled = replace(fitted, per_tree_h=3.0 * fitted.per_tree_h)
         for y in (0.2, 0.5, 0.8):
             assert std_error(scaled, y) == pytest.approx(3.0 * std_error(fitted, y), rel=1e-12)
@@ -204,7 +197,7 @@ class TestStdError:
             cfg = cli._build_forest_config(
                 dict(cli._FOREST_DEFAULTS, subsample_size=40, n_trees=40, basis_order=4,
                      min_child=4), seed, data)
-            fitted = fit(data, np.full(4, 0.5), cfg, se_params=(8, 9))
+            fitted = fit(data, np.full(4, 0.5), cfg)
             raw, corr = fitted._ij_parts
             t_mid = expfam.t_functional(0.5, fitted.theta_hat, fitted.basis)
             if t_mid @ corr @ t_mid > t_mid @ raw @ t_mid:
@@ -216,8 +209,9 @@ class TestStdError:
         assert np.all(np.isfinite(se)) and np.all(se > 0.0)
 
     def test_se_params_only_requests_se(self, monkeypatch):
-        # the forest is the same with and without a standard-error request,
-        # and no fit draws the paired delete-group plan
+        # se_params is held only for the benchmark's calls: every fit keeps its
+        # trees, so a fit without it gives the same standard errors and
+        # intervals, and no fit draws the paired delete-group plan
         def no_plan(*args, **kwargs):
             raise AssertionError("the fit drew a delete-group plan")
         monkeypatch.setattr(forest, "se_subsample_plan", no_plan)
@@ -226,19 +220,22 @@ class TestStdError:
         cfg = small_config(subsample_size=20, n_trees=21, seed=31)
         plain, auto, pair = (fit(data, np.array([0.5, 0.5]), cfg, se_params=p)
                              for p in (None, "auto", (3, 4)))
+        grid = np.linspace(0.05, 0.95, 19)  # the fit command's default y_grid
+        assert plain.tree_subsamples.shape == (21, 20)
         for fitted in (auto, pair):
             assert fitted.weights.weights.tobytes() == plain.weights.weights.tobytes()
             assert fitted.per_tree_h.tobytes() == plain.per_tree_h.tobytes()
             assert fitted.theta_hat.theta.tobytes() == plain.theta_hat.theta.tobytes()
-            assert [t.size for t in fitted.tree_subsamples] == [20] * 21
-            assert std_error(fitted, 0.5) >= 0.0
-        assert plain.tree_subsamples is None
+            assert fitted.tree_subsamples.tobytes() == plain.tree_subsamples.tobytes()
+            for y in map(float, grid):
+                assert std_error(fitted, y) == std_error(plain, y) >= 0.0
+                assert confidence_interval(fitted, y) == confidence_interval(plain, y)
 
     def test_tree_subsamples_is_a_read_only_table(self):
         rng = np.random.default_rng(10)
         data = small_dataset(rng, n=100)
         cfg = small_config(subsample_size=20, n_trees=21, seed=32)
-        subsamples = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 4)).tree_subsamples
+        subsamples = fit(data, np.array([0.5, 0.5]), cfg).tree_subsamples
         assert isinstance(subsamples, np.ndarray) and subsamples.shape == (21, 20)
         with pytest.raises(ValueError):
             subsamples[0, 0] = 0
@@ -252,16 +249,15 @@ class TestStdError:
         cfg = small_config(subsample_size=40, n_trees=12, seed=33)
         for name in ("BranchResult", "SplitRecord", "Box"):
             monkeypatch.setattr(forest, name, forbidden)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params="auto")
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         assert std_error(fitted, 0.5) >= 0.0
 
     @pytest.mark.parametrize("n, s", [(41, 40), (100, 96)])
     def test_auto_se_params_when_few_observations_stay_out(self, n, s):
-        # n - s <= n // 20: "auto" names delete groups larger than what a tree leaves out
+        # n - s <= n // 20: each tree leaves out only a few observations
         rng = np.random.default_rng(14)
         data = small_dataset(rng, n=n)
-        fitted = fit(data, np.array([0.5, 0.5]), small_config(subsample_size=s),
-                     se_params="auto")
+        fitted = fit(data, np.array([0.5, 0.5]), small_config(subsample_size=s))
         se = std_error(fitted, 0.5)
         assert np.isfinite(se) and se >= 0.0
 
@@ -269,7 +265,7 @@ class TestStdError:
     def test_rejects_a_non_scalar_y(self):
         rng = np.random.default_rng(15)
         data = small_dataset(rng, n=60)
-        fitted = fit(data, np.array([0.5, 0.5]), small_config(seed=47), se_params="auto")
+        fitted = fit(data, np.array([0.5, 0.5]), small_config(seed=47))
         for y in (np.array([0.2, 0.4]), np.array([0.3]), [0.5]):
             with pytest.raises(ValueError, match="y must be a scalar"):
                 std_error(fitted, y)
@@ -295,7 +291,7 @@ class TestConfidenceInterval:
         rng = np.random.default_rng(10)
         data = small_dataset(rng, n=60)
         cfg = small_config(subsample_size=20, n_trees=13, seed=37)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 5))
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         lo, hi = confidence_interval(fitted, 0.4, 0.95)
         center = pdf(fitted, 0.4)
         se = std_error(fitted, 0.4)
@@ -306,7 +302,7 @@ class TestConfidenceInterval:
         rng = np.random.default_rng(11)
         data = small_dataset(rng, n=50)
         cfg = small_config(subsample_size=20, n_trees=10, seed=41)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 4))
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         forced = object.__new__(type(fitted))
         for name in fitted.__dataclass_fields__:
             object.__setattr__(forced, name, getattr(fitted, name))
@@ -319,10 +315,7 @@ class TestConfidenceInterval:
         rng = np.random.default_rng(16)
         data = small_dataset(rng, n=60)
         cfg = small_config(subsample_size=20, n_trees=13, seed=53)
-        without_se = fit(data, np.array([0.5, 0.5]), cfg)
-        with pytest.raises(ValueError, match="level"):
-            confidence_interval(without_se, 0.5, level)  # not MissingPlan
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params="auto")
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         with pytest.raises(ValueError, match="level"):
             confidence_interval(fitted, 0.5, level)
         assert "_ij_parts" not in fitted.__dict__
@@ -332,7 +325,7 @@ class TestConfidenceInterval:
         rng = np.random.default_rng(12)
         data = small_dataset(rng, n=60)
         cfg = small_config(subsample_size=24, n_trees=13, seed=43)
-        fitted = fit(data, np.array([0.5, 0.5]), cfg, se_params=(3, 5))
+        fitted = fit(data, np.array([0.5, 0.5]), cfg)
         lo90, hi90 = confidence_interval(fitted, 0.5, 0.90)
         lo95, hi95 = confidence_interval(fitted, 0.5, 0.95)
         lo99, hi99 = confidence_interval(fitted, 0.5, 0.99)
@@ -343,8 +336,7 @@ class TestConfidenceInterval:
 def kept_state_fit():
     rng = np.random.default_rng(17)
     data = small_dataset(rng, n=80)
-    return fit(data, np.array([0.4, 0.6]), small_config(n_trees=20, scheme="theta", seed=59),
-               se_params="auto")
+    return fit(data, np.array([0.4, 0.6]), small_config(n_trees=20, scheme="theta", seed=59))
 
 
 class TestKeptFamilyState:
@@ -368,7 +360,7 @@ class TestKeptFamilyState:
         rng = np.random.default_rng(18)
         data = small_dataset(rng, n=80)
         cfg = small_config(n_trees=20, scheme="theta", seed=61)
-        fits = [fit(data, np.array([0.5, 0.5]), cfg, se_params="auto") for _ in range(2)]
+        fits = [fit(data, np.array([0.5, 0.5]), cfg) for _ in range(2)]
         calls = self.count_calls(monkeypatch)
         for k, fitted in enumerate(fits, start=1):
             for y in self.grid:
@@ -448,7 +440,7 @@ class TestPointEstimateRegression:
             dict(cli._FOREST_DEFAULTS, subsample_size=40, n_trees=40, basis_order=4,
                  min_child=4), 41, data)
         self.check(
-            fit(data, np.full(4, 0.5), cfg, se_params=(8, 9)),
+            fit(data, np.full(4, 0.5), cfg),
             "114e6eee864936df5f2ef8ebb0c9e79dbbd1be788eadac75ace17a6f00478a17",
             "414fe49c92682c560f3ec297cd75900d16cc6dfbd12d1896def150974fae18bb",
             [0.36000623373201796, 0.37537442535070253, 0.46343760581216875,
@@ -467,7 +459,7 @@ class TestPointEstimateRegression:
                            initial_parent=[[0.0] * 3, [1.0] * 3], min_child=4,
                            scheme="theta", seed=19)
         self.check(
-            fit(data, np.array([0.5, 0.4, 0.6]), cfg, se_params=(10, 12)),
+            fit(data, np.array([0.5, 0.4, 0.6]), cfg),
             "64f8d7cce6af2339579a6112ced3cb2c9f76dcc601df8d096cadc5b5df12f535",
             "a95862f1788f503377b6ca6564b4cc165fdc629b4401c8382e37940cc5e0a789",
             [0.5084016354921526, 0.5888872410752022, 0.46357741599267016,
@@ -517,7 +509,7 @@ class TestDegenerateInputs:
                            initial_parent=[[0.0] * d, [1.0] * d], min_child=2,
                            scheme=scheme, seed=seed)
         try:
-            fitted = fit(data, x_query, cfg, se_params="auto")
+            fitted = fit(data, x_query, cfg)
             dens = pdf(fitted, self.grid)
             se = np.array([std_error(fitted, float(y)) for y in self.grid])
         except EstimationError:

@@ -53,6 +53,13 @@ class TestLogPartition:
             assert log_partition(theta, spec) == pytest.approx(
                 log_partition(-theta, spec), abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [[np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
+                                       [1e308, 1e308, 0.0]])
+    def test_non_finite_exponent_raises_overflow(self, theta):
+        # numpy warns of the inf - inf or the overflow first; warnings are errors in this suite
+        with pytest.warns(RuntimeWarning), pytest.raises(OverflowError, match="not finite"):
+            log_partition(np.array(theta), default_basis(3))
+
 
 class TestDensity:
     def test_uniform_at_zero_theta(self):
@@ -651,6 +658,12 @@ class TestTFunctional:
             total += w * t_functional(float(node), sol, spec)
         np.testing.assert_allclose(total, 0.0, atol=1e-9)
 
+    def test_requires_a_converged_solution(self):
+        spec = default_basis(3)
+        unconverged = ThetaSolution(solve_theta(np.zeros(3), spec).theta, 0.5, 3, False)
+        with pytest.raises(ValueError, match="requires a converged solution"):
+            t_functional(0.5, unconverged, spec)
+
 
 class TestMomentVectorType:
     def test_rejects_out_of_range_component(self):
@@ -668,6 +681,17 @@ class TestMomentVectorType:
     def test_solve_theta_rejects_a_table_target(self):
         with pytest.raises(ValueError, match=r"target moments must be 1-D, not shape \(1, 4\)"):
             solve_theta(np.zeros((1, 4)), default_basis(4))
+
+    @pytest.mark.parametrize("target, match", [
+        ([np.nan, 0.0, 0.0, 0.0], "moment target must be finite"),
+        ([0.0, np.inf, 0.0, 0.0], "moment target must be finite"),
+        ([0.0, 0.0, 0.0], "target has 3 components but basis order is 4"),
+        ([0.0] * 5, "target has 5 components but basis order is 4"),
+    ])
+    def test_solve_theta_rejects_a_non_finite_target_or_one_of_another_length(self, target,
+                                                                              match):
+        with pytest.raises(ValueError, match=match):
+            solve_theta(np.array(target), default_basis(4))
 
 
 class TestThetaSolutionType:

@@ -64,6 +64,11 @@ class TestBox:
         with pytest.raises(ValueError, match="lower <= upper"):
             Box(lower, upper)
 
+    @pytest.mark.parametrize("lower, upper", [([0.0, 0.0], [1.0]), ([[0.0, 0.0]], [[1.0, 1.0]])])
+    def test_rejects_bounds_of_unequal_length_or_not_flat(self, lower, upper):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            Box(lower, upper)
+
 
 class TestPoissonDimLaw:
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
@@ -226,6 +231,11 @@ class TestSplitHalf:
         se = np.sqrt((1 / 6) * (5 / 6) / 10_000)
         for freq in counts.values():
             assert abs(freq / 10_000 - 1 / 6) <= 3 * se
+
+    @pytest.mark.parametrize("index_set", [[], [3]])
+    def test_rejects_fewer_than_two_indices(self, index_set):
+        with pytest.raises(ValueError, match="at least two indices"):
+            split_half(index_set, 0)
 
 
 class TestSubsampleTable:
@@ -407,6 +417,17 @@ class TestBestSplit:
         y = np.linspace(0.1, 0.9, 12)
         pivot = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
         assert best_split(x, y, pivot, cfg, [0, 1]) is None
+
+    @pytest.mark.parametrize("pivot_kind", ["mu", "theta"])
+    def test_no_allowed_dims_yield_none(self, pivot_kind):
+        rng = np.random.default_rng(7)
+        x, y = rng.random((20, 2)), rng.random(20)
+        spec = default_basis(2)
+        mu = expfam.MomentVector(basis_matrix(spec, y).mean(axis=0))
+        pivot = mu if pivot_kind == "mu" else expfam.solve_theta(mu, spec)
+        cfg = make_config(basis_order=2, min_child=2)
+        assert best_split(x, y, pivot, cfg, [0, 1]) is not None
+        assert best_split(x, y, pivot, cfg, []) is None
 
     def test_feasibility_bounds_on_random_instances(self):
         rng = np.random.default_rng(6)
@@ -600,6 +621,11 @@ class TestOneTreeInputs:
         with pytest.raises(ValueError, match="not 1-D and 2-D of matching length"):
             best_split(self.x, self.y[:-1], pivot, self.cfg, [0, 1])
 
+    @pytest.mark.parametrize("pivot", [None, np.zeros(3), 0.5])
+    def test_best_split_rejects_a_pivot_of_another_type(self, pivot):
+        with pytest.raises(TypeError, match="pivot must be a ThetaSolution or a MomentVector"):
+            best_split(self.x, self.y, pivot, self.cfg, [0, 1])
+
     @pytest.mark.parametrize("key", [True, np.bool_(False), 2.5, "3"])
     def test_tree_keys_are_integers_in_range(self, key):
         # True once passed as key 1
@@ -727,6 +753,31 @@ class TestShapeChecks:
     def test_dataset_rejects_covariates_that_are_not_a_table(self):
         with pytest.raises(ValueError, match=r"covariates of shape \(4, 2, 1\)"):
             Dataset(np.full(4, 0.5), np.zeros((4, 2, 1)))
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"min_child": 1}, "min_child must be at least 2"),
+        ({"subsample_size": 7}, r"subsample_size must be at least 2 \* min_child"),
+        ({"min_fraction": 0.0}, r"min_fraction must lie in \(0, 1/2\)"),
+        ({"min_fraction": 0.5}, r"min_fraction must lie in \(0, 1/2\)"),
+        ({"min_fraction": float("nan")}, r"min_fraction must lie in \(0, 1/2\)"),
+        ({"n_trees": 0}, "n_trees must be positive"),
+        ({"basis_order": 0}, "basis_order must be positive"),
+        ({"n_grid": 0}, "n_grid must be positive"),
+        ({"scheme": "tau"}, "scheme must be 'theta' or 'mu'"),
+    ])
+    def test_config_rejects_settings_out_of_range(self, overrides, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            make_config(**overrides)  # min_child=4 unless set
+
+    @pytest.mark.parametrize("y, x, match", [
+        ([0.5, np.nan], [[0.1], [0.2]], "non-finite"),
+        ([0.5, 0.5], [[0.1], [np.inf]], "non-finite"),
+        ([0.5, 1.5], [[0.1], [0.2]], r"outcomes must lie in \[0, 1\]"),
+        ([-0.1, 0.5], [[0.1], [0.2]], r"outcomes must lie in \[0, 1\]"),
+    ])
+    def test_dataset_rejects_non_finite_values_and_outcomes_outside_0_1(self, y, x, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(np.array(y), np.array(x))
 
     def test_config_rejects_nan_initial_parent(self):
         with pytest.raises(ValueError, match="lower <= upper"):
@@ -1117,6 +1168,12 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="non-finite|not 1-D"):
             WeightVector(w)
 
+    @pytest.mark.parametrize("w, match", [([0.5, -0.25], "nonnegative"),
+                                          ([0.75, 0.5], "sum to at most 1")])
+    def test_rejects_negative_weights_or_a_sum_above_one(self, w, match):
+        with pytest.raises(ValueError, match=match):
+            WeightVector(w)
+
 
 class TestMuHat:
     def test_uniform_weights_give_sample_mean(self):
@@ -1216,7 +1273,7 @@ class TestInfinitesimalJackknife:
         cfg = ForestConfig(subsample_size=20, n_trees=12, basis_order=3,
                            initial_parent=unit_box(2), min_child=3, scheme="mu", seed=6)
         ys = (0.2, 0.5, 0.8)
-        fits = [estimator.fit(data, [0.5, 0.5], cfg, se_params=(3, 4)) for _ in range(2)]
+        fits = [estimator.fit(data, [0.5, 0.5], cfg) for _ in range(2)]
         reference = [hand_ij_se(fits[0], y, n, 20) for y in ys]
         built = []
         build = forest_mod.infinitesimal_jackknife

@@ -39,7 +39,7 @@ rng = np.random.default_rng(0)
 data = fd.Dataset(rng.random(60), rng.random((60, 2)))
 cfg = fd.ForestConfig(subsample_size=20, n_trees=12, basis_order=3,
                       initial_parent=[[0.0, 0.0], [1.0, 1.0]], min_child=3, seed=1)
-fitted = fd.fit(data, [0.5, 0.5], cfg, se_params=(3, 4))
+fitted = fd.fit(data, [0.5, 0.5], cfg)
 lo, hi = fd.confidence_interval(fitted, 0.5)
 assert fd.pdf(fitted, 0.5) > 0.0 and fd.std_error(fitted, 0.5) >= 0.0 and lo <= hi
 """
@@ -67,8 +67,8 @@ from forestdens.forest import ForestConfig
 from forestdens.simbench import run_mc
 cfg = ForestConfig(subsample_size=40, n_trees=8, basis_order=4,
                    initial_parent=[[0.0] * 4, [1.0] * 4], min_child=4, seed=5)
-for se_params in (None, "auto"):
-    assert run_mc("D1", 120, 2, cfg, se_params, workers=1).completed == 2
+for se in (False, True):
+    assert run_mc("D1", 120, 2, cfg, se, workers=1).completed == 2
 print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))
 """
     return ast.literal_eval(run_fresh(code))

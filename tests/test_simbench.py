@@ -54,6 +54,11 @@ class TestGenCovariates:
         se = np.sqrt((stats.moment(x, 4, axis=0) - v ** 2) / 100_000)
         assert np.all(np.abs(v - target) <= 4 * se)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_a_non_positive_count(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            gen_covariates(n, np.random.default_rng(0))
+
 
 class TestGenOutcome:
     @pytest.mark.parametrize("design", DESIGNS)
