@@ -137,6 +137,16 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str, lists: bool = False):
+    """A real config number as a float; with ``lists``, also a list of them at any depth, as a
+    float array.  A boolean or another non-number is an input error, as for :func:`_count`."""
+    if lists and isinstance(value, list):
+        return np.array([_real(v, name, lists) for v in value], dtype=float)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{name} must be a number{' or a list of numbers' * lists}, not {value!r}")
+    return float(value)
+
+
 def _build_forest_config(fcfg: dict, seed: int, data: Dataset = None) -> ForestConfig:
     parent = fcfg["initial_parent"]
     if parent is None:
@@ -147,11 +157,11 @@ def _build_forest_config(fcfg: dict, seed: int, data: Dataset = None) -> ForestC
         pad = 0.01 * (hi - lo)
         parent = Box(lo + pad, hi - pad)
     else:
-        parent = np.asarray(parent, dtype=float)
+        parent = _real(parent, "initial_parent", lists=True)
     counts = {key: _count(fcfg[key], key)
               for key, default in _FOREST_DEFAULTS.items() if isinstance(default, int)}
     return ForestConfig(**counts, initial_parent=parent,
-                        min_fraction=float(fcfg["min_fraction"]),
+                        min_fraction=_real(fcfg["min_fraction"], "min_fraction"),
                         scheme=str(fcfg["scheme"]), seed=seed)
 
 
@@ -209,7 +219,7 @@ def _se_arg(se) -> bool:
 
 
 def _ci_level(value) -> float:
-    level = float(value)
+    level = _real(value, "ci_level")
     if not 0.0 < level < 1.0:  # NaN fails both
         raise UsageError(f"ci_level must lie in (0, 1), not {value!r}")
     return level
@@ -219,10 +229,10 @@ def _y_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         if set(spec) != {"start", "stop", "num"}:
             raise UsageError(f"y_grid keys must be start, stop and num, not {sorted(spec)}")
-        grid = np.linspace(float(spec["start"]), float(spec["stop"]),
-                           _count(spec["num"], "y_grid.num"))
+        grid = np.linspace(_real(spec["start"], "y_grid.start"),
+                           _real(spec["stop"], "y_grid.stop"), _count(spec["num"], "y_grid.num"))
     else:
-        grid = np.asarray(spec, dtype=float)
+        grid = np.asarray(_real(spec, "y_grid", lists=True))
     if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):
         raise UsageError("y_grid must be a nonempty flat grid inside [0, 1]")  # NaN fails too
     return grid
@@ -237,13 +247,11 @@ def cmd_fit(config_path: str, seed=None, out_dir: str = ".") -> int:
         raise UsageError("config key 'query_x' is required for fit")
     data = _read_input_csv(cfg["input"])
     with _input_errors("fit"):
-        query_x = np.asarray(cfg["query_x"], dtype=float)
+        query_x = _real(cfg["query_x"], "query_x", lists=True)
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"], data)
         grid = _y_grid(cfg["y_grid"])
         se = _se_arg(cfg["se"])
         level = _ci_level(cfg["ci_level"])
-    if query_x.shape != (data.dim,):
-        raise UsageError(f"query_x must be {data.dim} coordinates, not shape {query_x.shape}")
 
     with _input_errors("fit", ValueError):
         fitted = estimator.fit(data, query_x, fcfg)
@@ -270,20 +278,17 @@ def cmd_mc(config_path: str, seed=None, workers=None, out_dir: str = ".") -> int
     cfg = _load_config(config_path, dict(
         _MC_DEFAULTS, design_points=list(simbench.DEFAULT_DESIGN_POINTS)),
         seed=seed, workers=workers)
-    design = cfg["design"]
-    if design not in simbench.DESIGNS:
-        raise UsageError(f"config key 'design' must be one of {simbench.DESIGNS}")
     with _input_errors("mc"):
         fcfg = _build_forest_config(cfg["forest"], cfg["seed"])
         n, reps = _count(cfg["n"], "n"), _count(cfg["reps"], "reps")
         se = _se_arg(cfg["se"])
-        options = dict(design_points=np.asarray(cfg["design_points"], dtype=float),
+        options = dict(design_points=_real(cfg["design_points"], "design_points", lists=True),
                        workers=cfg["workers"],
                        mise_grid_points=_count(cfg["mise_grid_points"], "mise_grid_points"),
                        ci_level=_ci_level(cfg["ci_level"]))
 
     with _input_errors("mc", ValueError):
-        report = simbench.run_mc(design, n, reps, fcfg, se, **options)
+        report = simbench.run_mc(cfg["design"], n, reps, fcfg, se, **options)
 
     out = _write_provenance(out_dir, "mc_report.json", "mc", cfg, fcfg, se,
                             report=simbench.report_to_dict(report))

@@ -13,7 +13,7 @@ coefficient vector matching a moment target ``mu`` solves
 the gradient system of the convex dual L(theta) = log Z(theta) - theta . mu,
 handled by Newton's method with the exact Jacobian (the basis covariance
 under the current density) and a step-halving line search on L and the
-residual (:func:`solve_theta`), for a batch of rows at once, chunk by chunk
+residual (:func:`solve_theta`), for a batch of rows at once
 (:func:`_solve_from`).  Forest growth solves each root node to
 :data:`GROWTH_TOL`, gives each child node :data:`GROWTH_STEPS` Newton step
 from its parent's iterate (the one-step estimator), and keeps the density
@@ -37,7 +37,7 @@ from .errors import BoundaryMoment, NonConvergence
 
 __all__ = ["MomentVector", "ThetaSolution", "THETA_BOX_BOUND", "NEWTON_TOL", "GROWTH_TOL",
            "log_partition", "density", "moments", "covariance", "solve_theta",
-           "row_pseudo_outcomes", "t_functional"]
+           "t_functional"]
 
 #: Iterates with sup-norm beyond this bound signal a target at or outside
 #: the moment-space boundary.
@@ -145,23 +145,11 @@ def _inverse_covariances(dens: np.ndarray, mu: np.ndarray, spec: BasisSpec) -> n
 
 
 def _pseudo_outcomes(mu: np.ndarray, vinv: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``V^-1 (phi - mu)`` for each row, the formula's one home: growth's split search,
-    :func:`row_pseudo_outcomes` and :func:`_t_row` call it.  ``phi - mu`` is a fresh contiguous
-    array, so the stacked matmul, one ``(k, J) @ (J, J)`` product per row, has the same bits
-    whatever ``phi``'s strides."""
+    """``V^-1 (phi - mu)`` for each row, the formula's one home: growth's split search
+    and :func:`_t_row` call it.  ``phi - mu`` is a fresh contiguous array, so the stacked
+    matmul, one ``(k, J) @ (J, J)`` product per row, has the same bits whatever ``phi``'s
+    strides."""
     return (phi - mu[:, None, :]) @ vinv.transpose(0, 2, 1)
-
-
-def row_pseudo_outcomes(theta, phi, spec: BasisSpec) -> np.ndarray:
-    """Influence residuals ``V(theta_k)^{-1} (phi[k, i] - mu(theta_k))`` for each row ``k``.
-
-    ``theta`` has shape ``(m, J)`` and ``phi`` shape ``(m, k, J)``, as does the
-    result.  Each row is one ``(k, J) @ (J, J)`` product, so with ``k >= 2``
-    members a row is computed exactly as when it is passed alone (a one-member
-    product takes the matrix-vector path instead).
-    """
-    dens, mu, _ = _row_states(np.atleast_2d(np.asarray(theta, dtype=float)), spec)
-    return _pseudo_outcomes(mu, _inverse_covariances(dens, mu, spec), phi)
 
 
 def log_partition(theta, spec: BasisSpec) -> float:
@@ -214,9 +202,9 @@ _FAILURES = {
 }
 
 #: Elements allowed in any one batched temporary.  The row chunks of
-#: :func:`_row_chunks` keep to it: Newton batches, a growth level's Newton state,
-#: V^-1 and split slices, the tree half split, the per-tree means, and the
-#: infinitesimal jackknife's blocks of trees.
+#: :func:`_row_chunks` keep to it: a growth level's Newton chunks, each one
+#: :func:`_solve_from` batch, and their split slices, the tree half split, the
+#: per-tree means, and the infinitesimal jackknife's blocks of trees.
 BATCH_ELEMENTS = 1 << 18
 
 
@@ -258,8 +246,10 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     bit-identical to solving it alone from its start, whatever the other rows
     are.  ``max_iter`` caps the steps of every row (an int) or of each row
     (an array of ``len(targets)`` ints).  Each row ends with one code of
-    :class:`NewtonBatch`; failures do not raise.  Rows run in
-    :func:`_row_chunks`; solved rows keep the state their last evaluation computed.
+    :class:`NewtonBatch`; failures do not raise.  The rows run as one batch, bounded
+    by the caller (a growth level's Newton chunk, or :func:`solve_theta`'s one row).
+    Each round first writes out and drops the rows that ended in the last round or
+    are within ``tol``, with the state their last evaluation computed.
     """
     if not np.all(np.isfinite(targets)):
         raise ValueError("moment target must be finite")
@@ -274,9 +264,42 @@ def _solve_from(targets: np.ndarray, start: np.ndarray, spec: BasisSpec,
     if zero.any():
         out.dens[zero], out.mu[zero] = _row_states(np.zeros((1, j)), spec)[:2]
     rows = np.flatnonzero((out.status == SOLVED) & ~zero)
-    cap = np.broadcast_to(max_iter, (m,))
-    for lo, hi in _row_chunks(rows.size, 4 * max(spec.nodes.size, j * j)):
-        _newton_rows(targets, start, rows[lo:hi], spec, cap, tol, out)
+    target, theta = targets[rows], start[rows]
+    cap = np.broadcast_to(max_iter, (m,))[rows]
+    dens, mu, resid, rnorm, dual = _dual_states(theta, target, spec)
+    status = np.full(rows.size, -1, dtype=np.int8)  # -1: still running
+    for it in range(1, cap.max(initial=0) + 2):
+        status[(status < 0) & (rnorm <= tol)] = SOLVED
+        status[(status < 0) & (it > cap)] = CAPPED
+        ended = status >= 0
+        done = rows[ended]
+        out.theta[done], out.dens[done], out.mu[done] = theta[ended], dens[ended], mu[ended]
+        out.residual[done] = rnorm[ended]
+        out.iterations[done] = it - 1
+        out.status[done] = status[ended]
+        rows, target, theta, dens, mu, resid, rnorm, dual, status, cap = (
+            a[~ended] for a in (rows, target, theta, dens, mu, resid, rnorm, dual, status, cap))
+        if rows.size == 0:
+            break
+        step, singular = _newton_steps(_row_covariances(dens, mu, spec), resid)
+        armijo = _ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]  # -c grad L . step
+        # one evaluation tries the full step of every non-singular row (a
+        # singular row takes no step); the rows that reject it halve it,
+        # 2^-1 ... 2^-30, in one evaluation per length
+        pending = np.flatnonzero(~singular)
+        for lam in np.ldexp(1.0, -np.arange(31)):
+            if pending.size == 0:
+                break
+            cand = theta[pending] + lam * step[pending]
+            state = _dual_states(cand, target[pending], spec)
+            bound = dual[pending] - lam * armijo[pending]  # L + c lam grad L . step
+            hit = (state[3] < rnorm[pending]) | (state[4] <= bound)  # lower residual, or Armijo
+            for a, b in zip((theta, dens, mu, resid, rnorm, dual), (cand, *state)):
+                a[pending[hit]] = b[hit]
+            pending = pending[~hit]
+        status[singular] = SINGULAR
+        status[pending] = STALLED
+        status[(status < 0) & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)] = ESCAPED
     return out
 
 
@@ -320,53 +343,6 @@ def _dual_states(theta: np.ndarray, target: np.ndarray, spec: BasisSpec):
     resid = target - mu
     dual = logz - (theta[:, None, :] @ target[:, :, None])[:, 0, 0]
     return dens, mu, resid, np.abs(resid).max(axis=1), dual
-
-
-def _newton_rows(targets, start, rows, spec, cap, tol, out: NewtonBatch) -> None:
-    """Run the Newton iteration on ``targets[rows]`` from ``start[rows]``, writing into ``out``.
-
-    The state arrays are copies, updated in place as each row accepts a length.
-    At the top of each round the rows that ended in the last round, or are now
-    within ``tol``, are written out and dropped; a row still running after
-    ``cap[row]`` rounds ends as CAPPED.
-    """
-    target = targets[rows]
-    theta = start[rows]
-    cap = cap[rows]
-    dens, mu, resid, rnorm, dual = _dual_states(theta, target, spec)
-    status = np.full(rows.size, -1, dtype=np.int8)  # -1: still running
-    for it in range(1, cap.max() + 2):
-        status[(status < 0) & (rnorm <= tol)] = SOLVED
-        status[(status < 0) & (it > cap)] = CAPPED
-        ended = status >= 0
-        done = rows[ended]
-        out.theta[done], out.dens[done], out.mu[done] = theta[ended], dens[ended], mu[ended]
-        out.residual[done] = rnorm[ended]
-        out.iterations[done] = it - 1
-        out.status[done] = status[ended]
-        rows, target, theta, dens, mu, resid, rnorm, dual, status, cap = (
-            a[~ended] for a in (rows, target, theta, dens, mu, resid, rnorm, dual, status, cap))
-        if rows.size == 0:
-            return
-        step, singular = _newton_steps(_row_covariances(dens, mu, spec), resid)
-        armijo = _ARMIJO_C * (resid[:, None, :] @ step[:, :, None])[:, 0, 0]  # -c grad L . step
-        # one evaluation tries the full step of every non-singular row (a
-        # singular row takes no step); the rows that reject it halve it,
-        # 2^-1 ... 2^-30, in one evaluation per length
-        pending = np.flatnonzero(~singular)
-        for lam in np.ldexp(1.0, -np.arange(31)):
-            if pending.size == 0:
-                break
-            cand = theta[pending] + lam * step[pending]
-            state = _dual_states(cand, target[pending], spec)
-            bound = dual[pending] - lam * armijo[pending]  # L + c lam grad L . step
-            hit = (state[3] < rnorm[pending]) | (state[4] <= bound)  # lower residual, or Armijo
-            for a, b in zip((theta, dens, mu, resid, rnorm, dual), (cand, *state)):
-                a[pending[hit]] = b[hit]
-            pending = pending[~hit]
-        status[singular] = SINGULAR
-        status[pending] = STALLED
-        status[(status < 0) & (np.abs(theta).max(axis=1) > THETA_BOX_BOUND)] = ESCAPED
 
 
 def solve_theta(mu_target, spec: BasisSpec) -> ThetaSolution:

@@ -386,11 +386,11 @@ def _node_splits(x_ext, phi_ext, members, counts, masks, center, vinv, cfg: Fore
     pseudo-outcomes; the right sums are the node totals minus the left.  Every (row,
     threshold) candidate is scored in one dense table, the squared norm of each child's
     sums (an ``einsum``) over its count, and each infeasible candidate, an empty child's
-    0/0 among them, is then set to -inf.  A node's first candidate within
-    :data:`_TIE_RTOL` of its best score is its lexicographically smallest (dimension,
-    threshold) among the near-best: its first row with such a score, found by comparing
-    neighbours in the ascending nodes of those rows.  Returns ``(dim, threshold)``
-    arrays, ``dim = -1`` where no candidate is feasible.
+    0/0 among them, is then set to -inf.  The scores go into one ``(nodes, d, n_grid)``
+    table, -inf at every ineligible dimension, so a node's flattened row runs in
+    (dimension, threshold) order: its first cell within :data:`_TIE_RTOL` of the row's
+    maximum is its lexicographically smallest candidate among the near-best.  Returns
+    ``(dim, threshold)`` arrays, ``dim = -1`` where no candidate is feasible.
     """
     rho = phi_ext[members]
     j = rho.shape[2] - 1
@@ -421,17 +421,16 @@ def _node_splits(x_ext, phi_ext, members, counts, masks, center, vinv, cfg: Fore
                  + np.einsum("rgj,rgj->rg", right, right) / n_right)
     score[~(spread[:, None] & (n_left >= bound) & (n_right >= bound))] = -np.inf
 
-    row_score = score.max(axis=1)
-    best = np.maximum.reduceat(row_score, np.searchsorted(row_node, np.arange(counts.size)))
+    table = np.full(masks.shape + (cfg.n_grid,), -np.inf)
+    grid = np.zeros_like(table)
+    table[row_node, row_dim], grid[row_node, row_dim] = score, thresholds
+    table, grid = table.reshape(counts.size, -1), grid.reshape(counts.size, -1)
+    best = table.max(axis=1)
     # scores are >= 0, so best * (1 - tol) is best - tol |best|; it is -inf, not
-    # NaN, at a node where nothing is feasible, whose first candidate is then taken
-    cutoff = best * (1.0 - _TIE_RTOL)
-    hits = np.flatnonzero(row_score >= cutoff[row_node])
-    nodes = row_node[hits]  # ascending, and every node has a hit
-    chosen = hits[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
-    first = (score[chosen] >= cutoff[:, None]).argmax(axis=1)
-    dim = np.where(best > -np.inf, row_dim[chosen], -1)
-    return dim, thresholds[chosen, first]
+    # NaN, at a node where nothing is feasible, whose dim is then -1
+    first = (table >= best[:, None] * (1.0 - _TIE_RTOL)).argmax(axis=1)
+    dim = np.where(best > -np.inf, first // cfg.n_grid, -1)
+    return dim, grid[np.arange(counts.size), first]
 
 
 def _split_level(x_ext, phi_ext, members, counts, masks, start, cfg: ForestConfig):

@@ -78,7 +78,7 @@ PUBLIC_NAMES = {
               "make_quadrature"],
     "expfam": ["MomentVector", "ThetaSolution", "THETA_BOX_BOUND", "NEWTON_TOL", "GROWTH_TOL",
                "log_partition", "density", "moments", "covariance", "solve_theta",
-               "row_pseudo_outcomes", "t_functional"],
+               "t_functional"],
     "forest": ["Box", "Dataset", "ForestConfig", "SplitRecord", "BranchResult", "WeightVector",
                "draw_subsamples", "split_half", "best_split", "grow_branch",
                "grow_from_halves", "grow_forest", "weights", "mu_hat",

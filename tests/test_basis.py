@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestdens import basis
 from forestdens.basis import (BasisSpec, basis_matrix, basis_range, default_basis,
                               legendre_eval, make_quadrature)
 
@@ -155,6 +156,13 @@ class TestBasisSpec:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             BasisSpec(order=0)
+
+    def test_rule_that_misses_orthonormality_raises(self, monkeypatch):
+        # a 3-node rule is exact to degree 5, far below the degree-16 Gram entries of
+        # order 8; built directly, as default_basis caches its specs
+        monkeypatch.setattr(basis, "make_quadrature", lambda n_nodes: make_quadrature(3))
+        with pytest.raises(ValueError, match="orthonormality"):
+            BasisSpec(order=8)
 
     def test_scale_is_the_read_only_basis_range(self):
         spec = default_basis(8)

@@ -247,6 +247,17 @@ class TestWrongTypedConfig:
                     "initial_parent": [[0.0] * 4]}},
         {"se": 1},
         {"se": 0},
+        # a real value is a JSON number, never a string or a boolean
+        {"ci_level": "0.9"},
+        {"query_x": ["0.5", "0.5", "0.5", "0.5"]},
+        {"y_grid": ["0.2", "0.5"]},
+        {"y_grid": [True, False]},
+        {"y_grid": {"start": "0.1", "stop": 0.9, "num": 9}},
+        {"y_grid": {"start": 0.1, "stop": "0.9", "num": 9}},
+        {"forest": {"subsample_size": 40, "n_trees": 40, "basis_order": 4, "min_child": 4,
+                    "min_fraction": "0.1"}},
+        {"forest": {"subsample_size": 40, "n_trees": 40, "basis_order": 4, "min_child": 4,
+                    "initial_parent": [[False] * 4, [True] * 4]}},
     ])
     def test_fit(self, tmp_path, capsys, override):
         cfg = fit_config(tmp_path, **override)
@@ -270,6 +281,11 @@ class TestWrongTypedConfig:
         {"mise_grid_points": 1},
         {"forest": {"subsample_size": 30, "n_trees": 24, "basis_order": 4, "min_child": 3,
                     "initial_parent": [[0.0], [1.0]]}},
+        {"ci_level": "0.9"},
+        {"design_points": ["0.5"]},
+        {"design_points": [True]},
+        {"forest": {"subsample_size": 30, "n_trees": 24, "basis_order": 4, "min_child": 3,
+                    "initial_parent": [["0.0"] * 4, ["1.0"] * 4]}},
     ])
     def test_mc(self, tmp_path, capsys, override):
         cfg = mc_config(tmp_path, **override)

@@ -1,6 +1,8 @@
 """Exponential-family calculus and Newton solver, checked against
 closed forms, finite differences, and a scalar bisection oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,20 @@ from forestdens.basis import basis_range
 from forestdens.errors import BoundaryMoment, NonConvergence
 from forestdens.expfam import (CAPPED, ESCAPED, RANGE, SINGULAR, SOLVED, STALLED,
                                MomentVector, ThetaSolution, covariance, density,
-                               log_partition, moments, row_pseudo_outcomes,
-                               solve_theta, t_functional)
+                               log_partition, moments, solve_theta, t_functional)
 
 
 def solve_from_zero(targets, spec, max_iter=expfam.NEWTON_MAX_ITER):
     """The batched Newton solve of every row of ``targets``, each from zero coefficients."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     return expfam._solve_from(targets, np.zeros_like(targets), spec, max_iter)
+
+
+def row_pseudo_outcomes(theta, phi, spec):
+    """``V(theta_k)^-1 (phi[k, i] - mu(theta_k))`` for each row ``k`` of ``theta``, from
+    the family state at ``theta``: the composition growth's split search applies."""
+    dens, mu, _ = expfam._row_states(np.atleast_2d(np.asarray(theta, dtype=float)), spec)
+    return expfam._pseudo_outcomes(mu, expfam._inverse_covariances(dens, mu, spec), phi)
 
 
 def closed_form_logz_first_component(c: float) -> float:
@@ -269,6 +277,14 @@ def mixed_targets(rng, j, m):
     return np.array(rows)
 
 
+def solved_in_slices(targets, spec, cuts):
+    """:func:`solve_from_zero` on each slice of ``targets`` between the ``cuts``, each
+    slice a batch of its own, with the slices' fields joined in row order."""
+    parts = [solve_from_zero(part, spec) for part in np.split(targets, cuts)]
+    return SimpleNamespace(**{field: np.concatenate([getattr(p, field) for p in parts])
+                              for field in ("theta", "residual", "iterations", "status")})
+
+
 class TestSolveThetaBatch:
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=10),
            st.randoms(use_true_random=False))
@@ -292,14 +308,13 @@ class TestSolveThetaBatch:
                 with pytest.raises(expfam._FAILURES[batch.status[i]][0]):
                     solve_theta(target, spec)
 
-    def test_slices_do_not_change_rows(self, monkeypatch):
+    def test_slices_do_not_change_rows(self):
         rng = np.random.default_rng(9)
         spec = default_basis(4)
         targets = mixed_targets(rng, 4, 40)
         whole = solve_from_zero(targets, spec)
         assert {SOLVED, ESCAPED} <= set(whole.status.tolist())
-        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per slice
-        sliced = solve_from_zero(targets, spec)
+        sliced = solved_in_slices(targets, spec, [1, 2, 5, 13, 19])
         for field in ("theta", "residual", "iterations", "status"):
             np.testing.assert_array_equal(getattr(sliced, field), getattr(whole, field))
 
@@ -444,15 +459,14 @@ class TestBlockedLineSearch:
                 bound = dual + expfam._ARMIJO_C * lam * slope + 1e-12 * max(1.0, abs(dual))
                 assert new_dual <= bound or new_rnorm < rnorm
 
-    def test_large_batch_equals_one_row_slices(self, monkeypatch):
+    def test_large_batch_equals_one_row_slices(self):
         # more rows than any level of the reference fit: one pass at J = 8
         rng = np.random.default_rng(47)
         spec = default_basis(8)
         targets = mixed_targets(rng, 8, 2304)
         whole = solve_from_zero(targets, spec)
         assert {SOLVED, ESCAPED, STALLED} <= set(whole.status.tolist())
-        monkeypatch.setattr(expfam, "BATCH_ELEMENTS", 1)  # one row per pass and evaluation
-        sliced = solve_from_zero(targets, spec)
+        sliced = solved_in_slices(targets, spec, np.arange(1, 2304))  # one row per pass
         for field in ("theta", "residual", "iterations", "status"):
             assert getattr(sliced, field).tobytes() == getattr(whole, field).tobytes()
 
@@ -574,7 +588,7 @@ class TestKeptState:
         phi = basis_matrix(spec, rng.random(ok.size * k)).reshape(ok.size, k, j)
         vinv = expfam._inverse_covariances(dens[ok], mu[ok], spec)
         kept = expfam._pseudo_outcomes(mu[ok], vinv, phi)  # as growth maps a node's members
-        expected = expfam.row_pseudo_outcomes(theta[ok], phi, spec)
+        expected = row_pseudo_outcomes(theta[ok], phi, spec)
         assert kept.tobytes() == expected.tobytes()
 
 
@@ -586,9 +600,9 @@ class TestPseudoOutcomes:
         spec = default_basis(8)
         theta = np.array([random_theta(rng, 8, r) for r in (0.0, 1.0, 4.0, 9.0)])
         phi = basis_matrix(spec, rng.random(4 * k)).reshape(4, k, 8)
-        stack = expfam.row_pseudo_outcomes(theta, phi, spec)
+        stack = row_pseudo_outcomes(theta, phi, spec)
         for i in range(4):
-            alone = expfam.row_pseudo_outcomes(theta[i:i + 1], phi[i:i + 1], spec)
+            alone = row_pseudo_outcomes(theta[i:i + 1], phi[i:i + 1], spec)
             assert stack[i].tobytes() == alone[0].tobytes()
         # and the row's members agree with the definition V^-1 (phi - mu)
         for i in range(4):

@@ -402,13 +402,59 @@ class TestBestSplit:
                 rho = phi - pivot.mu
             else:
                 pivot = expfam.solve_theta(phi.mean(axis=0), spec)
-                rho = expfam.row_pseudo_outcomes(pivot.theta, phi[None], spec)[0]
+                dens, mu, _ = expfam._row_states(pivot.theta[None], spec)
+                vinv = expfam._inverse_covariances(dens, mu, spec)
+                rho = expfam._pseudo_outcomes(mu, vinv, phi[None])[0]
             got = best_split(x, y, pivot, cfg, dims)
             expected, exp_score = brute_force_split(x, rho, cfg, dims)
             assert got == expected
             if got is not None:
                 left = x[:, got[0]] <= got[1]
                 assert delta_tilde((rho[left], rho[~left])) == pytest.approx(exp_score)
+
+    @staticmethod
+    def constant_beside_separating(rng, m):
+        """``m`` members whose dimension 1 is constant while dimension 0 separates the outcomes."""
+        x = np.column_stack([rng.permutation(np.linspace(0.05, 0.95, m)), np.full(m, 0.4)])
+        y = np.where(x[:, 0] < 0.5, rng.uniform(0.05, 0.15, m), rng.uniform(0.85, 0.95, m))
+        return x, y
+
+    def test_excluded_dim_lends_no_split(self):
+        # the ineligible cells of the score table are -inf: a constant allowed dimension
+        # yields no split, even where an excluded dimension would give a good one
+        x, y = self.constant_beside_separating(np.random.default_rng(12), 24)
+        cfg = make_config(basis_order=2, min_child=3)
+        pivot = expfam.MomentVector(basis_matrix(default_basis(2), y).mean(axis=0))
+        assert best_split(x, y, pivot, cfg, [1]) is None
+        dim, thr = best_split(x, y, pivot, cfg, [0, 1])
+        assert dim == 0 and 0.45 < thr < 0.55
+
+    def test_node_without_a_split_in_a_mixed_slice(self):
+        # one _node_splits slice: the node of test_excluded_dim_lends_no_split beside
+        # nodes that can split; each node gets the split it gets when scored alone
+        rng = np.random.default_rng(13)
+        spec = default_basis(2)
+        cfg = make_config(basis_order=2, min_child=3, n_grid=8)
+        parts = [(rng.random((30, 2)), rng.random(30), [0, 1]),
+                 (*self.constant_beside_separating(rng, 24), [1]),
+                 (rng.random((16, 2)), rng.random(16), [0])]
+        x = np.vstack([p[0] for p in parts])
+        y = np.concatenate([p[1] for p in parts])
+        counts = np.array([len(p[1]) for p in parts])
+        starts = np.cumsum(counts) - counts
+        x_ext, phi_ext = forest_mod._with_sentinel(x, basis_matrix(spec, y))
+        members = np.full((counts.size, counts[0]), counts.sum())
+        masks = np.zeros((counts.size, 2), dtype=bool)
+        for k, (a, c) in enumerate(zip(starts, counts)):
+            members[k, :c] = np.arange(a, a + c)
+            masks[k, parts[k][2]] = True
+        center = np.array([phi_ext[a:a + c, :2].mean(axis=0) for a, c in zip(starts, counts)])
+        dim, thr = forest_mod._node_splits(x_ext, phi_ext, members, counts, masks, center,
+                                           None, cfg)
+        assert dim.tolist()[1] == -1 and min(dim[0], dim[2]) >= 0
+        for k, (px, py, dims) in enumerate(parts):
+            alone = best_split(px, py, expfam.MomentVector(center[k]), cfg, dims)
+            assert alone == (None if dim[k] < 0 else (dim[k], thr[k]))
 
     def test_identical_covariates_yield_none(self):
         cfg = make_config(basis_order=1, min_child=2)

@@ -1,7 +1,9 @@
-"""The test suite's own settings: a misspelt marker fails collection."""
+"""The test suite's own settings: strict mode, so a misspelt marker fails collection."""
 
 
 def test_strict_markers_is_on(pytestconfig):
-    # pytest's marker check reads the ini value; a --strict-markers flag in
-    # addopts leaves it unset, so a misspelt mark would only warn
-    assert pytestconfig.getini("strict_markers") is True
+    # ``strict`` turns on strict_config, strict_markers, strict_xfail and
+    # strict_parametrization_ids, and with no strict_markers key the marker
+    # check reads it; a --strict-markers flag in addopts leaves the ini
+    # values unset, so a misspelt mark would only warn
+    assert pytestconfig.getini("strict") is True

@@ -358,6 +358,29 @@ class TestSimpson:
                                ** 2, grid)
 
 
+class TestMCReport:
+    @staticmethod
+    def report(**kw):
+        fields = dict(design="D1", n=150, reps=2, completed=2, design_points=np.array([0.5]),
+                      truth=np.array([1.0]), bias=np.zeros(1), sd=np.zeros(1),
+                      avg_se=np.full(1, np.nan), coverage=np.full(1, np.nan), mise=0.0,
+                      ci_level=0.95, mise_interval=MISE_INTERVAL, mise_grid_points=141,
+                      runtime_seconds=0.0, failures=())
+        return simbench.MCReport(**dict(fields, **kw))
+
+    def test_bounds_hold_at_their_ends(self):
+        self.report(coverage=np.array([0.0, 1.0]))
+
+    def test_negative_mise_raises(self):
+        with pytest.raises(ValueError, match="MISE"):
+            self.report(mise=-1e-12)
+
+    @pytest.mark.parametrize("coverage", [-0.5, 1.5])
+    def test_coverage_outside_the_unit_interval_raises(self, coverage):
+        with pytest.raises(ValueError, match="coverage"):
+            self.report(coverage=np.array([0.5, coverage]))
+
+
 class TestRunMC:
     def test_identical_rep_seeds_give_zero_dispersion(self, monkeypatch):
         seed_sequence = np.random.SeedSequence
